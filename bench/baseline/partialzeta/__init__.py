@@ -1,0 +1,36 @@
+"""Zeta functions from partial Euler products over primes of prescribed
+Frobenius order: truncated products with tail bounds, functional-equation
+verification, recursive analytic continuation, natural-boundary diagnostics,
+Dirichlet L-functions, and exact Ihara zeta computations on voltage covers.
+"""
+
+__version__ = "0.1.0"
+
+from .continuation import (GEvaluator, PartialZetaEvaluator,
+                           SingularityCatalog, SingularPoint, boundary_report,
+                           composite_feq_residual, continue_f_power,
+                           counting_functions, feq_residual, lambda_q_betas,
+                           mq_classes, omega_set)
+from .core import (ExplicitSystem, PrimeDatum, TruncationPolicy, ZetaSystem,
+                   local_factor, partition_Pn, system_from_json,
+                   truncated_zeta_P, truncated_zeta_Pn)
+from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
+                     InvalidConfigError, PartialZetaError, PoleAtOneError,
+                     SingularityProximityError, SingularLocalFactorError,
+                     UnresolvedBoxError)
+from .frobenius import (Character, CyclicGroup, character_value,
+                        subgroup_character_indices, truncated_L, truncated_Z,
+                        zp_factorization_residual)
+from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
+                     count_cycles, graph_L, graph_singularities_in_s,
+                     ihara_det, ihara_edge, named_graph, parse_graph_file,
+                     partial_zeta_series, primitive_cycles)
+from .lfunctions import (DirichletCharacter, dirichlet_L,
+                         fundamental_discriminant, hurwitz_zeta,
+                         kronecker_character, kronecker_symbol,
+                         prime_order_character, riemann_zeta)
+from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
+                          g_closed_form, kronecker_system)
+from .series import Cyclotomic, ExactSeries
+
+__all__ = [name for name in dir() if not name.startswith("_")]

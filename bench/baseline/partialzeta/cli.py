@@ -1,0 +1,412 @@
+"""Command-line front end: build systems, evaluate, verify, find zeros,
+emit boundary reports and plot-ready grids.
+
+Determinism contract: identical configuration produces byte-identical output
+(all floating results are formatted at 15 significant digits, JSON keys are
+sorted, grid rows are sorted).  Exit codes: 2 invalid configuration,
+3 domain error, 4 singularity proximity, 5 budget exceeded.
+"""
+from __future__ import annotations
+
+import argparse
+import cmath
+import json
+import math
+import sys as _sys
+
+from . import __version__
+from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
+                           boundary_report, composite_feq_residual,
+                           counting_functions, feq_residual)
+from .core import TruncationPolicy, ZetaSystem
+from .errors import (BudgetExceededError, DomainError, InvalidConfigError,
+                     SingularityProximityError)
+from .frobenius import CyclicGroup, zp_factorization_residual
+from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
+                     cover_zeta_inverse, dump_graph_file, g_series_fraction,
+                     graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
+                     parse_graph_file, partial_zeta_series)
+from .lfunctions import prime_order_character
+from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
+                          g_closed_form, kronecker_system)
+from .series import Cyclotomic, ExactSeries
+
+
+def _fmt(x):
+    """15-significant-digit canonical form, applied recursively."""
+    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
+        return x
+    if isinstance(x, float):
+        return f"{x:.15g}"
+    if isinstance(x, complex):
+        return {"re": f"{x.real:.15g}", "im": f"{x.imag:.15g}"}
+    if isinstance(x, dict):
+        return {k: _fmt(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_fmt(v) for v in x]
+    raise InvalidConfigError(f"unformattable output value {x!r}")
+
+
+def _series_json(series: ExactSeries):
+    out = []
+    for c in series.coeffs:
+        if isinstance(c, Cyclotomic):
+            out.append([[str(v.numerator), str(v.denominator)] for v in c.vec])
+        else:
+            out.append([str(c.numerator), str(c.denominator)])
+    return out
+
+
+def _emit(args, text: str) -> None:
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        _sys.stdout.write(text)
+
+
+def _emit_json(args, payload: dict) -> None:
+    payload["config"] = _fmt(_resolved_config(args))
+    payload["version"] = __version__
+    _emit(args, json.dumps(_fmt(payload), sort_keys=True, indent=2) + "\n")
+
+
+def _resolved_config(args) -> dict:
+    keep = ("command", "graph_command", "backend", "d", "char", "graph_file",
+            "catalog_file", "s", "grid", "cutoff", "depth", "height", "order",
+            "tolerance")
+    return {k: getattr(args, k) for k in keep
+            if getattr(args, k, None) is not None}
+
+
+def _parse_s(text: str) -> complex:
+    try:
+        parts = text.split(",")
+        if len(parts) == 1:
+            return complex(float(parts[0]), 0.0)
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        pass
+    raise InvalidConfigError(f"bad s-point {text!r}; expected 're' or 're,im'")
+
+
+def _parse_grid(text: str) -> list[complex]:
+    """Grid spec 're0:re1:n_re,im0:im1:n_im' -> row-major list of points."""
+    try:
+        re_spec, im_spec = text.split(",")
+        r0, r1, nr = re_spec.split(":")
+        i0, i1, ni = im_spec.split(":")
+        r0, r1, nr = float(r0), float(r1), int(nr)
+        i0, i1, ni = float(i0), float(i1), int(ni)
+    except ValueError as exc:
+        raise InvalidConfigError(
+            f"bad grid {text!r}; expected re0:re1:n,im0:im1:n") from exc
+    if nr < 1 or ni < 1:
+        raise InvalidConfigError("grid needs at least one point per axis")
+    pts = []
+    for a in range(nr):
+        re = r0 if nr == 1 else r0 + (r1 - r0) * a / (nr - 1)
+        for b in range(ni):
+            im = i0 if ni == 1 else i0 + (i1 - i0) * b / (ni - 1)
+            pts.append(complex(re, im))
+    return pts
+
+
+def _load_voltage_graph(args) -> VoltageGraph:
+    if not args.graph_file:
+        raise InvalidConfigError("graph backend needs --graph-file")
+    with open(args.graph_file) as fh:
+        return parse_graph_file(fh.read())
+
+
+def _build_system(args) -> ZetaSystem:
+    backend = args.backend
+    if backend == "quadratic":
+        if args.d is None:
+            raise InvalidConfigError("quadratic backend needs --d")
+        return kronecker_system(args.d)
+    if backend == "cyclic":
+        if not args.char:
+            raise InvalidConfigError(
+                "cyclic backend needs --char modulus,order[,generator]")
+        parts = [int(t) for t in args.char.split(",")]
+        if len(parts) not in (2, 3):
+            raise InvalidConfigError("--char takes modulus,order[,generator]")
+        chi = prime_order_character(parts[0], parts[1],
+                                    parts[2] if len(parts) == 3 else None)
+        return cyclic_system(chi)
+    if backend == "graph":
+        return GraphZetaSystem(_load_voltage_graph(args))
+    raise InvalidConfigError(f"backend {backend!r} has no prime enumeration")
+
+
+def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
+    if isinstance(sys_obj, AbelianSystem):
+        return g_closed_form(sys_obj)
+    if isinstance(sys_obj, GraphZetaSystem):
+        vg = sys_obj.vg
+        num, den = g_series_fraction(vg)
+        q_g = vg.base.q_g
+
+        def fn(s: complex) -> complex:
+            u = cmath.exp(-s * math.log(q_g))
+            return num(u) / den(u)
+
+        return GEvaluator(fn, provenance="rational function of u=base^{-s}",
+                          pole_order_at_one=vg.q_c - 1)
+    raise InvalidConfigError(f"no g evaluator for backend {sys_obj.backend!r}")
+
+
+def _load_catalog(args) -> SingularityCatalog:
+    if args.catalog_file:
+        if args.height is None:
+            raise InvalidConfigError("catalog import needs --height "
+                                     "(declared completeness)")
+        with open(args.catalog_file) as fh:
+            return SingularityCatalog.from_csv(fh.read(), args.height)
+    if args.backend == "graph":
+        vg = _load_voltage_graph(args)
+        return graph_singularities_in_s(g_series_fraction(vg), vg.base.q_g,
+                                        args.height)
+    sys_obj = _build_system(args)
+    return find_zeros(g_closed_form(sys_obj), args.height)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_sieve(args) -> None:
+    sys_obj = _build_system(args)
+    _emit(args, sys_obj.dump_csv(args.cutoff))
+
+
+def cmd_eval(args) -> None:
+    from .core import truncated_zeta_P, truncated_zeta_Pn
+    from .frobenius import truncated_Z
+
+    sys_obj = _build_system(args)
+    pol = TruncationPolicy(args.cutoff)
+    pts = _parse_grid(args.grid) if args.grid else [_parse_s(args.s)]
+    g = CyclicGroup(sys_obj.group_order) if sys_obj.group_order > 1 else None
+    results = []
+    for s in pts:
+        entry: dict = {"s": s}
+        v, tail = truncated_zeta_P(sys_obj, s, pol)
+        entry["zeta_P"] = {"value": v, "tail": tail}
+        if g is not None:
+            for n in g.divisors():
+                vn, tn = truncated_zeta_Pn(sys_obj, n, s, pol)
+                entry[f"zeta_P{n}"] = {"value": vn, "tail": tn}
+            vz, tz = truncated_Z(sys_obj, s, pol)
+            entry["Z_P"] = {"value": vz, "tail": tz}
+        results.append(entry)
+    _emit_json(args, {"results": results})
+
+
+def cmd_continue(args) -> None:
+    sys_obj = _build_system(args)
+    q = sys_obj.group_order
+    ev = PartialZetaEvaluator(sys_obj, q, _g_evaluator(args, sys_obj),
+                              depth=args.depth,
+                              policy=TruncationPolicy(args.cutoff))
+    if args.grid:
+        pts = _parse_grid(args.grid)
+        rows = ["re,im,log_abs,arg"]
+        for s in sorted(pts, key=lambda z: (z.real, z.imag)):
+            try:
+                val = ev(s)
+                log_abs, arg = math.log(abs(val)), cmath.phase(val)
+                rows.append(f"{s.real:.15g},{s.imag:.15g},"
+                            f"{log_abs:.15g},{arg:.15g}")
+            except (DomainError, SingularityProximityError):
+                rows.append(f"{s.real:.15g},{s.imag:.15g},nan,nan")
+        _emit(args, "\n".join(rows) + "\n")
+        return
+    s = _parse_s(args.s)
+    val = ev(s)
+    _emit_json(args, {"s": s, "depth": args.depth, "q": q,
+                      "f_power": val, "domain_re_floor": ev.domain_re_floor})
+
+
+def cmd_feq_check(args) -> None:
+    sys_obj = _build_system(args)
+    s = _parse_s(args.s)
+    tol = args.tolerance if args.tolerance is not None else 1e-10
+    residuals = {"zp_factorization": zp_factorization_residual(sys_obj, s,
+                                                               args.cutoff)}
+    n = sys_obj.group_order
+    if any(n % p == 0 for p in range(2, n)) and n > 1:
+        residuals["composite_feq"] = composite_feq_residual(sys_obj, s,
+                                                            args.cutoff)
+    else:
+        residuals["feq"] = feq_residual(sys_obj, s, args.cutoff)
+    ok = all(r <= tol for r in residuals.values())
+    _emit_json(args, {"residuals": residuals, "tolerance": tol,
+                      "pass": bool(ok)})
+
+
+def cmd_zeros(args) -> None:
+    sys_obj = _build_system(args)
+    cat = find_zeros(g_closed_form(sys_obj), args.height)
+    _emit(args, cat.to_csv())
+
+
+def cmd_boundary(args) -> None:
+    if args.height is None:
+        raise InvalidConfigError("boundary needs --height")
+    cat = _load_catalog(args)
+    if args.backend == "graph":
+        q = _load_voltage_graph(args).q_c
+    elif args.backend == "catalog":
+        if args.depth is None:
+            raise InvalidConfigError("catalog backend needs --depth to pass q")
+        q = args.depth
+    else:
+        q = _build_system(args).group_order
+    report = boundary_report(cat, q, args.height)
+    alpha = 0.25
+    i_t, j_t, om_t = counting_functions(cat, q, args.height, alpha)
+    report["counting"] = {"I": i_t, "J_alpha": j_t, "Omega_q": om_t,
+                          "alpha": alpha}
+    _emit_json(args, report)
+
+
+def cmd_graph(args) -> None:
+    vg = _load_voltage_graph(args)
+    sub = args.graph_command
+    if sub == "ihara":
+        det = ihara_det(vg.base)
+        edge = ihara_edge(vg.base)
+        _emit_json(args, {"zeta_inverse": _series_json(det),
+                          "edge_det": _series_json(edge),
+                          "agree": det == edge})
+    elif sub == "cover":
+        cover = build_cover(vg)
+        _emit_json(args, {"n": cover.n, "m": cover.m,
+                          "connected": cover.is_connected(),
+                          "edges": [list(e) for e in cover.edges]})
+    elif sub == "lfun":
+        payload = {}
+        for j in range(vg.q_c):
+            payload[f"L{j}"] = _series_json(graph_L(vg, j))
+        payload["product_zeta_Y_inverse"] = _series_json(cover_zeta_inverse(vg))
+        _emit_json(args, payload)
+    elif sub == "partial":
+        l_ord = args.order if args.order is not None else 12
+        direct, recursive = partial_zeta_series(vg, l_ord)
+        _emit_json(args, {"direct": _series_json(direct),
+                          "recursive": _series_json(recursive),
+                          "agree": direct.coeffs == recursive.coeffs,
+                          "order": l_ord})
+    elif sub == "verify":
+        base = vg.base
+        det, edge = ihara_det(base), ihara_edge(base)
+        l_ord = args.order if args.order is not None else 12
+        checks = {"bass_identity": det == edge}
+        prod = cover_zeta_inverse(vg)
+        checks["cover_identity"] = prod == ihara_edge(build_cover(vg))
+        direct, recursive = partial_zeta_series(vg, l_ord)
+        checks["partial_dual_route"] = direct.coeffs == recursive.coeffs
+        _emit_json(args, {"checks": checks,
+                          "pass": bool(all(checks.values()))})
+    else:  # pragma: no cover - argparse restricts choices
+        raise InvalidConfigError(f"unknown graph subcommand {sub!r}")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+def _add_backend_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", default="quadratic",
+                   choices=["quadratic", "cyclic", "graph", "catalog"])
+    p.add_argument("--d", type=int, help="square-free d for the quadratic backend")
+    p.add_argument("--char", help="cyclic character: modulus,order[,generator]")
+    p.add_argument("--graph-file", help="edge-list file, header 'n q_g q_c'")
+    p.add_argument("--catalog-file", help="singularity catalog CSV (re,im,order)")
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="partialzeta",
+                                 description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("sieve", help="dump the enumerated prime data as CSV")
+    _add_backend_flags(p)
+    p.add_argument("--cutoff", type=float, required=True)
+    p.set_defaults(func=cmd_sieve)
+
+    p = sub.add_parser("eval", help="truncated zeta_P, zeta_Pn and Z_P values")
+    _add_backend_flags(p)
+    p.add_argument("--s", help="evaluation point 're,im'")
+    p.add_argument("--grid", help="grid re0:re1:n,im0:im1:n")
+    p.add_argument("--cutoff", type=float, default=1e4)
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("continue",
+                       help="f(s)^{q^r} by the continuation recursion")
+    _add_backend_flags(p)
+    p.add_argument("--s")
+    p.add_argument("--grid")
+    p.add_argument("--depth", type=int, default=1, help="recursion depth r")
+    p.add_argument("--cutoff", type=float, default=1e4)
+    p.set_defaults(func=cmd_continue)
+
+    p = sub.add_parser("feq-check", help="functional-equation residuals")
+    _add_backend_flags(p)
+    p.add_argument("--s", required=True)
+    p.add_argument("--cutoff", type=float, default=1e4)
+    p.add_argument("--tolerance", type=float)
+    p.set_defaults(func=cmd_feq_check)
+
+    p = sub.add_parser("zeros", help="singularity catalog of g by the "
+                                     "argument principle")
+    _add_backend_flags(p)
+    p.add_argument("--height", type=float, required=True)
+    p.set_defaults(func=cmd_zeros)
+
+    p = sub.add_parser("boundary", help="natural-boundary diagnostics report")
+    _add_backend_flags(p)
+    p.add_argument("--height", type=float, required=True)
+    p.add_argument("--depth", type=int,
+                   help="q for the catalog backend (no system to read it from)")
+    p.set_defaults(func=cmd_boundary)
+
+    p = sub.add_parser("graph", help="exact graph-side computations")
+    p.add_argument("graph_command",
+                   choices=["ihara", "cover", "lfun", "partial", "verify"])
+    _add_backend_flags(p)
+    p.add_argument("--order", type=int, help="series truncation order")
+    p.set_defaults(func=cmd_graph, backend="graph")
+
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    try:
+        args.func(args)
+    except InvalidConfigError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    except SingularityProximityError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 4
+    except DomainError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 3
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 5
+    except OSError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _sys.exit(main())

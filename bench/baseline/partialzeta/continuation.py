@@ -1,0 +1,365 @@
+"""Functional equations, recursive continuation and boundary diagnostics.
+
+The recursion f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}
+continues the partial zeta power into Re s > 1/q^r; the singularity
+bookkeeping (omega set, q-power classes, weighted orders) feeds the
+natural-boundary no-gap diagnostics.  All verdicts are finite-sample
+statements, never proofs.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .core import TruncationPolicy, ZetaSystem, log_zeta_P, log_zeta_Pn
+from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
+                     SingularityProximityError)
+from .frobenius import log_Z, subgroup_character_indices
+
+PROXIMITY_RADIUS = 1e-6
+CLASS_MATCH_RTOL = 1e-9
+WEIGHT_ZERO_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SingularPoint:
+    """Zero (order > 0) or pole (order < 0) in the critical strip."""
+
+    location: complex
+    order: int
+
+    def __post_init__(self):
+        if self.order == 0:
+            raise InvalidConfigError("singular point must have nonzero order")
+
+
+@dataclass
+class SingularityCatalog:
+    """Finite singularity list, complete for 0 < Im < complete_up_to."""
+
+    points: list[SingularPoint]
+    complete_up_to: float
+
+    def __post_init__(self):
+        locs = [(round(p.location.real, 12), round(p.location.imag, 12))
+                for p in self.points]
+        if len(set(locs)) != len(locs):
+            raise InvalidConfigError("catalog points must be pairwise distinct")
+
+    def __len__(self):
+        return len(self.points)
+
+    def to_csv(self) -> str:
+        lines = ["re,im,order"]
+        for p in self.points:
+            lines.append(f"{p.location.real:.15g},{p.location.imag:.15g},{p.order}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str, complete_up_to: float) -> "SingularityCatalog":
+        pts = []
+        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines or lines[0].replace(" ", "") != "re,im,order":
+            raise InvalidConfigError("catalog CSV must start with header re,im,order")
+        for ln in lines[1:]:
+            re_s, im_s, order_s = ln.split(",")
+            pts.append(SingularPoint(complex(float(re_s), float(im_s)),
+                                     int(order_s)))
+        return cls(points=pts, complete_up_to=complete_up_to)
+
+
+@dataclass
+class GEvaluator:
+    """Meromorphic evaluator for g(s) = zeta_P(s)^q / Z_P(s)."""
+
+    fn: Callable[[complex], complex]
+    provenance: str = "external callback"
+    catalog: SingularityCatalog | None = None
+    pole_order_at_one: int | None = None
+
+    def __call__(self, s: complex) -> complex:
+        s = complex(s)
+        if self.catalog is not None:
+            for p in self.catalog.points:
+                if (abs(s - p.location) < PROXIMITY_RADIUS
+                        or abs(s - p.location.conjugate()) < PROXIMITY_RADIUS):
+                    raise SingularityProximityError(
+                        f"s={s} within {PROXIMITY_RADIUS} of singular point "
+                        f"{p.location}")
+        return self.fn(s)
+
+
+@dataclass
+class PartialZetaEvaluator:
+    """Composite evaluator for f(s)^{q^r} via the continuation recursion."""
+
+    sys: ZetaSystem
+    q: int
+    g: GEvaluator
+    depth: int
+    policy: TruncationPolicy
+
+    def __post_init__(self):
+        if self.depth < 0:
+            raise InvalidConfigError("depth r must be >= 0")
+        if self.q != self.sys.group_order:
+            raise InvalidConfigError("q must equal the system group order")
+
+    @property
+    def domain_re_floor(self) -> float:
+        return 1.0 / self.q**self.depth
+
+    def __call__(self, s: complex) -> complex:
+        return continue_f_power(self, s)
+
+
+def continue_f_power(ev: PartialZetaEvaluator, s: complex) -> complex:
+    """Value of f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}."""
+    s = complex(s)
+    q, r = ev.q, ev.depth
+    if not s.real > ev.domain_re_floor:
+        raise DomainError(
+            f"Re s = {s.real} outside domain Re s > 1/q^r = {ev.domain_re_floor}")
+    if ev.g.catalog is not None:
+        _check_omega_distance(ev.g.catalog, q, s)
+    log_val = log_zeta_Pn(ev.sys, q, (q**r) * s, ev.policy)
+    for i in range(r):
+        gi = ev.g(q**i * s)  # proximity-checked by the evaluator
+        log_val += q ** (r - i - 1) * cmath.log(gi)
+    return cmath.exp(log_val)
+
+
+def _check_omega_distance(cat: SingularityCatalog, q: int, s: complex) -> None:
+    """Reject s within the exclusion radius of Omega = {q^{-k} sigma}."""
+    k = 0
+    z = s
+    height = cat.complete_up_to + 1.0
+    while abs(z) < height and k < 64:
+        for p in cat.points:
+            if (abs(z - p.location) < PROXIMITY_RADIUS
+                    or abs(z - p.location.conjugate()) < PROXIMITY_RADIUS):
+                raise SingularityProximityError(
+                    f"s={s} is within {PROXIMITY_RADIUS} of Omega "
+                    f"(q^{-k} * {p.location})")
+        z *= q
+        k += 1
+
+
+# ---------------------------------------------------------------------------
+# functional-equation residuals (all over one identical truncated prime set)
+# ---------------------------------------------------------------------------
+
+def feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
+    """Residual of zeta_{P_q}(s)^q / zeta_{P_q}(qs) = zeta_P(s)^q / Z_P(s)."""
+    q = sys.group_order
+    pol = TruncationPolicy(X)
+    lhs = q * log_zeta_Pn(sys, q, s, pol) - log_zeta_Pn(sys, q, q * s, pol)
+    rhs = q * log_zeta_P(sys, s, pol) - log_Z(sys, s, pol)
+    return abs(lhs - rhs)
+
+
+def _two_prime_factorization(n: int) -> tuple[int, int]:
+    fac = []
+    x = n
+    p = 2
+    while p * p <= x:
+        while x % p == 0:
+            fac.append(p)
+            x //= p
+        p += 1
+    if x > 1:
+        fac.append(x)
+    if len(fac) != 2 or fac[0] == fac[1]:
+        raise InvalidConfigError(
+            f"group order {n} is not a product of two distinct primes")
+    return fac[0], fac[1]
+
+
+def composite_feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
+    """Residual of the composite-order functional equation for #G = q1*q2."""
+    n = sys.group_order
+    q1, q2 = _two_prime_factorization(n)
+    pol = TruncationPolicy(X)
+    f = lambda arg: log_zeta_Pn(sys, n, arg, pol)
+    lhs = f(n * s) + n * f(s) - q2 * f(q1 * s) - q1 * f(q2 * s)
+    h1 = subgroup_character_indices(n, q1)
+    h2 = subgroup_character_indices(n, q2)
+    rhs = (log_Z(sys, s, pol) + n * log_zeta_P(sys, s, pol)
+           - q2 * log_Z(sys, s, pol, h1) - q1 * log_Z(sys, s, pol, h2))
+    return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# singularity bookkeeping
+# ---------------------------------------------------------------------------
+
+def omega_set(cat: SingularityCatalog, q: int, k_max: int,
+              T: float | None = None) -> list[complex]:
+    """Points q^{-k} sigma, 0 <= k <= k_max, Im <= T, sorted by Im."""
+    out = []
+    for p in cat.points:
+        for k in range(k_max + 1):
+            z = p.location / q**k
+            if T is None or z.imag <= T:
+                out.append(z)
+    out.sort(key=lambda z: (z.imag, z.real))
+    return out
+
+
+def _matches(z: complex, w: complex, rtol: float = CLASS_MATCH_RTOL) -> bool:
+    return (abs(z.real - w.real) <= rtol * max(1.0, abs(w.real))
+            and abs(z.imag - w.imag) <= rtol * max(1.0, abs(w.imag)))
+
+
+def mq_classes(cat: SingularityCatalog, q: int) -> list[tuple[complex, float]]:
+    """Partition the catalog into q-power classes with weights M_q.
+
+    Each class is keyed by its lowest-height representative sigma; the weight
+    is sum over members sigma' = q^k sigma of q^{-k} m(sigma').
+    """
+    pts = sorted(cat.points, key=lambda p: (p.location.imag, p.location.real))
+    assigned = [False] * len(pts)
+    classes = []
+    for i, rep in enumerate(pts):
+        if assigned[i]:
+            continue
+        assigned[i] = True
+        weight = float(rep.order)
+        k = 1
+        target = rep.location * q
+        while target.imag <= cat.complete_up_to * (1 + 1e-9):
+            for j in range(i + 1, len(pts)):
+                if not assigned[j] and _matches(pts[j].location, target):
+                    assigned[j] = True
+                    weight += pts[j].order / q**k
+                    break
+            k += 1
+            target = rep.location * q**k
+        classes.append((rep.location, weight))
+    return classes
+
+
+def lambda_q_betas(cat: SingularityCatalog, q: int) -> list[float]:
+    """Sorted imaginary parts of the nonzero-weight class representatives."""
+    return sorted(z.imag for z, w in mq_classes(cat, q)
+                  if abs(w) > WEIGHT_ZERO_TOL)
+
+
+def counting_functions(cat: SingularityCatalog, q: int, T: float, alpha: float,
+                       min_height: float | None = None
+                       ) -> tuple[int, int, int]:
+    """(I(T), J_alpha(T), Omega_q(T)) empirical counters.
+
+    I(T): catalog zeros on Re = 1/2 (within 1e-6) below T.
+    J_alpha(T): total pole order with 0 < Re < alpha below T.
+    Omega_q(T): dilates q^{-k} beta of the nonzero-weight class
+    representatives with min_height < Im < T; the paper's set is infinite
+    toward Im -> 0, so a height floor (default beta_min / q^3) makes the
+    count finite and reproducible.
+    """
+    if not 0 < alpha < 0.5:
+        raise InvalidConfigError("alpha must lie in (0, 1/2)")
+    i_count = sum(1 for p in cat.points
+                  if p.order > 0 and abs(p.location.real - 0.5) < 1e-6
+                  and 0 < p.location.imag < T)
+    j_count = sum(-p.order for p in cat.points
+                  if p.order < 0 and 0 < p.location.real < alpha
+                  and 0 < p.location.imag < T)
+    betas = lambda_q_betas(cat, q)
+    if not betas:
+        return i_count, j_count, 0
+    floor = min_height if min_height is not None else min(betas) / q**3
+    omega_count = 0
+    for b in betas:
+        k = 0
+        while b / q**k > floor:
+            if b / q**k < T:
+                omega_count += 1
+            k += 1
+    return i_count, j_count, omega_count
+
+
+# ---------------------------------------------------------------------------
+# natural-boundary report
+# ---------------------------------------------------------------------------
+
+def boundary_report(cat: SingularityCatalog, q: int, T: float,
+                    window_count: int = 32, delta: float = 0.1) -> dict:
+    """Finite-height natural-boundary diagnostics.
+
+    The no-gap search works on the residues log(beta_j) mod log(q): an empty
+    multiplicative window (T1, T2) that survives all q-dilations corresponds
+    exactly to an empty arc on that circle, which is robust against the
+    finite catalog height (naive gaps in the top octave of the point multiset
+    are truncation artifacts).
+    """
+    if not cat.points:
+        raise InsufficientDataError("empty singularity catalog")
+    betas = [b for b in lambda_q_betas(cat, q) if b < T * (1 + 1e-12)]
+    if len(betas) < 10:
+        raise InsufficientDataError(
+            f"only {len(betas)} classes in Lambda_q, need >= 10")
+
+    # finite-sample trend of beta_j^(1/j), j >= 1 (indexing from beta_0)
+    ratios = [betas[j] ** (1.0 / j) for j in range(1, len(betas))]
+    half = len(ratios) // 2
+    js = np.arange(half, len(ratios), dtype=float)
+    ratio_slope = float(np.polyfit(js, np.array(ratios[half:]), 1)[0])
+    logb = np.log(np.array(betas[half:]))
+    logb_slope = float(np.polyfit(np.arange(half, len(betas), dtype=float),
+                                  logb, 1)[0])
+    trend = {"last_ratio": ratios[-1], "ratio_slope": ratio_slope,
+             "log_beta_slope": logb_slope}
+
+    logq = math.log(q)
+    residues = sorted(math.log(b) % logq for b in betas)
+    arcs = []  # (arc_length, lo_residue, hi_residue) between adjacent residues
+    for i, lo in enumerate(residues):
+        if i + 1 < len(residues):
+            length = residues[i + 1] - lo
+        else:
+            length = residues[0] + logq - lo  # wrap-around arc
+        arcs.append((length, lo, lo + length))
+    max_arc = max(arcs)
+
+    beta_min = betas[0]
+    scale_k = math.ceil((math.log(beta_min) - max_arc[1]) / logq)
+
+    # per-probe windows at log-spaced heights (diagnostic view of the gaps)
+    gaps = []
+    probes = np.geomspace(beta_min / q**3, T, num=max(window_count, 2))
+    for t in probes:
+        r = math.log(t) % logq
+        arc = next((a for a in arcs if a[1] <= r < a[2]), None)
+        if arc is None:  # wrap-around arc
+            arc = arcs[-1]
+        k = round((math.log(t) - (arc[1] + arc[2]) / 2) / logq)
+        t1, t2 = math.exp(arc[1] + k * logq), math.exp(arc[2] + k * logq)
+        entry = {"t1": t1, "t2": t2, "ratio": math.exp(arc[0])}
+        if entry not in gaps:
+            gaps.append(entry)
+
+    gap_ratio = math.exp(max_arc[0])
+    gap_found = gap_ratio >= 1.0 + delta and len(residues) > 1
+    trend_ok = ratios[-1] < 1.1 or (half > 0 and ratio_slope < -1e-6)
+    if gap_found:
+        verdict = "gap-found"
+    elif trend_ok:
+        verdict = "consistent-with-natural-boundary"
+    else:
+        verdict = "inconclusive"
+
+    return {
+        "betas": betas,
+        "trend": trend,
+        "gaps": gaps,
+        "largest_gap": {"t1": math.exp(max_arc[1] + scale_k * logq),
+                        "t2": math.exp(max_arc[2] + scale_k * logq),
+                        "ratio": gap_ratio},
+        "delta": delta,
+        "verdict": verdict,
+    }

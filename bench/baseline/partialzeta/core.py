@@ -1,0 +1,250 @@
+"""Prime-datum model, truncated Euler products and the subset zeta functions.
+
+All truncated products are accumulated in log space (complex, principal
+branch per factor) and exponentiated at the end; every public operation
+returns the value together with a tail bound on |log(true/value)|.
+"""
+from __future__ import annotations
+
+import cmath
+import json
+import threading
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import DomainError, InvalidConfigError, SingularLocalFactorError
+
+SINGULAR_FACTOR_EPS = 1e-15
+
+
+@dataclass(frozen=True, order=True)
+class PrimeDatum:
+    """One abstract prime: a norm and a Frobenius conjugacy-class label."""
+
+    norm: float
+    id: int
+    frob_class: int = 0
+    frob_order: int = 1
+
+    def __post_init__(self):
+        if not self.norm > 1:
+            raise InvalidConfigError(f"prime norm must exceed 1, got {self.norm}")
+        if self.frob_order < 1:
+            raise InvalidConfigError("frob_order must be a positive integer")
+
+
+@dataclass
+class TruncationPolicy:
+    """Cutoff and tail-bound mode for truncated Euler products."""
+
+    cutoff: float
+    tail_mode: str = "geometric-bound"  # or "pnt-heuristic"
+
+    def __post_init__(self):
+        if self.tail_mode not in ("geometric-bound", "pnt-heuristic"):
+            raise InvalidConfigError(f"unknown tail mode {self.tail_mode!r}")
+
+    def tail_bound(self, sigma0: float, count_coeff: float = 1.0) -> float:
+        """Bound on sum_{norm > X} norm^{-sigma0} / (1 - norm^{-sigma0}).
+
+        Uses the integral comparison with a monotone over-count
+        #{p : norm <= t} <= count_coeff * t supplied by the backend.
+        Certified only for sigma0 > 1.
+        """
+        x = self.cutoff
+        if sigma0 <= 1.0:
+            return float("inf")
+        if self.tail_mode == "geometric-bound":
+            raw = count_coeff * sigma0 * x ** (1.0 - sigma0) / (sigma0 - 1.0)
+        else:
+            # PNT-style heuristic density 1/log t; never certified
+            from scipy.integrate import quad
+
+            raw, _ = quad(lambda t: t**-sigma0 / np.log(t), x, np.inf, limit=200)
+            raw *= count_coeff
+        return raw / (1.0 - x**-sigma0)
+
+
+class ZetaSystem:
+    """A countable family of primes with a finite cyclic group descriptor.
+
+    Subclasses implement `_enumerate(X)` producing all PrimeDatum with
+    norm <= X; enumeration is cached, deterministic and append-only in X.
+    """
+
+    backend = "abstract"
+
+    def __init__(self, group_order: int):
+        if group_order < 1:
+            raise InvalidConfigError("group order must be >= 1")
+        self.group_order = group_order
+        self._cache_X = 0.0
+        self._cache: list[PrimeDatum] = []
+        self._lock = threading.Lock()
+
+    # -- subclass surface --------------------------------------------
+    def _enumerate(self, X: float) -> list[PrimeDatum]:
+        raise NotImplementedError
+
+    def count_coeff(self) -> float:
+        """c with #{p : norm <= t} <= c * t for all t (monotone over-count)."""
+        return 1.0
+
+    def params(self) -> dict:
+        return {}
+
+    # -- public ------------------------------------------------------
+    def primes_up_to(self, X: float) -> list[PrimeDatum]:
+        with self._lock:
+            if X > self._cache_X:
+                self._cache = sorted(self._enumerate(X), key=lambda p: (p.norm, p.id))
+                self._cache_X = X
+            return [p for p in self._cache if p.norm <= X]
+
+    def arrays_up_to(self, X: float):
+        """(norms, frob_class, frob_order) numpy arrays, enumeration order."""
+        ps = self.primes_up_to(X)
+        norms = np.array([p.norm for p in ps], dtype=float)
+        cls = np.array([p.frob_class for p in ps], dtype=np.int64)
+        order = np.array([p.frob_order for p in ps], dtype=np.int64)
+        return norms, cls, order
+
+    def to_json(self) -> str:
+        return json.dumps({"backend": self.backend, "params": self.params()},
+                          sort_keys=True)
+
+    def dump_csv(self, X: float) -> str:
+        lines = ["id,norm,frob_class,frob_order"]
+        for p in self.primes_up_to(X):
+            norm = int(p.norm) if float(p.norm).is_integer() else p.norm
+            lines.append(f"{p.id},{norm},{p.frob_class},{p.frob_order}")
+        return "\n".join(lines) + "\n"
+
+
+class ExplicitSystem(ZetaSystem):
+    """Finite, hand-specified prime list; used for synthetic test systems."""
+
+    backend = "explicit"
+
+    def __init__(self, primes: list[PrimeDatum], group_order: int):
+        super().__init__(group_order)
+        self._primes = sorted(primes, key=lambda p: (p.norm, p.id))
+        for p in self._primes:
+            if group_order % p.frob_order != 0:
+                raise InvalidConfigError(
+                    f"frob_order {p.frob_order} does not divide #G={group_order}")
+
+    def _enumerate(self, X):
+        return [p for p in self._primes if p.norm <= X]
+
+    def count_coeff(self):
+        return max(1.0, float(len(self._primes)))
+
+    def params(self):
+        return {"primes": [[p.norm, p.id, p.frob_class, p.frob_order]
+                           for p in self._primes],
+                "group_order": self.group_order}
+
+
+# ---------------------------------------------------------------------------
+# local factors and log-space products
+# ---------------------------------------------------------------------------
+
+def local_factor(p: PrimeDatum, s: complex) -> complex:
+    """(1 - N(p)^{-s})^{-1}."""
+    x = cmath.exp(-s * cmath.log(p.norm))
+    denom = 1.0 - x
+    if abs(denom) < SINGULAR_FACTOR_EPS:
+        raise SingularLocalFactorError(f"local factor singular at norm={p.norm}, s={s}")
+    return 1.0 / denom
+
+
+def _clog1p(z: np.ndarray) -> np.ndarray:
+    """log(1+z) for complex arrays, stable for small |z|."""
+    a, b = z.real, z.imag
+    return 0.5 * np.log1p(2 * a + a * a + b * b) + 1j * np.arctan2(b, 1.0 + a)
+
+
+def log_product(norms: np.ndarray, chi: np.ndarray | complex, s: complex) -> complex:
+    """sum over primes of -log(1 - chi * norm^{-s}), principal branch per factor."""
+    if len(norms) == 0:
+        return 0.0 + 0.0j
+    x = np.exp(-s * np.log(norms)) * chi
+    if np.any(np.abs(1.0 - x) < SINGULAR_FACTOR_EPS):
+        raise SingularLocalFactorError(f"singular local factor at s={s}")
+    return complex(-np.sum(_clog1p(-x)))
+
+
+# ---------------------------------------------------------------------------
+# operations
+# ---------------------------------------------------------------------------
+
+def partition_Pn(sys: ZetaSystem, X: float) -> dict[int, list[PrimeDatum]]:
+    """Bucket enumerated primes with norm <= X by Frobenius order."""
+    buckets: dict[int, list[PrimeDatum]] = {}
+    for p in sys.primes_up_to(X):
+        buckets.setdefault(p.frob_order, []).append(p)
+    for n in buckets:
+        if sys.group_order % n != 0:
+            raise InvalidConfigError(f"bucket key {n} does not divide #G")
+    return buckets
+
+
+def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy) -> complex:
+    norms, _, order = sys.arrays_up_to(pol.cutoff)
+    sel = norms[order == n]
+    return log_product(sel, 1.0, s)
+
+
+def truncated_zeta_Pn(sys: ZetaSystem, n: int, s: complex,
+                      pol: TruncationPolicy) -> tuple[complex, float]:
+    """Truncated zeta_{P_n}(s) and a bound on |log(true/value)|."""
+    if n < 1:
+        raise InvalidConfigError("n must be a positive integer")
+    value = cmath.exp(log_zeta_Pn(sys, n, s, pol))
+    tail = pol.tail_bound(s.real if isinstance(s, complex) else float(s),
+                          sys.count_coeff())
+    return value, tail
+
+
+def log_zeta_P(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
+    norms, _, _ = sys.arrays_up_to(pol.cutoff)
+    return log_product(norms, 1.0, s)
+
+
+def truncated_zeta_P(sys: ZetaSystem, s: complex,
+                     pol: TruncationPolicy) -> tuple[complex, float]:
+    value = cmath.exp(log_zeta_P(sys, s, pol))
+    return value, pol.tail_bound(complex(s).real, sys.count_coeff())
+
+
+def system_from_json(text: str) -> ZetaSystem:
+    """Inverse of ZetaSystem.to_json for all built-in backends."""
+    try:
+        obj = json.loads(text)
+        backend = obj["backend"]
+        params = obj["params"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"bad system JSON: {exc}") from exc
+    if backend == "explicit":
+        primes = [PrimeDatum(norm=n, id=i, frob_class=c, frob_order=o)
+                  for n, i, c, o in params["primes"]]
+        return ExplicitSystem(primes, params.get("group_order", max(
+            (p.frob_order for p in primes), default=1)))
+    if backend == "quadratic":
+        from .numberfield import kronecker_system
+
+        return kronecker_system(params["d"])
+    if backend == "cyclic":
+        from .numberfield import cyclic_system, prime_order_character
+
+        chi = prime_order_character(params["modulus"], params["order"],
+                                    params.get("generator"))
+        return cyclic_system(chi)
+    if backend == "graph":
+        from .graphs import GraphZetaSystem, parse_graph_file
+
+        vg = parse_graph_file(params["text"])
+        return GraphZetaSystem(vg)
+    raise InvalidConfigError(f"unknown backend {backend!r}")

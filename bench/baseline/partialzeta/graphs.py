@@ -1,0 +1,579 @@
+"""Ihara zeta functions, voltage coverings and exact u-domain identities.
+
+Everything on the graph side is exact: determinants of polynomial matrices
+go through evaluation at integer points (fraction-free Bareiss, or Gaussian
+elimination over the cyclotomic field for twisted edge matrices) followed by
+Lagrange interpolation with rational arithmetic.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+import warnings
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .core import PrimeDatum, ZetaSystem
+from .errors import BudgetExceededError, InvalidConfigError
+from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
+
+CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
+
+
+class MultiGraph:
+    """Finite undirected multigraph (loops and parallel edges allowed).
+
+    Oriented edge 2*i runs along edge i as listed, 2*i+1 is its reversal.
+    """
+
+    def __init__(self, n: int, edges: list[tuple[int, int]]):
+        if n < 1:
+            raise InvalidConfigError("graph needs at least one vertex")
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidConfigError(f"edge ({u},{v}) out of vertex range")
+        self.n = n
+        self.edges = [(int(u), int(v)) for u, v in edges]
+        self.m = len(edges)
+        self.tail = []
+        self.head = []
+        for u, v in self.edges:
+            self.tail += [u, v]
+            self.head += [v, u]
+
+    def degree(self, v: int) -> int:
+        d = 0
+        for u, w in self.edges:
+            d += (u == v) + (w == v)
+        return d
+
+    @property
+    def regularity(self) -> int:
+        degs = {self.degree(v) for v in range(self.n)}
+        if len(degs) != 1:
+            raise InvalidConfigError(f"graph is not regular: degrees {sorted(degs)}")
+        return degs.pop()
+
+    @property
+    def q_g(self) -> int:
+        """Degree parameter: the graph is (q_g + 1)-regular."""
+        return self.regularity - 1
+
+    def is_connected(self) -> bool:
+        seen = {0}
+        stack = [0]
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
+
+    def adjacency(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n), dtype=np.int64)
+        for u, v in self.edges:
+            a[u, v] += 1
+            if u != v:
+                a[v, u] += 1
+            else:
+                a[u, u] += 1  # a loop contributes 2 to the adjacency diagonal
+        return a
+
+    def edge_matrix(self) -> np.ndarray:
+        """Non-backtracking oriented-edge matrix T: e -> f iff head(e) = tail(f), f != reverse(e)."""
+        k = 2 * self.m
+        t = np.zeros((k, k), dtype=np.int64)
+        for e in range(k):
+            for f in range(k):
+                if self.head[e] == self.tail[f] and f != e ^ 1:
+                    t[e, f] = 1
+        return t
+
+
+def named_graph(name: str) -> MultiGraph:
+    """K4, the 3-cube and the Petersen graph (all 3-regular test cases)."""
+    if name == "K4":
+        return MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    if name == "cube":
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                 (0, 4), (1, 5), (2, 6), (3, 7)]
+        return MultiGraph(8, edges)
+    if name == "petersen":
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        spokes = [(i, 5 + i) for i in range(5)]
+        return MultiGraph(10, outer + inner + spokes)
+    raise InvalidConfigError(f"unknown named graph {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# exact determinants by evaluation / interpolation
+# ---------------------------------------------------------------------------
+
+def _bareiss_det(mat: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _field_det(mat: list[list[Cyclotomic]], q: int) -> Cyclotomic:
+    """Determinant over Q(zeta_q) by Gaussian elimination."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    det = Cyclotomic.one(q)
+    sign = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if piv is None:
+            return Cyclotomic.zero(q)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        det = det * a[k][k]
+        inv = a[k][k].inverse()
+        for i in range(k + 1, n):
+            if a[i][k].is_zero():
+                continue
+            factor = a[i][k] * inv
+            a[i] = [c - factor * p for c, p in zip(a[i], a[k])]
+    return det * sign
+
+
+def _lagrange_interpolate(xs: list[int], ys: list) -> list:
+    """Coefficients of the unique degree < len(xs) polynomial through (xs, ys)."""
+    n = len(xs)
+    coeffs: list = [Fraction(0)] * n
+    for i in range(n):
+        # basis polynomial prod_{j != i} (u - xs[j]) / (xs[i] - xs[j])
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] -= c * xs[j]
+                new[k + 1] += c
+            basis = new
+            denom *= Fraction(xs[i] - xs[j])
+        scale = ys[i] * (Fraction(1) / denom)
+        for k, c in enumerate(basis):
+            term = scale * c
+            coeffs[k] = coeffs[k] + term
+    while len(coeffs) > 1 and (coeffs[-1] == 0
+                               if not isinstance(coeffs[-1], Cyclotomic)
+                               else coeffs[-1].is_zero()):
+        coeffs.pop()
+    return coeffs
+
+
+def ihara_det(x: MultiGraph) -> ExactSeries:
+    """zeta_X(u)^{-1} = (1-u^2)^{n(q-1)/2} det(I - Au + q u^2 I), exactly."""
+    q = x.q_g  # validates regularity
+    if q < 1:
+        raise InvalidConfigError("determinant formula needs regularity >= 2")
+    a = x.adjacency()
+    n = x.n
+    deg = 2 * n + n * (q - 1)  # = n(q+1), the degree of zeta^{-1}
+    xs = list(range(deg + 1))
+    ys = []
+    for t in xs:
+        mat = [[int(q * t * t + 1) if i == j else 0 for j in range(n)]
+               for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                mat[i][j] -= int(a[i, j]) * t
+        ys.append(Fraction(_bareiss_det(mat)))
+    det_part = _lagrange_interpolate(xs, ys)
+    series = ExactSeries(det_part)
+    one_minus_u2 = ExactSeries([1, 0, -1])
+    return series * one_minus_u2 ** (n * (q - 1) // 2)
+
+
+def ihara_edge(x: MultiGraph) -> ExactSeries:
+    """det(I - uT) for the non-backtracking edge matrix, exactly."""
+    t = x.edge_matrix()
+    k = 2 * x.m
+    xs = list(range(k + 1))
+    ys = []
+    for tv in xs:
+        mat = [[(1 if i == j else 0) - tv * int(t[i, j]) for j in range(k)]
+               for i in range(k)]
+        ys.append(Fraction(_bareiss_det(mat)))
+    return ExactSeries(_lagrange_interpolate(xs, ys))
+
+
+# ---------------------------------------------------------------------------
+# cycle counting and enumeration
+# ---------------------------------------------------------------------------
+
+def _mobius(n: int) -> int:
+    mu, x, p = 1, n, 2
+    while p * p <= x:
+        if x % p == 0:
+            x //= p
+            if x % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    if x > 1:
+        mu = -mu
+    return mu
+
+
+def count_cycles(x: MultiGraph, m_len: int) -> tuple[int, int]:
+    """(N_m, primitive class count) for closed backtrackless tail-less cycles.
+
+    N_m = tr(T^m); primitive classes (up to rotation, orientations distinct)
+    by Moebius inversion.
+    """
+    if m_len < 1:
+        raise InvalidConfigError("cycle length must be >= 1")
+    t = x.edge_matrix().astype(object)
+    power = np.linalg.matrix_power(t, m_len)
+    n_m = int(np.trace(power))
+    prim = 0
+    for d in range(1, m_len + 1):
+        if m_len % d == 0:
+            td = np.linalg.matrix_power(t, m_len // d)
+            prim += _mobius(d) * int(np.trace(td))
+    assert prim % m_len == 0
+    return n_m, prim // m_len
+
+
+def primitive_cycles(x: MultiGraph, max_len: int) -> list[tuple[int, ...]]:
+    """Canonical (lex-least rotation) primitive closed NBT cycles, length <= max_len."""
+    k = 2 * x.m
+    succ = [[f for f in range(k) if x.head[e] == x.tail[f] and f != e ^ 1]
+            for e in range(k)]
+    out = []
+    budget = [CYCLE_ENUM_CAP]
+
+    def extend(path: list[int]) -> None:
+        budget[0] -= 1
+        if budget[0] <= 0:
+            raise BudgetExceededError("primitive-cycle enumeration budget exceeded")
+        e = path[-1]
+        if len(path) >= 1 and x.head[e] == x.tail[path[0]] and path[0] != e ^ 1:
+            walk = tuple(path)
+            if _is_canonical_primitive(walk):
+                out.append(walk)
+        if len(path) < max_len:
+            for f in succ[e]:
+                if f >= path[0]:  # canonical rotation starts at the least edge
+                    path.append(f)
+                    extend(path)
+                    path.pop()
+
+    for e0 in range(k):
+        extend([e0])
+    out.sort(key=lambda w: (len(w), w))
+    return out
+
+
+def _is_canonical_primitive(walk: tuple[int, ...]) -> bool:
+    n = len(walk)
+    rotations = [walk[i:] + walk[:i] for i in range(n)]
+    if walk != min(rotations):
+        return False
+    # primitive: not a proper power (no nontrivial rotation fixes it)
+    return all(rot != walk for rot in rotations[1:])
+
+
+# ---------------------------------------------------------------------------
+# voltage graphs and coverings
+# ---------------------------------------------------------------------------
+
+@dataclass
+class VoltageGraph:
+    """Base graph with a Z/q_c voltage per undirected edge (on its listed
+    orientation); the reversed orientation carries the negated voltage."""
+
+    base: MultiGraph
+    q_c: int
+    voltages: list[int]
+
+    def __post_init__(self):
+        if self.q_c < 2 or any(self.q_c % p == 0 for p in range(2, self.q_c)):
+            raise InvalidConfigError(f"cover group order {self.q_c} is not prime")
+        if len(self.voltages) != self.base.m:
+            raise InvalidConfigError("need one voltage per undirected edge")
+        self.voltages = [v % self.q_c for v in self.voltages]
+
+    def oriented_voltage(self, e: int) -> int:
+        v = self.voltages[e // 2]
+        return v if e % 2 == 0 else (-v) % self.q_c
+
+    def cycle_voltage(self, walk: tuple[int, ...]) -> int:
+        return sum(self.oriented_voltage(e) for e in walk) % self.q_c
+
+
+def build_cover(vg: VoltageGraph) -> MultiGraph:
+    """Derived graph on (vertex, sheet) pairs; vertex v + n*a for sheet a."""
+    base, q = vg.base, vg.q_c
+    n = base.n
+    edges = []
+    for i, (u, v) in enumerate(base.edges):
+        alpha = vg.voltages[i]
+        for a in range(q):
+            edges.append((u + n * a, v + n * ((a + alpha) % q)))
+    cover = MultiGraph(n * q, edges)
+    if not cover.is_connected():
+        warnings.warn("voltage cover is disconnected (voltages do not generate "
+                      "the cover group on a cycle basis)", stacklevel=2)
+    return cover
+
+
+class GraphZetaSystem(ZetaSystem):
+    """ZetaSystem of a voltage graph: norms q_g^{nu(p)}, Frobenius = voltage sum."""
+
+    backend = "graph"
+
+    def __init__(self, vg: VoltageGraph, text: str | None = None):
+        super().__init__(group_order=vg.q_c)
+        self.vg = vg
+        self.q_g = vg.base.q_g
+        self._text = text
+
+    def _enumerate(self, X):
+        if X < self.q_g:
+            return []
+        max_len = int(math.floor(math.log(X) / math.log(self.q_g) + 1e-12))
+        out = []
+        for idx, walk in enumerate(primitive_cycles(self.vg.base, max_len)):
+            vol = self.vg.cycle_voltage(walk)
+            order = 1 if vol == 0 else self.vg.q_c
+            out.append(PrimeDatum(norm=float(self.q_g ** len(walk)), id=idx,
+                                  frob_class=vol, frob_order=order))
+        return out
+
+    def count_coeff(self):
+        return 2.0 * self.vg.base.m / max(self.q_g - 1, 1) + 1.0
+
+    def params(self):
+        return {"text": self._text if self._text is not None
+                else dump_graph_file(self.vg)}
+
+
+def parse_graph_file(text: str) -> VoltageGraph:
+    """Edge-list format: header 'n q_g q_c', then lines 'u v [voltage]'."""
+    lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise InvalidConfigError("empty graph file")
+    try:
+        n, q_g, q_c = (int(tok) for tok in lines[0].split())
+    except ValueError as exc:
+        raise InvalidConfigError(f"bad graph header {lines[0]!r}") from exc
+    edges, volts = [], []
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) not in (2, 3):
+            raise InvalidConfigError(f"bad edge line {ln!r}")
+        edges.append((int(toks[0]), int(toks[1])))
+        volts.append(int(toks[2]) if len(toks) == 3 else 0)
+    g = MultiGraph(n, edges)
+    if g.q_g != q_g:
+        raise InvalidConfigError(f"header says q_g={q_g} but graph has q_g={g.q_g}")
+    return VoltageGraph(g, q_c, volts)
+
+
+def dump_graph_file(vg: VoltageGraph) -> str:
+    lines = [f"{vg.base.n} {vg.base.q_g} {vg.q_c}"]
+    for (u, v), a in zip(vg.base.edges, vg.voltages):
+        lines.append(f"{u} {v} {a}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# graph L-functions and the partial zeta series
+# ---------------------------------------------------------------------------
+
+def graph_L(vg: VoltageGraph, j: int) -> ExactSeries:
+    """L(u, chi_j)^{-1} = det(I - u T_chi), exact over Q(zeta_{q_c}).
+
+    T_chi[e -> f] = chi_j(voltage(f)) T[e -> f]; for j = 0 this is the plain
+    edge determinant with rational coefficients.
+    """
+    base, q = vg.base, vg.q_c
+    t = base.edge_matrix()
+    k = 2 * base.m
+    j %= q
+    zeta_pows = [Cyclotomic.root_power(q, (j * a) % q) for a in range(q)]
+    xs = list(range(k + 1))
+    ys = []
+    for tv in xs:
+        mat = []
+        for e in range(k):
+            row = []
+            for f in range(k):
+                if t[e, f]:
+                    row.append(zeta_pows[vg.oriented_voltage(f)] * Fraction(-tv))
+                else:
+                    row.append(Cyclotomic.zero(q))
+            row[e] = row[e] + 1
+            mat.append(row)
+        ys.append(_field_det(mat, q))
+    coeffs = _lagrange_interpolate(xs, ys)
+    out = []
+    for c in coeffs:
+        c = c if isinstance(c, Cyclotomic) else Cyclotomic(q, [c])
+        out.append(c.rational() if c.is_rational() else c)
+    return ExactSeries(out)
+
+
+def cover_zeta_inverse(vg: VoltageGraph) -> ExactSeries:
+    """zeta_Y(u)^{-1} as prod_j L(u, chi_j)^{-1}, returned with rational coefficients."""
+    prod = ExactSeries.one()
+    for j in range(vg.q_c):
+        prod = prod * graph_L(vg, j)
+    coeffs = []
+    for c in prod.coeffs:
+        if isinstance(c, Cyclotomic):
+            coeffs.append(c.rational())  # raises if the product failed to pair up
+        else:
+            coeffs.append(c)
+    return ExactSeries(coeffs)
+
+
+def g_series_fraction(vg: VoltageGraph) -> tuple[ExactSeries, ExactSeries]:
+    """(numerator, denominator) of G(u) = zeta_X(u)^{q_c} / zeta_Y(u):
+    numerator = zeta_Y(u)^{-1}, denominator = (zeta_X(u)^{-1})^{q_c}."""
+    zx_inv = ihara_edge(vg.base)
+    zy_inv = cover_zeta_inverse(vg)
+    return zy_inv, zx_inv ** vg.q_c
+
+
+def partial_zeta_series(vg: VoltageGraph, l_ord: int) -> tuple[ExactSeries, ExactSeries]:
+    """The u-domain partial zeta by two independent routes, truncated at u^l_ord.
+
+    direct: Euler product over primitive classes whose voltage sum has order
+    q_c.  recursive: the unique F with F(0)=1 solving
+    F(u)^{q_c} = F(u^{q_c}) * G(u).  Contract: identical coefficients.
+    """
+    cover = build_cover(vg)
+    if not cover.is_connected():
+        raise InvalidConfigError("partial zeta needs a connected cover")
+    q = vg.q_c
+
+    direct = ExactSeries.one(l_ord)
+    for walk in primitive_cycles(vg.base, l_ord):
+        if vg.cycle_voltage(walk) != 0:
+            nu = len(walk)
+            factor = (ExactSeries.one(l_ord)
+                      - ExactSeries.monomial(nu, 1, l_ord)).inverse()
+            direct = direct * factor
+
+    num, den = g_series_fraction(vg)
+    g_series = num.truncate(l_ord) / den.truncate(l_ord)
+    f_coeffs = [Fraction(1)]
+    for k in range(1, l_ord + 1):
+        f_coeffs.append(Fraction(0))
+        partial = ExactSeries(f_coeffs, k)
+        lhs_k = (partial ** q).coeff(k)
+        rhs_k = (partial.substitute_power(q).truncate(k) * g_series.truncate(k)).coeff(k)
+        # lhs coefficient is linear in f_k with slope q; rhs does not involve f_k
+        f_coeffs[k] = (rhs_k - lhs_k) / q
+    recursive = ExactSeries(f_coeffs, l_ord)
+    return direct, recursive
+
+
+# ---------------------------------------------------------------------------
+# singularities in the s-plane
+# ---------------------------------------------------------------------------
+
+def _poly_roots_exact_mults(poly: ExactSeries) -> list[tuple[complex, int]]:
+    """Numeric roots with exact multiplicities via square-free decomposition."""
+    out = []
+    for factor, mult in squarefree_decomposition(poly.coeffs):
+        fc = np.array([float(c) for c in factor])
+        roots = np.roots(fc[::-1])
+        dfc = [factor[k] * k for k in range(1, len(factor))]
+        for r in roots:
+            z = complex(r)
+            for _ in range(60):  # Newton polish on the square-free factor
+                fv = _horner(factor, z)
+                dv = _horner(dfc, z)
+                if dv == 0:
+                    break
+                step = fv / dv
+                z -= step
+                if abs(step) < 1e-13 * max(1.0, abs(z)):
+                    break
+            out.append((z, mult))
+    return out
+
+
+def _horner(coeffs, z: complex) -> complex:
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + complex(c)
+    return acc
+
+
+def graph_singularities_in_s(poly: tuple[ExactSeries, ExactSeries], q_g: int,
+                             T: float):
+    """Map u-plane roots of G = num/den into the s-strip towers.
+
+    Each root u0 with 1/q_g < |u0| < 1 yields s = (log(1/u0) + 2 pi i k)/log(q_g)
+    for every k with 0 < Im s < T; orders are +mult (numerator) and -mult
+    (denominator) after exact cancellation of common factors.
+    """
+    from .continuation import SingularityCatalog, SingularPoint
+
+    num, den = poly
+    common = poly_gcd(num.coeffs, den.coeffs)
+    if len(common) > 1:
+        nq, _ = poly_divmod(num.coeffs, common)
+        dq, _ = poly_divmod(den.coeffs, common)
+        num, den = ExactSeries(nq), ExactSeries(dq)
+
+    logq = math.log(q_g)
+    points = []
+    for poly_part, sign in ((num, +1), (den, -1)):
+        for u0, mult in _poly_roots_exact_mults(poly_part):
+            if u0 == 0:
+                continue
+            re_s = -math.log(abs(u0)) / logq
+            if not (1e-9 < re_s < 1.0 - 1e-9):
+                continue
+            theta = -cmath.phase(u0)
+            k = 0
+            while True:
+                im_s = (theta + 2 * math.pi * k) / logq
+                if im_s > T:
+                    break
+                if im_s > 1e-12:
+                    points.append(SingularPoint(complex(re_s, im_s), sign * mult))
+                k += 1
+    # merge duplicates (conjugate root pairs can land on the same tower point)
+    merged: dict[tuple[float, float], int] = {}
+    for p in points:
+        key = (round(p.location.real, 10), round(p.location.imag, 10))
+        merged[key] = merged.get(key, 0) + p.order
+    pts = [SingularPoint(complex(re, im), order)
+           for (re, im), order in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+           if order != 0]
+    return SingularityCatalog(points=pts, complete_up_to=T)

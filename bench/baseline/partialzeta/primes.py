@@ -1,0 +1,45 @@
+"""Cached prime sieve.
+
+A single module-level Eratosthenes sieve grows on demand (powers of two) and
+is protected by a lock so concurrent callers always observe a consistent
+array.  Requests beyond the hard cap are refused rather than degraded.
+"""
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+
+from .errors import BudgetExceededError
+
+SIEVE_CAP = 10**7
+
+_lock = threading.Lock()
+_primes: np.ndarray = np.array([], dtype=np.int64)
+_sieved_to = 0
+
+
+def primes_up_to(x: float) -> np.ndarray:
+    """All rational primes <= x, ascending.  x may be any real."""
+    global _primes, _sieved_to
+    if x > SIEVE_CAP:
+        raise BudgetExceededError(f"prime sieve capped at {SIEVE_CAP}, asked for {x}")
+    n = int(x)
+    if n < 2:
+        return np.array([], dtype=np.int64)
+    with _lock:
+        if n > _sieved_to:
+            target = max(64, n)
+            # grow geometrically so repeated slightly-larger requests are cheap
+            while target < min(SIEVE_CAP, 2 * _sieved_to):
+                target *= 2
+            target = min(target, SIEVE_CAP)
+            mask = np.ones(target + 1, dtype=bool)
+            mask[:2] = False
+            for p in range(2, int(target**0.5) + 1):
+                if mask[p]:
+                    mask[p * p :: p] = False
+            _primes = np.nonzero(mask)[0].astype(np.int64)
+            _sieved_to = target
+        idx = np.searchsorted(_primes, n, side="right")
+        return _primes[:idx].copy()
