@@ -130,7 +130,10 @@ def _build_system(args) -> ZetaSystem:
         if not args.char:
             raise InvalidConfigError(
                 "cyclic backend needs --char modulus,order[,generator]")
-        parts = [int(t) for t in args.char.split(",")]
+        try:
+            parts = [int(t) for t in args.char.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) not in (2, 3):
             raise InvalidConfigError("--char takes modulus,order[,generator]")
         chi = prime_order_character(parts[0], parts[1],

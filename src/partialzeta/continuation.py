@@ -66,9 +66,12 @@ class SingularityCatalog:
         if not lines or lines[0].replace(" ", "") != "re,im,order":
             raise InvalidConfigError("catalog CSV must start with header re,im,order")
         for ln in lines[1:]:
-            re_s, im_s, order_s = ln.split(",")
-            pts.append(SingularPoint(complex(float(re_s), float(im_s)),
-                                     int(order_s)))
+            try:
+                re_s, im_s, order_s = ln.split(",")
+                loc, order = complex(float(re_s), float(im_s)), int(order_s)
+            except ValueError as exc:
+                raise InvalidConfigError(f"bad catalog row {ln!r}") from exc
+            pts.append(SingularPoint(loc, order))
         return cls(points=pts, complete_up_to=complete_up_to)
 
 

@@ -1,4 +1,4 @@
-"""Prime-datum model, truncated Euler products and the subset zeta functions.
+"""Prime tables, truncated Euler products and the subset zeta functions.
 
 All truncated products are accumulated in log space (complex, principal
 branch per factor) and exponentiated at the end; every public operation
@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import cmath
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfigError, SingularLocalFactorError
+from .errors import InvalidConfigError, SingularLocalFactorError
 
 SINGULAR_FACTOR_EPS = 1e-15
+
+# one row per prime; a system's prime table is sorted by (norm, id)
+PRIME_DTYPE = np.dtype([("norm", "f8"), ("id", "i8"), ("frob_class", "i8"),
+                        ("frob_order", "i8")])
 
 
 @dataclass(frozen=True, order=True)
@@ -69,8 +72,8 @@ class TruncationPolicy:
 class ZetaSystem:
     """A countable family of primes with a finite cyclic group descriptor.
 
-    Subclasses implement `_enumerate(X)` producing all PrimeDatum with
-    norm <= X; enumeration is cached, deterministic and append-only in X.
+    Subclasses implement `_enumerate(X)` returning the PRIME_DTYPE table of
+    all primes with norm <= X, cached for the largest X asked so far.
     """
 
     backend = "abstract"
@@ -80,11 +83,10 @@ class ZetaSystem:
             raise InvalidConfigError("group order must be >= 1")
         self.group_order = group_order
         self._cache_X = 0.0
-        self._cache: list[PrimeDatum] = []
-        self._lock = threading.Lock()
+        self._cache = np.empty(0, PRIME_DTYPE)
 
     # -- subclass surface --------------------------------------------
-    def _enumerate(self, X: float) -> list[PrimeDatum]:
+    def _enumerate(self, X: float) -> np.ndarray:
         raise NotImplementedError
 
     def count_coeff(self) -> float:
@@ -95,20 +97,19 @@ class ZetaSystem:
         return {}
 
     # -- public ------------------------------------------------------
-    def primes_up_to(self, X: float) -> list[PrimeDatum]:
-        with self._lock:
-            if X > self._cache_X:
-                self._cache = sorted(self._enumerate(X), key=lambda p: (p.norm, p.id))
-                self._cache_X = X
-            return [p for p in self._cache if p.norm <= X]
+    def primes_up_to(self, X: float) -> np.ndarray:
+        """Read-only view of the prime table rows with norm <= X."""
+        if X > self._cache_X:
+            table = self._enumerate(X)
+            self._cache = table[np.lexsort((table["id"], table["norm"]))]
+            self._cache.flags.writeable = False
+            self._cache_X = X
+        return self._cache[:np.searchsorted(self._cache["norm"], X, side="right")]
 
     def arrays_up_to(self, X: float):
-        """(norms, frob_class, frob_order) numpy arrays, enumeration order."""
-        ps = self.primes_up_to(X)
-        norms = np.array([p.norm for p in ps], dtype=float)
-        cls = np.array([p.frob_class for p in ps], dtype=np.int64)
-        order = np.array([p.frob_order for p in ps], dtype=np.int64)
-        return norms, cls, order
+        """(norms, frob_class, frob_order) column views of primes_up_to(X)."""
+        table = self.primes_up_to(X)
+        return table["norm"], table["frob_class"], table["frob_order"]
 
     def to_json(self) -> str:
         return json.dumps({"backend": self.backend, "params": self.params()},
@@ -116,9 +117,9 @@ class ZetaSystem:
 
     def dump_csv(self, X: float) -> str:
         lines = ["id,norm,frob_class,frob_order"]
-        for p in self.primes_up_to(X):
-            norm = int(p.norm) if float(p.norm).is_integer() else p.norm
-            lines.append(f"{p.id},{norm},{p.frob_class},{p.frob_order}")
+        for norm, pid, cls, order in self.primes_up_to(X).tolist():
+            norm = int(norm) if norm.is_integer() else norm
+            lines.append(f"{pid},{norm},{cls},{order}")
         return "\n".join(lines) + "\n"
 
 
@@ -129,22 +130,20 @@ class ExplicitSystem(ZetaSystem):
 
     def __init__(self, primes: list[PrimeDatum], group_order: int):
         super().__init__(group_order)
-        self._primes = sorted(primes, key=lambda p: (p.norm, p.id))
-        for p in self._primes:
+        for p in primes:
             if group_order % p.frob_order != 0:
                 raise InvalidConfigError(
                     f"frob_order {p.frob_order} does not divide #G={group_order}")
+        self._table = np.array([astuple(p) for p in sorted(primes)], PRIME_DTYPE)
 
     def _enumerate(self, X):
-        return [p for p in self._primes if p.norm <= X]
+        return self._table[self._table["norm"] <= X]
 
     def count_coeff(self):
-        return max(1.0, float(len(self._primes)))
+        return max(1.0, float(len(self._table)))
 
     def params(self):
-        return {"primes": [[p.norm, p.id, p.frob_class, p.frob_order]
-                           for p in self._primes],
-                "group_order": self.group_order}
+        return {"primes": self._table.tolist(), "group_order": self.group_order}
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def log_product(norms: np.ndarray, chi: np.ndarray | complex, s: complex) -> com
 def partition_Pn(sys: ZetaSystem, X: float) -> dict[int, list[PrimeDatum]]:
     """Bucket enumerated primes with norm <= X by Frobenius order."""
     buckets: dict[int, list[PrimeDatum]] = {}
-    for p in sys.primes_up_to(X):
+    for p in (PrimeDatum(*row) for row in sys.primes_up_to(X).tolist()):
         buckets.setdefault(p.frob_order, []).append(p)
     for n in buckets:
         if sys.group_order % n != 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import PrimeDatum, ZetaSystem
+from .core import PRIME_DTYPE, ZetaSystem
 from .errors import BudgetExceededError, InvalidConfigError
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
 
@@ -359,15 +359,14 @@ class GraphZetaSystem(ZetaSystem):
 
     def _enumerate(self, X):
         if X < self.q_g:
-            return []
+            return np.empty(0, PRIME_DTYPE)
         max_len = int(math.floor(math.log(X) / math.log(self.q_g) + 1e-12))
-        out = []
+        rows = []
         for idx, walk in enumerate(primitive_cycles(self.vg.base, max_len)):
             vol = self.vg.cycle_voltage(walk)
             order = 1 if vol == 0 else self.vg.q_c
-            out.append(PrimeDatum(norm=float(self.q_g ** len(walk)), id=idx,
-                                  frob_class=vol, frob_order=order))
-        return out
+            rows.append((float(self.q_g ** len(walk)), idx, vol, order))
+        return np.array(rows, PRIME_DTYPE)
 
     def count_coeff(self):
         return 2.0 * self.vg.base.m / max(self.q_g - 1, 1) + 1.0
@@ -390,10 +389,14 @@ def parse_graph_file(text: str) -> VoltageGraph:
     edges, volts = [], []
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) not in (2, 3):
+        try:
+            ints = [int(tok) for tok in toks]
+        except ValueError:
+            ints = []
+        if len(ints) not in (2, 3):
             raise InvalidConfigError(f"bad edge line {ln!r}")
-        edges.append((int(toks[0]), int(toks[1])))
-        volts.append(int(toks[2]) if len(toks) == 3 else 0)
+        edges.append((ints[0], ints[1]))
+        volts.append(ints[2] if len(ints) == 3 else 0)
     g = MultiGraph(n, edges)
     if g.q_g != q_g:
         raise InvalidConfigError(f"header says q_g={q_g} but graph has q_g={g.q_g}")

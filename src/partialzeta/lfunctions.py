@@ -116,7 +116,8 @@ def fundamental_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def _primitive_root(m: int) -> int:
+def is_primitive_root(g: int, m: int) -> bool:
+    """Whether g generates (Z/m)^* for a prime m."""
     phi = m - 1
     factors = set()
     x = phi
@@ -128,10 +129,7 @@ def _primitive_root(m: int) -> int:
         p += 1
     if x > 1:
         factors.add(x)
-    for g in range(2, m):
-        if all(pow(g, phi // f, m) != 1 for f in factors):
-            return g
-    raise InvalidConfigError(f"{m} has no primitive root (not an odd prime?)")
+    return g % m != 0 and all(pow(g, phi // f, m) != 1 for f in factors)
 
 
 class DirichletCharacter:
@@ -201,7 +199,8 @@ def prime_order_character(modulus: int, order: int,
         raise InvalidConfigError("modulus must be an odd prime")
     if (modulus - 1) % order != 0:
         raise InvalidConfigError(f"order {order} does not divide {modulus - 1}")
-    g = generator if generator is not None else _primitive_root(modulus)
+    g = generator if generator is not None else next(
+        a for a in range(2, modulus) if is_primitive_root(a, modulus))
     exps = {}
     x = 1
     for t in range(modulus - 1):

@@ -12,13 +12,16 @@ import cmath
 import math
 from typing import Callable
 
+import numpy as np
+
 from . import primes as prime_sieve
 from .continuation import GEvaluator, SingularityCatalog, SingularPoint
-from .core import PrimeDatum, ZetaSystem
+from .core import PRIME_DTYPE, ZetaSystem
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
 from .lfunctions import (DirichletCharacter, dirichlet_L, hardy_Z,
-                         kronecker_character, prime_order_character)
+                         is_primitive_root, kronecker_character,
+                         prime_order_character)
 
 
 class AbelianSystem(ZetaSystem):
@@ -40,28 +43,30 @@ class AbelianSystem(ZetaSystem):
         self._kronecker_d = d
         if d is not None:
             self.backend = "quadratic"
-        self.ramified = [p for p in prime_sieve.primes_up_to(chi.modulus)
+        self.ramified = [int(p) for p in prime_sieve.primes_up_to(chi.modulus)
                          if chi.modulus % int(p) == 0]
-        self.ramified = [int(p) for p in self.ramified]
+        # residue -> exponent of chi, -1 for residues of ramified primes
+        self._exponents = np.full(chi.modulus, -1, dtype=np.int64)
+        self._exponents[list(chi.exps)] = list(chi.exps.values())
 
     def _enumerate(self, X):
-        out = []
-        for p in prime_sieve.primes_up_to(X):
-            p = int(p)
-            j = self.chi.exponent(p)
-            if j is None:
-                continue  # ramified
-            order = 1 if j == 0 else self.group_order
-            out.append(PrimeDatum(norm=float(p), id=p, frob_class=j,
-                                  frob_order=order))
-        return out
+        p = prime_sieve.primes_up_to(X)
+        j = self._exponents[p % self.chi.modulus]
+        p, j = p[j >= 0], j[j >= 0]  # drop ramified primes
+        table = np.empty(len(p), PRIME_DTYPE)
+        table["norm"] = table["id"] = p
+        table["frob_class"] = j
+        table["frob_order"] = np.where(j == 0, 1, self.group_order)
+        return table
 
     def params(self):
         if self._kronecker_d is not None:
             return {"d": self._kronecker_d}
-        gen = min(a for a, e in self.chi.exps.items() if e == 1 % self.chi.order)
-        return {"modulus": self.chi.modulus, "order": self.chi.order,
-                "generator": gen}
+        # chi(g) = e^{2 pi i/q} fixes chi only when g is a primitive root
+        m = self.chi.modulus
+        gen = next(a for a in range(2, m)
+                   if self.chi.exps.get(a) == 1 and is_primitive_root(a, m))
+        return {"modulus": m, "order": self.chi.order, "generator": gen}
 
 
 def kronecker_system(d: int) -> AbelianSystem:

@@ -1,12 +1,10 @@
 """Cached prime sieve.
 
-A single module-level Eratosthenes sieve grows on demand (powers of two) and
-is protected by a lock so concurrent callers always observe a consistent
-array.  Requests beyond the hard cap are refused rather than degraded.
+A single module-level Eratosthenes sieve grows on demand (powers of two);
+callers get copies, never the cached array.  Requests beyond the hard cap
+are refused rather than degraded.
 """
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -14,7 +12,6 @@ from .errors import BudgetExceededError
 
 SIEVE_CAP = 10**7
 
-_lock = threading.Lock()
 _primes: np.ndarray = np.array([], dtype=np.int64)
 _sieved_to = 0
 
@@ -27,19 +24,18 @@ def primes_up_to(x: float) -> np.ndarray:
     n = int(x)
     if n < 2:
         return np.array([], dtype=np.int64)
-    with _lock:
-        if n > _sieved_to:
-            target = max(64, n)
-            # grow geometrically so repeated slightly-larger requests are cheap
-            while target < min(SIEVE_CAP, 2 * _sieved_to):
-                target *= 2
-            target = min(target, SIEVE_CAP)
-            mask = np.ones(target + 1, dtype=bool)
-            mask[:2] = False
-            for p in range(2, int(target**0.5) + 1):
-                if mask[p]:
-                    mask[p * p :: p] = False
-            _primes = np.nonzero(mask)[0].astype(np.int64)
-            _sieved_to = target
-        idx = np.searchsorted(_primes, n, side="right")
-        return _primes[:idx].copy()
+    if n > _sieved_to:
+        target = max(64, n)
+        # grow geometrically so repeated slightly-larger requests are cheap
+        while target < min(SIEVE_CAP, 2 * _sieved_to):
+            target *= 2
+        target = min(target, SIEVE_CAP)
+        mask = np.ones(target + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, int(target**0.5) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        _primes = np.nonzero(mask)[0].astype(np.int64)
+        _sieved_to = target
+    idx = np.searchsorted(_primes, n, side="right")
+    return _primes[:idx].copy()

@@ -174,15 +174,6 @@ class ExactSeries:
             acc = acc * x + (val if isinstance(x, complex) else c)
         return acc
 
-    def to_jsonable(self) -> list[list[str]]:
-        out = []
-        for c in self.coeffs:
-            f = Fraction(c) if not isinstance(c, (Fraction, Cyclotomic)) else c
-            if isinstance(f, Cyclotomic):
-                raise InvalidConfigError("cyclotomic coefficients have no JSON dump")
-            out.append([str(f.numerator), str(f.denominator)])
-        return out
-
 
 # ---------------------------------------------------------------------------
 # plain polynomial helpers on coefficient lists (Fractions)

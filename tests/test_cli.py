@@ -1,4 +1,5 @@
 """Command-line interface: outputs, determinism, exit codes."""
+import hashlib
 import json
 import math
 
@@ -48,6 +49,18 @@ class TestSieve:
         code, _ = run(capsys, "sieve", "--backend", "quadratic",
                       "--cutoff", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--d", "5", "--cutoff", "1e6"],
+         "063663a5165c3b7683a03c64d0df06b9c8c878e257a96c8183efee9847b694e5"),
+        (["--backend", "cyclic", "--char", "7,3,3", "--cutoff", "1e5"],
+         "9fdad496774fe4fc077747d532ddc80ccad6286702c3a85d4119048a103cfe45"),
+    ], ids=["d5-1e6", "char7,3,3-1e5"])
+    def test_output_pinned(self, capsys, argv, digest):
+        # sieve CSV is part of the determinism contract: these never change
+        code, out = run(capsys, "sieve", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEval:
@@ -199,6 +212,33 @@ class TestGraphCommands:
     def test_missing_graph_file(self, capsys):
         code, _ = run(capsys, "graph", "ihara")
         assert code == 2
+
+
+class TestBadInput:
+    """Malformed input exits 2 with an error line, never a traceback."""
+
+    def assert_config_error(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_malformed_catalog_row(self, capsys, tmp_path):
+        cat = tmp_path / "cat.csv"
+        cat.write_text("re,im,order\n0.5,14\n")
+        self.assert_config_error(capsys, "boundary", "--backend", "catalog",
+                                 "--catalog-file", str(cat), "--height", "20",
+                                 "--depth", "2")
+
+    def test_non_integer_edge_token(self, capsys, tmp_path):
+        g = tmp_path / "bad.txt"
+        g.write_text(K4_TEXT.replace("0 1 1", "0 1 x"))
+        self.assert_config_error(capsys, "graph", "ihara", "--graph-file",
+                                 str(g))
+
+    def test_non_integer_char(self, capsys):
+        self.assert_config_error(capsys, "sieve", "--backend", "cyclic",
+                                 "--char", "7,x", "--cutoff", "10")
 
 
 class TestOutputFile:

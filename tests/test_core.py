@@ -11,7 +11,8 @@ from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
                               truncated_zeta_Pn)
 from partialzeta.errors import (BudgetExceededError, InvalidConfigError,
                                 SingularLocalFactorError)
-from partialzeta.numberfield import kronecker_system
+from partialzeta.lfunctions import prime_order_character
+from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import SIEVE_CAP, primes_up_to
 
 
@@ -131,12 +132,20 @@ class TestEnumeration:
         sys5 = kronecker_system(5)
         small = sys5.primes_up_to(100)
         large = sys5.primes_up_to(1000)
-        assert large[: len(small)] == small
+        assert np.array_equal(large[: len(small)], small)
 
     def test_deterministic(self):
         a = kronecker_system(5).primes_up_to(10**4)
         b = kronecker_system(5).primes_up_to(10**4)
-        assert a == b
+        assert np.array_equal(a, b)
+
+    def test_cutoffs_up_then_down_are_prefixes(self):
+        sys5 = kronecker_system(5)
+        fresh = kronecker_system(5).primes_up_to(10**4)
+        for x in (10, 100, 10**3, 10**4, 10**3, 100, 10, 1.5):
+            got = sys5.primes_up_to(x)
+            assert np.array_equal(got, fresh[: len(got)])
+            assert len(got) == np.count_nonzero(fresh["norm"] <= x)
 
     def test_sieve_cap_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -150,12 +159,22 @@ class TestSerialization:
     def test_json_roundtrip_quadratic(self):
         sys5 = kronecker_system(5)
         clone = system_from_json(sys5.to_json())
-        assert clone.primes_up_to(200) == sys5.primes_up_to(200)
+        assert np.array_equal(clone.primes_up_to(200), sys5.primes_up_to(200))
+
+    @pytest.mark.parametrize("modulus,order", [
+        (43, 2), (73, 3), (79, 3), (97, 3), (103, 2), (109, 2), (151, 5),
+        (157, 3)])
+    def test_json_roundtrip_cyclic(self, modulus, order):
+        # the least residue with exponent 1 is not a primitive root here
+        sys = cyclic_system(prime_order_character(modulus, order))
+        clone = system_from_json(sys.to_json())
+        assert np.array_equal(clone.primes_up_to(10**4),
+                              sys.primes_up_to(10**4))
 
     def test_json_roundtrip_explicit(self):
         sys = simple_system()
         clone = system_from_json(sys.to_json())
-        assert clone.primes_up_to(10) == sys.primes_up_to(10)
+        assert np.array_equal(clone.primes_up_to(10), sys.primes_up_to(10))
         assert clone.group_order == 2
 
     def test_csv_dump(self):
@@ -180,6 +199,6 @@ class TestLogProductStability:
         pol = TruncationPolicy(10)
         s = 1.5 + 2.0j
         direct = 1.0
-        for p in sys.primes_up_to(10):
-            direct *= local_factor(p, s)
+        for row in sys.primes_up_to(10):
+            direct *= local_factor(PrimeDatum(*row), s)
         assert abs(cmath.exp(log_zeta_P(sys, s, pol)) - direct) < 1e-14

@@ -267,13 +267,13 @@ class TestGraphSystem:
         vg = k4_voltage()
         sys = GraphZetaSystem(vg)
         ps = sys.primes_up_to(2**5)
-        assert all(math.log2(p.norm).is_integer() for p in ps)
-        assert {p.frob_order for p in ps} <= {1, 3}
+        assert all(math.log2(p["norm"]).is_integer() for p in ps)
+        assert {p["frob_order"] for p in ps} <= {1, 3}
 
     def test_trivial_voltage_all_order_one(self):
         vg = VoltageGraph(named_graph("K4"), 3, [0] * 6)
         sys = GraphZetaSystem(vg)
-        assert all(p.frob_order == 1 for p in sys.primes_up_to(2**5))
+        assert all(p["frob_order"] == 1 for p in sys.primes_up_to(2**5))
 
     def test_count_coeff_overcounts(self):
         vg = k4_voltage()

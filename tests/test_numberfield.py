@@ -1,22 +1,24 @@
 """Abelian systems, closed-form g, argument-principle zero search."""
 import cmath
 
+import numpy as np
 import pytest
 
 from partialzeta.continuation import SingularityCatalog, SingularPoint
-from partialzeta.core import TruncationPolicy
+from partialzeta.core import PRIME_DTYPE, TruncationPolicy
 from partialzeta.errors import InvalidConfigError, SingularityProximityError
 from partialzeta.frobenius import log_Z
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
 from partialzeta.numberfield import (AbelianSystem, critical_line_zero_scan,
                                      cyclic_system, find_zeros, g_closed_form,
                                      kronecker_system, riemann_von_mangoldt)
+from partialzeta.primes import primes_up_to
 
 
 class TestSystems:
     def test_d5_splitting(self):
         sys5 = kronecker_system(5)
-        by_norm = {p.norm: p.frob_order for p in sys5.primes_up_to(12)}
+        by_norm = {p["norm"]: p["frob_order"] for p in sys5.primes_up_to(12)}
         assert by_norm == {2: 2, 3: 2, 7: 2, 11: 1}
         assert 5 in sys5.ramified
 
@@ -24,8 +26,8 @@ class TestSystems:
         # first supplement: p splits in Q(i) iff p = 1 mod 4
         sysm1 = kronecker_system(-1)
         for p in sysm1.primes_up_to(50):
-            expected = 1 if int(p.norm) % 4 == 1 else 2
-            assert p.frob_order == expected
+            expected = 1 if int(p["norm"]) % 4 == 1 else 2
+            assert p["frob_order"] == expected
 
     def test_d1_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -33,7 +35,8 @@ class TestSystems:
 
     def test_cubic_mod7(self):
         sys7 = cyclic_system(prime_order_character(7, 3, generator=3))
-        split = [int(p.norm) for p in sys7.primes_up_to(50) if p.frob_order == 1]
+        split = [int(p["norm"]) for p in sys7.primes_up_to(50)
+                 if p["frob_order"] == 1]
         assert all(p % 7 in (1, 6) for p in split)
         assert 13 in split  # 13 = 6 mod 7
         assert sys7.ramified == [7]
@@ -43,7 +46,23 @@ class TestSystems:
         sys5 = kronecker_system(5)
         chi = sys5.chi
         clone = AbelianSystem(chi)
-        assert clone.primes_up_to(100) == sys5.primes_up_to(100)
+        assert np.array_equal(clone.primes_up_to(100), sys5.primes_up_to(100))
+
+    @pytest.mark.parametrize("system", [
+        lambda: kronecker_system(5), lambda: kronecker_system(-1),
+        lambda: kronecker_system(2),
+        lambda: cyclic_system(prime_order_character(7, 3, generator=3)),
+        lambda: cyclic_system(prime_order_character(43, 2))],
+        ids=["d5", "d-1", "d2", "char7,3,3", "char43,2"])
+    def test_lookup_matches_scalar_exponents(self, system):
+        sys = system()
+        rows = []  # oracle: the scalar per-prime classification loop
+        for p in primes_up_to(10**5).tolist():
+            j = sys.chi.exponent(p)
+            if j is not None:
+                rows.append((p, p, j, 1 if j == 0 else sys.group_order))
+        expected = np.array(rows, dtype=PRIME_DTYPE)
+        assert np.array_equal(sys.primes_up_to(10**5), expected)
 
     def test_nonprime_order_rejected(self):
         from partialzeta.lfunctions import DirichletCharacter
