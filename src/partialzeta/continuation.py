@@ -336,7 +336,10 @@ def boundary_report(cat: SingularityCatalog, q: int, T: float,
     gaps = []
     probes = np.geomspace(beta_min / q**3, T, num=max(window_count, 2))
     for t in probes:
-        r = math.log(t) % logq
+        # probes[0] = beta_min / q^3 lies exactly on a residue; the nudge
+        # makes it open the window starting there however log() rounds,
+        # instead of the last bit of beta_min picking the window before
+        r = (math.log(t) + 1e-12) % logq
         arc = next((a for a in arcs if a[1] <= r < a[2]), None)
         if arc is None:  # wrap-around arc
             arc = arcs[-1]

@@ -4,6 +4,11 @@ L(s, chi) is evaluated through the Hurwitz-zeta decomposition
 L = m^{-s} sum_a chi(a) zeta(s, a/m) with Euler-Maclaurin summation,
 which continues everything we need to the strip (target accuracy 1e-10
 for |Im s| <= 100).
+
+`hurwitz_zeta`, `dirichlet_L` and the closed-form g built on them
+(`numberfield.g_closed_form`) broadcast over numpy arrays of s.  A scalar is
+evaluated as a batch of one through the same code and returned as a Python
+complex, so batched and pointwise values agree bit for bit.
 """
 from __future__ import annotations
 
@@ -23,47 +28,58 @@ _EM_COEFF = [float(b) / math.factorial(2 * (j + 1))
              for j, b in enumerate(_BERNOULLI)]
 
 
-def hurwitz_zeta(s: complex, a: float, N: int | None = None) -> complex:
-    """Euler-Maclaurin evaluation of zeta(s, a), a > 0, s != 1."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-14:
+def hurwitz_zeta(s, a):
+    """Euler-Maclaurin evaluation of zeta(s, a), a > 0, s != 1.
+
+    Broadcasts over arrays of s and a and returns an array of their
+    broadcast shape; a scalar s and a give a Python complex.  Each point
+    sums N = max(50, int(2|Im s|) + 1) head terms, so the points are
+    grouped by N rather than padded to a common length.
+    """
+    s, a = np.broadcast_arrays(np.asarray(s, dtype=complex),
+                               np.asarray(a, dtype=float))
+    shape = s.shape
+    s, a = s.ravel(), a.ravel()
+    if np.any(np.abs(s - 1.0) < 1e-14):
         raise PoleAtOneError("hurwitz zeta has a pole at s = 1")
-    if N is None:
-        N = max(50, int(2 * abs(s.imag)) + 1)
-    k = np.arange(N, dtype=float) + a
-    head = complex(np.sum(np.exp(-s * np.log(k))))
+    N = np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)
+    head = np.empty(s.shape, dtype=complex)
+    for n in np.unique(N):
+        idx = np.flatnonzero(N == n)
+        k = np.arange(n, dtype=float) + a[idx, None]
+        head[idx] = np.sum(np.exp(-s[idx, None] * np.log(k)), axis=1)
     M = N + a
-    lM = math.log(M)
-    tail = cmath.exp((1.0 - s) * lM) / (s - 1.0) + 0.5 * cmath.exp(-s * lM)
+    lM = np.log(M)
+    tail = np.exp((1.0 - s) * lM) / (s - 1.0) + 0.5 * np.exp(-s * lM)
     # correction terms B_{2j}/(2j)! * (s)_{2j-1} * M^{-s-2j+1}
     rising = s  # (s)_(1) = s
-    power = cmath.exp((-s - 1.0) * lM)
-    corr = 0.0 + 0.0j
+    power = np.exp((-s - 1.0) * lM)
+    corr = np.zeros(s.shape, dtype=complex)
     for j, c in enumerate(_EM_COEFF):
         corr += c * rising * power
         if j + 1 < len(_EM_COEFF):
-            rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-            power /= M * M
-    return head + tail + corr
+            rising = rising * ((s + 2 * j + 1) * (s + 2 * j + 2))
+            power = power / (M * M)
+    out = head + tail + corr
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def _hurwitz_finite_at_one(a: float, N: int | None = None) -> float:
-    """lim_{s->1} [zeta(s, a) - 1/(s-1)]; the pole term is dropped so the
-    poles can cancel across a nontrivial character sum."""
-    if N is None:
-        N = 50
-    k = np.arange(N, dtype=float) + a
-    head = float(np.sum(1.0 / k))
+def _hurwitz_finite_at_one(a: np.ndarray) -> np.ndarray:
+    """lim_{s->1} [zeta(s, a) - 1/(s-1)], elementwise over a; the pole term
+    is dropped so the poles can cancel across a nontrivial character sum."""
+    N = 50
+    k = np.arange(N, dtype=float) + a[:, None]
+    head = np.sum(1.0 / k, axis=1)
     M = N + a
-    tail = -math.log(M) + 0.5 / M
+    tail = -np.log(M) + 0.5 / M
     rising = 1.0
     power = M**-2.0
-    corr = 0.0
+    corr = np.zeros(a.shape)
     for j, c in enumerate(_EM_COEFF):
         corr += c * rising * power
         if j + 1 < len(_EM_COEFF):
             rising *= (2 * j + 2) * (2 * j + 3)
-            power /= M * M
+            power = power / (M * M)
     return head + tail + corr
 
 
@@ -142,6 +158,10 @@ class DirichletCharacter:
         for a in range(1, modulus):
             if math.gcd(a, modulus) == 1 and a not in self.exps:
                 raise InvalidConfigError(f"character table misses residue {a}")
+        # a in [1, m] with chi(a) != 0, and chi(a): the terms of dirichlet_L
+        self.residues = np.array([a for a in range(1, modulus + 1)
+                                  if a % modulus in self.exps])
+        self.values = np.array([self.value(a) for a in self.residues.tolist()])
 
     # -- values -------------------------------------------------------
     def exponent(self, n: int) -> int | None:
@@ -220,31 +240,34 @@ def trivial_character() -> DirichletCharacter:
 # L-values
 # ---------------------------------------------------------------------------
 
-def dirichlet_L(s: complex, chi: DirichletCharacter) -> complex:
-    """Analytically continued L(s, chi) via Hurwitz zeta + Euler-Maclaurin."""
-    s = complex(s)
+def dirichlet_L(s, chi: DirichletCharacter):
+    """Analytically continued L(s, chi) via Hurwitz zeta + Euler-Maclaurin.
+
+    Broadcasts over an array of s with one Hurwitz call over all residues;
+    a scalar s gives a Python complex.
+    """
+    z = np.asarray(s, dtype=complex)
+    s = z.reshape(-1)
     m = chi.modulus
-    if m == 1:
-        return hurwitz_zeta(s, 1.0)
-    at_pole = abs(s - 1.0) < 1e-14
-    if at_pole and chi.is_trivial:
-        raise PoleAtOneError("principal character: L(s) has a pole at s = 1")
-    total = 0.0 + 0.0j
-    for a in range(1, m + 1):
-        v = chi.value(a)
-        if v == 0:
-            continue
-        if at_pole:
-            total += v * _hurwitz_finite_at_one(a / m)
-        else:
-            total += v * hurwitz_zeta(s, a / m)
-    if at_pole:
-        return total / m  # pole terms cancel: sum chi(a) = 0 for nontrivial chi
-    return cmath.exp(-s * math.log(m)) * total
+    out = np.empty_like(s)
+    at_pole = np.abs(s - 1.0) < 1e-14
+    if at_pole.any():
+        if chi.is_trivial:
+            raise PoleAtOneError("principal character: L(s) has a pole at s = 1")
+        # pole terms cancel: sum chi(a) = 0 for nontrivial chi
+        finite = _hurwitz_finite_at_one(chi.residues / m)
+        out[at_pole] = np.sum(chi.values * finite) / m
+    s = s[~at_pole]
+    hz = hurwitz_zeta(s[:, None], chi.residues / m)
+    total = np.zeros_like(s)
+    for j, v in enumerate(chi.values):
+        total += v * hz[:, j]
+    out[~at_pole] = np.exp(-s * math.log(m)) * total
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def riemann_zeta(s: complex) -> complex:
-    return hurwitz_zeta(complex(s), 1.0)
+def riemann_zeta(s):
+    return hurwitz_zeta(s, 1.0)
 
 
 def completed_zeta(s: complex) -> complex:

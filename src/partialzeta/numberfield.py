@@ -19,9 +19,9 @@ from .continuation import GEvaluator, SingularityCatalog, SingularPoint
 from .core import PRIME_DTYPE, ZetaSystem
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
-from .lfunctions import (DirichletCharacter, dirichlet_L, hardy_Z,
-                         is_primitive_root, kronecker_character,
-                         prime_order_character)
+from .lfunctions import (DirichletCharacter, dirichlet_L, is_primitive_root,
+                         kronecker_character, prime_order_character,
+                         trivial_character)
 
 
 class AbelianSystem(ZetaSystem):
@@ -88,21 +88,27 @@ def g_closed_form(sys: AbelianSystem,
     """Evaluator for g(s) = zeta_P(s)^q / Z_P(s) as a ratio of L-functions.
 
     g = zeta(s)^{q-1} * prod_{p ram} (1 - p^{-s})^{q-1} / prod_{j=1}^{q-1} L(s, chi^j).
-    Meromorphic wherever the L-evaluations are (|Im s| <= ~100).
+    Meromorphic wherever the L-evaluations are (|Im s| <= ~100).  The
+    callback broadcasts over arrays of s, as `find_zeros` requires.
     """
     q = sys.group_order
+    zeta = trivial_character()
     chis = [sys.chi.power(j) for j in range(1, q)]
     ram = list(sys.ramified)
 
-    def fn(s: complex) -> complex:
-        s = complex(s)
-        num = dirichlet_L(s, DirichletCharacter(1, 1, {0: 0})) ** (q - 1)
+    def fn(s):
+        """g elementwise over an array of s; a scalar is a batch of one and
+        gives a Python complex."""
+        z = np.asarray(s, dtype=complex)
+        s = z.reshape(-1)
+        num = dirichlet_L(s, zeta) ** (q - 1)
         for p in ram:
-            num *= (1.0 - cmath.exp(-s * math.log(p))) ** (q - 1)
-        den = 1.0 + 0.0j
+            num = num * (1.0 - np.exp(-s * math.log(p))) ** (q - 1)
+        den = np.ones_like(s)
         for chi in chis:
-            den *= dirichlet_L(s, chi)
-        return num / den
+            den = den * dirichlet_L(s, chi)
+        out = num / den
+        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
     return GEvaluator(fn, provenance="closed-form ratio of Dirichlet L-functions",
                       catalog=catalog, pole_order_at_one=q - 1)
@@ -115,7 +121,7 @@ def g_closed_form(sys: AbelianSystem,
 _MAX_PHASE_DEPTH = 40
 
 
-def _phase_change(f: Callable[[complex], complex], z0, z1, f0, f1,
+def _phase_change(f: Callable, z0, z1, f0, f1,
                   depth: int = 0) -> float:
     """Continuous arg variation of f along [z0, z1] by adaptive bisection."""
     d = cmath.phase(f1 / f0)
@@ -131,7 +137,7 @@ def _phase_change(f: Callable[[complex], complex], z0, z1, f0, f1,
             + _phase_change(f, zm, z1, fm, f1, depth + 1))
 
 
-def _winding(f: Callable[[complex], complex], corners: list[complex],
+def _winding(f: Callable, corners: list[complex],
              samples: int = 8) -> tuple[int, float]:
     """Zeros-minus-poles count inside the closed polygon through corners.
 
@@ -145,7 +151,7 @@ def _winding(f: Callable[[complex], complex], corners: list[complex],
         a, b = corners[i], corners[(i + 1) % n]
         for t in range(samples):
             pts.append(a + (b - a) * t / samples)
-    vals = [f(z) for z in pts]
+    vals = f(np.array(pts)).tolist()  # one batched call per box
     total = 0.0
     variation = 0.0
     m = len(pts)
@@ -183,10 +189,13 @@ def _newton_refine(f, s0: complex, mult: int, tol: float = 1e-11,
     return s
 
 
-def find_zeros(evaluator: Callable[[complex], complex] | GEvaluator,
+def find_zeros(evaluator: Callable | GEvaluator,
                T: float, *, re_margin: float = 1e-3, im_floor: float = 0.05,
                max_order: int = 3, budget: int = 4000) -> SingularityCatalog:
     """Catalog zeros and poles of `evaluator` in {0 < Re s < 1, 0 < Im s < T}.
+
+    The evaluator must map an array of s to the array of its values (each
+    box's boundary samples are one call) and a scalar to a scalar.
 
     Rectangles are scanned by the argument principle (adaptive phase tracking
     along the boundary), subdivided until each singular point is isolated,
@@ -242,33 +251,3 @@ def find_zeros(evaluator: Callable[[complex], complex] | GEvaluator,
         points.append(SingularPoint(location=s_ref, order=w))
     points.sort(key=lambda p: (p.location.imag, p.location.real))
     return SingularityCatalog(points=points, complete_up_to=T)
-
-
-def critical_line_zero_scan(T: float, step: float = 0.05) -> list[float]:
-    """Independent oracle: sign changes of the rotated zeta on Re s = 1/2."""
-    zeros = []
-    t = max(step, 1.0)
-    prev = hardy_Z(t)
-    while t < T:
-        t2 = min(t + step, T)
-        cur = hardy_Z(t2)
-        if prev == 0.0:
-            zeros.append(t)
-        elif prev * cur < 0:
-            a, b = t, t2
-            fa = prev
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = hardy_Z(mid)
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(0.5 * (a + b))
-        t, prev = t2, cur
-    return zeros
-
-
-def riemann_von_mangoldt(T: float) -> float:
-    """Main-term estimate for the zero count of zeta below height T."""
-    return T / (2 * math.pi) * math.log(T / (2 * math.pi * math.e)) + 7.0 / 8.0

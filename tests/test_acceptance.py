@@ -24,10 +24,11 @@ from partialzeta.graphs import (VoltageGraph, build_cover, count_cycles,
                                 ihara_edge, named_graph, partial_zeta_series,
                                 primitive_cycles)
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
-from partialzeta.numberfield import (critical_line_zero_scan, cyclic_system,
-                                     find_zeros, g_closed_form,
+from partialzeta.numberfield import (cyclic_system, find_zeros, g_closed_form,
                                      kronecker_system)
 from partialzeta.series import ExactSeries
+
+from zeta_oracles import critical_line_zero_scan
 
 
 def _systems_under_test():

@@ -245,6 +245,22 @@ class TestBoundaryReport:
         assert set(rep) >= {"betas", "trend", "gaps", "largest_gap", "verdict"}
         assert all(g["t2"] > g["t1"] for g in rep["gaps"])
 
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_first_probe_window_stable_under_rounding(self, ulps):
+        # the first probe is beta_min / q^3, exactly on beta_min's residue;
+        # the window reported there must not hinge on beta_min's last bit
+        betas = [6.648453344727717, 9.83144443288667, 11.958845626083518,
+                 14.134725141734691, 16.033821128384233, 17.566994292325557,
+                 19.540732622784752, 21.022039638771542, 22.22740545445941,
+                 24.588466217408193, 25.010857580145707, 26.77609594800414]
+        for _ in range(abs(ulps)):
+            betas[0] = math.nextafter(betas[0], math.copysign(math.inf, ulps))
+        cat = SingularityCatalog([SingularPoint(complex(0.5, b), -1)
+                                  for b in betas], 28.0)
+        first = boundary_report(cat, 2, 28.0)["gaps"][0]
+        assert first["t1"] == pytest.approx(betas[0] / 8, rel=1e-12)
+        assert first["t2"] == pytest.approx(0.83675299837513, rel=1e-12)
+
 
 class TestCatalogSerialization:
     def test_roundtrip(self):

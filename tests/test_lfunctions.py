@@ -4,6 +4,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from partialzeta.errors import InvalidConfigError, PoleAtOneError
@@ -29,6 +30,78 @@ class TestHurwitz:
     def test_pole_rejected(self):
         with pytest.raises(PoleAtOneError):
             hurwitz_zeta(1.0, 0.5)
+
+
+def _strip_points(seed: int, n: int = 40) -> np.ndarray:
+    """Random s in the critical strip with Im s in [20, 30]: the head length
+    N = max(50, int(2|Im s|) + 1) takes several values there (50 below 25,
+    one more per 1/2 above), so a batch spans several N groups."""
+    rng = random.Random(seed)
+    pts = np.array([complex(rng.uniform(0.01, 0.99), rng.uniform(20.0, 30.0))
+                    for _ in range(n)] + [0.5 + 24.5j, 0.5 + 24.9999j,
+                                          0.5 + 25.0j, 0.5 - 25.6j])
+    assert len({max(50, int(2 * abs(s.imag)) + 1) for s in pts}) > 5
+    return pts
+
+
+def _pointwise(fn, pts):
+    return np.array([fn(complex(s)) for s in pts])
+
+
+class TestBatch:
+    """Arrays go through the same code as scalars: values agree exactly."""
+
+    def test_hurwitz_batch_equals_pointwise(self):
+        pts = _strip_points(1)
+        for a in (1.0, 0.2, 0.75):
+            batch = hurwitz_zeta(pts, a)
+            assert batch.shape == pts.shape
+            assert np.array_equal(batch, _pointwise(lambda s: hurwitz_zeta(s, a), pts))
+
+    def test_hurwitz_broadcasts_s_against_a(self):
+        pts = _strip_points(2, n=6)
+        a = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+        grid = hurwitz_zeta(pts[:, None], a)
+        assert grid.shape == (len(pts), len(a))
+        for i, s in enumerate(pts):
+            for j, x in enumerate(a):
+                assert grid[i, j] == hurwitz_zeta(complex(s), float(x))
+
+    def test_scalar_returns_python_complex(self):
+        assert type(hurwitz_zeta(0.5 + 3j, 0.5)) is complex
+        assert type(dirichlet_L(0.5 + 3j, kronecker_character(5))) is complex
+
+    def test_hurwitz_array_against_mpmath(self):
+        pts = _strip_points(3, n=10)
+        ours = hurwitz_zeta(pts, 0.4)
+        for s, v in zip(pts, ours):
+            ref = complex(mpmath.zeta(complex(s), 0.4))
+            assert abs(v - ref) < 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("chi", [kronecker_character(5),
+                                     kronecker_character(-1),
+                                     prime_order_character(7, 3, generator=3)],
+                             ids=["chi5", "chi-4", "cubic7"])
+    def test_dirichlet_batch_equals_pointwise(self, chi):
+        pts = _strip_points(4)
+        batch = dirichlet_L(pts, chi)
+        assert np.array_equal(batch, _pointwise(lambda s: dirichlet_L(s, chi), pts))
+        grid = pts[:12].reshape(3, 4)
+        assert np.array_equal(dirichlet_L(grid, chi), batch[:12].reshape(3, 4))
+
+    def test_pole_in_batch_principal(self):
+        with pytest.raises(PoleAtOneError):
+            hurwitz_zeta(np.array([2.0, 1.0, 0.5 + 3j]), 0.5)
+        with pytest.raises(PoleAtOneError):
+            dirichlet_L(np.array([2.0, 1.0, 0.5 + 3j]), trivial_character())
+
+    def test_pole_in_batch_nontrivial_is_finite(self):
+        chi = kronecker_character(-1)
+        pts = np.array([2.0, 1.0, 0.5 + 3j, 1.0])
+        vals = dirichlet_L(pts, chi)
+        assert np.array_equal(vals, _pointwise(lambda s: dirichlet_L(s, chi), pts))
+        assert abs(vals[1] - math.pi / 4) < 1e-10
+        assert vals[3] == vals[1]
 
 
 class TestZetaValues:

@@ -9,10 +9,11 @@ from partialzeta.core import PRIME_DTYPE, TruncationPolicy
 from partialzeta.errors import InvalidConfigError, SingularityProximityError
 from partialzeta.frobenius import log_Z
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
-from partialzeta.numberfield import (AbelianSystem, critical_line_zero_scan,
-                                     cyclic_system, find_zeros, g_closed_form,
-                                     kronecker_system, riemann_von_mangoldt)
+from partialzeta.numberfield import (AbelianSystem, cyclic_system, find_zeros,
+                                     g_closed_form, kronecker_system)
 from partialzeta.primes import primes_up_to
+
+from zeta_oracles import critical_line_zero_scan, riemann_von_mangoldt
 
 
 class TestSystems:
@@ -108,7 +109,62 @@ class TestGClosedForm:
             g(0.5 + 14.134725j)
 
 
+class TestGBatch:
+    @pytest.mark.parametrize("system", [
+        lambda: kronecker_system(5),
+        lambda: cyclic_system(prime_order_character(7, 3, generator=3))],
+        ids=["d5", "char7,3,3"])
+    def test_batch_equals_pointwise(self, system):
+        g = g_closed_form(system()).fn
+        rng = np.random.default_rng(7)
+        pts = (rng.uniform(0.01, 0.99, 40) + 1j * rng.uniform(20.0, 30.0, 40))
+        batch = g(pts)
+        assert np.array_equal(batch, np.array([g(complex(s)) for s in pts]))
+        assert np.array_equal(g(pts.reshape(5, 8)), batch.reshape(5, 8))
+        assert type(g(complex(pts[0]))) is complex
+
+
+# d=5 catalog to T=28 as computed before g was batched (repr of location
+# real and imaginary parts, order); the batched scan must reproduce it
+_D5_CATALOG_T28 = [
+    (0.5000000000000004, 6.648453344727717, -1),
+    (0.500000000000002, 9.83144443288667, -1),
+    (0.4999999999999998, 11.958845626083518, -1),
+    (0.5000000000000067, 14.134725141734691, 1),
+    (0.49999999999999994, 16.033821128384233, -1),
+    (0.4999999999999997, 17.566994292325557, -1),
+    (0.4999999999999985, 19.540732622784752, -1),
+    (0.49999999999999534, 21.022039638771542, 1),
+    (0.4999999999999988, 22.22740545445941, -1),
+    (0.5000000000000004, 24.588466217408193, -1),
+    (0.5000000000000241, 25.010857580145707, 1),
+    (0.5000000000000008, 26.77609594800414, -1),
+]
+
+
 class TestFindZeros:
+    def test_d5_catalog_pinned(self):
+        cat = find_zeros(g_closed_form(kronecker_system(5)), 28.0)
+        assert len(cat.points) == len(_D5_CATALOG_T28)
+        for p, (re, im, order) in zip(cat.points, _D5_CATALOG_T28):
+            assert p.order == order
+            assert abs(p.location - complex(re, im)) < 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: zeta's zero 0.5+32.935i and the L(s, chi_5) zero "
+        "0.5+33.000i, 0.065 apart, give the slab [32.55, 33.05] winding 0 "
+        "and boundary phase variation 2.62, below the 3.0 subdivision "
+        "threshold, so the pair is never isolated"))
+    def test_d5_close_zero_pole_pair_found(self):
+        # exact locations from mpmath.zetazero(5) and mpmath.findroot on
+        # mpmath.dirichlet(s, chi_5)
+        zeta_zero, l_zero = 0.5 + 32.935061587739190j, 0.5 + 33.000456006870514j
+        cat = find_zeros(g_closed_form(kronecker_system(5)), 33.05,
+                         im_floor=32.55)
+        found = {(round(p.location.imag, 6), p.order) for p in cat.points}
+        assert (round(zeta_zero.imag, 6), 1) in found
+        assert (round(l_zero.imag, 6), -1) in found
+
     def test_zeta_below_15(self):
         cat = find_zeros(riemann_zeta, 15.0)
         assert len(cat.points) == 1
