@@ -22,9 +22,9 @@ from .frobenius import (Character, CyclicGroup, character_value,
                         subgroup_character_indices, truncated_L, truncated_Z,
                         zp_factorization_residual)
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
-                     count_cycles, graph_L, graph_singularities_in_s,
-                     ihara_det, ihara_edge, named_graph, parse_graph_file,
-                     partial_zeta_series, primitive_cycles)
+                     graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
+                     named_graph, parse_graph_file, partial_zeta_series,
+                     primitive_cycles)
 from .lfunctions import (DirichletCharacter, dirichlet_L,
                          fundamental_discriminant, hurwitz_zeta,
                          kronecker_character, kronecker_symbol,

@@ -1,15 +1,17 @@
 """Ihara zeta functions, voltage coverings and exact u-domain identities.
 
-Everything on the graph side is exact: determinants of polynomial matrices
-go through evaluation at integer points (fraction-free Bareiss, or Gaussian
-elimination over the cyclotomic field for twisted edge matrices) followed by
-Lagrange interpolation with rational arithmetic.
+Everything on the graph side is exact.  Every determinant is det(I - uM)
+from one division-free routine (Berkowitz's recurrence) over the integers or
+Z[zeta_q]: on the non-backtracking edge matrix for edge determinants, and on
+the n x n twisted adjacency matrix, through the vertex-side Ihara-Bass
+formula, for zeta_X and the L-functions of Z/q voltages.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,16 +77,6 @@ class MultiGraph:
                     stack.append(w)
         return len(seen) == self.n
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] += 1
-            if u != v:
-                a[v, u] += 1
-            else:
-                a[u, u] += 1  # a loop contributes 2 to the adjacency diagonal
-        return a
-
     def edge_matrix(self) -> np.ndarray:
         """Non-backtracking oriented-edge matrix T: e -> f iff head(e) = tail(f), f != reverse(e)."""
         k = 2 * self.m
@@ -113,155 +105,68 @@ def named_graph(name: str) -> MultiGraph:
 
 
 # ---------------------------------------------------------------------------
-# exact determinants by evaluation / interpolation
+# exact determinants
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _det_one_minus_u(mat: list[list]) -> list:
+    """Coefficients [1, c_1, ..., c_n] of det(I - uM), low degree first.
 
-
-def _field_det(mat: list[list[Cyclotomic]], q: int) -> Cyclotomic:
-    """Determinant over Q(zeta_q) by Gaussian elimination."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    det = Cyclotomic.one(q)
-    sign = 1
+    These are the characteristic-polynomial coefficients of M, highest power
+    first, from Berkowitz's recurrence (Inf. Process. Lett. 18, 1984): the
+    leading (k+1)-block's polynomial is the leading k-block's convolved with
+    [1, -M_kk, -R C, -R B C, ..., -R B^{k-1} C], where B is the leading
+    k-block, R and C the row and column that border it.  Only +, - and * are
+    used, so entries may be ints or Cyclotomics alike.
+    """
+    n = len(mat)
+    nonzero = [[(j, a) for j, a in enumerate(row) if a != 0] for row in mat]
+    coeffs = [1]
     for k in range(n):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if piv is None:
-            return Cyclotomic.zero(q)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        det = det * a[k][k]
-        inv = a[k][k].inverse()
-        for i in range(k + 1, n):
-            if a[i][k].is_zero():
-                continue
-            factor = a[i][k] * inv
-            a[i] = [c - factor * p for c, p in zip(a[i], a[k])]
-    return det * sign
-
-
-def _lagrange_interpolate(xs: list[int], ys: list) -> list:
-    """Coefficients of the unique degree < len(xs) polynomial through (xs, ys)."""
-    n = len(xs)
-    coeffs: list = [Fraction(0)] * n
-    for i in range(n):
-        # basis polynomial prod_{j != i} (u - xs[j]) / (xs[i] - xs[j])
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xs[j]
-                new[k + 1] += c
-            basis = new
-            denom *= Fraction(xs[i] - xs[j])
-        scale = ys[i] * (Fraction(1) / denom)
-        for k, c in enumerate(basis):
-            term = scale * c
-            coeffs[k] = coeffs[k] + term
-    while len(coeffs) > 1 and (coeffs[-1] == 0
-                               if not isinstance(coeffs[-1], Cyclotomic)
-                               else coeffs[-1].is_zero()):
-        coeffs.pop()
+        t = [1, -mat[k][k]]
+        v = [mat[i][k] for i in range(k)]  # B^i C, starting at C
+        for _ in range(k):
+            t.append(-sum(a * v[j] for j, a in nonzero[k] if j < k))
+            v = [sum(a * v[j] for j, a in nonzero[i] if j < k) for i in range(k)]
+        coeffs = [sum(t[i - j] * coeffs[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+                  for i in range(k + 2)]
     return coeffs
 
 
-def ihara_det(x: MultiGraph) -> ExactSeries:
-    """zeta_X(u)^{-1} = (1-u^2)^{n(q-1)/2} det(I - Au + q u^2 I), exactly."""
+def _ihara_bass(x: MultiGraph, weight) -> ExactSeries:
+    """(1-u^2)^{m-n} det(I - A_w u + q_g u^2 I) for a (q_g+1)-regular graph.
+
+    A_w[tail e, head e] += weight(e) over the oriented edges e.  With
+    det(I - u A_w) = sum_k c_k u^k, the determinant is
+    sum_k c_k u^k (1 + q_g u^2)^{n-k}.
+    """
     q = x.q_g  # validates regularity
-    if q < 1:
+    if x.m < x.n:  # q_g <= 0: no cycles, the determinant is (1-u^2)^{n-m}
+        return ExactSeries.one()
+    a = [[0] * x.n for _ in range(x.n)]
+    for e in range(2 * x.m):
+        a[x.tail[e]][x.head[e]] += weight(e)
+    shift = ExactSeries([1, 0, q])
+    det = ExactSeries([])
+    for k, c in enumerate(_det_one_minus_u(a)):
+        det = det * shift + ExactSeries.monomial(k, c)
+    return det * ExactSeries([1, 0, -1]) ** (x.m - x.n)
+
+
+def ihara_det(x: MultiGraph) -> ExactSeries:
+    """zeta_X(u)^{-1} = (1-u^2)^{m-n} det(I - Au + q u^2 I), exactly."""
+    if x.q_g < 1:  # validates regularity
         raise InvalidConfigError("determinant formula needs regularity >= 2")
-    a = x.adjacency()
-    n = x.n
-    deg = 2 * n + n * (q - 1)  # = n(q+1), the degree of zeta^{-1}
-    xs = list(range(deg + 1))
-    ys = []
-    for t in xs:
-        mat = [[int(q * t * t + 1) if i == j else 0 for j in range(n)]
-               for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                mat[i][j] -= int(a[i, j]) * t
-        ys.append(Fraction(_bareiss_det(mat)))
-    det_part = _lagrange_interpolate(xs, ys)
-    series = ExactSeries(det_part)
-    one_minus_u2 = ExactSeries([1, 0, -1])
-    return series * one_minus_u2 ** (n * (q - 1) // 2)
+    return _ihara_bass(x, lambda e: 1)
 
 
 def ihara_edge(x: MultiGraph) -> ExactSeries:
     """det(I - uT) for the non-backtracking edge matrix, exactly."""
-    t = x.edge_matrix()
-    k = 2 * x.m
-    xs = list(range(k + 1))
-    ys = []
-    for tv in xs:
-        mat = [[(1 if i == j else 0) - tv * int(t[i, j]) for j in range(k)]
-               for i in range(k)]
-        ys.append(Fraction(_bareiss_det(mat)))
-    return ExactSeries(_lagrange_interpolate(xs, ys))
+    return ExactSeries(_det_one_minus_u(x.edge_matrix().tolist()))
 
 
 # ---------------------------------------------------------------------------
-# cycle counting and enumeration
+# primitive-cycle enumeration
 # ---------------------------------------------------------------------------
-
-def _mobius(n: int) -> int:
-    mu, x, p = 1, n, 2
-    while p * p <= x:
-        if x % p == 0:
-            x //= p
-            if x % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if x > 1:
-        mu = -mu
-    return mu
-
-
-def count_cycles(x: MultiGraph, m_len: int) -> tuple[int, int]:
-    """(N_m, primitive class count) for closed backtrackless tail-less cycles.
-
-    N_m = tr(T^m); primitive classes (up to rotation, orientations distinct)
-    by Moebius inversion.
-    """
-    if m_len < 1:
-        raise InvalidConfigError("cycle length must be >= 1")
-    t = x.edge_matrix().astype(object)
-    power = np.linalg.matrix_power(t, m_len)
-    n_m = int(np.trace(power))
-    prim = 0
-    for d in range(1, m_len + 1):
-        if m_len % d == 0:
-            td = np.linalg.matrix_power(t, m_len // d)
-            prim += _mobius(d) * int(np.trace(td))
-    assert prim % m_len == 0
-    return n_m, prim // m_len
-
 
 def primitive_cycles(x: MultiGraph, max_len: int) -> list[tuple[int, ...]]:
     """Canonical (lex-least rotation) primitive closed NBT cycles, length <= max_len."""
@@ -415,36 +320,18 @@ def dump_graph_file(vg: VoltageGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def graph_L(vg: VoltageGraph, j: int) -> ExactSeries:
-    """L(u, chi_j)^{-1} = det(I - u T_chi), exact over Q(zeta_{q_c}).
+    """L(u, chi_j)^{-1}, exact over Q(zeta_{q_c}).
 
-    T_chi[e -> f] = chi_j(voltage(f)) T[e -> f]; for j = 0 this is the plain
-    edge determinant with rational coefficients.
+    The vertex-side twisted Ihara-Bass formula (Stark-Terras, Adv. Math. 121,
+    1996): each oriented edge e adds chi_j(voltage(e)) to A_chi[tail e, head e].
+    It equals det(I - u T_chi), T_chi[e -> f] = chi_j(voltage(f)) T[e -> f].
+    Rational coefficients come back as Fractions, the rest as Cyclotomics.
     """
-    base, q = vg.base, vg.q_c
-    t = base.edge_matrix()
-    k = 2 * base.m
-    j %= q
-    zeta_pows = [Cyclotomic.root_power(q, (j * a) % q) for a in range(q)]
-    xs = list(range(k + 1))
-    ys = []
-    for tv in xs:
-        mat = []
-        for e in range(k):
-            row = []
-            for f in range(k):
-                if t[e, f]:
-                    row.append(zeta_pows[vg.oriented_voltage(f)] * Fraction(-tv))
-                else:
-                    row.append(Cyclotomic.zero(q))
-            row[e] = row[e] + 1
-            mat.append(row)
-        ys.append(_field_det(mat, q))
-    coeffs = _lagrange_interpolate(xs, ys)
-    out = []
-    for c in coeffs:
-        c = c if isinstance(c, Cyclotomic) else Cyclotomic(q, [c])
-        out.append(c.rational() if c.is_rational() else c)
-    return ExactSeries(out)
+    q = vg.q_c
+    zeta_pows = [Cyclotomic.root_power(q, j * a) for a in range(q)]
+    det = _ihara_bass(vg.base, lambda e: zeta_pows[vg.oriented_voltage(e)])
+    return ExactSeries([c.rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
+                        for c in det.coeffs])
 
 
 def cover_zeta_inverse(vg: VoltageGraph) -> ExactSeries:
@@ -481,13 +368,11 @@ def partial_zeta_series(vg: VoltageGraph, l_ord: int) -> tuple[ExactSeries, Exac
         raise InvalidConfigError("partial zeta needs a connected cover")
     q = vg.q_c
 
+    counts = Counter(len(walk) for walk in primitive_cycles(vg.base, l_ord)
+                     if vg.cycle_voltage(walk) != 0)
     direct = ExactSeries.one(l_ord)
-    for walk in primitive_cycles(vg.base, l_ord):
-        if vg.cycle_voltage(walk) != 0:
-            nu = len(walk)
-            factor = (ExactSeries.one(l_ord)
-                      - ExactSeries.monomial(nu, 1, l_ord)).inverse()
-            direct = direct * factor
+    for nu, c in sorted(counts.items()):
+        direct = direct * (ExactSeries.one(l_ord) - ExactSeries.monomial(nu, 1, l_ord)) ** -c
 
     num, den = g_series_fraction(vg)
     g_series = num.truncate(l_ord) / den.truncate(l_ord)

@@ -18,7 +18,7 @@ from partialzeta.continuation import (PartialZetaEvaluator, boundary_report,
 from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
                               log_zeta_P)
 from partialzeta.frobenius import log_Z, zp_factorization_residual
-from partialzeta.graphs import (VoltageGraph, build_cover, count_cycles,
+from partialzeta.graphs import (VoltageGraph, build_cover,
                                 cover_zeta_inverse, g_series_fraction,
                                 graph_singularities_in_s, ihara_det,
                                 ihara_edge, named_graph, partial_zeta_series,
@@ -28,6 +28,7 @@ from partialzeta.numberfield import (cyclic_system, find_zeros, g_closed_form,
                                      kronecker_system)
 from partialzeta.series import ExactSeries
 
+from graph_oracles import count_cycles
 from zeta_oracles import critical_line_zero_scan
 
 

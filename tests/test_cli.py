@@ -8,6 +8,8 @@ import pytest
 from partialzeta.cli import main
 
 K4_TEXT = "4 2 3\n0 1 1\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 1\n"
+CUBE_TEXT = ("8 2 3\n0 1 1\n1 2 0\n2 3 0\n3 0 0\n4 5 0\n5 6 0\n6 7 0\n"
+             "7 4 0\n0 4 0\n1 5 0\n2 6 0\n3 7 0\n")
 
 
 @pytest.fixture
@@ -152,6 +154,13 @@ class TestZeros:
         assert any(abs(float(im) - 14.134725) < 1e-3 and int(order) == 1
                    for _, im, order in entries)
 
+    def test_budget_covers_accepted_heights(self, capsys):
+        # the scan needs 4,500 boxes here, more than a fixed 4,000 allowed
+        code, out = run(capsys, "zeros", "--backend", "quadratic", "--d", "5",
+                        "--height", "70")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 49  # header + 48 points
+
 
 class TestBoundary:
     def test_graph_backend(self, capsys, k4_file):
@@ -212,6 +221,29 @@ class TestGraphCommands:
     def test_missing_graph_file(self, capsys):
         code, _ = run(capsys, "graph", "ihara")
         assert code == 2
+
+    @pytest.mark.parametrize("name,text", [("k4.txt", K4_TEXT),
+                                           ("cube.txt", CUBE_TEXT)])
+    @pytest.mark.parametrize("command", ["ihara", "lfun", "partial", "verify"])
+    def test_output_pinned(self, capsys, tmp_path, monkeypatch, name, text,
+                           command):
+        # exact graph JSON is part of the determinism contract: these never
+        # change (the config echoes the relative file name)
+        digests = {
+            ("k4.txt", "ihara"): "d30803041d24b7cfb6c494bcdfd1b6d7d36301d7dbaba2bb17c0924de5dc6893",
+            ("k4.txt", "lfun"): "e5c9def7a3207516a81a3b6f58245457215ad767d62ae4109caeca04c4211ea1",
+            ("k4.txt", "partial"): "110ff178a05d62cc79320971c0975f3776b5edc1fd9f27510119b7772e7e486d",
+            ("k4.txt", "verify"): "e41acee892583aa0f4bc774097a7cc8980dcc5d972e7294ba5be0f692fe11884",
+            ("cube.txt", "ihara"): "f72dc45d80365748eb976d35fe1a4ec8b8564dad528e0eb7e76d6923333cc159",
+            ("cube.txt", "lfun"): "06196351023a0b8f397922f5063d8c06e7188e77e558a876401fce627fcb324d",
+            ("cube.txt", "partial"): "efe0a96c1e84db377683362fb41028e6b63c0ea7dda7698ec2350b7c27cf7b07",
+            ("cube.txt", "verify"): "fe2625bf2aa2b9d1a0cd8a32944ba14b7a784bdb93df31feead292ffc0efe298",
+        }
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        code, out = run(capsys, "graph", command, "--graph-file", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[name, command]
 
 
 class TestBadInput:

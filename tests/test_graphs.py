@@ -1,20 +1,26 @@
 """Ihara zeta, voltage covers, graph L-functions, dual-route partial zeta."""
 import cmath
+import itertools
 import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialzeta.errors import InvalidConfigError
 from partialzeta.graphs import (GraphZetaSystem, MultiGraph, VoltageGraph,
-                                build_cover, count_cycles, cover_zeta_inverse,
+                                _det_one_minus_u, build_cover,
+                                cover_zeta_inverse,
                                 dump_graph_file, g_series_fraction, graph_L,
                                 graph_singularities_in_s, ihara_det,
                                 ihara_edge, named_graph, parse_graph_file,
                                 partial_zeta_series, primitive_cycles)
 from partialzeta.series import Cyclotomic, ExactSeries
+
+from graph_oracles import count_cycles
 
 
 def k4_voltage():
@@ -39,6 +45,58 @@ def brute_force_closed_nbt_walks(g: MultiGraph, length: int) -> int:
     for e0 in range(k):
         walk(e0, e0, 1)
     return count
+
+
+def leibniz_det_one_minus_u(mat):
+    """Independent oracle: det(I - uM) by the permutation expansion."""
+    n = len(mat)
+    total = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        poly = [sign]
+        for i in range(n):
+            entry = [1 if perm[i] == i else 0, -mat[i][perm[i]]]
+            poly = [sum(poly[k] * entry[d - k] for k in range(len(poly))
+                        if 0 <= d - k < 2) for d in range(len(poly) + 1)]
+        total = [a + b for a, b in zip(total, poly)]
+    return total
+
+
+def int_matrices(entries):
+    return st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+def cyclotomic_entries(q):
+    vecs = st.lists(st.integers(-2, 2), min_size=q - 1, max_size=q - 1)
+    return st.one_of(st.just(0), vecs.map(lambda v: Cyclotomic(q, v)))
+
+
+class TestDetOneMinusU:
+    @given(int_matrices(st.integers(-3, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_matrices_match_leibniz(self, mat):
+        assert _det_one_minus_u(mat) == leibniz_det_one_minus_u(mat)
+
+    def test_zero_diagonal(self):
+        # Bareiss needed a pivot swap here; Berkowitz needs none
+        mat = [[0, 1, 0], [1, 0, 2], [0, 3, 0]]
+        assert _det_one_minus_u(mat) == [1, 0, -7, 0]
+        assert _det_one_minus_u(mat) == leibniz_det_one_minus_u(mat)
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_cyclotomic_matrices_match_leibniz(self, q):
+        @given(int_matrices(cyclotomic_entries(q)))
+        @settings(max_examples=40, deadline=None)
+        def check(mat):
+            assert _det_one_minus_u(mat) == leibniz_det_one_minus_u(mat)
+
+        check()
 
 
 class TestMultiGraph:
@@ -196,6 +254,30 @@ class TestGraphL:
             a = c1 if isinstance(c1, Cyclotomic) else Cyclotomic(3, [c1])
             b = c2 if isinstance(c2, Cyclotomic) else Cyclotomic(3, [c2])
             assert a.conjugate_map(2) == b
+
+    def test_product_is_cover_zeta_cube(self):
+        vg = VoltageGraph(named_graph("cube"), 3, [1] + [0] * 11)
+        assert cover_zeta_inverse(vg) == ihara_edge(build_cover(vg))
+
+    @pytest.mark.parametrize("vg", [
+        k4_voltage(),
+        VoltageGraph(named_graph("petersen"), 5, [1, 2] + [0] * 13),
+        VoltageGraph(MultiGraph(2, [(0, 0), (0, 1), (1, 1)]), 3, [1, 2, 0]),
+    ], ids=["K4/Z3", "petersen/Z5", "loops/Z3"])
+    def test_vertex_formula_is_twisted_edge_det(self, vg):
+        # L(u, chi_j)^{-1} = det(I - u T_chi), T_chi[e -> f] = chi_j(voltage(f))
+        t = vg.base.edge_matrix()
+        k = 2 * vg.base.m
+        for j in range(1, vg.q_c):
+            t_chi = [[Cyclotomic.root_power(vg.q_c, j * vg.oriented_voltage(f))
+                      if t[e, f] else 0 for f in range(k)] for e in range(k)]
+            edge_side = ExactSeries(_det_one_minus_u(t_chi))
+            assert graph_L(vg, j) == edge_side
+
+    def test_cycle_free_base_has_trivial_L(self):
+        vg = VoltageGraph(MultiGraph(2, [(0, 1)]), 3, [1])
+        for j in range(3):
+            assert graph_L(vg, j) == ExactSeries.one()
 
     def test_integer_cover_polynomial(self):
         prod = cover_zeta_inverse(k4_voltage())
