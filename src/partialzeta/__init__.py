@@ -10,21 +10,18 @@ from .continuation import (GEvaluator, PartialZetaEvaluator,
                            SingularityCatalog, SingularPoint, boundary_report,
                            composite_feq_residual, continue_f_power,
                            counting_functions, feq_residual, lambda_q_betas,
-                           mq_classes, omega_set)
+                           mq_classes)
 from .core import (ExplicitSystem, PrimeDatum, TruncationPolicy, ZetaSystem,
-                   local_factor, partition_Pn, system_from_json,
-                   truncated_zeta_P, truncated_zeta_Pn)
+                   system_from_json, truncated_zeta_P, truncated_zeta_Pn)
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
                      SingularityProximityError, SingularLocalFactorError,
                      UnresolvedBoxError)
-from .frobenius import (Character, CyclicGroup, character_value,
-                        subgroup_character_indices, truncated_L, truncated_Z,
-                        zp_factorization_residual)
+from .frobenius import (Character, CyclicGroup, subgroup_character_indices,
+                        truncated_L, truncated_Z, zp_factorization_residual)
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
                      graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
-                     named_graph, parse_graph_file, partial_zeta_series,
-                     primitive_cycles)
+                     parse_graph_file, partial_zeta_series, primitive_cycles)
 from .lfunctions import (DirichletCharacter, dirichlet_L,
                          fundamental_discriminant, hurwitz_zeta,
                          kronecker_character, kronecker_symbol,

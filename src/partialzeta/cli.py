@@ -3,8 +3,9 @@ emit boundary reports and plot-ready grids.
 
 Determinism contract: identical configuration produces byte-identical output
 (all floating results are formatted at 15 significant digits, JSON keys are
-sorted, grid rows are sorted).  Exit codes: 2 invalid configuration,
-3 domain error, 4 singularity proximity, 5 budget exceeded.
+sorted, grid rows are sorted).  Exit codes: 2 invalid configuration or
+too few cataloged singularities, 3 domain error, 4 singularity proximity,
+5 budget exceeded or unresolved argument-principle box.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
 from .lfunctions import prime_order_character
 from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
                           g_closed_form, kronecker_system)
+from .primes import factorize
 from .series import Cyclotomic, ExactSeries
 
 
@@ -156,8 +158,7 @@ def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
             u = cmath.exp(-s * math.log(q_g))
             return num(u) / den(u)
 
-        return GEvaluator(fn, provenance="rational function of u=base^{-s}",
-                          pole_order_at_one=vg.q_c - 1)
+        return GEvaluator(fn)
     raise InvalidConfigError(f"no g evaluator for backend {sys_obj.backend!r}")
 
 
@@ -240,7 +241,7 @@ def cmd_feq_check(args) -> None:
     residuals = {"zp_factorization": zp_factorization_residual(sys_obj, s,
                                                                args.cutoff)}
     n = sys_obj.group_order
-    if any(n % p == 0 for p in range(2, n)) and n > 1:
+    if sum(factorize(n).values()) > 1:
         residuals["composite_feq"] = composite_feq_residual(sys_obj, s,
                                                             args.cutoff)
     else:
@@ -251,9 +252,7 @@ def cmd_feq_check(args) -> None:
 
 
 def cmd_zeros(args) -> None:
-    sys_obj = _build_system(args)
-    cat = find_zeros(g_closed_form(sys_obj), args.height)
-    _emit(args, cat.to_csv())
+    _emit(args, _load_catalog(args).to_csv())
 
 
 def cmd_boundary(args) -> None:
@@ -322,14 +321,23 @@ def cmd_graph(args) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default="quadratic",
-                   choices=["quadratic", "cyclic", "graph", "catalog"])
+def _add_backend_flags(p: argparse.ArgumentParser) -> argparse.Action:
+    """--backend with the inputs of the three prime systems and --out;
+    returns the --backend action."""
+    backend = p.add_argument("--backend", default="quadratic",
+                             choices=["quadratic", "cyclic", "graph"])
     p.add_argument("--d", type=int, help="square-free d for the quadratic backend")
     p.add_argument("--char", help="cyclic character: modulus,order[,generator]")
     p.add_argument("--graph-file", help="edge-list file, header 'n q_g q_c'")
-    p.add_argument("--catalog-file", help="singularity catalog CSV (re,im,order)")
     p.add_argument("--out", help="output path (default stdout)")
+    return backend
+
+
+def _add_catalog_flags(p: argparse.ArgumentParser) -> None:
+    """Backend flags of the commands that read a singularity catalog, which
+    may come from a CSV file instead of a system (--backend catalog)."""
+    _add_backend_flags(p).choices.append("catalog")
+    p.add_argument("--catalog-file", help="singularity catalog CSV (re,im,order)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="singularity catalog of g by the "
                                      "argument principle")
-    _add_backend_flags(p)
+    _add_catalog_flags(p)
     p.add_argument("--height", type=float, required=True)
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("boundary", help="natural-boundary diagnostics report")
-    _add_backend_flags(p)
+    _add_catalog_flags(p)
     p.add_argument("--height", type=float, required=True)
     p.add_argument("--depth", type=int,
                    help="q for the catalog backend (no system to read it from)")
@@ -381,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="exact graph-side computations")
     p.add_argument("graph_command",
                    choices=["ihara", "cover", "lfun", "partial", "verify"])
-    _add_backend_flags(p)
+    p.add_argument("--graph-file", help="edge-list file, header 'n q_g q_c'")
     p.add_argument("--order", type=int, help="series truncation order")
+    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_graph, backend="graph")
 
     return ap

@@ -19,10 +19,15 @@ from .core import TruncationPolicy, ZetaSystem, log_zeta_P, log_zeta_Pn
 from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
                      SingularityProximityError)
 from .frobenius import log_Z, subgroup_character_indices
+from .primes import factorize
 
 PROXIMITY_RADIUS = 1e-6
 CLASS_MATCH_RTOL = 1e-9
 WEIGHT_ZERO_TOL = 1e-12
+# a largest residue arc of ratio >= 1 + GAP_DELTA is reported as a gap
+GAP_DELTA = 0.1
+# log-spaced probe heights of the per-window gap listing
+PROBE_COUNT = 32
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,7 @@ class GEvaluator:
     """Meromorphic evaluator for g(s) = zeta_P(s)^q / Z_P(s)."""
 
     fn: Callable[[complex], complex]
-    provenance: str = "external callback"
     catalog: SingularityCatalog | None = None
-    pole_order_at_one: int | None = None
 
     def __call__(self, s: complex) -> complex:
         s = complex(s)
@@ -165,27 +168,14 @@ def feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
     return abs(lhs - rhs)
 
 
-def _two_prime_factorization(n: int) -> tuple[int, int]:
-    fac = []
-    x = n
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            fac.append(p)
-            x //= p
-        p += 1
-    if x > 1:
-        fac.append(x)
-    if len(fac) != 2 or fac[0] == fac[1]:
-        raise InvalidConfigError(
-            f"group order {n} is not a product of two distinct primes")
-    return fac[0], fac[1]
-
-
 def composite_feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
     """Residual of the composite-order functional equation for #G = q1*q2."""
     n = sys.group_order
-    q1, q2 = _two_prime_factorization(n)
+    fac = factorize(n)
+    if list(fac.values()) != [1, 1]:
+        raise InvalidConfigError(
+            f"group order {n} is not a product of two distinct primes")
+    q1, q2 = fac
     pol = TruncationPolicy(X)
     f = lambda arg: log_zeta_Pn(sys, n, arg, pol)
     lhs = f(n * s) + n * f(s) - q2 * f(q1 * s) - q1 * f(q2 * s)
@@ -199,19 +189,6 @@ def composite_feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
 # ---------------------------------------------------------------------------
 # singularity bookkeeping
 # ---------------------------------------------------------------------------
-
-def omega_set(cat: SingularityCatalog, q: int, k_max: int,
-              T: float | None = None) -> list[complex]:
-    """Points q^{-k} sigma, 0 <= k <= k_max, Im <= T, sorted by Im."""
-    out = []
-    for p in cat.points:
-        for k in range(k_max + 1):
-            z = p.location / q**k
-            if T is None or z.imag <= T:
-                out.append(z)
-    out.sort(key=lambda z: (z.imag, z.real))
-    return out
-
 
 def _matches(z: complex, w: complex, rtol: float = CLASS_MATCH_RTOL) -> bool:
     return (abs(z.real - w.real) <= rtol * max(1.0, abs(w.real))
@@ -252,17 +229,16 @@ def lambda_q_betas(cat: SingularityCatalog, q: int) -> list[float]:
                   if abs(w) > WEIGHT_ZERO_TOL)
 
 
-def counting_functions(cat: SingularityCatalog, q: int, T: float, alpha: float,
-                       min_height: float | None = None
-                       ) -> tuple[int, int, int]:
+def counting_functions(cat: SingularityCatalog, q: int, T: float,
+                       alpha: float) -> tuple[int, int, int]:
     """(I(T), J_alpha(T), Omega_q(T)) empirical counters.
 
     I(T): catalog zeros on Re = 1/2 (within 1e-6) below T.
     J_alpha(T): total pole order with 0 < Re < alpha below T.
     Omega_q(T): dilates q^{-k} beta of the nonzero-weight class
-    representatives with min_height < Im < T; the paper's set is infinite
-    toward Im -> 0, so a height floor (default beta_min / q^3) makes the
-    count finite and reproducible.
+    representatives with beta_min / q^3 < Im < T; the paper's set is
+    infinite toward Im -> 0, so that height floor makes the count finite and
+    reproducible.
     """
     if not 0 < alpha < 0.5:
         raise InvalidConfigError("alpha must lie in (0, 1/2)")
@@ -275,7 +251,7 @@ def counting_functions(cat: SingularityCatalog, q: int, T: float, alpha: float,
     betas = lambda_q_betas(cat, q)
     if not betas:
         return i_count, j_count, 0
-    floor = min_height if min_height is not None else min(betas) / q**3
+    floor = min(betas) / q**3
     omega_count = 0
     for b in betas:
         k = 0
@@ -290,8 +266,7 @@ def counting_functions(cat: SingularityCatalog, q: int, T: float, alpha: float,
 # natural-boundary report
 # ---------------------------------------------------------------------------
 
-def boundary_report(cat: SingularityCatalog, q: int, T: float,
-                    window_count: int = 32, delta: float = 0.1) -> dict:
+def boundary_report(cat: SingularityCatalog, q: int, T: float) -> dict:
     """Finite-height natural-boundary diagnostics.
 
     The no-gap search works on the residues log(beta_j) mod log(q): an empty
@@ -334,7 +309,7 @@ def boundary_report(cat: SingularityCatalog, q: int, T: float,
 
     # per-probe windows at log-spaced heights (diagnostic view of the gaps)
     gaps = []
-    probes = np.geomspace(beta_min / q**3, T, num=max(window_count, 2))
+    probes = np.geomspace(beta_min / q**3, T, num=PROBE_COUNT)
     for t in probes:
         # probes[0] = beta_min / q^3 lies exactly on a residue; the nudge
         # makes it open the window starting there however log() rounds,
@@ -350,7 +325,7 @@ def boundary_report(cat: SingularityCatalog, q: int, T: float,
             gaps.append(entry)
 
     gap_ratio = math.exp(max_arc[0])
-    gap_found = gap_ratio >= 1.0 + delta and len(residues) > 1
+    gap_found = gap_ratio >= 1.0 + GAP_DELTA and len(residues) > 1
     trend_ok = ratios[-1] < 1.1 or (half > 0 and ratio_slope < -1e-6)
     if gap_found:
         verdict = "gap-found"
@@ -366,6 +341,6 @@ def boundary_report(cat: SingularityCatalog, q: int, T: float,
         "largest_gap": {"t1": math.exp(max_arc[1] + scale_k * logq),
                         "t2": math.exp(max_arc[2] + scale_k * logq),
                         "ratio": gap_ratio},
-        "delta": delta,
+        "delta": GAP_DELTA,
         "verdict": verdict,
     }

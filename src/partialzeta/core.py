@@ -39,14 +39,9 @@ class PrimeDatum:
 
 @dataclass
 class TruncationPolicy:
-    """Cutoff and tail-bound mode for truncated Euler products."""
+    """Cutoff of truncated Euler products and their certified tail bound."""
 
     cutoff: float
-    tail_mode: str = "geometric-bound"  # or "pnt-heuristic"
-
-    def __post_init__(self):
-        if self.tail_mode not in ("geometric-bound", "pnt-heuristic"):
-            raise InvalidConfigError(f"unknown tail mode {self.tail_mode!r}")
 
     def tail_bound(self, sigma0: float, count_coeff: float = 1.0) -> float:
         """Bound on sum_{norm > X} norm^{-sigma0} / (1 - norm^{-sigma0}).
@@ -58,14 +53,7 @@ class TruncationPolicy:
         x = self.cutoff
         if sigma0 <= 1.0:
             return float("inf")
-        if self.tail_mode == "geometric-bound":
-            raw = count_coeff * sigma0 * x ** (1.0 - sigma0) / (sigma0 - 1.0)
-        else:
-            # PNT-style heuristic density 1/log t; never certified
-            from scipy.integrate import quad
-
-            raw, _ = quad(lambda t: t**-sigma0 / np.log(t), x, np.inf, limit=200)
-            raw *= count_coeff
+        raw = count_coeff * sigma0 * x ** (1.0 - sigma0) / (sigma0 - 1.0)
         return raw / (1.0 - x**-sigma0)
 
 
@@ -147,17 +135,8 @@ class ExplicitSystem(ZetaSystem):
 
 
 # ---------------------------------------------------------------------------
-# local factors and log-space products
+# log-space products
 # ---------------------------------------------------------------------------
-
-def local_factor(p: PrimeDatum, s: complex) -> complex:
-    """(1 - N(p)^{-s})^{-1}."""
-    x = cmath.exp(-s * cmath.log(p.norm))
-    denom = 1.0 - x
-    if abs(denom) < SINGULAR_FACTOR_EPS:
-        raise SingularLocalFactorError(f"local factor singular at norm={p.norm}, s={s}")
-    return 1.0 / denom
-
 
 def _clog1p(z: np.ndarray) -> np.ndarray:
     """log(1+z) for complex arrays, stable for small |z|."""
@@ -178,17 +157,6 @@ def log_product(norms: np.ndarray, chi: np.ndarray | complex, s: complex) -> com
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def partition_Pn(sys: ZetaSystem, X: float) -> dict[int, list[PrimeDatum]]:
-    """Bucket enumerated primes with norm <= X by Frobenius order."""
-    buckets: dict[int, list[PrimeDatum]] = {}
-    for p in (PrimeDatum(*row) for row in sys.primes_up_to(X).tolist()):
-        buckets.setdefault(p.frob_order, []).append(p)
-    for n in buckets:
-        if sys.group_order % n != 0:
-            raise InvalidConfigError(f"bucket key {n} does not divide #G")
-    return buckets
-
 
 def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy) -> complex:
     norms, _, order = sys.arrays_up_to(pol.cutoff)

@@ -1,7 +1,12 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto its exit-code contract, so new error conditions
-should subclass one of the groups below rather than raising bare ValueError.
+The CLI maps the four groups below onto its exit codes, so new error
+conditions subclass one of them rather than raising bare ValueError:
+
+- 2: InvalidConfigError (and InsufficientDataError)
+- 3: DomainError (and SingularLocalFactorError, PoleAtOneError)
+- 4: SingularityProximityError
+- 5: BudgetExceededError (and UnresolvedBoxError)
 """
 
 
@@ -29,11 +34,11 @@ class BudgetExceededError(PartialZetaError):
     """An enumeration or subdivision budget was exhausted."""
 
 
-class UnresolvedBoxError(PartialZetaError):
+class UnresolvedBoxError(BudgetExceededError):
     """Argument-principle box subdivision bottomed out without an integer winding."""
 
 
-class InsufficientDataError(PartialZetaError):
+class InsufficientDataError(InvalidConfigError):
     """Not enough cataloged singularity classes for a meaningful report."""
 
 

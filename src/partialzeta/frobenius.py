@@ -34,15 +34,6 @@ class Character:
     group: CyclicGroup
     index: int
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.index % self.group.order == 0
-
-
-def character_value(chi: Character, k: int) -> complex:
-    m = chi.group.order
-    return cmath.exp(2j * cmath.pi * (chi.index * k % m) / m)
-
 
 def _chi_on_classes(chi: Character, classes: np.ndarray) -> np.ndarray:
     m = chi.group.order

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import PRIME_DTYPE, ZetaSystem
 from .errors import BudgetExceededError, InvalidConfigError
+from .primes import factorize
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
 
 CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
@@ -86,22 +87,6 @@ class MultiGraph:
                 if self.head[e] == self.tail[f] and f != e ^ 1:
                     t[e, f] = 1
         return t
-
-
-def named_graph(name: str) -> MultiGraph:
-    """K4, the 3-cube and the Petersen graph (all 3-regular test cases)."""
-    if name == "K4":
-        return MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    if name == "cube":
-        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-                 (0, 4), (1, 5), (2, 6), (3, 7)]
-        return MultiGraph(8, edges)
-    if name == "petersen":
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, 5 + i) for i in range(5)]
-        return MultiGraph(10, outer + inner + spokes)
-    raise InvalidConfigError(f"unknown named graph {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +206,7 @@ class VoltageGraph:
     voltages: list[int]
 
     def __post_init__(self):
-        if self.q_c < 2 or any(self.q_c % p == 0 for p in range(2, self.q_c)):
+        if factorize(self.q_c) != {self.q_c: 1}:
             raise InvalidConfigError(f"cover group order {self.q_c} is not prime")
         if len(self.voltages) != self.base.m:
             raise InvalidConfigError("need one voltage per undirected edge")
@@ -256,11 +241,10 @@ class GraphZetaSystem(ZetaSystem):
 
     backend = "graph"
 
-    def __init__(self, vg: VoltageGraph, text: str | None = None):
+    def __init__(self, vg: VoltageGraph):
         super().__init__(group_order=vg.q_c)
         self.vg = vg
         self.q_g = vg.base.q_g
-        self._text = text
 
     def _enumerate(self, X):
         if X < self.q_g:
@@ -277,8 +261,7 @@ class GraphZetaSystem(ZetaSystem):
         return 2.0 * self.vg.base.m / max(self.q_g - 1, 1) + 1.0
 
     def params(self):
-        return {"text": self._text if self._text is not None
-                else dump_graph_file(self.vg)}
+        return {"text": dump_graph_file(self.vg)}
 
 
 def parse_graph_file(text: str) -> VoltageGraph:

@@ -17,9 +17,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import InvalidConfigError, PoleAtOneError
+from .primes import factorize
 
 # B_2, B_4, ..., B_10: Euler-Maclaurin corrections to the 10th Bernoulli term
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
@@ -44,7 +44,8 @@ def hurwitz_zeta(s, a):
         raise PoleAtOneError("hurwitz zeta has a pole at s = 1")
     N = np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)
     head = np.empty(s.shape, dtype=complex)
-    for n in np.unique(N):
+    # not np.unique, whose first call imports numpy.ma (about 16 ms per run)
+    for n in sorted(set(N.tolist())):
         idx = np.flatnonzero(N == n)
         k = np.arange(n, dtype=float) + a[idx, None]
         head[idx] = np.sum(np.exp(-s[idx, None] * np.log(k)), axis=1)
@@ -125,27 +126,15 @@ def fundamental_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d)) for square-free d != 0, 1."""
     if d in (0, 1):
         raise InvalidConfigError("d must be a square-free integer other than 0, 1")
-    dd = abs(d)
-    for p in range(2, int(dd**0.5) + 1):
-        if dd % (p * p) == 0:
-            raise InvalidConfigError(f"d={d} is not square-free")
+    if any(e > 1 for e in factorize(abs(d)).values()):
+        raise InvalidConfigError(f"d={d} is not square-free")
     return d if d % 4 == 1 else 4 * d
 
 
 def is_primitive_root(g: int, m: int) -> bool:
     """Whether g generates (Z/m)^* for a prime m."""
     phi = m - 1
-    factors = set()
-    x = phi
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            factors.add(p)
-            x //= p
-        p += 1
-    if x > 1:
-        factors.add(x)
-    return g % m != 0 and all(pow(g, phi // f, m) != 1 for f in factors)
+    return g % m != 0 and all(pow(g, phi // f, m) != 1 for f in factorize(phi))
 
 
 class DirichletCharacter:
@@ -178,14 +167,6 @@ class DirichletCharacter:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps.values())
 
-    @property
-    def parity(self) -> int:
-        """chi(-1), which is +1 (even) or -1 (odd) for real values there."""
-        if self.modulus <= 2:
-            return 1
-        v = self.value(self.modulus - 1)
-        return 1 if abs(v - 1.0) < 1e-12 else -1
-
     def power(self, j: int) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, self.order,
                                   {a: (e * j) % self.order for a, e in self.exps.items()})
@@ -215,7 +196,7 @@ def kronecker_character(d: int) -> DirichletCharacter:
 def prime_order_character(modulus: int, order: int,
                           generator: int | None = None) -> DirichletCharacter:
     """Order-`order` character mod an odd prime, chi(generator) = e^{2 pi i/order}."""
-    if modulus < 3 or any(modulus % p == 0 for p in range(2, int(modulus**0.5) + 1)):
+    if modulus < 3 or factorize(modulus) != {modulus: 1}:
         raise InvalidConfigError("modulus must be an odd prime")
     if (modulus - 1) % order != 0:
         raise InvalidConfigError(f"order {order} does not divide {modulus - 1}")
@@ -268,20 +249,3 @@ def dirichlet_L(s, chi: DirichletCharacter):
 
 def riemann_zeta(s):
     return hurwitz_zeta(s, 1.0)
-
-
-def completed_zeta(s: complex) -> complex:
-    """xi(s) = s(s-1)/2 * pi^{-s/2} Gamma(s/2) zeta(s); satisfies xi(s)=xi(1-s)."""
-    s = complex(s)
-    log_part = loggamma(s / 2) - (s / 2) * math.log(math.pi)
-    return 0.5 * s * (s - 1.0) * cmath.exp(complex(log_part)) * riemann_zeta(s)
-
-
-def riemann_siegel_theta(t: float) -> float:
-    return float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * math.log(math.pi)
-
-
-def hardy_Z(t: float) -> float:
-    """Rotated zeta on the critical line: real, vanishing at the zeta zeros."""
-    return (cmath.exp(1j * riemann_siegel_theta(t))
-            * riemann_zeta(0.5 + 1j * t)).real

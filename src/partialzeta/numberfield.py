@@ -36,15 +36,14 @@ class AbelianSystem(ZetaSystem):
 
     def __init__(self, chi: DirichletCharacter, d: int | None = None):
         q = chi.order
-        if q < 2 or any(q % k == 0 for k in range(2, q)):
+        if prime_sieve.factorize(q) != {q: 1}:
             raise InvalidConfigError(f"character order {q} is not prime")
         super().__init__(group_order=q)
         self.chi = chi
         self._kronecker_d = d
         if d is not None:
             self.backend = "quadratic"
-        self.ramified = [int(p) for p in prime_sieve.primes_up_to(chi.modulus)
-                         if chi.modulus % int(p) == 0]
+        self.ramified = list(prime_sieve.factorize(chi.modulus))
         # residue -> exponent of chi, -1 for residues of ramified primes
         self._exponents = np.full(chi.modulus, -1, dtype=np.int64)
         self._exponents[list(chi.exps)] = list(chi.exps.values())
@@ -110,8 +109,7 @@ def g_closed_form(sys: AbelianSystem,
         out = num / den
         return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
-    return GEvaluator(fn, provenance="closed-form ratio of Dirichlet L-functions",
-                      catalog=catalog, pole_order_at_one=q - 1)
+    return GEvaluator(fn, catalog=catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +117,11 @@ def g_closed_form(sys: AbelianSystem,
 # ---------------------------------------------------------------------------
 
 _MAX_PHASE_DEPTH = 40
+_SAMPLES_PER_EDGE = 8  # boundary samples per box edge, one batched g call per box
+_RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
+_MAX_ORDER = 3  # larger windings are subdivided further, not cataloged
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 60
 
 
 def _phase_change(f: Callable, z0, z1, f0, f1,
@@ -137,8 +140,7 @@ def _phase_change(f: Callable, z0, z1, f0, f1,
             + _phase_change(f, zm, z1, fm, f1, depth + 1))
 
 
-def _winding(f: Callable, corners: list[complex],
-             samples: int = 8) -> tuple[int, float]:
+def _winding(f: Callable, corners: list[complex]) -> tuple[int, float]:
     """Zeros-minus-poles count inside the closed polygon through corners.
 
     Also returns the total absolute phase variation along the boundary: a
@@ -149,8 +151,8 @@ def _winding(f: Callable, corners: list[complex],
     n = len(corners)
     for i in range(n):
         a, b = corners[i], corners[(i + 1) % n]
-        for t in range(samples):
-            pts.append(a + (b - a) * t / samples)
+        for t in range(_SAMPLES_PER_EDGE):
+            pts.append(a + (b - a) * t / _SAMPLES_PER_EDGE)
     vals = f(np.array(pts)).tolist()  # one batched call per box
     total = 0.0
     variation = 0.0
@@ -171,11 +173,10 @@ def _rect(re0, re1, im0, im1) -> list[complex]:
     return [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
 
 
-def _newton_refine(f, s0: complex, mult: int, tol: float = 1e-11,
-                   max_iter: int = 60) -> complex:
+def _newton_refine(f, s0: complex, mult: int) -> complex:
     """Newton iteration s -> s - mult * f/f' with Richardson-extrapolated f'."""
     s = s0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         h = 1e-6 * (1.0 + abs(s))
         d1 = (f(s + h) - f(s - h)) / (2 * h)
         d2 = (f(s + h / 2) - f(s - h / 2)) / h
@@ -184,14 +185,13 @@ def _newton_refine(f, s0: complex, mult: int, tol: float = 1e-11,
             break
         step = mult * f(s) / deriv
         s -= step
-        if abs(step) < tol:
+        if abs(step) < _NEWTON_TOL:
             break
     return s
 
 
 def find_zeros(evaluator: Callable | GEvaluator,
-               T: float, *, re_margin: float = 1e-3, im_floor: float = 0.05,
-               max_order: int = 3, budget: int | None = None) -> SingularityCatalog:
+               T: float, *, im_floor: float = 0.05) -> SingularityCatalog:
     """Catalog zeros and poles of `evaluator` in {0 < Re s < 1, 0 < Im s < T}.
 
     The evaluator must map an array of s to the array of its values (each
@@ -200,16 +200,14 @@ def find_zeros(evaluator: Callable | GEvaluator,
     Rectangles are scanned by the argument principle (adaptive phase tracking
     along the boundary), subdivided until each singular point is isolated,
     then refined by Newton iteration.  Orders come from winding counts;
-    windings above `max_order` in an irreducibly small box are flagged.
+    windings above 3 are subdivided down to width 1e-8 and then flagged.
 
-    The default box budget, 4000 + 400 T, is more than twice what the scans
-    for d=5 and for the cubic character 7,3,3 use at T=100 (7,160 and 18,984
-    boxes).
+    The box budget, 4000 + 400 T, is more than twice what the scans for d=5
+    and for the cubic character 7,3,3 use at T=100 (7,160 and 18,984 boxes).
     """
     if T > 100:
         raise InvalidConfigError("zero searches above T=100 are out of scope")
-    if budget is None:
-        budget = int(4000 + 400 * T)
+    budget = int(4000 + 400 * T)
     f = evaluator.fn if isinstance(evaluator, GEvaluator) else evaluator
 
     points: list[SingularPoint] = []
@@ -219,7 +217,7 @@ def find_zeros(evaluator: Callable | GEvaluator,
     im = im_floor
     while im < T:
         top = min(im + 0.5, T)
-        boxes.append((re_margin, 1.0 - re_margin, im, top))
+        boxes.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))
         im = top
     used = 0
     while boxes:
@@ -234,7 +232,7 @@ def find_zeros(evaluator: Callable | GEvaluator,
         suspicious = variation >= 3.0 and width > 2e-2
         if w == 0 and not suspicious:
             continue
-        if w == 0 or width > 2e-2 or abs(w) > max_order:
+        if w == 0 or width > 2e-2 or abs(w) > _MAX_ORDER:
             if width < 1e-8:
                 raise UnresolvedBoxError(
                     f"winding {w} unresolved below width 1e-8 near "

@@ -1,4 +1,4 @@
-"""Cached prime sieve.
+"""Cached prime sieve and integer factorization.
 
 A single module-level Eratosthenes sieve grows on demand (powers of two);
 callers get copies, never the cached array.  Requests beyond the hard cap
@@ -39,3 +39,20 @@ def primes_up_to(x: float) -> np.ndarray:
         _sieved_to = target
     idx = np.searchsorted(_primes, n, side="right")
     return _primes[:idx].copy()
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of n, ascending in p; empty for n < 2.
+
+    Trial division: the package factors only moduli and group orders.
+    """
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out

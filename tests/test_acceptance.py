@@ -21,14 +21,14 @@ from partialzeta.frobenius import log_Z, zp_factorization_residual
 from partialzeta.graphs import (VoltageGraph, build_cover,
                                 cover_zeta_inverse, g_series_fraction,
                                 graph_singularities_in_s, ihara_det,
-                                ihara_edge, named_graph, partial_zeta_series,
+                                ihara_edge, partial_zeta_series,
                                 primitive_cycles)
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
 from partialzeta.numberfield import (cyclic_system, find_zeros, g_closed_form,
                                      kronecker_system)
 from partialzeta.series import ExactSeries
 
-from graph_oracles import count_cycles
+from graph_oracles import count_cycles, named_graph
 from zeta_oracles import critical_line_zero_scan
 
 

@@ -5,7 +5,11 @@ import math
 
 import pytest
 
+from partialzeta import cli
 from partialzeta.cli import main
+from partialzeta.errors import PartialZetaError
+from partialzeta.graphs import (g_series_fraction, graph_singularities_in_s,
+                                parse_graph_file)
 
 K4_TEXT = "4 2 3\n0 1 1\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 1\n"
 CUBE_TEXT = ("8 2 3\n0 1 1\n1 2 0\n2 3 0\n3 0 0\n4 5 0\n5 6 0\n6 7 0\n"
@@ -161,6 +165,15 @@ class TestZeros:
         assert code == 0
         assert len(out.strip().splitlines()) == 49  # header + 48 points
 
+    def test_graph_backend(self, capsys, k4_file):
+        code, out = run(capsys, "zeros", "--backend", "graph", "--graph-file",
+                        k4_file, "--height", "10")
+        assert code == 0
+        vg = parse_graph_file(K4_TEXT)
+        cat = graph_singularities_in_s(g_series_fraction(vg), vg.base.q_g, 10.0)
+        assert len(cat) > 0
+        assert out == cat.to_csv()
+
 
 class TestBoundary:
     def test_graph_backend(self, capsys, k4_file):
@@ -271,6 +284,51 @@ class TestBadInput:
     def test_non_integer_char(self, capsys):
         self.assert_config_error(capsys, "sieve", "--backend", "cyclic",
                                  "--char", "7,x", "--cutoff", "10")
+
+    def test_too_few_singularity_classes(self, capsys):
+        self.assert_config_error(capsys, "boundary", "--d", "5", "--height", "5")
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "verify", "--backend", "quadratic"],
+        ["graph", "verify", "--d", "5"],
+        ["graph", "verify", "--char", "7,3"],
+        ["graph", "verify", "--catalog-file", "nope.csv"],
+        ["sieve", "--d", "5", "--cutoff", "10", "--catalog-file", "nope.csv"],
+        ["eval", "--d", "5", "--s", "2", "--catalog-file", "nope.csv"],
+        ["continue", "--backend", "catalog", "--s", "2"],
+        ["feq-check", "--backend", "catalog", "--s", "2"],
+    ], ids=["graph-backend", "graph-d", "graph-char", "graph-catalog",
+            "sieve-catalog", "eval-catalog", "continue-backend-catalog",
+            "feq-backend-catalog"])
+    def test_flag_not_taken_by_command(self, capsys, k4_file, argv):
+        # only zeros and boundary read a catalog; graph reads only the graph
+        if argv[0] == "graph":
+            argv = argv + ["--graph-file", k4_file]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def _error_classes(cls=PartialZetaError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", sorted(set(_error_classes()),
+                                           key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_every_error_class_maps_to_an_exit_code(self, capsys,
+                                                    monkeypatch, exc):
+        def fail(args):
+            raise exc("stubbed failure")
+
+        monkeypatch.setattr(cli, "cmd_sieve", fail)
+        code = main(["sieve", "--d", "5", "--cutoff", "10"])
+        assert code in {2, 3, 4, 5}
+        assert capsys.readouterr().err == "error: stubbed failure\n"
 
 
 class TestOutputFile:

@@ -9,8 +9,7 @@ from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
                                       boundary_report, composite_feq_residual,
                                       continue_f_power, counting_functions,
-                                      feq_residual, lambda_q_betas, mq_classes,
-                                      omega_set)
+                                      feq_residual, lambda_q_betas, mq_classes)
 from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
                               truncated_zeta_Pn)
 from partialzeta.errors import (DomainError, InsufficientDataError,
@@ -138,29 +137,6 @@ class TestContinueFPower:
         ev = PartialZetaEvaluator(sys5, 2, g, 2, TruncationPolicy(10**3))
         with pytest.raises(SingularityProximityError):
             ev(0.3 + 7.065j)  # 2s hits the cataloged point
-
-
-class TestOmegaSet:
-    def test_single_point_towers(self):
-        cat = SingularityCatalog([SingularPoint(0.5 + 14.1347j, 1)], 20.0)
-        pts = omega_set(cat, 2, 2)
-        assert len(pts) == 3
-        assert abs(pts[0] - (0.125 + 3.533675j)) < 1e-9
-        assert abs(pts[2] - (0.5 + 14.1347j)) < 1e-12
-
-    def test_empty(self):
-        cat = SingularityCatalog([], 10.0)
-        assert omega_set(cat, 2, 5) == []
-
-    def test_kmax_zero_is_catalog(self):
-        cat = SingularityCatalog([SingularPoint(0.3 + 2j, -1)], 10.0)
-        assert omega_set(cat, 3, 0) == [0.3 + 2j]
-
-    def test_nested_in_depth(self):
-        cat = SingularityCatalog([SingularPoint(0.4 + 8j, 2)], 10.0)
-        a = set(omega_set(cat, 2, 2))
-        b = set(omega_set(cat, 2, 3))
-        assert a <= b
 
 
 class TestMqClasses:

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
-                              local_factor, log_zeta_P, partition_Pn,
-                              system_from_json, truncated_zeta_P,
+                              log_zeta_P, system_from_json, truncated_zeta_P,
                               truncated_zeta_Pn)
 from partialzeta.errors import (BudgetExceededError, InvalidConfigError,
                                 SingularLocalFactorError)
 from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
-from partialzeta.primes import SIEVE_CAP, primes_up_to
+from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
+
+from zeta_oracles import local_factor
 
 
 def simple_system():
@@ -51,22 +55,25 @@ class TestLocalFactor:
 
 
 class TestPartition:
+    """P_n is the set of prime-table rows with frob_order n, the rows
+    log_zeta_Pn selects."""
+
     def test_quadratic_d5_buckets(self):
         # squares mod 5 are {1, 4}: 11 = 1 splits; 2, 3, 7 inert; 5 ramified
-        sys5 = kronecker_system(5)
-        buckets = partition_Pn(sys5, 12)
-        assert sorted(p.norm for p in buckets[1]) == [11]
-        assert sorted(p.norm for p in buckets[2]) == [2, 3, 7]
+        norms, _, order = kronecker_system(5).arrays_up_to(12)
+        assert sorted(norms[order == 1].tolist()) == [11]
+        assert sorted(norms[order == 2].tolist()) == [2, 3, 7]
 
     def test_singleton(self):
         sys = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=1,
                                          frob_order=2)], group_order=2)
-        assert set(partition_Pn(sys, 2.5)) == {2}
+        _, _, order = sys.arrays_up_to(2.5)
+        assert set(order.tolist()) == {2}
 
     def test_buckets_disjoint_and_complete(self):
         sys5 = kronecker_system(5)
-        buckets = partition_Pn(sys5, 500)
-        total = sum(len(v) for v in buckets.values())
+        _, _, order = sys5.arrays_up_to(500)
+        total = sum(int(np.count_nonzero(order == n)) for n in (1, 2))
         assert total == len(sys5.primes_up_to(500))
 
 
@@ -117,15 +124,6 @@ class TestTruncatedProducts:
     def test_tail_infinite_at_or_below_one(self):
         assert TruncationPolicy(100).tail_bound(1.0) == float("inf")
 
-    def test_pnt_heuristic_smaller_than_geometric(self):
-        g = TruncationPolicy(10**4, "geometric-bound").tail_bound(1.5)
-        h = TruncationPolicy(10**4, "pnt-heuristic").tail_bound(1.5)
-        assert 0 < h < g
-
-    def test_bad_tail_mode_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            TruncationPolicy(10, tail_mode="optimism")
-
 
 class TestEnumeration:
     def test_increasing_cutoff_appends(self):
@@ -153,6 +151,21 @@ class TestEnumeration:
 
     def test_sieve_values(self):
         assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+class TestFactorize:
+    @given(st.integers(min_value=-10, max_value=10**7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy(self, n):
+        expected = sympy.factorint(n) if n >= 2 else {}
+        got = factorize(n)
+        assert got == expected
+        assert list(got) == sorted(expected)
+
+    def test_prime_powers_and_products(self):
+        assert factorize(2**10 * 3 * 7**2) == {2: 10, 3: 1, 7: 2}
+        assert factorize(9_999_991) == {9_999_991: 1}
+        assert factorize(1) == {}
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ import pytest
 
 from partialzeta.core import ExplicitSystem, PrimeDatum, TruncationPolicy
 from partialzeta.errors import InvalidConfigError
-from partialzeta.frobenius import (Character, CyclicGroup, character_value,
+from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
                                    log_Z, subgroup_character_indices,
                                    truncated_L, truncated_Z,
                                    zp_factorization_residual)
@@ -19,15 +19,16 @@ from partialzeta.series import ExactSeries
 class TestCharacterValues:
     def test_trivial(self):
         chi = Character(CyclicGroup(5), 0)
-        assert all(character_value(chi, k) == 1 for k in range(5))
+        assert np.all(_chi_on_classes(chi, np.arange(5)) == 1)
 
     def test_sign_character(self):
         chi = Character(CyclicGroup(2), 1)
-        assert character_value(chi, 1) == pytest.approx(-1)
+        assert _chi_on_classes(chi, np.array([1]))[0] == pytest.approx(-1)
 
     def test_order3(self):
         chi = Character(CyclicGroup(3), 1)
-        assert character_value(chi, 2) == pytest.approx(cmath.exp(4j * cmath.pi / 3))
+        assert (_chi_on_classes(chi, np.array([2]))[0]
+                == pytest.approx(cmath.exp(4j * cmath.pi / 3)))
 
     def test_group_order_validated(self):
         with pytest.raises(InvalidConfigError):

@@ -16,11 +16,11 @@ from partialzeta.graphs import (GraphZetaSystem, MultiGraph, VoltageGraph,
                                 cover_zeta_inverse,
                                 dump_graph_file, g_series_fraction, graph_L,
                                 graph_singularities_in_s, ihara_det,
-                                ihara_edge, named_graph, parse_graph_file,
+                                ihara_edge, parse_graph_file,
                                 partial_zeta_series, primitive_cycles)
 from partialzeta.series import Cyclotomic, ExactSeries
 
-from graph_oracles import count_cycles
+from graph_oracles import count_cycles, named_graph
 
 
 def k4_voltage():

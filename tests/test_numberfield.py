@@ -97,9 +97,12 @@ class TestGClosedForm:
                   * (1.0 - 5.0**-s))
         assert abs(g(s) - manual) < 1e-9
 
-    def test_pole_order_metadata(self):
+    def test_pole_order_at_one(self):
+        # g ~ c (s-1)^{-(q-1)}: halving s-1 multiplies |g| by 2^{q-1} = 4
         sys7 = cyclic_system(prime_order_character(7, 3, generator=3))
-        assert g_closed_form(sys7).pole_order_at_one == 2
+        g = g_closed_form(sys7)
+        h = 1e-4
+        assert abs(g(1 + h / 2) / g(1 + h)) == pytest.approx(4, rel=1e-3)
 
     def test_proximity_check_with_catalog(self):
         sys5 = kronecker_system(5)

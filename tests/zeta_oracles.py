@@ -1,7 +1,39 @@
-"""Independent test oracles for zeta zero counts, kept out of the package."""
+"""Independent test oracles for local factors, the completed zeta function
+and zeta zero counts, kept out of the package."""
+import cmath
 import math
 
-from partialzeta.lfunctions import hardy_Z
+from scipy.special import loggamma
+
+from partialzeta.core import SINGULAR_FACTOR_EPS, PrimeDatum
+from partialzeta.errors import SingularLocalFactorError
+from partialzeta.lfunctions import riemann_zeta
+
+
+def local_factor(p: PrimeDatum, s: complex) -> complex:
+    """(1 - N(p)^{-s})^{-1}."""
+    x = cmath.exp(-s * cmath.log(p.norm))
+    denom = 1.0 - x
+    if abs(denom) < SINGULAR_FACTOR_EPS:
+        raise SingularLocalFactorError(f"local factor singular at norm={p.norm}, s={s}")
+    return 1.0 / denom
+
+
+def completed_zeta(s: complex) -> complex:
+    """xi(s) = s(s-1)/2 * pi^{-s/2} Gamma(s/2) zeta(s); satisfies xi(s)=xi(1-s)."""
+    s = complex(s)
+    log_part = loggamma(s / 2) - (s / 2) * math.log(math.pi)
+    return 0.5 * s * (s - 1.0) * cmath.exp(complex(log_part)) * riemann_zeta(s)
+
+
+def riemann_siegel_theta(t: float) -> float:
+    return float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * math.log(math.pi)
+
+
+def hardy_Z(t: float) -> float:
+    """Rotated zeta on the critical line: real, vanishing at the zeta zeros."""
+    return (cmath.exp(1j * riemann_siegel_theta(t))
+            * riemann_zeta(0.5 + 1j * t)).real
 
 
 def critical_line_zero_scan(T: float, step: float = 0.05) -> list[float]:
