@@ -17,8 +17,7 @@ import sys as _sys
 
 from . import __version__
 from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
-                           boundary_report, composite_feq_residual,
-                           counting_functions, feq_residual)
+                           boundary_report, counting_functions, feq_residual)
 from .core import TruncationPolicy, ZetaSystem
 from .errors import (BudgetExceededError, DomainError, InvalidConfigError,
                      SingularityProximityError)
@@ -30,7 +29,6 @@ from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
 from .lfunctions import prime_order_character
 from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
                           g_closed_form, kronecker_system)
-from .primes import factorize
 from .series import Cyclotomic, ExactSeries
 
 
@@ -238,14 +236,11 @@ def cmd_feq_check(args) -> None:
     sys_obj = _build_system(args)
     s = _parse_s(args.s)
     tol = args.tolerance if args.tolerance is not None else 1e-10
+    # every CLI backend has a prime group order, so the prime-order
+    # functional equation is the one to check
     residuals = {"zp_factorization": zp_factorization_residual(sys_obj, s,
-                                                               args.cutoff)}
-    n = sys_obj.group_order
-    if sum(factorize(n).values()) > 1:
-        residuals["composite_feq"] = composite_feq_residual(sys_obj, s,
-                                                            args.cutoff)
-    else:
-        residuals["feq"] = feq_residual(sys_obj, s, args.cutoff)
+                                                               args.cutoff),
+                 "feq": feq_residual(sys_obj, s, args.cutoff)}
     ok = all(r <= tol for r in residuals.values())
     _emit_json(args, {"residuals": residuals, "tolerance": tol,
                       "pass": bool(ok)})
@@ -258,6 +253,8 @@ def cmd_zeros(args) -> None:
 def cmd_boundary(args) -> None:
     if args.height is None:
         raise InvalidConfigError("boundary needs --height")
+    if args.depth is not None and args.backend != "catalog":
+        raise InvalidConfigError("--depth is read only with --backend catalog")
     cat = _load_catalog(args)
     if args.backend == "graph":
         q = _load_voltage_graph(args).q_c
@@ -276,8 +273,11 @@ def cmd_boundary(args) -> None:
 
 
 def cmd_graph(args) -> None:
-    vg = _load_voltage_graph(args)
     sub = args.graph_command
+    if args.order is not None and sub not in ("partial", "verify"):
+        raise InvalidConfigError(f"--order is read only by graph partial "
+                                 f"and verify, not graph {sub}")
+    vg = _load_voltage_graph(args)
     if sub == "ihara":
         det = ihara_det(vg.base)
         edge = ihara_edge(vg.base)

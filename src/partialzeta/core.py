@@ -3,11 +3,19 @@
 All truncated products are accumulated in log space (complex, principal
 branch per factor) and exponentiated at the end; every public operation
 returns the value together with a tail bound on |log(true/value)|.
+
+The products over one prime table differ only in which Frobenius classes
+they keep and in the root of unity each class is twisted by.  So the table
+is split once per cutoff into (frob_class, frob_order) slices, and at each
+point s every slice sum -log(1 - w norm^{-s}) is computed once and shared
+by zeta_P, every zeta_{P_n} and every L(s, chi_j) at that point.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import json
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -15,6 +23,9 @@ import numpy as np
 from .errors import InvalidConfigError, SingularLocalFactorError
 
 SINGULAR_FACTOR_EPS = 1e-15
+# points whose slice sums a system keeps: every point of one feq-check or
+# composite functional-equation residual (s, q1 s, q2 s, n s) fits
+POINT_CACHE = 8
 
 # one row per prime; a system's prime table is sorted by (norm, id)
 PRIME_DTYPE = np.dtype([("norm", "f8"), ("id", "i8"), ("frob_class", "i8"),
@@ -72,6 +83,9 @@ class ZetaSystem:
         self.group_order = group_order
         self._cache_X = 0.0
         self._cache = np.empty(0, PRIME_DTYPE)
+        self._slices_X = None
+        self._slices: dict[tuple[int, int], np.ndarray] = {}
+        self._sums: dict[tuple[float, complex], ClassSums] = {}
 
     # -- subclass surface --------------------------------------------
     def _enumerate(self, X: float) -> np.ndarray:
@@ -89,8 +103,11 @@ class ZetaSystem:
         """Read-only view of the prime table rows with norm <= X."""
         if X > self._cache_X:
             table = self._enumerate(X)
-            self._cache = table[np.lexsort((table["id"], table["norm"]))]
-            self._cache.flags.writeable = False
+            norms = table["norm"]
+            if not np.all(norms[1:] > norms[:-1]):
+                table = table[np.lexsort((table["id"], norms))]
+            table.flags.writeable = False
+            self._cache = table
             self._cache_X = X
         return self._cache[:np.searchsorted(self._cache["norm"], X, side="right")]
 
@@ -98,6 +115,30 @@ class ZetaSystem:
         """(norms, frob_class, frob_order) column views of primes_up_to(X)."""
         table = self.primes_up_to(X)
         return table["norm"], table["frob_class"], table["frob_order"]
+
+    def class_slices(self, X: float) -> dict[tuple[int, int], np.ndarray]:
+        """The norms <= X split by (frob_class mod #G, frob_order), in norm
+        order inside each slice; built once per cutoff."""
+        if X != self._slices_X:
+            norms, classes, orders = self.arrays_up_to(X)
+            q = self.group_order
+            code = classes % q * (q + 1) + orders  # frob_order <= #G
+            self._slices = {divmod(int(k), q + 1): norms[code == k]
+                            for k in np.flatnonzero(np.bincount(code))}
+            self._slices_X = X
+        return self._slices
+
+    def class_sums(self, X: float, s: complex) -> ClassSums:
+        """The slice sums at s over the primes with norm <= X, kept for the
+        last POINT_CACHE points asked for."""
+        key = (X, complex(s))
+        sums = self._sums.pop(key, None)
+        if sums is None:
+            sums = ClassSums(self.class_slices(X), s)
+            if len(self._sums) >= POINT_CACHE:
+                del self._sums[next(iter(self._sums))]
+        self._sums[key] = sums  # most recently used last
+        return sums
 
     def to_json(self) -> str:
         return json.dumps({"backend": self.backend, "params": self.params()},
@@ -154,14 +195,44 @@ def log_product(norms: np.ndarray, chi: np.ndarray | complex, s: complex) -> com
     return complex(-np.sum(_clog1p(-x)))
 
 
+@functools.lru_cache(maxsize=None)
+def roots_of_unity(n: int) -> np.ndarray:
+    """e^{2 pi i k/n} for k < n, exact where the root is 1, i, -1 or -i."""
+    exact = (1.0, 1j, -1.0, -1j)
+    roots = np.array([exact[4 * k // n] if 4 * k % n == 0
+                      else cmath.exp(2j * math.pi * k / n) for k in range(n)],
+                     dtype=complex)
+    roots.flags.writeable = False
+    return roots
+
+
+class ClassSums:
+    """Euler-product sums at one point s over the class slices of a table.
+
+    term(w, key) is the sum over slice key = (frob_class, frob_order) of
+    -log(1 - w norm^{-s}): one log_product pass on first use, then shared
+    by every product at s that twists that slice by w.
+    """
+
+    def __init__(self, slices: dict[tuple[int, int], np.ndarray], s: complex):
+        self.slices = slices
+        self.s = s
+        self._terms: dict[tuple[complex, tuple[int, int]], complex] = {}
+
+    def term(self, w: complex, key: tuple[int, int]) -> complex:
+        t = self._terms.get((w, key))
+        if t is None:
+            t = self._terms[w, key] = log_product(self.slices[key], w, self.s)
+        return t
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy) -> complex:
-    norms, _, order = sys.arrays_up_to(pol.cutoff)
-    sel = norms[order == n]
-    return log_product(sel, 1.0, s)
+    sums = sys.class_sums(pol.cutoff, s)
+    return sum((sums.term(1.0, key) for key in sums.slices if key[1] == n), 0j)
 
 
 def truncated_zeta_Pn(sys: ZetaSystem, n: int, s: complex,
@@ -176,8 +247,8 @@ def truncated_zeta_Pn(sys: ZetaSystem, n: int, s: complex,
 
 
 def log_zeta_P(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
-    norms, _, _ = sys.arrays_up_to(pol.cutoff)
-    return log_product(norms, 1.0, s)
+    sums = sys.class_sums(pol.cutoff, s)
+    return sum((sums.term(1.0, key) for key in sums.slices), 0j)
 
 
 def truncated_zeta_P(sys: ZetaSystem, s: complex,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruncationPolicy, ZetaSystem, log_product, log_zeta_Pn
+from .core import TruncationPolicy, ZetaSystem, log_zeta_Pn, roots_of_unity
 from .errors import InvalidConfigError
 
 
@@ -37,12 +37,14 @@ class Character:
 
 def _chi_on_classes(chi: Character, classes: np.ndarray) -> np.ndarray:
     m = chi.group.order
-    return np.exp(2j * np.pi * ((chi.index * classes) % m) / m)
+    return roots_of_unity(m)[(chi.index * classes) % m]
 
 
 def log_L(sys: ZetaSystem, chi: Character, s: complex, pol: TruncationPolicy) -> complex:
-    norms, classes, _ = sys.arrays_up_to(pol.cutoff)
-    return log_product(norms, _chi_on_classes(chi, classes), s)
+    sums = sys.class_sums(pol.cutoff, s)
+    keys = list(sums.slices)
+    w = _chi_on_classes(chi, np.array([c for c, _ in keys], dtype=np.int64))
+    return sum((sums.term(complex(wk), key) for wk, key in zip(w, keys)), 0j)
 
 
 def truncated_L(sys: ZetaSystem, chi: Character, s: complex,

@@ -12,12 +12,12 @@ complex, so batched and pointwise values agree bit for bit.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from .core import roots_of_unity
 from .errors import InvalidConfigError, PoleAtOneError
 from .primes import factorize
 
@@ -161,7 +161,7 @@ class DirichletCharacter:
         e = self.exponent(n)
         if e is None:
             return 0.0
-        return cmath.exp(2j * math.pi * e / self.order)
+        return complex(roots_of_unity(self.order)[e])
 
     @property
     def is_trivial(self) -> bool:

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,12 @@ class TestEval:
                       "--s", "2,1", "--cutoff", "1000")
         assert out1 == out2
 
+    def test_real_character_Z_P_real(self, capsys):
+        # log L(s, chi) at real s sums real terms: chi(p) = -1 is exact
+        code, out = run(capsys, "eval", "--d", "-1", "--s", "2")
+        assert code == 0
+        assert json.loads(out)["results"][0]["Z_P"]["value"]["im"] == "0"
+
     def test_bad_s(self, capsys):
         code, _ = run(capsys, "eval", "--backend", "quadratic", "--d", "5",
                       "--s", "nope")
@@ -143,6 +150,45 @@ class TestFeqCheck:
                         "7,3,3", "--s", "1.5", "--cutoff", "1000")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+class TestRecordedOutput:
+    """eval and feq-check against the output of the kernel that made one
+    pass over the prime table per product (recorded_cli.json): values agree
+    to 1e-12 relative, rounding-level residuals stay below 1e-15."""
+
+    RECORDED = json.loads((Path(__file__).parent / "recorded_cli.json")
+                          .read_text())
+
+    @pytest.mark.parametrize("argv", sorted(RECORDED))
+    def test_agrees_with_recording(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k4.txt").write_text(K4_TEXT)
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        new, ref = json.loads(out), json.loads(self.RECORDED[argv])
+        if "residuals" in ref:
+            residuals, ref_residuals = new.pop("residuals"), ref.pop("residuals")
+            assert residuals.keys() == ref_residuals.keys()
+            assert all(float(r) <= 1e-15 for r in residuals.values())
+        assert _max_rel_err(new, ref) <= 1e-12
+
+
+def _max_rel_err(new, ref) -> float:
+    """Largest |a - b| / max(1, |b|) over the numbers of two JSON trees of
+    one shape; non-numeric leaves must be equal."""
+    if isinstance(ref, dict):
+        assert new.keys() == ref.keys()
+        return max((_max_rel_err(new[k], ref[k]) for k in ref), default=0.0)
+    if isinstance(ref, list):
+        assert len(new) == len(ref)
+        return max((_max_rel_err(a, b) for a, b in zip(new, ref)), default=0.0)
+    try:
+        a, b = float(new), float(ref)
+    except (TypeError, ValueError):
+        assert new == ref
+        return 0.0
+    return abs(a - b) / max(1.0, abs(b))
 
 
 class TestZeros:
@@ -287,6 +333,15 @@ class TestBadInput:
 
     def test_too_few_singularity_classes(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height", "5")
+
+    @pytest.mark.parametrize("command", ["ihara", "cover", "lfun"])
+    def test_order_not_read_by_graph_command(self, capsys, k4_file, command):
+        self.assert_config_error(capsys, "graph", command, "--graph-file",
+                                 k4_file, "--order", "5")
+
+    def test_depth_without_catalog_backend(self, capsys):
+        self.assert_config_error(capsys, "boundary", "--d", "5", "--height",
+                                 "30", "--depth", "7")
 
     @pytest.mark.parametrize("argv", [
         ["graph", "verify", "--backend", "quadratic"],

@@ -8,8 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
-                              log_zeta_P, system_from_json, truncated_zeta_P,
+from partialzeta.core import (PRIME_DTYPE, ExplicitSystem, PrimeDatum,
+                              TruncationPolicy, ZetaSystem, log_zeta_P,
+                              system_from_json, truncated_zeta_P,
                               truncated_zeta_Pn)
 from partialzeta.errors import (BudgetExceededError, InvalidConfigError,
                                 SingularLocalFactorError)
@@ -144,6 +145,22 @@ class TestEnumeration:
             got = sys5.primes_up_to(x)
             assert np.array_equal(got, fresh[: len(got)])
             assert len(got) == np.count_nonzero(fresh["norm"] <= x)
+
+    @pytest.mark.parametrize("rows", [
+        [(3.0, 0), (2.0, 1), (2.0, 0), (5.0, 2)],  # out of order, equal norms
+        [(2.0, 1), (3.0, 0), (5.0, 2)],            # already strictly increasing
+    ])
+    def test_table_sorted_by_norm_then_id(self, rows):
+        table = np.zeros(len(rows), PRIME_DTYPE)
+        table["norm"], table["id"] = zip(*rows)
+
+        class Fixed(ZetaSystem):
+            def _enumerate(self, X):
+                return table[table["norm"] <= X]
+
+        got = Fixed(1).primes_up_to(10)
+        assert [tuple(r) for r in got[["norm", "id"]].tolist()] == sorted(rows)
+        assert not got.flags.writeable
 
     def test_sieve_cap_enforced(self):
         with pytest.raises(BudgetExceededError):

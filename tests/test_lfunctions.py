@@ -174,6 +174,14 @@ class TestCharacters:
         assert chi.value(-1) == 1  # cubic character is even
         assert kronecker_character(-1).value(-1) == pytest.approx(-1)
 
+    def test_real_and_imaginary_values_exact(self):
+        # values come from the roots-of-unity table the Euler-product kernel
+        # uses, where +-1 and +-i are exact
+        assert kronecker_character(5).value(2) == -1
+        assert kronecker_character(5).value(2).imag == 0.0
+        chi4 = DirichletCharacter(5, 4, {1: 0, 2: 1, 3: 3, 4: 2})
+        assert [chi4.value(a) for a in range(1, 5)] == [1, 1j, -1j, -1]
+
     def test_nonprime_order_divisibility_guard(self):
         with pytest.raises(InvalidConfigError):
             prime_order_character(7, 5)
@@ -199,6 +207,9 @@ class TestDirichletL:
             ref += complex(chi.value(a)) * mpmath.zeta(s, mpmath.mpf(a) / 7)
         ref *= mpmath.power(7, -s)
         assert abs(dirichlet_L(s, chi) - complex(ref)) < 1e-10
+
+    def test_real_character_gives_real_value(self):
+        assert dirichlet_L(1.0, kronecker_character(5)).imag == 0.0
 
     def test_pole_for_trivial(self):
         with pytest.raises(PoleAtOneError):

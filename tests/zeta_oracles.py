@@ -1,11 +1,12 @@
-"""Independent test oracles for local factors, the completed zeta function
-and zeta zero counts, kept out of the package."""
+"""Independent test oracles for local factors, truncated Euler products,
+the completed zeta function and zeta zero counts, kept out of the package."""
 import cmath
 import math
 
+import numpy as np
 from scipy.special import loggamma
 
-from partialzeta.core import SINGULAR_FACTOR_EPS, PrimeDatum
+from partialzeta.core import SINGULAR_FACTOR_EPS, PrimeDatum, log_product
 from partialzeta.errors import SingularLocalFactorError
 from partialzeta.lfunctions import riemann_zeta
 
@@ -17,6 +18,26 @@ def local_factor(p: PrimeDatum, s: complex) -> complex:
     if abs(denom) < SINGULAR_FACTOR_EPS:
         raise SingularLocalFactorError(f"local factor singular at norm={p.norm}, s={s}")
     return 1.0 / denom
+
+
+# one log_product pass over the whole prime table per product, each prime
+# twisted by its own complex exponential
+
+def pass_log_zeta_P(sys, s, X):
+    norms, _, _ = sys.arrays_up_to(X)
+    return log_product(norms, 1.0, s)
+
+
+def pass_log_zeta_Pn(sys, n, s, X):
+    norms, _, order = sys.arrays_up_to(X)
+    return log_product(norms[order == n], 1.0, s)
+
+
+def pass_log_L(sys, j, s, X):
+    """log L(s, chi_j) for the character k -> e^{2 pi i j k/#G} of Z/#G."""
+    norms, classes, _ = sys.arrays_up_to(X)
+    q = sys.group_order
+    return log_product(norms, np.exp(2j * np.pi * ((j * classes) % q) / q), s)
 
 
 def completed_zeta(s: complex) -> complex:
