@@ -162,9 +162,6 @@ def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
 
 def _load_catalog(args) -> SingularityCatalog:
     if args.catalog_file:
-        if args.height is None:
-            raise InvalidConfigError("catalog import needs --height "
-                                     "(declared completeness)")
         with open(args.catalog_file) as fh:
             return SingularityCatalog.from_csv(fh.read(), args.height)
     if args.backend == "graph":
@@ -251,8 +248,6 @@ def cmd_zeros(args) -> None:
 
 
 def cmd_boundary(args) -> None:
-    if args.height is None:
-        raise InvalidConfigError("boundary needs --height")
     if args.depth is not None and args.backend != "catalog":
         raise InvalidConfigError("--depth is read only with --backend catalog")
     cat = _load_catalog(args)

@@ -48,7 +48,10 @@ def hurwitz_zeta(s, a):
     for n in sorted(set(N.tolist())):
         idx = np.flatnonzero(N == n)
         k = np.arange(n, dtype=float) + a[idx, None]
-        head[idx] = np.sum(np.exp(-s[idx, None] * np.log(k)), axis=1)
+        # one complex work buffer per group: -s log k, then its exp, in place
+        work = np.log(k, out=k).astype(complex)
+        work *= -s[idx, None]
+        head[idx] = np.exp(work, out=work).sum(axis=1)
     M = N + a
     lM = np.log(M)
     tail = np.exp((1.0 - s) * lM) / (s - 1.0) + 0.5 * np.exp(-s * lM)

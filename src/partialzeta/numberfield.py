@@ -117,11 +117,24 @@ def g_closed_form(sys: AbelianSystem,
 # ---------------------------------------------------------------------------
 
 _MAX_PHASE_DEPTH = 40
-_SAMPLES_PER_EDGE = 8  # boundary samples per box edge, one batched g call per box
+_SAMPLES_PER_EDGE = 8  # boundary samples per box edge
+# points per g call, the boundaries of 8 boxes; bounds a call's memory
+_SAMPLES_PER_CALL = 256
+# boxes whose windings are computed together; bounds the scan's own memory
+_BOXES_PER_PASS = 256
 _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
 _MAX_ORDER = 3  # larger windings are subdivided further, not cataloged
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
+
+
+def _evaluate(f: Callable, memo: dict, zs: list[complex]) -> None:
+    """Add f at each point of zs that memo lacks, in batched calls of at
+    most _SAMPLES_PER_CALL points; a point listed twice is evaluated once."""
+    new = [z for z in dict.fromkeys(zs) if z not in memo]
+    for i in range(0, len(new), _SAMPLES_PER_CALL):
+        chunk = new[i:i + _SAMPLES_PER_CALL]
+        memo.update(zip(chunk, f(np.array(chunk)).tolist()))
 
 
 def _phase_change(f: Callable, z0, z1, f0, f1,
@@ -140,33 +153,64 @@ def _phase_change(f: Callable, z0, z1, f0, f1,
             + _phase_change(f, zm, z1, fm, f1, depth + 1))
 
 
-def _winding(f: Callable, corners: list[complex]) -> tuple[int, float]:
-    """Zeros-minus-poles count inside the closed polygon through corners.
+def _bisect(f: Callable, memo: dict, segments: list[tuple]) -> None:
+    """Add to memo f at every midpoint `_phase_change` bisects at.
 
-    Also returns the total absolute phase variation along the boundary: a
-    box whose winding is zero can still hide a cancelling zero-pole pair,
-    which betrays itself through large boundary phase swings.
+    Walks the bisection trees of all segments (z0, z1, f0, f1) one depth at
+    a time, so each depth is one batched evaluation; `_phase_change` then
+    reads the values back and keeps its own summation order.
     """
-    pts: list[complex] = []
-    n = len(corners)
-    for i in range(n):
-        a, b = corners[i], corners[(i + 1) % n]
-        for t in range(_SAMPLES_PER_EDGE):
-            pts.append(a + (b - a) * t / _SAMPLES_PER_EDGE)
-    vals = f(np.array(pts)).tolist()  # one batched call per box
-    total = 0.0
-    variation = 0.0
-    m = len(pts)
-    for i in range(m):
-        d = _phase_change(f, pts[i], pts[(i + 1) % m],
-                          vals[i], vals[(i + 1) % m])
-        total += d
-        variation += abs(d)
-    w = total / (2 * math.pi)
-    wi = round(w)
-    if abs(w - wi) > 1e-6:
-        raise UnresolvedBoxError(f"non-integer winding {w} on box {corners[0]}..{corners[2]}")
-    return wi, variation
+    for _ in range(_MAX_PHASE_DEPTH):
+        split = [seg for seg in segments
+                 if abs(cmath.phase(seg[3] / seg[2])) >= 1.9]
+        if not split:
+            break
+        mids = [0.5 * (z0 + z1) for z0, z1, _, _ in split]
+        _evaluate(f, memo, mids)
+        segments = [half for (z0, z1, f0, f1), zm in zip(split, mids)
+                    if memo[zm] != 0
+                    for half in ((z0, zm, f0, memo[zm]), (zm, z1, memo[zm], f1))]
+
+
+def _windings(f: Callable, boxes: list[tuple]):
+    """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
+
+    Yields, box by box, the winding and the total absolute phase variation
+    along the boundary: a box whose winding is zero can still hide a
+    cancelling zero-pole pair, which betrays itself through large boundary
+    phase swings.  The boxes are taken _BOXES_PER_PASS at a time; a pass
+    evaluates the boundary samples of all its boxes, and then each
+    bisection depth of the phase tracking, in batched calls of f.
+    """
+    m = 4 * _SAMPLES_PER_EDGE
+    for start in range(0, len(boxes), _BOXES_PER_PASS):
+        batch = boxes[start:start + _BOXES_PER_PASS]
+        contours = []
+        for re0, re1, im0, im1 in batch:
+            corners = _rect(re0, re1, im0, im1)
+            contours.append([a + (b - a) * t / _SAMPLES_PER_EDGE
+                             for a, b in zip(corners, corners[1:] + corners[:1])
+                             for t in range(_SAMPLES_PER_EDGE)])
+        memo: dict[complex, complex] = {}
+        _evaluate(f, memo, [z for pts in contours for z in pts])
+        segments = [(pts[i], pts[(i + 1) % m],
+                     memo[pts[i]], memo[pts[(i + 1) % m]])
+                    for pts in contours for i in range(m)]
+        _bisect(f, memo, segments)
+        for k, (re0, re1, im0, im1) in enumerate(batch):
+            total = 0.0
+            variation = 0.0
+            for seg in segments[k * m:(k + 1) * m]:
+                d = _phase_change(memo.__getitem__, *seg)
+                total += d
+                variation += abs(d)
+            w = total / (2 * math.pi)
+            wi = round(w)
+            if abs(w - wi) > 1e-6:
+                raise UnresolvedBoxError(
+                    f"non-integer winding {w} on box "
+                    f"{complex(re0, im0)}..{complex(re1, im1)}")
+            yield wi, variation
 
 
 def _rect(re0, re1, im0, im1) -> list[complex]:
@@ -174,16 +218,24 @@ def _rect(re0, re1, im0, im1) -> list[complex]:
 
 
 def _newton_refine(f, s0: complex, mult: int) -> complex:
-    """Newton iteration s -> s - mult * f/f' with Richardson-extrapolated f'."""
+    """Newton iteration s -> s - |mult| * f/f' with Richardson-extrapolated f'.
+
+    A negative mult refines a pole of that order as a zero of 1/f.  Each
+    step evaluates its five points in one call.
+    """
     s = s0
     for _ in range(_NEWTON_MAX_ITER):
         h = 1e-6 * (1.0 + abs(s))
-        d1 = (f(s + h) - f(s - h)) / (2 * h)
-        d2 = (f(s + h / 2) - f(s - h / 2)) / h
+        vals = f(np.array([s + h, s - h, s + h / 2, s - h / 2, s])).tolist()
+        if mult < 0:
+            vals = [1.0 / v for v in vals]  # Python complex division
+        f_ph, f_mh, f_ph2, f_mh2, f_s = vals
+        d1 = (f_ph - f_mh) / (2 * h)
+        d2 = (f_ph2 - f_mh2) / h
         deriv = (4 * d2 - d1) / 3
         if deriv == 0:
             break
-        step = mult * f(s) / deriv
+        step = abs(mult) * f_s / deriv
         s -= step
         if abs(step) < _NEWTON_TOL:
             break
@@ -194,13 +246,20 @@ def find_zeros(evaluator: Callable | GEvaluator,
                T: float, *, im_floor: float = 0.05) -> SingularityCatalog:
     """Catalog zeros and poles of `evaluator` in {0 < Re s < 1, 0 < Im s < T}.
 
-    The evaluator must map an array of s to the array of its values (each
-    box's boundary samples are one call) and a scalar to a scalar.
+    The evaluator must map a 1-d array of s to the array of its values.
 
     Rectangles are scanned by the argument principle (adaptive phase tracking
     along the boundary), subdivided until each singular point is isolated,
     then refined by Newton iteration.  Orders come from winding counts;
     windings above 3 are subdivided down to width 1e-8 and then flagged.
+
+    The scan walks one subdivision level at a time, _BOXES_PER_PASS boxes
+    per pass.  A pass's boundary samples go to the evaluator in calls of at
+    most _SAMPLES_PER_CALL points (8 boxes), a point shared by several boxes
+    once; each phase-bisection depth is batched the same way, and each Newton
+    step is one call of five points.  For an evaluator that gives a point
+    the same value in any batch, as `g_closed_form` does, the catalog does
+    not depend on this batching.
 
     The box budget, 4000 + 400 T, is more than twice what the scans for d=5
     and for the cubic character 7,3,3 use at T=100 (7,160 and 18,984 boxes).
@@ -213,45 +272,44 @@ def find_zeros(evaluator: Callable | GEvaluator,
     points: list[SingularPoint] = []
     # initial horizontal slabs of height 1/2; the offsets keep box edges away
     # from zeta/L zeros, which lie at irrational-looking heights
-    boxes = []
+    level = []
     im = im_floor
     while im < T:
         top = min(im + 0.5, T)
-        boxes.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))
+        level.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))
         im = top
     used = 0
-    while boxes:
-        used += 1
+    while level:
+        used += len(level)
         if used > budget:
             raise BudgetExceededError("box subdivision budget exceeded")
-        re0, re1, im0, im1 = boxes.pop()
-        w, variation = _winding(f, _rect(re0, re1, im0, im1))
-        width = max(re1 - re0, im1 - im0)
-        # zero net winding can mask a cancelling zero-pole pair, which
-        # betrays itself through large boundary phase swings: subdivide
-        suspicious = variation >= 3.0 and width > 2e-2
-        if w == 0 and not suspicious:
-            continue
-        if w == 0 or width > 2e-2 or abs(w) > _MAX_ORDER:
-            if width < 1e-8:
-                raise UnresolvedBoxError(
-                    f"winding {w} unresolved below width 1e-8 near "
-                    f"({re0 + re1})/2 + ({im0 + im1})/2 i")
-            # split slightly off-center: zeros of interest sit on Re = 1/2
-            # and an exact-midpoint cut would run straight through them
-            rm = re0 + 0.5137 * (re1 - re0)
-            imm = im0 + 0.4873 * (im1 - im0)
-            boxes.extend([(re0, rm, im0, imm), (rm, re1, im0, imm),
-                          (re0, rm, imm, im1), (rm, re1, imm, im1)])
-            continue
-        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        if w > 0:
+        children = []
+        for (re0, re1, im0, im1), (w, variation) in zip(level,
+                                                        _windings(f, level)):
+            width = max(re1 - re0, im1 - im0)
+            # zero net winding can mask a cancelling zero-pole pair, which
+            # betrays itself through large boundary phase swings: subdivide
+            suspicious = variation >= 3.0 and width > 2e-2
+            if w == 0 and not suspicious:
+                continue
+            if w == 0 or width > 2e-2 or abs(w) > _MAX_ORDER:
+                if width < 1e-8:
+                    raise UnresolvedBoxError(
+                        f"winding {w} unresolved below width 1e-8 near "
+                        f"({re0 + re1})/2 + ({im0 + im1})/2 i")
+                # split slightly off-center: zeros of interest sit on Re = 1/2
+                # and an exact-midpoint cut would run straight through them
+                rm = re0 + 0.5137 * (re1 - re0)
+                imm = im0 + 0.4873 * (im1 - im0)
+                children += [(re0, rm, im0, imm), (rm, re1, im0, imm),
+                             (re0, rm, imm, im1), (rm, re1, imm, im1)]
+                continue
+            center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
             s_ref = _newton_refine(f, center, w)
-        else:
-            s_ref = _newton_refine(lambda z: 1.0 / f(z), center, -w)
-        if not (re0 - 1e-6 <= s_ref.real <= re1 + 1e-6
-                and im0 - 1e-6 <= s_ref.imag <= im1 + 1e-6):
-            s_ref = center  # refinement escaped; keep the box center estimate
-        points.append(SingularPoint(location=s_ref, order=w))
+            if not (re0 - 1e-6 <= s_ref.real <= re1 + 1e-6
+                    and im0 - 1e-6 <= s_ref.imag <= im1 + 1e-6):
+                s_ref = center  # refinement escaped; keep the box center estimate
+            points.append(SingularPoint(location=s_ref, order=w))
+        level = children
     points.sort(key=lambda p: (p.location.imag, p.location.real))
     return SingularityCatalog(points=points, complete_up_to=T)

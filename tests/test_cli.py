@@ -70,6 +70,23 @@ class TestSieve:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestScanPinned:
+    @pytest.mark.parametrize("argv,digest", [
+        (["zeros", "--d", "5", "--height", "30"],
+         "5a50209ce8932d9219503ec960b04f7a47c6efe0ceea88cf219c0f12023b04ad"),
+        (["zeros", "--backend", "cyclic", "--char", "7,3,3", "--height", "12"],
+         "0d84cfb277b92ce7137617386e8c8b6db8935b0b09a12a13b244b657489a3d75"),
+        (["boundary", "--d", "5", "--height", "28"],
+         "1ade7e07611049c8169c28aec616249f43155d03cb6520d72aad36f6faab208a"),
+    ], ids=["zeros-d5-30", "zeros-char7,3,3-12", "boundary-d5-28"])
+    def test_output_pinned(self, capsys, argv, digest):
+        # recorded from the depth-first, one-box-per-call scan: batching the
+        # argument-principle scan must not move a single printed digit
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEval:
     def test_single_point(self, capsys):
         code, out = run(capsys, "eval", "--backend", "quadratic", "--d", "5",
@@ -342,6 +359,17 @@ class TestBadInput:
     def test_depth_without_catalog_backend(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height",
                                  "30", "--depth", "7")
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--d", "5"],
+        ["zeros", "--backend", "catalog", "--catalog-file", "f.csv"],
+    ], ids=["boundary", "zeros-catalog-file"])
+    def test_height_required(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--height" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["graph", "verify", "--backend", "quadratic"],

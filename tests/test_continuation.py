@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
@@ -245,6 +247,21 @@ class TestCatalogSerialization:
         cat = SingularityCatalog(pts, 20.0)
         clone = SingularityCatalog.from_csv(cat.to_csv(), 20.0)
         assert clone.points == pts
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3),
+                              st.integers(-6, 6).filter(bool)),
+                    max_size=12, unique_by=lambda r: (r[0], r[1])))
+    def test_csv_roundtrip_property(self, rows):
+        # points 1e-9 apart stay distinct once printed to 15 digits
+        assume(all(abs(complex(*a[:2]) - complex(*b[:2])) > 1e-9
+                   for i, a in enumerate(rows) for b in rows[:i]))
+        cat = SingularityCatalog([SingularPoint(complex(re, im), order)
+                                  for re, im, order in rows], 50.0)
+        text = cat.to_csv()
+        clone = SingularityCatalog.from_csv(text, 50.0)
+        assert clone.to_csv() == text
+        assert [p.order for p in clone.points] == [o for _, _, o in rows]
 
     def test_header_required(self):
         with pytest.raises(InvalidConfigError):

@@ -9,8 +9,9 @@ from partialzeta.core import PRIME_DTYPE, TruncationPolicy
 from partialzeta.errors import InvalidConfigError, SingularityProximityError
 from partialzeta.frobenius import log_Z
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
-from partialzeta.numberfield import (AbelianSystem, cyclic_system, find_zeros,
-                                     g_closed_form, kronecker_system)
+from partialzeta.numberfield import (_SAMPLES_PER_CALL, AbelianSystem,
+                                     cyclic_system, find_zeros, g_closed_form,
+                                     kronecker_system)
 from partialzeta.primes import primes_up_to
 
 from zeta_oracles import critical_line_zero_scan, riemann_von_mangoldt
@@ -148,6 +149,26 @@ _D5_CATALOG_T28 = [
 class TestFindZeros:
     def test_d5_catalog_pinned(self):
         cat = find_zeros(g_closed_form(kronecker_system(5)), 28.0)
+        assert len(cat.points) == len(_D5_CATALOG_T28)
+        for p, (re, im, order) in zip(cat.points, _D5_CATALOG_T28):
+            assert p.order == order
+            assert abs(p.location - complex(re, im)) < 1e-12
+
+    def test_d5_scan_work(self):
+        # the level-batched scan: 1,585 g calls of at most 32 points when
+        # each box and each bisection or Newton point was its own call
+        ev = g_closed_form(kronecker_system(5))
+        sizes = []
+        fn = ev.fn
+
+        def counted(s):
+            sizes.append(np.size(s))
+            return fn(s)
+
+        ev.fn = counted
+        cat = find_zeros(ev, 28.0)
+        assert len(sizes) <= 350
+        assert max(sizes) <= _SAMPLES_PER_CALL
         assert len(cat.points) == len(_D5_CATALOG_T28)
         for p, (re, im, order) in zip(cat.points, _D5_CATALOG_T28):
             assert p.order == order
