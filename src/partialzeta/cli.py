@@ -79,16 +79,20 @@ def _resolved_config(args) -> dict:
             if getattr(args, k, None) is not None}
 
 
+def _check_finite(text: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InvalidConfigError(f"non-finite number in {text!r}")
+
+
 def _parse_s(text: str) -> complex:
     try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(t) for t in text.split(",")]
     except ValueError:
-        pass
-    raise InvalidConfigError(f"bad s-point {text!r}; expected 're' or 're,im'")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise InvalidConfigError(f"bad s-point {text!r}; expected 're' or 're,im'")
+    _check_finite(text, *parts)
+    return complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
 
 
 def _parse_grid(text: str) -> list[complex]:
@@ -104,6 +108,7 @@ def _parse_grid(text: str) -> list[complex]:
             f"bad grid {text!r}; expected re0:re1:n,im0:im1:n") from exc
     if nr < 1 or ni < 1:
         raise InvalidConfigError("grid needs at least one point per axis")
+    _check_finite(text, r0, r1, i0, i1)
     pts = []
     for a in range(nr):
         re = r0 if nr == 1 else r0 + (r1 - r0) * a / (nr - 1)

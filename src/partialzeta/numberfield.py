@@ -47,15 +47,19 @@ class AbelianSystem(ZetaSystem):
         # residue -> exponent of chi, -1 for residues of ramified primes
         self._exponents = np.full(chi.modulus, -1, dtype=np.int64)
         self._exponents[list(chi.exps)] = list(chi.exps.values())
+        # exponent -> frob_order: 1 for split primes, q for the rest
+        self._orders = np.full(q, q, dtype=np.int64)
+        self._orders[0] = 1
 
     def _enumerate(self, X):
         p = prime_sieve.primes_up_to(X)
         j = self._exponents[p % self.chi.modulus]
-        p, j = p[j >= 0], j[j >= 0]  # drop ramified primes
+        ramified = np.flatnonzero(j < 0)
+        p, j = np.delete(p, ramified), np.delete(j, ramified)
         table = np.empty(len(p), PRIME_DTYPE)
         table["norm"] = table["id"] = p
         table["frob_class"] = j
-        table["frob_order"] = np.where(j == 0, 1, self.group_order)
+        table["frob_order"] = self._orders[j]
         return table
 
     def params(self):

@@ -1,10 +1,12 @@
 """Cached prime sieve and integer factorization.
 
-A single module-level Eratosthenes sieve grows on demand (powers of two);
-callers get copies, never the cached array.  Requests beyond the hard cap
-are refused rather than degraded.
+A single module-level Eratosthenes sieve over the odd numbers grows on
+demand (powers of two); callers get copies, never the cached array.
+Requests beyond the hard cap are refused rather than degraded.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,12 +32,14 @@ def primes_up_to(x: float) -> np.ndarray:
         while target < min(SIEVE_CAP, 2 * _sieved_to):
             target *= 2
         target = min(target, SIEVE_CAP)
-        mask = np.ones(target + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, int(target**0.5) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        _primes = np.nonzero(mask)[0].astype(np.int64)
+        odd = np.ones((target + 1) // 2, dtype=bool)  # index i is 2i + 1
+        for p in range(3, math.isqrt(target) + 1, 2):
+            if odd[p // 2]:
+                odd[p * p // 2 :: p] = False
+        _primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+        _primes *= 2
+        _primes += 1
+        _primes[0] = 2  # index 0 stands for 1: the even prime takes its place
         _sieved_to = target
     idx = np.searchsorted(_primes, n, side="right")
     return _primes[:idx].copy()

@@ -87,6 +87,27 @@ class TestScanPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestKernelPinned:
+    @pytest.mark.parametrize("argv,digest", [
+        (["continue", "--backend", "quadratic", "--d", "5", "--grid",
+          "0.55:0.95:9,0:30:7", "--depth", "1", "--cutoff", "1e6"],
+         "6846773f27e0040369a3eeb33d5ba3ead9cf0d52667a77322d61e46b9ac44671"),
+        (["eval", "--backend", "quadratic", "--d", "5", "--s", "2,1",
+          "--cutoff", "1e7"],
+         "a3fae4471bdda4e3658abbd442c50b8fa630aba100a7f2a8dcb4f75227aad700"),
+        (["feq-check", "--backend", "cyclic", "--char", "7,3,3", "--s", "2,1",
+          "--cutoff", "1e7"],
+         "9ef1ef890b02daf6a7c72f2a6e6fa3d14d865fea1b7ab4ea6d11e4403cf7d2a4"),
+    ], ids=["continue-grid-d5", "eval-d5-1e7", "feq-check-7,3,3-1e7"])
+    def test_output_pinned(self, capsys, argv, digest):
+        # recorded from the one-array-per-operation Euler-product kernel: the
+        # in-place kernel must give the same bits.  These digests depend on
+        # numpy's ufunc loops and their SIMD dispatch on the CPU.
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEval:
     def test_single_point(self, capsys):
         code, out = run(capsys, "eval", "--backend", "quadratic", "--d", "5",
@@ -355,6 +376,36 @@ class TestBadInput:
     def test_order_not_read_by_graph_command(self, capsys, k4_file, command):
         self.assert_config_error(capsys, "graph", command, "--graph-file",
                                  k4_file, "--order", "5")
+
+    @pytest.mark.parametrize("cutoff", ["0", "-5", "0.5", "1", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--d", "5", "--s", "2,1"],
+        ["feq-check", "--d", "5", "--s", "2,1"],
+        ["continue", "--d", "5", "--s", "0.75", "--depth", "1"],
+    ], ids=["eval", "feq-check", "continue"])
+    def test_cutoff_without_an_honest_tail_bound(self, capsys, argv, cutoff):
+        # the tail bound x^{1-sigma}/(1 - x^{-sigma}) needs x > 1
+        self.assert_config_error(capsys, *argv, "--cutoff", cutoff)
+
+    def test_infinite_cutoff_hits_the_sieve_cap(self, capsys):
+        code = main(["eval", "--d", "5", "--s", "2", "--cutoff", "inf"])
+        err = capsys.readouterr().err
+        assert code == 5 and err.startswith("error:")
+
+    @pytest.mark.parametrize("s", ["nan,1", "inf,0", "2,nan", "-inf", "2,-inf"])
+    @pytest.mark.parametrize("command", ["eval", "feq-check"])
+    def test_non_finite_s(self, capsys, command, s):
+        self.assert_config_error(capsys, command, "--d", "5", f"--s={s}",
+                                 "--cutoff", "100")
+
+    @pytest.mark.parametrize("grid", ["0.55:nan:3,0:30:2", "inf:0.95:3,0:30:2",
+                                      "0.55:0.95:3,-inf:30:2",
+                                      "0.55:0.95:3,0:nan:2"])
+    @pytest.mark.parametrize("argv", [["eval"], ["continue", "--depth", "1"]],
+                             ids=["eval", "continue"])
+    def test_non_finite_grid(self, capsys, argv, grid):
+        self.assert_config_error(capsys, *argv, "--d", "5", "--grid", grid,
+                                 "--cutoff", "100")
 
     def test_depth_without_catalog_backend(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height",

@@ -1,5 +1,7 @@
 """Prime-datum model, truncated products and tail bounds."""
+import bisect
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialzeta import primes
 from partialzeta.core import (PRIME_DTYPE, ExplicitSystem, PrimeDatum,
                               TruncationPolicy, ZetaSystem, log_zeta_P,
                               system_from_json, truncated_zeta_P,
@@ -168,6 +171,85 @@ class TestEnumeration:
 
     def test_sieve_values(self):
         assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def naive_primes(x: float) -> list[int]:
+    """Primes <= x by trial division."""
+    return [n for n in range(2, int(x) + 1)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def full_width_primes(n: int) -> np.ndarray:
+    """Primes <= n by an Eratosthenes sieve over every integer."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p::p] = False
+    return np.flatnonzero(mask)
+
+
+NAIVE_2000 = naive_primes(2000)
+FULL_WIDTH_1E6 = full_width_primes(10**6)
+
+
+@contextlib.contextmanager
+def empty_sieve_cache():
+    """Run with the module-level sieve emptied, then put the old one back."""
+    saved = primes._primes, primes._sieved_to
+    primes._primes, primes._sieved_to = np.array([], dtype=np.int64), 0
+    try:
+        yield
+    finally:
+        primes._primes, primes._sieved_to = saved
+
+
+def assert_primes(x):
+    got = primes_up_to(x)
+    assert got.dtype == np.int64
+    if x <= 2000:
+        assert got.tolist() == NAIVE_2000[:bisect.bisect(NAIVE_2000, x)]
+    else:
+        ref = FULL_WIDTH_1E6
+        assert np.array_equal(got, ref[:np.searchsorted(ref, x, side="right")])
+
+
+class TestSieve:
+    def test_every_x_up_to_2000_from_empty_cache(self):
+        # x >= 64 sieves exactly to x: every prime square and odd target
+        for x in range(0, 2001):
+            with empty_sieve_cache():
+                assert_primes(x)
+
+    @pytest.mark.parametrize("x", [2, 3, 4, 2.5, 1.99, 9, 25, 49, 121, 961, 1849])
+    def test_small_and_prime_square_cutoffs(self, x):
+        with empty_sieve_cache():
+            assert_primes(x)
+        assert_primes(x)
+
+    @given(st.floats(min_value=-5.0, max_value=1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_against_reference_up_to_1e6(self, x):
+        with empty_sieve_cache():
+            assert_primes(x)
+
+    @pytest.mark.parametrize("order", [
+        (100, 5000, 5001), (5000, 100, 4999), (3000, 1e5, 2048, 1e5 + 1),
+        (64, 65, 127, 128, 129), (1e6, 997, 1e6, 7)])
+    def test_growth_order(self, order):
+        with empty_sieve_cache():
+            for x in order:
+                assert_primes(x)
+
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        with empty_sieve_cache():
+            got = primes_up_to(1000)
+            got[:] = 4
+            assert_primes(1000)
+            assert_primes(500)
+            big = primes_up_to(3000)
+            big[::2] = 0
+            assert_primes(3000)
 
 
 class TestFactorize:

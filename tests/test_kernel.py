@@ -2,15 +2,19 @@
 a point, checked against one full pass per product."""
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialzeta import core
 from partialzeta.cli import main
 from partialzeta.continuation import feq_residual
 from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
-                              log_zeta_P, log_zeta_Pn, roots_of_unity)
+                              log_product, log_zeta_P, log_zeta_Pn,
+                              roots_of_unity)
 from partialzeta.errors import SingularLocalFactorError
 from partialzeta.frobenius import Character, CyclicGroup, log_L
 from partialzeta.graphs import GraphZetaSystem, MultiGraph, VoltageGraph
@@ -18,7 +22,8 @@ from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import primes_up_to
 
-from zeta_oracles import pass_log_L, pass_log_zeta_P, pass_log_zeta_Pn
+from zeta_oracles import (pass_log_L, pass_log_zeta_P, pass_log_zeta_Pn,
+                          reference_log_product)
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -150,3 +155,110 @@ class TestRootsOfUnity:
         for k in range(n):
             if 4 * k % n == 0:
                 assert roots[k] == exact[4 * k // n]
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernel against the one-array-per-operation reference
+# ---------------------------------------------------------------------------
+
+RATIONAL_PRIMES = primes_up_to(1e7).astype(float)
+
+
+def _norms(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "primes":  # a run of consecutive primes, as in a class slice
+        start = int(rng.integers(0, len(RATIONAL_PRIMES) - n + 1))
+        return RATIONAL_PRIMES[start:start + n]
+    if kind == "graph":  # powers of q_g = 2 with repeats, as in a graph table
+        return np.sort(2.0 ** rng.integers(1, 24, n))
+    # a strided column view with arbitrary real norms, as arrays_up_to gives
+    return np.repeat(1.0 + rng.exponential(50.0, n), 2)[::2]
+
+
+def _chi(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return float(rng.choice([1.0, -1.0]))
+    if kind == "int":
+        return 1
+    if kind == "root":  # a numpy complex scalar from the exact table
+        m = int(rng.integers(1, 13))
+        return roots_of_unity(m)[int(rng.integers(0, m))]
+    if kind == "python-complex":
+        return complex(np.exp(2j * np.pi * rng.integers(0, 7) / 7))
+    if kind == "sign-array":
+        return rng.choice([1.0, -1.0], n)
+    return np.exp(2j * np.pi * rng.integers(0, 6, n) / 6)  # per-prime twist
+
+
+def _bits(z):
+    """The bytes of a complex value: exact, and tells -0.0 from 0.0."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _outcome(norms, chi, s, kernel):
+    try:
+        return _bits(kernel(norms, chi, s))
+    except SingularLocalFactorError:
+        return "singular"
+
+
+SINGULAR_S = [0.0, 0j, 1j * math.pi / math.log(2)]  # 2^{-s} = 1 or -1
+
+
+class TestKernelBitIdentity:
+    @given(norm_kind=st.sampled_from(["primes", "graph", "strided"]),
+           n=st.one_of(st.integers(0, 10), st.integers(0, 400_000)),
+           chi_kind=st.sampled_from(["float", "int", "root", "python-complex",
+                                     "sign-array", "twist-array"]),
+           s=st.one_of(
+               st.floats(-1.0, 4.0),
+               st.builds(complex, st.floats(-1.0, 4.0), st.just(0.0)),
+               st.builds(complex, st.floats(-1.0, 4.0), st.floats(-200, 200)),
+               st.sampled_from(SINGULAR_S)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_same_bits_as_reference(self, norm_kind, n, chi_kind, s, seed):
+        norms = _norms(norm_kind, n, seed)
+        chi = _chi(chi_kind, n, seed)
+        ref = _outcome(norms, chi, s, reference_log_product)
+        assert _outcome(norms, chi, s, log_product) == ref
+        if ref != "singular":
+            assert log_product(norms, chi, s) == reference_log_product(norms, chi, s)
+
+    @pytest.mark.parametrize("s", SINGULAR_S)
+    @pytest.mark.parametrize("chi", [1.0, -1.0, -1 + 0j])
+    def test_singular_factor_raised_at_the_same_inputs(self, s, chi):
+        norms = np.array([2.0, 3.0, 5.0])
+        assert (_outcome(norms, chi, s, log_product)
+                == _outcome(norms, chi, s, reference_log_product))
+
+    def test_singular_inputs_raise(self):
+        with pytest.raises(SingularLocalFactorError):
+            log_product(np.array([2.0, 3.0]), 1.0, 0.0)
+        with pytest.raises(SingularLocalFactorError):
+            log_product(np.array([2.0]), -1.0, SINGULAR_S[2])
+
+    @pytest.mark.parametrize("chi", [1.0, -1.0, -1 + 0j, roots_of_unity(3)[1]])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_inputs(self, n, chi):
+        # one-element arrays take other numpy loops than long ones
+        for s in (2.0, 0.5 + 14.1j, complex(0.75, 0.0), -0.5):
+            norms = RATIONAL_PRIMES[:n]
+            assert (_outcome(norms, chi, s, log_product)
+                    == _outcome(norms, chi, s, reference_log_product))
+
+
+class TestClassSlices:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_contiguous_and_equal_to_mask_selection(self, name):
+        make, X = SYSTEMS[name]
+        sys_obj = make()
+        norms, classes, orders = sys_obj.arrays_up_to(X)
+        q = sys_obj.group_order
+        slices = sys_obj.class_slices(X)
+        assert sum(len(v) for v in slices.values()) == len(norms)
+        for (c, o), part in slices.items():
+            assert part.dtype == np.float64 and part.flags.c_contiguous
+            assert np.array_equal(part, norms[(classes % q == c) & (orders == o)])

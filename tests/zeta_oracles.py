@@ -11,6 +11,23 @@ from partialzeta.errors import SingularLocalFactorError
 from partialzeta.lfunctions import riemann_zeta
 
 
+def _clog1p(z: np.ndarray) -> np.ndarray:
+    """log(1+z) for complex arrays, stable for small |z|."""
+    a, b = z.real, z.imag
+    return 0.5 * np.log1p(2 * a + a * a + b * b) + 1j * np.arctan2(b, 1.0 + a)
+
+
+def reference_log_product(norms, chi, s) -> complex:
+    """The Euler-product kernel written with one fresh array per operation:
+    the bit-for-bit reference for the in-place `log_product`."""
+    if len(norms) == 0:
+        return 0.0 + 0.0j
+    x = np.exp(-s * np.log(norms)) * chi
+    if np.any(np.abs(1.0 - x) < SINGULAR_FACTOR_EPS):
+        raise SingularLocalFactorError(f"singular local factor at s={s}")
+    return complex(-np.sum(_clog1p(-x)))
+
+
 def local_factor(p: PrimeDatum, s: complex) -> complex:
     """(1 - N(p)^{-s})^{-1}."""
     x = cmath.exp(-s * cmath.log(p.norm))
