@@ -117,6 +117,8 @@ class ZetaSystem:
     # -- public ------------------------------------------------------
     def primes_up_to(self, X: float) -> np.ndarray:
         """Read-only view of the prime table rows with norm <= X."""
+        if math.isnan(X):
+            raise InvalidConfigError("prime cutoff is NaN")
         if X > self._cache_X:
             table = self._enumerate(X)
             norms = table["norm"]

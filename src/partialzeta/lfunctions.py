@@ -8,7 +8,33 @@ for |Im s| <= 100).
 `hurwitz_zeta`, `dirichlet_L` and the closed-form g built on them
 (`numberfield.g_closed_form`) broadcast over numpy arrays of s.  A scalar is
 evaluated as a batch of one through the same code and returned as a Python
-complex, so batched and pointwise values agree bit for bit.
+complex, so batched and pointwise values agree bit for bit.  `dirichlet_L`
+takes a sequence of characters too, and evaluates all of them from one
+Hurwitz call over the union of their columns a = r/m.
+
+Factored exponentials.  Each Euler-Maclaurin head term exp(-s log(k+a)) is
+formed as E * cis, with E = exp(-Re s log(k+a)) computed once per distinct
+(Re s, a) and cis = exp(-i Im s log(k+a)) once per distinct (Im s, a) of a
+batch; the tail's three exponentials share one cis, exp(-i Im s log M).
+The points of an argument-principle scan lie on a few box edges, so most of
+them share a real part or a height with others.  This gives the bits of one
+complex exp per term because:
+
+- numpy's complex exp is the C library's cexp, and glibc's cexp returns
+  exactly (exp(x) cos y, exp(x) sin y) from one sincos of y when x <= 709;
+  above that it rescales, and the identity fails;
+- so exp(x + 0j).real is libm's exp(x), exp(0 + iy) is (cos y, sin y), and
+  E * cis, taken componentwise, is (E cos y, E sin y);
+- -Re s * log and -Im s * log are the products the complex multiply by -s
+  forms, since the log's zero imaginary part adds only a signed zero.
+
+Both factors must come from the complex exp.  numpy's float64 exp (SIMD on
+AVX-512) differs from libm's exp in the last bit on a few percent of
+arguments, and its float cos and sin agree with libm only by way of how
+numpy dispatches them.  The exponent stays below 709 wherever
+Re s > -130 and |Im s| <= 100, so there `hurwitz_zeta` gives the bits of
+one complex exp per term (`reference_hurwitz_zeta` in
+tests/zeta_oracles.py); outside it the two may differ in the last bits.
 """
 from __future__ import annotations
 
@@ -28,6 +54,23 @@ _EM_COEFF = [float(b) / math.factorial(2 * (j + 1))
              for j, b in enumerate(_BERNOULLI)]
 
 
+def _distinct(x: np.ndarray, a: np.ndarray):
+    """The distinct pairs (x, a), as the real and imaginary parts of a
+    complex array, and each pair's row among them.  np.unique with
+    return_inverse does not import numpy.ma."""
+    key = np.empty(len(x), dtype=complex)
+    key.real, key.imag = x, a
+    return np.unique(key, return_inverse=True)
+
+
+def _scale(cis: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """cis = cos y + i sin y times real E = exp(x), in place, as the pair
+    (E cos y, E sin y): exp(x + iy) as cexp forms it."""
+    cis.real *= E
+    cis.imag *= E
+    return cis
+
+
 def hurwitz_zeta(s, a):
     """Euler-Maclaurin evaluation of zeta(s, a), a > 0, s != 1.
 
@@ -35,37 +78,62 @@ def hurwitz_zeta(s, a):
     broadcast shape; a scalar s and a give a Python complex.  Each point
     sums N = max(50, int(2|Im s|) + 1) head terms, so the points are
     grouped by N rather than padded to a common length.
+
+    Every exp(-s log k) is formed as exp(-Re s log k) * exp(-i Im s log k),
+    each factor once per distinct (Re s, a) or (Im s, a) of an N group;
+    the module docstring says why the bits do not move.
     """
-    s, a = np.broadcast_arrays(np.asarray(s, dtype=complex),
-                               np.asarray(a, dtype=float))
-    shape = s.shape
-    s, a = s.ravel(), a.ravel()
+    s, a = np.asarray(s, dtype=complex), np.asarray(a, dtype=float)
+    scalar = s.ndim == a.ndim == 0
+    # 1-d at least: 0-d operands would take numpy's scalar arithmetic
+    s, a = np.atleast_1d(s, a)
     if np.any(np.abs(s - 1.0) < 1e-14):
         raise PoleAtOneError("hurwitz zeta has a pole at s = 1")
     N = np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)
-    head = np.empty(s.shape, dtype=complex)
-    # not np.unique, whose first call imports numpy.ma (about 16 ms per run)
-    for n in sorted(set(N.tolist())):
-        idx = np.flatnonzero(N == n)
-        k = np.arange(n, dtype=float) + a[idx, None]
-        # one complex work buffer per group: -s log k, then its exp, in place
-        work = np.log(k, out=k).astype(complex)
-        work *= -s[idx, None]
-        head[idx] = np.exp(work, out=work).sum(axis=1)
-    M = N + a
+    M = N + a  # the broadcast shape; what depends on s alone keeps s's
+    # the head sums over the flattened broadcast, one N group at a time
+    S, A, NN = (np.empty(M.shape, dtype=x.dtype) for x in (s, a, N))
+    S[...], A[...], NN[...] = s, a, N
+    S, A, NN = S.ravel(), A.ravel(), NN.ravel()
+    head = np.empty(M.size, dtype=complex)
+    cis_M = np.empty(M.size, dtype=complex)  # exp(-i Im s log M)
+    # not np.unique, which imports numpy.ma without return_inverse (16 ms)
+    for n in sorted(set(NN.tolist())):
+        idx = np.flatnonzero(NN == n)
+        sg, ag = S[idx], A[idx]
+        k = np.arange(n + 1, dtype=float)  # k = n is M - a
+        pairs, row = _distinct(sg.real, ag)
+        E = np.zeros((len(pairs), n), dtype=complex)
+        E.real = np.log(k[:n] + pairs.imag[:, None])
+        E.real *= -pairs.real[:, None]
+        E = np.exp(E, out=E).real
+        pairs, row_im = _distinct(sg.imag, ag)
+        cis = np.zeros((len(pairs), n + 1), dtype=complex)
+        cis.imag = np.log(k + pairs.imag[:, None])
+        cis.imag *= -pairs.real[:, None]
+        np.exp(cis, out=cis)
+        head[idx] = _scale(cis[:, :n][row_im], E[row]).sum(axis=1)
+        cis_M[idx] = cis[row_im, n]
+    head, cis_M = head.reshape(M.shape), cis_M.reshape(M.shape)
     lM = np.log(M)
-    tail = np.exp((1.0 - s) * lM) / (s - 1.0) + 0.5 * np.exp(-s * lM)
+
+    def exp(x):
+        """exp(x - i Im s log M) for real x."""
+        return _scale(cis_M.copy(), np.exp(x.astype(complex)).real)
+
+    tail = exp((1.0 - s.real) * lM) / (s - 1.0) + 0.5 * exp(-s.real * lM)
     # correction terms B_{2j}/(2j)! * (s)_{2j-1} * M^{-s-2j+1}
     rising = s  # (s)_(1) = s
-    power = np.exp((-s - 1.0) * lM)
-    corr = np.zeros(s.shape, dtype=complex)
+    power = exp((-s.real - 1.0) * lM)
+    M2 = M * M
+    corr = np.zeros(M.shape, dtype=complex)
     for j, c in enumerate(_EM_COEFF):
         corr += c * rising * power
         if j + 1 < len(_EM_COEFF):
             rising = rising * ((s + 2 * j + 1) * (s + 2 * j + 2))
-            power = power / (M * M)
+            power = power / M2
     out = head + tail + corr
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return complex(out[0]) if scalar else out
 
 
 def _hurwitz_finite_at_one(a: np.ndarray) -> np.ndarray:
@@ -224,30 +292,44 @@ def trivial_character() -> DirichletCharacter:
 # L-values
 # ---------------------------------------------------------------------------
 
-def dirichlet_L(s, chi: DirichletCharacter):
+def dirichlet_L(s, chi):
     """Analytically continued L(s, chi) via Hurwitz zeta + Euler-Maclaurin.
 
-    Broadcasts over an array of s with one Hurwitz call over all residues;
-    a scalar s gives a Python complex.
+    chi is one character or a sequence of characters.  Broadcasts over an
+    array of s; a scalar s and one character give a Python complex, and a
+    sequence gives an array with one leading row per character.  All the
+    L-values come from one Hurwitz call over the union of the characters'
+    columns a = r/m; each L sums its residues in order, as alone.
     """
+    chis = [chi] if isinstance(chi, DirichletCharacter) else list(chi)
     z = np.asarray(s, dtype=complex)
     s = z.reshape(-1)
-    m = chi.modulus
-    out = np.empty_like(s)
+    out = np.empty((len(chis), len(s)), dtype=complex)
+    keep = slice(None)
     at_pole = np.abs(s - 1.0) < 1e-14
     if at_pole.any():
-        if chi.is_trivial:
-            raise PoleAtOneError("principal character: L(s) has a pole at s = 1")
-        # pole terms cancel: sum chi(a) = 0 for nontrivial chi
-        finite = _hurwitz_finite_at_one(chi.residues / m)
-        out[at_pole] = np.sum(chi.values * finite) / m
-    s = s[~at_pole]
-    hz = hurwitz_zeta(s[:, None], chi.residues / m)
-    total = np.zeros_like(s)
-    for j, v in enumerate(chi.values):
-        total += v * hz[:, j]
-    out[~at_pole] = np.exp(-s * math.log(m)) * total
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        for row, chi_j in zip(out, chis):
+            if chi_j.is_trivial:
+                raise PoleAtOneError(
+                    "principal character: L(s) has a pole at s = 1")
+            # pole terms cancel: sum chi(a) = 0 for nontrivial chi
+            m = chi_j.modulus
+            finite = _hurwitz_finite_at_one(chi_j.residues / m)
+            row[at_pole] = np.sum(chi_j.values * finite) / m
+        keep = ~at_pole
+        s = s[keep]
+    cols = [(chi_j.residues / chi_j.modulus).tolist() for chi_j in chis]
+    a = sorted(set().union(*cols))
+    col = {x: j for j, x in enumerate(a)}
+    hz = hurwitz_zeta(s[:, None], np.array(a))
+    for row, chi_j, cols_j in zip(out, chis, cols):
+        total = np.zeros_like(s)
+        for x, v in zip(cols_j, chi_j.values):
+            total += v * hz[:, col[x]]
+        row[keep] = np.exp(-s * math.log(chi_j.modulus)) * total
+    if isinstance(chi, DirichletCharacter):
+        return complex(out[0, 0]) if z.ndim == 0 else out[0].reshape(z.shape)
+    return out.reshape((len(chis),) + z.shape)
 
 
 def riemann_zeta(s):

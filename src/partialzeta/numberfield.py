@@ -92,11 +92,12 @@ def g_closed_form(sys: AbelianSystem,
 
     g = zeta(s)^{q-1} * prod_{p ram} (1 - p^{-s})^{q-1} / prod_{j=1}^{q-1} L(s, chi^j).
     Meromorphic wherever the L-evaluations are (|Im s| <= ~100).  The
-    callback broadcasts over arrays of s, as `find_zeros` requires.
+    callback broadcasts over arrays of s, as `find_zeros` requires, and
+    takes zeta and every L(s, chi^j) from one `dirichlet_L` call, that is
+    one Hurwitz call over the union of their columns a = r/m and a = 1.
     """
     q = sys.group_order
-    zeta = trivial_character()
-    chis = [sys.chi.power(j) for j in range(1, q)]
+    chis = [trivial_character()] + [sys.chi.power(j) for j in range(1, q)]
     ram = list(sys.ramified)
 
     def fn(s):
@@ -104,12 +105,13 @@ def g_closed_form(sys: AbelianSystem,
         gives a Python complex."""
         z = np.asarray(s, dtype=complex)
         s = z.reshape(-1)
-        num = dirichlet_L(s, zeta) ** (q - 1)
+        zeta, *Ls = dirichlet_L(s, chis)
+        num = zeta ** (q - 1)
         for p in ram:
             num = num * (1.0 - np.exp(-s * math.log(p))) ** (q - 1)
         den = np.ones_like(s)
-        for chi in chis:
-            den = den * dirichlet_L(s, chi)
+        for L in Ls:
+            den = den * L
         out = num / den
         return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidConfigError
 
 SIEVE_CAP = 10**7
 
@@ -19,8 +19,10 @@ _sieved_to = 0
 
 
 def primes_up_to(x: float) -> np.ndarray:
-    """All rational primes <= x, ascending.  x may be any real."""
+    """All rational primes <= x, ascending.  x may be any real but NaN."""
     global _primes, _sieved_to
+    if math.isnan(x):
+        raise InvalidConfigError("prime cutoff is NaN")
     if x > SIEVE_CAP:
         raise BudgetExceededError(f"prime sieve capped at {SIEVE_CAP}, asked for {x}")
     n = int(x)

@@ -52,6 +52,31 @@ class TestSieve:
         assert code == 0
         assert len(out.strip().splitlines()) == 1  # header only
 
+    @pytest.mark.parametrize("cutoff", ["0", "-5"])
+    def test_cutoff_below_one_lists_no_primes(self, capsys, cutoff):
+        code, out = run(capsys, "sieve", "--backend", "quadratic", "--d", "5",
+                        "--cutoff", cutoff)
+        assert code == 0
+        assert out == "id,norm,frob_class,frob_order\n"
+
+    def test_infinite_cutoff_hits_the_sieve_cap(self, capsys):
+        code = main(["sieve", "--d", "5", "--cutoff", "inf"])
+        assert code == 5 and capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("backend", [
+        ["--backend", "quadratic", "--d", "5"],
+        ["--backend", "cyclic", "--char", "7,3,3"],
+        ["--backend", "graph", "--graph-file", None],
+    ], ids=["quadratic", "cyclic", "graph"])
+    def test_nan_cutoff_rejected(self, capsys, k4_file, backend):
+        # NaN compares false with every norm: it used to list no primes and
+        # exit 0, as if the table below it were empty
+        argv = [k4_file if x is None else x for x in backend]
+        code = main(["sieve", *argv, "--cutoff", "nan"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_missing_d(self, capsys):
         code, _ = run(capsys, "sieve", "--backend", "quadratic",
                       "--cutoff", "10")
@@ -78,10 +103,20 @@ class TestScanPinned:
          "0d84cfb277b92ce7137617386e8c8b6db8935b0b09a12a13b244b657489a3d75"),
         (["boundary", "--d", "5", "--height", "28"],
          "1ade7e07611049c8169c28aec616249f43155d03cb6520d72aad36f6faab208a"),
-    ], ids=["zeros-d5-30", "zeros-char7,3,3-12", "boundary-d5-28"])
+        (["zeros", "--backend", "cyclic", "--char", "11,5", "--height", "12"],
+         "a18ad5369ff5de0da38f99e2517d5aff59889a8f7bd240c3b730ed0c7cfebdf7"),
+        (["continue", "--backend", "cyclic", "--char", "7,3,3", "--s",
+          "0.7,10", "--depth", "2", "--cutoff", "1e5"],
+         "452c6c8c824c2feb3705933f5426b2d7c7eb0cee1e4fca263028442b7ea956ba"),
+    ], ids=["zeros-d5-30", "zeros-char7,3,3-12", "boundary-d5-28",
+            "zeros-char11,5-12", "continue-char7,3,3"])
     def test_output_pinned(self, capsys, argv, digest):
-        # recorded from the depth-first, one-box-per-call scan: batching the
-        # argument-principle scan must not move a single printed digit
+        # the first three were recorded from the depth-first, one-box-per-call
+        # scan, the last two from one complex exp per Hurwitz head term and
+        # one Hurwitz call per L-function: batching the scan, sharing
+        # Hurwitz columns and factoring the exponentials must not move a
+        # single printed digit.  They also rest on glibc's cexp forming
+        # exp(x + iy) as exp(x) * (cos y, sin y).
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

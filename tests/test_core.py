@@ -169,6 +169,12 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             primes_up_to(SIEVE_CAP * 2)
 
+    def test_nan_cutoff_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            primes_up_to(float("nan"))
+        with pytest.raises(InvalidConfigError):
+            kronecker_system(5).primes_up_to(float("nan"))
+
     def test_sieve_values(self):
         assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

@@ -6,6 +6,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from partialzeta.errors import InvalidConfigError, PoleAtOneError
 from partialzeta.lfunctions import (DirichletCharacter, dirichlet_L,
@@ -14,7 +16,8 @@ from partialzeta.lfunctions import (DirichletCharacter, dirichlet_L,
                                     prime_order_character, riemann_zeta,
                                     trivial_character)
 
-from zeta_oracles import completed_zeta, hardy_Z, riemann_siegel_theta
+from zeta_oracles import (completed_zeta, hardy_Z, reference_dirichlet_L,
+                          reference_hurwitz_zeta, riemann_siegel_theta)
 
 mpmath.mp.dps = 30
 
@@ -103,6 +106,166 @@ class TestBatch:
         assert np.array_equal(vals, _pointwise(lambda s: dirichlet_L(s, chi), pts))
         assert abs(vals[1] - math.pi / 4) < 1e-10
         assert vals[3] == vals[1]
+
+
+
+def assert_identical(new, ref):
+    """Exactly equal, not close: == elementwise, and the same bytes, so the
+    sign of a zero counts too."""
+    assert type(new) is type(ref)
+    assert np.array_equal(new, ref)
+    assert np.asarray(new).tobytes() == np.asarray(ref).tobytes()
+
+
+# Im s on both sides of |Im s| = 24.5, where the head length N leaves 50
+_N_EDGE = [24.4999999, 24.5, 24.5000001, -24.5, 25.0]
+_HEIGHTS = (st.floats(-100.0, 100.0)
+            | st.sampled_from([0.0, -0.0, 100.0, -100.0] + _N_EDGE))
+_REAL_PARTS = (st.floats(-40.0, 3.0)
+               | st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, -129.5]))
+# a = 1 (zeta), a = r/m for m = 4, 5, 7, 11, and a > 1
+_COLUMNS = st.sampled_from([1.0, 0.25, 0.75, 0.2, 0.4, 1 / 7, 6 / 7,
+                            3 / 11, 10 / 11, 2.5])
+
+
+@st.composite
+def grid_batches(draw, real_parts=_REAL_PARTS):
+    """Points on a few box edges, sharing real parts and heights as the
+    scan's batches do, and a few Hurwitz columns."""
+    res = draw(st.lists(real_parts, min_size=1, max_size=3))
+    ims = draw(st.lists(_HEIGHTS, min_size=1, max_size=4))
+    pts = np.array([complex(x, y) for x in res for y in ims])
+    assume(not np.any(np.abs(pts - 1.0) < 1e-14))
+    cols = np.array(draw(st.lists(_COLUMNS, min_size=1, max_size=5,
+                                  unique=True)))
+    return pts, cols
+
+
+class TestFactoredExponentials:
+    """`hurwitz_zeta` splits each exp(-s log k) into exp(-Re s log k) and
+    exp(-i Im s log k), shared across points; the reference takes one
+    complex exp per term.  Both must give the same bits."""
+
+    @given(grid_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_batch_matches_reference(self, batch):
+        pts, cols = batch
+        assert_identical(hurwitz_zeta(pts[:, None], cols),
+                         reference_hurwitz_zeta(pts[:, None], cols))
+        assert_identical(hurwitz_zeta(pts, cols[0]),
+                         reference_hurwitz_zeta(pts, cols[0]))
+        s, a = complex(pts[-1]), float(cols[-1])
+        assert_identical(hurwitz_zeta(s, a), reference_hurwitz_zeta(s, a))
+
+    @given(st.lists(st.tuples(_REAL_PARTS, _HEIGHTS, _COLUMNS),
+                    min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_elementwise_pairs_match_reference(self, triples):
+        # s and a of one shape, paired elementwise rather than as a grid
+        s = np.array([complex(x, y) for x, y, _ in triples])
+        a = np.array([c for _, _, c in triples])
+        assume(not np.any(np.abs(s - 1.0) < 1e-14))
+        assert_identical(hurwitz_zeta(s, a), reference_hurwitz_zeta(s, a))
+
+    @pytest.mark.parametrize("s", [-129.5 + 100j, -129.5 - 100j, -129.5,
+                                   0.5 + 100j, 3.0 - 100j, 0.5 + 24.5j])
+    def test_edges_of_the_exact_domain(self, s):
+        cols = np.array([1 / 11, 0.5, 1.0, 2.5])
+        new = hurwitz_zeta(np.array([s])[:, None], cols)
+        assert np.all(np.isfinite(new))
+        assert_identical(new, reference_hurwitz_zeta(np.array([s])[:, None],
+                                                     cols))
+
+    def test_shapes(self):
+        pts = _strip_points(5, n=8)
+        cols = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+        grid = pts.reshape(3, 4)
+        for s, a in ((grid, 0.4), (grid[:, :, None], cols), (pts[:, None], cols),
+                     (complex(pts[0]), cols), (complex(pts[0]), 0.4)):
+            assert_identical(hurwitz_zeta(s, a), reference_hurwitz_zeta(s, a))
+
+
+_CHARACTERS = {
+    "order2-mod5": kronecker_character(5),
+    "order2-mod4": kronecker_character(-1),
+    "order2-mod12": kronecker_character(3),
+    "order3-mod7": prime_order_character(7, 3, generator=3),
+    "order3-mod13": prime_order_character(13, 3),
+    "order5-mod11": prime_order_character(11, 5),
+}
+
+
+def _powers(chi):
+    return [trivial_character()] + [chi.power(j) for j in range(1, chi.order)]
+
+
+class TestSharedColumns:
+    """`dirichlet_L` over a sequence of characters makes one Hurwitz call
+    over the union of their columns; each L keeps its own summation order,
+    m^{-s} factor and pole handling."""
+
+    @pytest.mark.parametrize("name", sorted(_CHARACTERS))
+    # m^{-s} overflows long before Re s = -129.5
+    @given(batch=grid_batches(st.floats(-40.0, 3.0)
+                              | st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0])))
+    @settings(max_examples=25, deadline=None)
+    def test_sequence_matches_per_character_reference(self, name, batch):
+        pts, _ = batch
+        chis = _powers(_CHARACTERS[name])
+        rows = dirichlet_L(pts, chis)
+        assert rows.shape == (len(chis),) + pts.shape
+        for row, chi in zip(rows, chis):
+            assert_identical(row, reference_dirichlet_L(pts, chi))
+            assert_identical(dirichlet_L(pts, chi), reference_dirichlet_L(pts, chi))
+
+    @pytest.mark.parametrize("name", sorted(_CHARACTERS))
+    def test_scalar_and_grid_shapes(self, name):
+        chi = _CHARACTERS[name]
+        pts = _strip_points(6, n=8)
+        s = complex(pts[0])
+        assert_identical(dirichlet_L(s, chi), reference_dirichlet_L(s, chi))
+        grid = pts.reshape(3, 4)
+        rows = dirichlet_L(grid, [chi, chi.power(2)])
+        assert rows.shape == (2, 3, 4)
+        assert_identical(rows[1], reference_dirichlet_L(grid, chi.power(2)))
+        pair = dirichlet_L(s, [chi, chi.power(2)])
+        assert pair.shape == (2,)
+        assert_identical(complex(pair[0]), reference_dirichlet_L(s, chi))
+
+    @pytest.mark.parametrize("name", sorted(_CHARACTERS))
+    def test_finite_value_at_one_unchanged(self, name):
+        chis = _powers(_CHARACTERS[name])[1:]
+        pts = np.array([1.0, 0.5 + 3j, 1.0, 2.0])
+        rows = dirichlet_L(pts, chis)
+        for row, chi in zip(rows, chis):
+            assert_identical(row, reference_dirichlet_L(pts, chi))
+            assert_identical(dirichlet_L(1.0, chi),
+                             reference_dirichlet_L(1.0, chi))
+
+    def test_pole_at_one_with_the_principal_character(self):
+        chis = _powers(_CHARACTERS["order3-mod7"])
+        for s in (1.0, np.array([2.0, 1.0])):
+            with pytest.raises(PoleAtOneError):
+                dirichlet_L(s, chis)
+            with pytest.raises(PoleAtOneError):
+                reference_dirichlet_L(s, chis[0])
+
+
+class TestLibmPrecondition:
+    """The factored exponentials are exact only because glibc's cexp forms
+    exp(x + iy) as (exp(x) cos y, exp(x) sin y) from one sincos, for
+    x <= 709.  A failure here points at the C library or numpy's complex
+    exp on this platform, not at the scan."""
+
+    def test_cexp_is_real_exp_times_sincos(self):
+        rng = np.random.default_rng(20261018)
+        x = rng.uniform(-700.0, 0.0, 100_000)
+        y = rng.uniform(-2000.0, 2000.0, 100_000)
+        z = np.exp(x + 1j * y)
+        E = np.exp(x + 0j).real
+        cis = np.exp(1j * y)
+        assert np.array_equal(z.real, E * cis.real)
+        assert np.array_equal(z.imag, E * cis.imag)
 
 
 class TestZetaValues:

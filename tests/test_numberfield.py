@@ -3,7 +3,10 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partialzeta import lfunctions
 from partialzeta.continuation import SingularityCatalog, SingularPoint
 from partialzeta.core import PRIME_DTYPE, TruncationPolicy
 from partialzeta.errors import InvalidConfigError, SingularityProximityError
@@ -14,7 +17,8 @@ from partialzeta.numberfield import (_SAMPLES_PER_CALL, AbelianSystem,
                                      kronecker_system)
 from partialzeta.primes import primes_up_to
 
-from zeta_oracles import critical_line_zero_scan, riemann_von_mangoldt
+from zeta_oracles import (critical_line_zero_scan, reference_g,
+                          riemann_von_mangoldt)
 
 
 class TestSystems:
@@ -126,6 +130,66 @@ class TestGBatch:
         assert np.array_equal(batch, np.array([g(complex(s)) for s in pts]))
         assert np.array_equal(g(pts.reshape(5, 8)), batch.reshape(5, 8))
         assert type(g(complex(pts[0]))) is complex
+
+
+# (system, Hurwitz columns of g): a = r/m for the residues r prime to m, and
+# a = 1 for zeta
+_G_SYSTEMS = {
+    "d5": (lambda: kronecker_system(5), 5),
+    "char7,3,3": (lambda: cyclic_system(prime_order_character(7, 3, 3)), 7),
+    "char11,5": (lambda: cyclic_system(prime_order_character(11, 5)), 11),
+}
+
+
+@st.composite
+def _box_edges(draw):
+    """Boundary samples of a few boxes in the strip, as the scan batches
+    them: points on a box edge share a real part or a height."""
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        re0 = draw(st.floats(0.001, 0.9))
+        im0 = draw(st.floats(0.05, 60.0))
+        w, h = draw(st.floats(1e-3, 0.5)), draw(st.floats(1e-3, 0.5))
+        corners = [complex(re0, im0), complex(re0 + w, im0),
+                   complex(re0 + w, im0 + h), complex(re0, im0 + h)]
+        pts += [a + (b - a) * k / 8 for a, b in
+                zip(corners, corners[1:] + corners[:1]) for k in range(8)]
+    return np.array(pts)
+
+
+class TestGSharedHurwitz:
+    """g takes zeta and every L(s, chi^j) from one Hurwitz call over the
+    union of their columns, with the bits of one call per factor."""
+
+    @pytest.mark.parametrize("name", sorted(_G_SYSTEMS))
+    @given(pts=_box_edges())
+    @settings(max_examples=20, deadline=None)
+    def test_batch_pointwise_and_reference_agree(self, name, pts):
+        sys_obj = _G_SYSTEMS[name][0]()
+        g = g_closed_form(sys_obj).fn
+        batch = g(pts)
+        ref = reference_g(sys_obj, pts)
+        assert np.array_equal(batch, ref)
+        assert batch.tobytes() == ref.tobytes()
+        pointwise = np.array([g(complex(s)) for s in pts[:8]])
+        assert pointwise.tobytes() == batch[:8].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_G_SYSTEMS))
+    def test_one_hurwitz_call_per_g_call(self, name, monkeypatch):
+        system, n_cols = _G_SYSTEMS[name]
+        g = g_closed_form(system()).fn
+        calls = []
+        hurwitz = lfunctions.hurwitz_zeta
+
+        def counted(s, a):
+            calls.append(np.shape(a))
+            return hurwitz(s, a)
+
+        monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted)
+        g(np.array([0.5 + 14j, 0.3 + 2j, 0.9 + 30j]))
+        g(0.5 + 14j)
+        assert calls == [(n_cols,), (n_cols,)]
+
 
 
 # d=5 catalog to T=28 as computed before g was batched (repr of location

@@ -1,5 +1,6 @@
 """Independent test oracles for local factors, truncated Euler products,
-the completed zeta function and zeta zero counts, kept out of the package."""
+Hurwitz, L and g values, the completed zeta function and zeta zero counts,
+kept out of the package."""
 import cmath
 import math
 
@@ -7,8 +8,10 @@ import numpy as np
 from scipy.special import loggamma
 
 from partialzeta.core import SINGULAR_FACTOR_EPS, PrimeDatum, log_product
-from partialzeta.errors import SingularLocalFactorError
-from partialzeta.lfunctions import riemann_zeta
+from partialzeta.errors import PoleAtOneError, SingularLocalFactorError
+from partialzeta.lfunctions import (_EM_COEFF, DirichletCharacter,
+                                    _hurwitz_finite_at_one, riemann_zeta,
+                                    trivial_character)
 
 
 def _clog1p(z: np.ndarray) -> np.ndarray:
@@ -27,6 +30,89 @@ def reference_log_product(norms, chi, s) -> complex:
         raise SingularLocalFactorError(f"singular local factor at s={s}")
     return complex(-np.sum(_clog1p(-x)))
 
+
+# Hurwitz zeta and L(s, chi) with one complex exp per head term and one
+# Hurwitz call per character: the bit-for-bit references for the factored
+# exponentials of `hurwitz_zeta` and the shared columns of `dirichlet_L`
+
+def reference_hurwitz_zeta(s, a):
+    """Euler-Maclaurin evaluation of zeta(s, a), a > 0, s != 1.
+
+    Broadcasts over arrays of s and a and returns an array of their
+    broadcast shape; a scalar s and a give a Python complex.  Each point
+    sums N = max(50, int(2|Im s|) + 1) head terms, so the points are
+    grouped by N rather than padded to a common length.
+    """
+    s, a = np.broadcast_arrays(np.asarray(s, dtype=complex),
+                               np.asarray(a, dtype=float))
+    shape = s.shape
+    s, a = s.ravel(), a.ravel()
+    if np.any(np.abs(s - 1.0) < 1e-14):
+        raise PoleAtOneError("hurwitz zeta has a pole at s = 1")
+    N = np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)
+    head = np.empty(s.shape, dtype=complex)
+    # not np.unique, whose first call imports numpy.ma (about 16 ms per run)
+    for n in sorted(set(N.tolist())):
+        idx = np.flatnonzero(N == n)
+        k = np.arange(n, dtype=float) + a[idx, None]
+        # one complex work buffer per group: -s log k, then its exp, in place
+        work = np.log(k, out=k).astype(complex)
+        work *= -s[idx, None]
+        head[idx] = np.exp(work, out=work).sum(axis=1)
+    M = N + a
+    lM = np.log(M)
+    tail = np.exp((1.0 - s) * lM) / (s - 1.0) + 0.5 * np.exp(-s * lM)
+    # correction terms B_{2j}/(2j)! * (s)_{2j-1} * M^{-s-2j+1}
+    rising = s  # (s)_(1) = s
+    power = np.exp((-s - 1.0) * lM)
+    corr = np.zeros(s.shape, dtype=complex)
+    for j, c in enumerate(_EM_COEFF):
+        corr += c * rising * power
+        if j + 1 < len(_EM_COEFF):
+            rising = rising * ((s + 2 * j + 1) * (s + 2 * j + 2))
+            power = power / (M * M)
+    out = head + tail + corr
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def reference_dirichlet_L(s, chi: DirichletCharacter):
+    """Analytically continued L(s, chi) via Hurwitz zeta + Euler-Maclaurin.
+
+    Broadcasts over an array of s with one Hurwitz call over all residues;
+    a scalar s gives a Python complex.
+    """
+    z = np.asarray(s, dtype=complex)
+    s = z.reshape(-1)
+    m = chi.modulus
+    out = np.empty_like(s)
+    at_pole = np.abs(s - 1.0) < 1e-14
+    if at_pole.any():
+        if chi.is_trivial:
+            raise PoleAtOneError("principal character: L(s) has a pole at s = 1")
+        # pole terms cancel: sum chi(a) = 0 for nontrivial chi
+        finite = _hurwitz_finite_at_one(chi.residues / m)
+        out[at_pole] = np.sum(chi.values * finite) / m
+    s = s[~at_pole]
+    hz = reference_hurwitz_zeta(s[:, None], chi.residues / m)
+    total = np.zeros_like(s)
+    for j, v in enumerate(chi.values):
+        total += v * hz[:, j]
+    out[~at_pole] = np.exp(-s * math.log(m)) * total
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+
+def reference_g(sys, s):
+    """g = zeta^{q-1} prod_{p ram} (1 - p^{-s})^{q-1} / prod_j L(s, chi^j)
+    over an array of s, one reference L call per factor."""
+    q = sys.group_order
+    num = reference_dirichlet_L(s, trivial_character()) ** (q - 1)
+    for p in sys.ramified:
+        num = num * (1.0 - np.exp(-s * math.log(p))) ** (q - 1)
+    den = np.ones_like(s)
+    for j in range(1, q):
+        den = den * reference_dirichlet_L(s, sys.chi.power(j))
+    return num / den
 
 def local_factor(p: PrimeDatum, s: complex) -> complex:
     """(1 - N(p)^{-s})^{-1}."""
