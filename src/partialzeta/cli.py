@@ -15,6 +15,8 @@ import json
 import math
 import sys as _sys
 
+import numpy as np
+
 from . import __version__
 from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
                            boundary_report, counting_functions, feq_residual)
@@ -30,6 +32,10 @@ from .lfunctions import prime_order_character
 from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
                           g_closed_form, kronecker_system)
 from .series import Cyclotomic, ExactSeries
+
+
+# largest --grid; also bounds the memory of a batched evaluation
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(x):
@@ -84,7 +90,9 @@ def _check_finite(text: str, *values: float) -> None:
         raise InvalidConfigError(f"non-finite number in {text!r}")
 
 
-def _parse_s(text: str) -> complex:
+def _parse_s(text: str | None) -> complex:
+    if text is None:
+        raise InvalidConfigError("no evaluation point: pass --s or --grid")
     try:
         parts = [float(t) for t in text.split(",")]
     except ValueError:
@@ -108,6 +116,9 @@ def _parse_grid(text: str) -> list[complex]:
             f"bad grid {text!r}; expected re0:re1:n,im0:im1:n") from exc
     if nr < 1 or ni < 1:
         raise InvalidConfigError("grid needs at least one point per axis")
+    if nr * ni > MAX_GRID_POINTS:
+        raise BudgetExceededError(
+            f"grid of {nr} x {ni} points exceeds {MAX_GRID_POINTS} points")
     _check_finite(text, r0, r1, i0, i1)
     pts = []
     for a in range(nr):
@@ -157,9 +168,13 @@ def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
         num, den = g_series_fraction(vg)
         q_g = vg.base.q_g
 
-        def fn(s: complex) -> complex:
-            u = cmath.exp(-s * math.log(q_g))
-            return num(u) / den(u)
+        def fn(s: np.ndarray) -> np.ndarray:
+            """g at each point of s by the exact series, one at a time."""
+            vals = []
+            for z in s.tolist():
+                u = cmath.exp(-z * math.log(q_g))
+                vals.append(num(u) / den(u))
+            return np.array(vals, dtype=complex)
 
         return GEvaluator(fn)
     raise InvalidConfigError(f"no g evaluator for backend {sys_obj.backend!r}")
@@ -216,16 +231,13 @@ def cmd_continue(args) -> None:
                               depth=args.depth,
                               policy=TruncationPolicy(args.cutoff))
     if args.grid:
-        pts = _parse_grid(args.grid)
+        pts = sorted(_parse_grid(args.grid), key=lambda z: (z.real, z.imag))
         rows = ["re,im,log_abs,arg"]
-        for s in sorted(pts, key=lambda z: (z.real, z.imag)):
-            try:
-                val = ev(s)
-                log_abs, arg = math.log(abs(val)), cmath.phase(val)
-                rows.append(f"{s.real:.15g},{s.imag:.15g},"
-                            f"{log_abs:.15g},{arg:.15g}")
-            except (DomainError, SingularityProximityError):
-                rows.append(f"{s.real:.15g},{s.imag:.15g},nan,nan")
+        # points the recursion refuses come back as nan and print nan,nan
+        for s, val in zip(pts, ev(np.array(pts)).tolist()):
+            log_abs, arg = math.log(abs(val)), cmath.phase(val)
+            rows.append(f"{s.real:.15g},{s.imag:.15g},"
+                        f"{log_abs:.15g},{arg:.15g}")
         _emit(args, "\n".join(rows) + "\n")
         return
     s = _parse_s(args.s)

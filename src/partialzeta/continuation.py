@@ -15,10 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TruncationPolicy, ZetaSystem, log_zeta_P, log_zeta_Pn
+from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_product,
+                   log_zeta_P, log_zeta_Pn)
 from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
+                     PartialZetaError, PoleAtOneError,
                      SingularityProximityError)
 from .frobenius import log_Z, subgroup_character_indices
+from .lfunctions import POLE_RADIUS
 from .primes import factorize
 
 PROXIMITY_RADIUS = 1e-6
@@ -28,6 +31,8 @@ WEIGHT_ZERO_TOL = 1e-12
 GAP_DELTA = 0.1
 # log-spaced probe heights of the per-window gap listing
 PROBE_COUNT = 32
+# points per g call; bounds a call's memory
+_SAMPLES_PER_CALL = 256
 
 
 @dataclass(frozen=True)
@@ -80,23 +85,55 @@ class SingularityCatalog:
         return cls(points=pts, complete_up_to=complete_up_to)
 
 
+def evaluate_in_chunks(fn: Callable, zs: list[complex]) -> list[complex]:
+    """fn at each point of zs, in calls of at most _SAMPLES_PER_CALL points."""
+    vals = []
+    for i in range(0, len(zs), _SAMPLES_PER_CALL):
+        chunk = np.array(zs[i:i + _SAMPLES_PER_CALL], dtype=complex)
+        vals += fn(chunk).tolist()
+    return vals
+
+
 @dataclass
 class GEvaluator:
-    """Meromorphic evaluator for g(s) = zeta_P(s)^q / Z_P(s)."""
+    """Meromorphic evaluator for g(s) = zeta_P(s)^q / Z_P(s).
 
-    fn: Callable[[complex], complex]
+    fn maps a 1-d array of s to the array of g at those points.  It is
+    valid for |Im s| <= max_height and, with pole_at_one, raises within
+    POLE_RADIUS of s = 1, the pole of zeta.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     catalog: SingularityCatalog | None = None
+    max_height: float = math.inf
+    pole_at_one: bool = False
 
-    def __call__(self, s: complex) -> complex:
-        s = complex(s)
+    def refusal(self, s: complex) -> PartialZetaError | None:
+        """The error g raises at s, or None where it can be evaluated."""
+        if abs(s.imag) > self.max_height:
+            return DomainError(f"g evaluated at Im s = {s.imag}, outside "
+                               f"|Im s| <= {self.max_height}")
+        if self.pole_at_one and abs(s - 1.0) < POLE_RADIUS:
+            return PoleAtOneError(f"g has a pole at s = 1, evaluated at {s}")
         if self.catalog is not None:
             for p in self.catalog.points:
                 if (abs(s - p.location) < PROXIMITY_RADIUS
                         or abs(s - p.location.conjugate()) < PROXIMITY_RADIUS):
-                    raise SingularityProximityError(
+                    return SingularityProximityError(
                         f"s={s} within {PROXIMITY_RADIUS} of singular point "
                         f"{p.location}")
-        return self.fn(s)
+        return None
+
+    def __call__(self, s):
+        """g at s, a scalar or an array of points."""
+        z = np.asarray(s, dtype=complex)
+        pts = z.reshape(-1).tolist()
+        for p in pts:
+            err = self.refusal(p)
+            if err is not None:
+                raise err
+        vals = evaluate_in_chunks(self.fn, pts)
+        return vals[0] if z.ndim == 0 else np.array(vals).reshape(z.shape)
 
 
 @dataclass
@@ -114,33 +151,77 @@ class PartialZetaEvaluator:
             raise InvalidConfigError("depth r must be >= 0")
         if self.q != self.sys.group_order:
             raise InvalidConfigError("q must equal the system group order")
+        try:
+            float(self.q) ** self.depth
+        except OverflowError:
+            raise InvalidConfigError(
+                f"depth {self.depth}: q^r overflows a double") from None
 
     @property
     def domain_re_floor(self) -> float:
         return 1.0 / self.q**self.depth
 
-    def __call__(self, s: complex) -> complex:
+    def __call__(self, s):
         return continue_f_power(self, s)
 
 
-def continue_f_power(ev: PartialZetaEvaluator, s: complex) -> complex:
-    """Value of f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}."""
-    s = complex(s)
+def continue_f_power(ev: PartialZetaEvaluator, s):
+    """Value of f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}.
+
+    s is a scalar, which raises where the recursion cannot be evaluated, or
+    a 1-d array of points, which gives nan there.  The Euler products at
+    all points take one `log_product` call per class slice, and each level
+    i one g evaluation over all points; each point's logs are then summed
+    in the order of a lone evaluation, so a point's value does not depend
+    on the batch.
+    """
+    z = np.asarray(s, dtype=complex)
+    pts = z.reshape(-1).tolist()
+    errors = [_refusal(ev, p) for p in pts]
+    if z.ndim == 0 and errors[0] is not None:
+        raise errors[0]
+    ok = [k for k, err in enumerate(errors) if err is None]
     q, r = ev.q, ev.depth
+    # Re(q^r s) > 1 in the domain, so |N(p)^{-q^r s}| <= 1/2 for norms >= 2
+    # (every CLI backend) and no local factor is singular
+    top = np.array([q**r * pts[k] for k in ok], dtype=complex)
+    terms = [log_product(part, 1.0, top).tolist()
+             for key, part in ev.sys.class_slices(ev.policy.cutoff).items()
+             if key[1] == q]
+    log_vals = [sum((t[j] for t in terms), 0j) for j in range(len(ok))]
+    for i in range(r):
+        g = evaluate_in_chunks(ev.g.fn, [q**i * pts[k] for k in ok])
+        for j, gi in enumerate(g):
+            log_vals[j] += q ** (r - i - 1) * cmath.log(gi)
+    out = np.full(len(pts), complex(math.nan, math.nan))
+    for k, v in zip(ok, log_vals):
+        try:
+            out[k] = exp_of_log(v)
+        except DomainError:
+            if z.ndim == 0:
+                raise
+    return complex(out[0]) if z.ndim == 0 else out
+
+
+def _refusal(ev: PartialZetaEvaluator, s: complex) -> PartialZetaError | None:
+    """Why the recursion cannot be evaluated at s, or None."""
     if not s.real > ev.domain_re_floor:
-        raise DomainError(
+        return DomainError(
             f"Re s = {s.real} outside domain Re s > 1/q^r = {ev.domain_re_floor}")
     if ev.g.catalog is not None:
-        _check_omega_distance(ev.g.catalog, q, s)
-    log_val = log_zeta_Pn(ev.sys, q, (q**r) * s, ev.policy)
-    for i in range(r):
-        gi = ev.g(q**i * s)  # proximity-checked by the evaluator
-        log_val += q ** (r - i - 1) * cmath.log(gi)
-    return cmath.exp(log_val)
+        err = _omega_refusal(ev.g.catalog, ev.q, s)
+        if err is not None:
+            return err
+    for i in range(ev.depth):
+        err = ev.g.refusal(ev.q**i * s)
+        if err is not None:
+            return err
+    return None
 
 
-def _check_omega_distance(cat: SingularityCatalog, q: int, s: complex) -> None:
-    """Reject s within the exclusion radius of Omega = {q^{-k} sigma}."""
+def _omega_refusal(cat: SingularityCatalog, q: int,
+                   s: complex) -> SingularityProximityError | None:
+    """s within the exclusion radius of Omega = {q^{-k} sigma}, or None."""
     k = 0
     z = s
     height = cat.complete_up_to + 1.0
@@ -148,11 +229,12 @@ def _check_omega_distance(cat: SingularityCatalog, q: int, s: complex) -> None:
         for p in cat.points:
             if (abs(z - p.location) < PROXIMITY_RADIUS
                     or abs(z - p.location.conjugate()) < PROXIMITY_RADIUS):
-                raise SingularityProximityError(
+                return SingularityProximityError(
                     f"s={s} is within {PROXIMITY_RADIUS} of Omega "
                     f"(q^{-k} * {p.location})")
         z *= q
         k += 1
+    return None
 
 
 # ---------------------------------------------------------------------------

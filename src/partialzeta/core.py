@@ -11,14 +11,30 @@ point s every slice sum -log(1 - w norm^{-s}) is computed once and shared
 by zeta_P, every zeta_{P_n} and every L(s, chi_j) at that point.
 
 `log_product`, the kernel under all of them, works in place: it writes
-into two preallocated arrays instead of a fresh array per operation.  On
+into a few preallocated arrays instead of a fresh array per operation.  On
 tables of ~10^5 primes much of the cost of fresh arrays was page faults,
-not arithmetic; working in place takes about 40% off the kernel's time in
-a 63-point `continue --grid`.  It performs the same floating-point
+not arithmetic.  It takes a batch of points s, a 1-d array (a scalar is a
+batch of one), and shares between them the log of the norms and, among
+points of one height, the phase:
+
+- each point of a shared height forms norm^{-s} as
+  exp(-Re s log p) * (cos y, sin y), with y = -Im s log p; the real factor
+  is numpy's complex exp of a real argument and the phase table
+  exp(0 + iy) is computed once per height;
+- glibc's cexp forms exp(x + iy) as exactly that pair of products for
+  x <= 709 (see the `lfunctions` module docstring, and
+  `TestLibmPrecondition` in the tests), so this is the bits of one complex
+  exp per point, at the cost of a real one;
+- a height that only one point of the batch has, or a point the identity
+  does not cover, takes one complex exp, and needs no phase table;
+- a real-dtype batch stays in float arithmetic throughout.
+
+The rest runs per point over the whole slice, with the same floating-point
 operations in the same order as the one-array-per-operation form, down to
-numpy's pairwise complex sum, so its result is bit-for-bit that of
+numpy's pairwise complex sum, so every point's sum is bit-for-bit that of
 `reference_log_product` in the tests, which check it on real and complex
-s, scalar and per-prime chi and up to 4e5 primes.
+s, scalar and per-prime chi, up to 4e5 primes and random batches.  The 63
+points of the bench `continue --grid` share 7 heights.
 """
 from __future__ import annotations
 
@@ -30,9 +46,12 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, SingularLocalFactorError
+from .errors import DomainError, InvalidConfigError, SingularLocalFactorError
 
 SINGULAR_FACTOR_EPS = 1e-15
+# glibc's cexp(x + iy) is (exp(x) cos y, exp(x) sin y) up to this x; above
+# it rescales
+CEXP_REAL_MAX = 709.0
 # points whose slice sums a system keeps: every point of one feq-check or
 # composite functional-equation residual (s, q1 s, q2 s, n s) fits
 POINT_CACHE = 8
@@ -198,32 +217,82 @@ class ExplicitSystem(ZetaSystem):
 # log-space products
 # ---------------------------------------------------------------------------
 
-def log_product(norms: np.ndarray, chi: np.ndarray | complex, s: complex) -> complex:
+def log_product(norms: np.ndarray, chi: np.ndarray | complex, s):
     """sum over primes of -log(1 - chi * norm^{-s}), principal branch per factor.
 
-    log(1 - x) = log1p(z) with z = -x = a + ib is
-    0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), stable for small |z|;
-    computed in place in two arrays, see the module docstring.
+    s is a 1-d array, giving an array with one sum per point, or a scalar,
+    a batch of one that gives a Python complex.  log(1 - x) = log1p(z) with
+    z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), stable
+    for small |z|; computed in place in a few work arrays shared by the
+    points, see the module docstring.
     """
+    z = np.asarray(s)
+    pts = z.reshape(-1).tolist()
+    sums = np.zeros(len(pts), complex)
     n = len(norms)
-    if n == 0:
-        return 0.0 + 0.0j
-    out = np.empty(n, complex)
-    # x = chi norm^{-s} stays float while s and chi are real: a complex exp
-    # would move last bits
-    if np.iscomplexobj(s):
-        # the log goes into out's first half: contiguous, and free until the
-        # check below
-        x = np.multiply(-s, np.log(norms, out=out.view(float)[:n]),
-                        out=np.empty(n, complex))
-    else:
-        x = np.log(norms)
-        np.multiply(-s, x, out=x)
-    np.exp(x, out=x)
+    if n:
+        out = np.empty(n, complex)
+        # one point keeps the log in out's first half: contiguous, and free
+        # until the singular-factor check
+        logs = np.log(norms,
+                      out=out.view(float)[:n] if len(pts) == 1 else None)
+        # x = chi norm^{-s} stays float while s and chi are real: a complex
+        # exp would move last bits
+        x = np.empty(n, complex if np.iscomplexobj(z) else float)
+        cis = None  # the phase table, allocated for the first shared height
+        for members in _phase_groups(pts, logs, np.iscomplexobj(z)):
+            shared = len(members) > 1
+            if shared:
+                # exp(0 + iy) with y = Im(-s log p), the same bits for every
+                # member (see _phase_groups)
+                cis = np.multiply(-pts[members[0]], logs, out=cis)
+                cis.real = 0.0
+                np.exp(cis, out=cis)
+            for k in members:
+                if shared:
+                    # exp(-Re s log p) * (cos y, sin y): cexp's own bits
+                    np.multiply(-pts[k].real, logs, out=x.real)
+                    x.imag = 0.0
+                    np.exp(x, out=x)
+                    np.multiply(x.real, cis.imag, out=x.imag)
+                    x.real *= cis.real
+                else:
+                    np.exp(np.multiply(-pts[k], logs, out=x), out=x)
+                sums[k] = _log_one_minus_sum(x, out, chi, pts[k])
+    return complex(sums[0]) if z.ndim == 0 else sums
+
+
+def _phase_groups(pts: list, logs: np.ndarray,
+                  complex_s: bool) -> list[list[int]]:
+    """The indices of pts grouped by height, each group sharing one phase
+    table; a point of a real batch, or one the identity does not cover,
+    is a group of its own.
+
+    y = Im(-s log p) is (-Re s) * 0 + (-Im s) * log p in numpy's complex
+    product, so its bits depend only on Im s and on the sign of Re s, which
+    a zero product can carry.  cexp(x + iy) is (exp(x) cos y, exp(x) sin y)
+    only for x <= 709 and finite y, so the group asks that of every member.
+    """
+    if not complex_s or len(pts) == 1:
+        return [[k] for k in range(len(pts))]
+    lo, hi = float(np.min(logs)), float(np.max(logs))
+    groups: dict = {}
+    for k, p in enumerate(pts):
+        key = (p.imag, math.copysign(1.0, p.imag), math.copysign(1.0, p.real))
+        if not (math.isfinite(p.real) and math.isfinite(p.imag * lo)
+                and math.isfinite(p.imag * hi)
+                and max(-p.real * lo, -p.real * hi) <= CEXP_REAL_MAX):
+            key = k
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+def _log_one_minus_sum(x: np.ndarray, out: np.ndarray, chi, s) -> complex:
+    """-sum of log(1 - chi x) over x = norm^{-s}, using x and out as work."""
     if np.iscomplexobj(x) or np.iscomplexobj(chi):
         # out of place: numpy multiplies a one-element complex array in
         # place with its reduction loop, which rounds differently
-        spare = x if np.iscomplexobj(x) else np.empty(n, complex)
+        spare = x if np.iscomplexobj(x) else np.empty(len(x), complex)
         x, out = np.multiply(x, chi, out=out), spare
     else:
         x *= chi
@@ -246,7 +315,7 @@ def log_product(norms: np.ndarray, chi: np.ndarray | complex, s: complex) -> com
     re *= 0.5
     np.add(1.0, a, out=im)
     np.arctan2(b, im, out=im)
-    return complex(-np.sum(out))
+    return -np.sum(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,6 +353,15 @@ class ClassSums:
 # operations
 # ---------------------------------------------------------------------------
 
+def exp_of_log(log_value: complex) -> complex:
+    """A product from its log; DomainError where it overflows a double."""
+    try:
+        return cmath.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"a product with log {log_value} overflows a "
+                          f"double") from None
+
+
 def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy) -> complex:
     sums = sys.class_sums(pol.cutoff, s)
     return sum((sums.term(1.0, key) for key in sums.slices if key[1] == n), 0j)
@@ -294,7 +372,7 @@ def truncated_zeta_Pn(sys: ZetaSystem, n: int, s: complex,
     """Truncated zeta_{P_n}(s) and a bound on |log(true/value)|."""
     if n < 1:
         raise InvalidConfigError("n must be a positive integer")
-    value = cmath.exp(log_zeta_Pn(sys, n, s, pol))
+    value = exp_of_log(log_zeta_Pn(sys, n, s, pol))
     tail = pol.tail_bound(s.real if isinstance(s, complex) else float(s),
                           sys.count_coeff())
     return value, tail
@@ -307,7 +385,7 @@ def log_zeta_P(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
 
 def truncated_zeta_P(sys: ZetaSystem, s: complex,
                      pol: TruncationPolicy) -> tuple[complex, float]:
-    value = cmath.exp(log_zeta_P(sys, s, pol))
+    value = exp_of_log(log_zeta_P(sys, s, pol))
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
 
 

@@ -6,12 +6,12 @@ q1*q2 groups) factors through them.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruncationPolicy, ZetaSystem, log_zeta_Pn, roots_of_unity
+from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_zeta_Pn,
+                   roots_of_unity)
 from .errors import InvalidConfigError
 
 
@@ -50,7 +50,7 @@ def log_L(sys: ZetaSystem, chi: Character, s: complex, pol: TruncationPolicy) ->
 def truncated_L(sys: ZetaSystem, chi: Character, s: complex,
                 pol: TruncationPolicy) -> tuple[complex, float]:
     """Truncated L_P(s, chi) with the zeta-core tail bound."""
-    value = cmath.exp(log_L(sys, chi, s, pol))
+    value = exp_of_log(log_L(sys, chi, s, pol))
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
 
 
@@ -68,7 +68,7 @@ def log_Z(sys: ZetaSystem, s: complex, pol: TruncationPolicy,
 
 def truncated_Z(sys: ZetaSystem, s: complex,
                 pol: TruncationPolicy) -> tuple[complex, float]:
-    value = cmath.exp(log_Z(sys, s, pol))
+    value = exp_of_log(log_Z(sys, s, pol))
     tail = sys.group_order * pol.tail_bound(complex(s).real, sys.count_coeff())
     return value, tail
 

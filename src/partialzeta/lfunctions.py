@@ -47,6 +47,11 @@ from .core import roots_of_unity
 from .errors import InvalidConfigError, PoleAtOneError
 from .primes import factorize
 
+# |Im s| up to which the L-values reach the target accuracy; beyond it the
+# head's 2|Im s| + 1 terms also grow without bound
+HEIGHT_MAX = 100.0
+# hurwitz_zeta and the principal L raise PoleAtOneError this close to s = 1
+POLE_RADIUS = 1e-14
 # B_2, B_4, ..., B_10: Euler-Maclaurin corrections to the 10th Bernoulli term
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30), Fraction(5, 66)]
@@ -87,7 +92,7 @@ def hurwitz_zeta(s, a):
     scalar = s.ndim == a.ndim == 0
     # 1-d at least: 0-d operands would take numpy's scalar arithmetic
     s, a = np.atleast_1d(s, a)
-    if np.any(np.abs(s - 1.0) < 1e-14):
+    if np.any(np.abs(s - 1.0) < POLE_RADIUS):
         raise PoleAtOneError("hurwitz zeta has a pole at s = 1")
     N = np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)
     M = N + a  # the broadcast shape; what depends on s alone keeps s's
@@ -306,7 +311,7 @@ def dirichlet_L(s, chi):
     s = z.reshape(-1)
     out = np.empty((len(chis), len(s)), dtype=complex)
     keep = slice(None)
-    at_pole = np.abs(s - 1.0) < 1e-14
+    at_pole = np.abs(s - 1.0) < POLE_RADIUS
     if at_pole.any():
         for row, chi_j in zip(out, chis):
             if chi_j.is_trivial:

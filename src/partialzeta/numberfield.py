@@ -15,13 +15,14 @@ from typing import Callable
 import numpy as np
 
 from . import primes as prime_sieve
-from .continuation import GEvaluator, SingularityCatalog, SingularPoint
+from .continuation import (GEvaluator, SingularityCatalog, SingularPoint,
+                           evaluate_in_chunks)
 from .core import PRIME_DTYPE, ZetaSystem
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
-from .lfunctions import (DirichletCharacter, dirichlet_L, is_primitive_root,
-                         kronecker_character, prime_order_character,
-                         trivial_character)
+from .lfunctions import (HEIGHT_MAX, DirichletCharacter, dirichlet_L,
+                         is_primitive_root, kronecker_character,
+                         prime_order_character, trivial_character)
 
 
 class AbelianSystem(ZetaSystem):
@@ -91,10 +92,11 @@ def g_closed_form(sys: AbelianSystem,
     """Evaluator for g(s) = zeta_P(s)^q / Z_P(s) as a ratio of L-functions.
 
     g = zeta(s)^{q-1} * prod_{p ram} (1 - p^{-s})^{q-1} / prod_{j=1}^{q-1} L(s, chi^j).
-    Meromorphic wherever the L-evaluations are (|Im s| <= ~100).  The
-    callback broadcasts over arrays of s, as `find_zeros` requires, and
-    takes zeta and every L(s, chi^j) from one `dirichlet_L` call, that is
-    one Hurwitz call over the union of their columns a = r/m and a = 1.
+    Meromorphic wherever the L-evaluations are, |Im s| <= HEIGHT_MAX, the
+    evaluator's max_height.  The callback broadcasts over arrays of s, as
+    `find_zeros` requires, and takes zeta and every L(s, chi^j) from one
+    `dirichlet_L` call, that is one Hurwitz call over the union of their
+    columns a = r/m and a = 1.
     """
     q = sys.group_order
     chis = [trivial_character()] + [sys.chi.power(j) for j in range(1, q)]
@@ -115,7 +117,8 @@ def g_closed_form(sys: AbelianSystem,
         out = num / den
         return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
-    return GEvaluator(fn, catalog=catalog)
+    return GEvaluator(fn, catalog=catalog, max_height=HEIGHT_MAX,
+                      pole_at_one=True)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +127,6 @@ def g_closed_form(sys: AbelianSystem,
 
 _MAX_PHASE_DEPTH = 40
 _SAMPLES_PER_EDGE = 8  # boundary samples per box edge
-# points per g call, the boundaries of 8 boxes; bounds a call's memory
-_SAMPLES_PER_CALL = 256
 # boxes whose windings are computed together; bounds the scan's own memory
 _BOXES_PER_PASS = 256
 _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
@@ -136,11 +137,10 @@ _NEWTON_MAX_ITER = 60
 
 def _evaluate(f: Callable, memo: dict, zs: list[complex]) -> None:
     """Add f at each point of zs that memo lacks, in batched calls of at
-    most _SAMPLES_PER_CALL points; a point listed twice is evaluated once."""
+    most _SAMPLES_PER_CALL points (the boundaries of 8 boxes); a point
+    listed twice is evaluated once."""
     new = [z for z in dict.fromkeys(zs) if z not in memo]
-    for i in range(0, len(new), _SAMPLES_PER_CALL):
-        chunk = new[i:i + _SAMPLES_PER_CALL]
-        memo.update(zip(chunk, f(np.array(chunk)).tolist()))
+    memo.update(zip(new, evaluate_in_chunks(f, new)))
 
 
 def _phase_change(f: Callable, z0, z1, f0, f1,
@@ -270,8 +270,9 @@ def find_zeros(evaluator: Callable | GEvaluator,
     The box budget, 4000 + 400 T, is more than twice what the scans for d=5
     and for the cubic character 7,3,3 use at T=100 (7,160 and 18,984 boxes).
     """
-    if T > 100:
-        raise InvalidConfigError("zero searches above T=100 are out of scope")
+    if T > HEIGHT_MAX:
+        raise InvalidConfigError(
+            f"zero searches above T={HEIGHT_MAX:g} are out of scope")
     budget = int(4000 + 400 * T)
     f = evaluator.fn if isinstance(evaluator, GEvaluator) else evaluator
 

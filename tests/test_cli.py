@@ -1,10 +1,14 @@
 """Command-line interface: outputs, determinism, exit codes."""
+import contextlib
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialzeta import cli
 from partialzeta.cli import main
@@ -173,6 +177,13 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["results"][0]["Z_P"]["value"]["im"] == "0"
 
+    def test_product_beyond_double_range(self, capsys):
+        # near s = 0 every factor is small, and the sum of their logs over
+        # the 1,229 primes below 1e4 leaves the double range
+        code = main(["eval", "--d", "5", "--s", "0,0.0625"])
+        err = capsys.readouterr().err
+        assert code == 3 and "overflows a double" in err
+
     def test_bad_s(self, capsys):
         code, _ = run(capsys, "eval", "--backend", "quadratic", "--d", "5",
                       "--s", "nope")
@@ -207,6 +218,61 @@ class TestContinue:
                           "--cutoff", "1000")
         assert code2 == 0
         assert "nan" in out2
+
+    def test_grid_row_at_the_pole_of_zeta_is_nan(self, capsys):
+        # g(1) is refused for that point alone, as a lone evaluation was
+        code, out = run(capsys, "continue", "--d", "5", "--grid",
+                        "0.5:1.5:3,0:0:1", "--depth", "1", "--cutoff", "1e3")
+        assert code == 0
+        assert out == ("re,im,log_abs,arg\n0.5,0,nan,nan\n1,0,nan,nan\n"
+                       "1.5,0,1.57315858965128,0\n")
+
+    @pytest.mark.parametrize("s,depth", [("0.7,60", "2"), ("0.7,1e300", "1"),
+                                         ("0.7,-51", "2"), ("0.7,10", "40")])
+    def test_g_outside_the_L_range_refused(self, capsys, s, depth):
+        # |Im 2^i s| > 100 at some level i < r: exit 3 before any g call
+        code = main(["continue", "--d", "5", f"--s={s}", "--depth", depth,
+                     "--cutoff", "1e3"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: g evaluated at Im s =")
+
+    def test_grid_rows_outside_the_L_range_are_nan(self, capsys):
+        code, out = run(capsys, "continue", "--d", "5", "--grid",
+                        "0.7:0.7:1,40:60:3", "--depth", "2", "--cutoff", "1e3")
+        assert code == 0
+        # Im 2s = 80 and 100 are in range, 120 is not
+        assert out == ("re,im,log_abs,arg\n"
+                       "0.7,40,0.432999825967157,-1.91882138308157\n"
+                       "0.7,50,-3.86205507528166,2.42278334784202\n"
+                       "0.7,60,nan,nan\n")
+
+    def test_graph_g_has_no_height_range(self, capsys, k4_file):
+        code, _ = run(capsys, "continue", "--backend", "graph", "--graph-file",
+                      k4_file, "--s", "0.6,60", "--depth", "2", "--cutoff",
+                      "100")
+        assert code == 0
+
+
+class TestBatchedGridPinned:
+    @pytest.mark.parametrize("argv,digest", [
+        (["continue", "--d", "5", "--grid", "0.3:0.95:6,-5:20:11", "--depth",
+          "2", "--cutoff", "1e5"],
+         "2c8cd593648c9640d2a4671685325485cc232f53178a366dcffdd137b0c39932"),
+        (["continue", "--backend", "cyclic", "--char", "7,3,3", "--grid",
+          "0.4:0.95:5,0:25:9", "--depth", "1", "--cutoff", "1e5"],
+         "dd9e324c2ead66eaa575a2ddc92253ccb0e4a4294f868821ba75b9aa7601bd86"),
+        (["continue", "--backend", "graph", "--graph-file", "GRAPH", "--grid",
+          "0.2:0.95:4,-3:10:7", "--depth", "2", "--cutoff", "1e3"],
+         "a0fb162b4d8859d9fcfc6e8f8cb14fd05ccd8617acd93ff747c88ceebd8f73c2"),
+    ], ids=["d5-depth2", "cyclic-7,3,3", "graph-K4/Z3-depth2"])
+    def test_output_pinned(self, capsys, k4_file, argv, digest):
+        # recorded with one continuation per grid point: the batched
+        # continuation must print the same bytes
+        argv = [k4_file if a == "GRAPH" else a for a in argv]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFeqCheck:
@@ -442,6 +508,26 @@ class TestBadInput:
         self.assert_config_error(capsys, *argv, "--d", "5", "--grid", grid,
                                  "--cutoff", "100")
 
+    @pytest.mark.parametrize("command", ["eval", "continue"])
+    def test_no_point_given(self, capsys, command):
+        self.assert_config_error(capsys, command, "--d", "5")
+
+    @pytest.mark.parametrize("depth", ["1024", "5000", "99999999999999999999"])
+    def test_depth_beyond_double_range(self, capsys, depth):
+        # 2^r overflows a double, and with it the points q^r s
+        self.assert_config_error(capsys, "continue", "--d", "5", "--s", "0.7",
+                                 "--depth", depth)
+
+    @pytest.mark.parametrize("grid", ["0.6:0.9:100000,0:1:100000",
+                                      "0:1:99999999999999999999,0:1:1",
+                                      "0:1:101,0:1:100"])
+    @pytest.mark.parametrize("command", ["eval", "continue"])
+    def test_grid_over_the_point_cap(self, capsys, command, grid):
+        # refused before any point is built
+        code = main([command, "--d", "5", "--grid", grid])
+        err = capsys.readouterr().err
+        assert code == 5 and err.startswith("error: grid of")
+
     def test_depth_without_catalog_backend(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height",
                                  "30", "--depth", "7")
@@ -477,6 +563,57 @@ class TestBadInput:
             main(argv)
         assert info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+# valid, malformed and out-of-range values of the point flags
+FUZZ_S = ["2", "0.75", "0.7,10", "0.6,-3", "1.5,0", "1", "0.5", "0,0.0625",
+          "-0.0,-0.0", "0.3,5", "-1", "0.7,60", "0.7,1e300", "1e300",
+          "-1e300,2", "a,b", "1,2,3", "", ",", "nan", "inf,0", "1e400"]
+FUZZ_GRID = ["0.55:0.95:3,0:30:3", "0.6:2:2,-40:40:3", "0.4:1:4,0:0:1",
+             "0.5:1.5:3,0:0:1", "0.7:0.7:1,45:55:2", "1:2", "a:b:c,d:e:f",
+             "0:1:0,0:1:1", "0:1:1.5,0:1:2", "nan:1:2,0:1:2",
+             "0.6:0.9:100000,0:1:100000", "0:1:99999999999999999999,0:1:1"]
+FUZZ_DEPTH = ["0", "1", "2", "3", "40", "1023", "-1", "1024", "5000",
+              "99999999999999999999", "x"]
+FUZZ_CUTOFF = ["100", "1e3", "1e4", "2", "1", "0", "-5", "nan", "inf",
+               "1e400", "x"]
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# the listed points and any pair of floats
+_FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
+    lambda t: f"{t[0]!r},{t[1]!r}")
+
+
+class TestArgvFuzz:
+    """eval and continue exit 0, 2, 3, 4 or 5 on any argv, never with a
+    traceback; oversized grids and depths are refused before they
+    allocate."""
+
+    @given(command=st.sampled_from(["eval", "continue"]),
+           backend=st.sampled_from([["--d", "5"], ["--d", "-1"],
+                                    ["--backend", "cyclic", "--char", "7,3,3"]]),
+           s=st.none() | _FUZZ_S,
+           grid=st.none() | st.sampled_from(FUZZ_GRID),
+           depth=st.none() | st.sampled_from(FUZZ_DEPTH),
+           cutoff=st.none() | st.sampled_from(FUZZ_CUTOFF))
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_code_and_no_traceback(self, command, backend, s, grid,
+                                        depth, cutoff):
+        argv = [command, *backend]
+        for flag, value in (("--s", s), ("--grid", grid), ("--depth", depth),
+                            ("--cutoff", cutoff)):
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 def _error_classes(cls=PartialZetaError):

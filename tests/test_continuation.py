@@ -2,11 +2,14 @@
 import cmath
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from partialzeta import continuation
 from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
                                       boundary_report, composite_feq_residual,
@@ -15,8 +18,11 @@ from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
 from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
                               truncated_zeta_Pn)
 from partialzeta.errors import (DomainError, InsufficientDataError,
-                                InvalidConfigError, SingularityProximityError)
-from partialzeta.numberfield import g_closed_form, kronecker_system
+                                InvalidConfigError, PoleAtOneError,
+                                SingularityProximityError)
+from partialzeta.lfunctions import prime_order_character
+from partialzeta.numberfield import (cyclic_system, g_closed_form,
+                                     kronecker_system)
 
 
 def order6_system():
@@ -139,6 +145,95 @@ class TestContinueFPower:
         ev = PartialZetaEvaluator(sys5, 2, g, 2, TruncationPolicy(10**3))
         with pytest.raises(SingularityProximityError):
             ev(0.3 + 7.065j)  # 2s hits the cataloged point
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestBatchedContinuation:
+    """A batch of points gives each point the value of a lone evaluation."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("system", ["d5", "7,3,3"])
+    def test_batch_equals_pointwise(self, system, depth):
+        sys_obj = (kronecker_system(5) if system == "d5"
+                   else cyclic_system(prime_order_character(7, 3, 3)))
+        ev = PartialZetaEvaluator(sys_obj, sys_obj.group_order,
+                                  g_closed_form(sys_obj), depth,
+                                  TruncationPolicy(10**4))
+        pts = [complex(re, im) for re in (0.05, 0.3, 0.55, 0.8, 1.0, 1.7)
+               for im in (-7.5, -0.0, 0.0, 3.25, 20.0, 60.0)]
+        pts += pts[:3]
+        batch = ev(np.array(pts))
+        assert batch.shape == (len(pts),)
+        for z, got in zip(pts, batch.tolist()):
+            try:
+                want = ev(z)
+            except (DomainError, PoleAtOneError):
+                assert cmath.isnan(got)
+            else:
+                assert _bits(got) == _bits(want)
+
+    def test_one_kernel_call_per_slice_and_one_g_call_per_level(
+            self, monkeypatch):
+        sys_obj = cyclic_system(prime_order_character(7, 3, 3))
+        g = g_closed_form(sys_obj)
+        sizes = []
+        fn = g.fn
+
+        def counted(s):
+            sizes.append(len(s))
+            return fn(s)
+
+        g.fn = counted
+        calls = []
+        kernel = continuation.log_product
+
+        def counted_kernel(norms, chi, s):
+            calls.append(len(s))
+            return kernel(norms, chi, s)
+
+        monkeypatch.setattr(continuation, "log_product", counted_kernel)
+        ev = PartialZetaEvaluator(sys_obj, 3, g, 2, TruncationPolicy(10**3))
+        pts = np.array([complex(0.2 + 0.001 * k, 0.01 * k) for k in range(300)])
+        ev(pts)
+        # slices (1, 3) and (2, 3) of order q; 256 + 44 points per level
+        assert calls == [300, 300]
+        assert sizes == [256, 44, 256, 44]
+
+    def test_refused_points_are_nan_in_a_batch(self):
+        sys5 = kronecker_system(5)
+        cat = SingularityCatalog([SingularPoint(0.6 + 14.13j, 1)], 20.0)
+        ev = PartialZetaEvaluator(sys5, 2, g_closed_form(sys5, catalog=cat), 2,
+                                  TruncationPolicy(10**3))
+        pts = [0.3 + 7.065j, 0.3 + 7.0j, 0.2 + 1j, 0.7 + 60j]
+        vals = ev(np.array(pts)).tolist()
+        assert [cmath.isnan(v) for v in vals] == [True, False, True, True]
+        assert vals[1] == ev(pts[1])
+        for z, err in zip(pts, [SingularityProximityError, None, DomainError,
+                                DomainError]):
+            if err is not None:
+                with pytest.raises(err):
+                    ev(z)
+
+    def test_depth_whose_power_overflows(self):
+        sys5 = kronecker_system(5)
+        PartialZetaEvaluator(sys5, 2, g_closed_form(sys5), 1023,
+                             TruncationPolicy(10**3))
+        with pytest.raises(InvalidConfigError):
+            PartialZetaEvaluator(sys5, 2, g_closed_form(sys5), 1024,
+                                 TruncationPolicy(10**3))
+
+    def test_g_range(self):
+        sys5 = kronecker_system(5)
+        g = g_closed_form(sys5)
+        assert g.max_height == 100.0
+        with pytest.raises(DomainError):
+            g(0.5 + 100.5j)
+        with pytest.raises(PoleAtOneError):
+            g(np.array([2.0, 1.0]))
+        assert GEvaluator(lambda s: s).refusal(0.5 + 1e300j) is None
 
 
 class TestMqClasses:

@@ -250,6 +250,70 @@ class TestKernelBitIdentity:
                     == _outcome(norms, chi, s, reference_log_product))
 
 
+def _batch(rng, kind, n_points):
+    """Points of one batch: a few heights shared by several real parts,
+    heights of one point, Im s = +-0 and repeated points."""
+    heights = [float(h) for h in rng.uniform(-200, 200, 3)] + [0.0, -0.0]
+    pts = [complex(float(rng.uniform(-1, 4)), heights[int(rng.integers(0, 5))])
+           if rng.random() < 0.7 else
+           complex(float(rng.uniform(-1, 4)), float(rng.uniform(-200, 200)))
+           for _ in range(n_points)]
+    pts += pts[:int(rng.integers(0, 3))]
+    if kind == "real":
+        return np.array([p.real for p in pts])
+    return np.array(pts)
+
+
+class TestBatchedKernel:
+    """A batch of points gives each point the bits of a lone evaluation."""
+
+    @given(norm_kind=st.sampled_from(["primes", "graph", "strided"]),
+           n=st.one_of(st.integers(0, 10), st.integers(0, 50_000)),
+           chi_kind=st.sampled_from(["float", "root", "python-complex",
+                                     "sign-array", "twist-array"]),
+           s_kind=st.sampled_from(["complex", "complex", "real"]),
+           n_points=st.integers(1, 12),
+           singular=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_each_point_has_the_bits_of_the_reference(
+            self, norm_kind, n, chi_kind, s_kind, n_points, singular, seed):
+        rng = np.random.default_rng(seed)
+        norms = _norms(norm_kind, n, seed)
+        chi = _chi(chi_kind, n, seed)
+        s = _batch(rng, s_kind, n_points)
+        if singular:  # 2^{-s} = 1 or -1 at one point
+            s[int(rng.integers(0, len(s)))] = (
+                SINGULAR_S[0] if s_kind == "real"
+                else SINGULAR_S[int(rng.integers(1, 3))])
+        refs = [_outcome(norms, chi, z, reference_log_product) for z in s]
+        if "singular" in refs:
+            with pytest.raises(SingularLocalFactorError):
+                log_product(norms, chi, s)
+            return
+        sums = log_product(norms, chi, s)
+        assert sums.shape == s.shape and sums.dtype == complex
+        assert [_bits(v) for v in sums.tolist()] == refs
+
+    def test_scalar_is_a_batch_of_one(self):
+        norms = RATIONAL_PRIMES[:1000]
+        one = log_product(norms, 1.0, 0.75 + 3.0j)
+        assert type(one) is complex
+        batch = log_product(norms, 1.0, np.array([0.75 + 3.0j]))
+        assert _bits(batch[0]) == _bits(one)
+        assert log_product(norms[:0], 1.0, np.array([2.0, 3.0])).tolist() == [0j, 0j]
+
+    def test_points_outside_the_cexp_identity_stand_alone(self):
+        # x = -Re s log p above 709 and an overflowing phase take a lone cexp
+        norms = np.array([2.0, 3.0, 1e7])
+        s = np.array([-50 + 1j, 2 + 1j, -45 + 1j, 2 + 1e307j, 3 + 1e307j])
+        with np.errstate(all="ignore"):
+            got = log_product(norms, -1.0, s)
+            refs = [_bits(reference_log_product(norms, -1.0, z)) for z in s]
+        assert [_bits(v) for v in got.tolist()] == refs
+
+
 class TestClassSlices:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_contiguous_and_equal_to_mask_selection(self, name):

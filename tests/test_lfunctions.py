@@ -252,20 +252,32 @@ class TestSharedColumns:
 
 
 class TestLibmPrecondition:
-    """The factored exponentials are exact only because glibc's cexp forms
-    exp(x + iy) as (exp(x) cos y, exp(x) sin y) from one sincos, for
-    x <= 709.  A failure here points at the C library or numpy's complex
-    exp on this platform, not at the scan."""
+    """The factored exponentials of the scan and of the Euler-product
+    kernel are exact only because glibc's cexp forms exp(x + iy) as
+    (exp(x) cos y, exp(x) sin y) from one sincos, for x <= 709.  A failure
+    here points at the C library or numpy's complex exp on this platform,
+    not at the scan or the kernel."""
 
     def test_cexp_is_real_exp_times_sincos(self):
+        # the kernel's tested domain: Re s in [-1, 4] and |Im s| <= 200
+        # times log p <= log 1e7 < 16.2; the scan's lies inside it
         rng = np.random.default_rng(20261018)
-        x = rng.uniform(-700.0, 0.0, 100_000)
-        y = rng.uniform(-2000.0, 2000.0, 100_000)
-        z = np.exp(x + 1j * y)
-        E = np.exp(x + 0j).real
-        cis = np.exp(1j * y)
-        assert np.array_equal(z.real, E * cis.real)
-        assert np.array_equal(z.imag, E * cis.imag)
+        x = np.concatenate([rng.uniform(-700.0, 700.0, 100_000),
+                            [0.0, -0.0, 0.0, -0.0, 700.0, -700.0]])
+        y = np.concatenate([rng.uniform(-3300.0, 3300.0, 100_000),
+                            [0.0, -0.0, -0.0, 0.0, 5e-324, -3300.0]])
+
+        def cexp(re, im):  # parts set directly: 1j * y would drop y's -0
+            arg = np.empty(len(x), dtype=complex)
+            arg.real, arg.imag = re, im
+            return np.exp(arg)
+
+        z = cexp(x, y)
+        E = cexp(x, 0.0).real
+        cis = cexp(0.0, y)
+        # bytes, so that signed zeros count
+        assert z.real.tobytes() == (E * cis.real).tobytes()
+        assert z.imag.tobytes() == (E * cis.imag).tobytes()
 
 
 class TestZetaValues:

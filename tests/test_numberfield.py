@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialzeta import lfunctions
-from partialzeta.continuation import SingularityCatalog, SingularPoint
+from partialzeta.continuation import (_SAMPLES_PER_CALL, SingularityCatalog,
+                                      SingularPoint)
 from partialzeta.core import PRIME_DTYPE, TruncationPolicy
 from partialzeta.errors import InvalidConfigError, SingularityProximityError
 from partialzeta.frobenius import log_Z
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
-from partialzeta.numberfield import (_SAMPLES_PER_CALL, AbelianSystem,
-                                     cyclic_system, find_zeros, g_closed_form,
-                                     kronecker_system)
+from partialzeta.numberfield import (AbelianSystem, cyclic_system,
+                                     find_zeros, g_closed_form, kronecker_system)
 from partialzeta.primes import primes_up_to
 
 from zeta_oracles import (critical_line_zero_scan, reference_g,
