@@ -12,7 +12,7 @@ from .continuation import (GEvaluator, PartialZetaEvaluator,
                            counting_functions, feq_residual, lambda_q_betas,
                            mq_classes)
 from .core import (ExplicitSystem, PrimeDatum, TruncationPolicy, ZetaSystem,
-                   system_from_json, truncated_zeta_P, truncated_zeta_Pn)
+                   truncated_zeta_P, truncated_zeta_Pn)
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
                      SingularityProximityError, SingularLocalFactorError,

@@ -100,13 +100,17 @@ class GEvaluator:
 
     fn maps a 1-d array of s to the array of g at those points.  It is
     valid for |Im s| <= max_height and, with pole_at_one, raises within
-    POLE_RADIUS of s = 1, the pole of zeta.
+    POLE_RADIUS of s = 1, the pole of zeta.  factors, if given, are pairs
+    (h, k) of functions holomorphic on the critical strip, called like fn,
+    and their exponents in g: g is prod h^k up to factors without zeros
+    there.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     catalog: SingularityCatalog | None = None
     max_height: float = math.inf
     pole_at_one: bool = False
+    factors: list[tuple[Callable[[np.ndarray], np.ndarray], int]] | None = None
 
     def refusal(self, s: complex) -> PartialZetaError | None:
         """The error g raises at s, or None where it can be evaluated."""

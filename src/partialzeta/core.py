@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import astuple, dataclass
 
@@ -131,6 +130,7 @@ class ZetaSystem:
         return 1.0
 
     def params(self) -> dict:
+        """The inputs that rebuild this system through its backend."""
         return {}
 
     # -- public ------------------------------------------------------
@@ -177,10 +177,6 @@ class ZetaSystem:
                 del self._sums[next(iter(self._sums))]
         self._sums[key] = sums  # most recently used last
         return sums
-
-    def to_json(self) -> str:
-        return json.dumps({"backend": self.backend, "params": self.params()},
-                          sort_keys=True)
 
     def dump_csv(self, X: float) -> str:
         lines = ["id,norm,frob_class,frob_order"]
@@ -311,11 +307,16 @@ def _log_one_minus_sum(x: np.ndarray, out: np.ndarray, chi, s) -> complex:
         re += im
     else:
         b = 0.0  # adding b^2 = +0 changes nothing: 2a + a^2 is never -0
-    np.log1p(re, out=re)
+    with np.errstate(divide="ignore"):
+        np.log1p(re, out=re)
     re *= 0.5
     np.add(1.0, a, out=im)
     np.arctan2(b, im, out=im)
-    return -np.sum(out)
+    total = -np.sum(out)
+    # x within about 1e-8 of 1 rounds 2a + a^2 to -1 and its log1p to -inf
+    if total.real == math.inf:
+        raise SingularLocalFactorError(f"local factor log not finite at s={s}")
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,34 +388,3 @@ def truncated_zeta_P(sys: ZetaSystem, s: complex,
                      pol: TruncationPolicy) -> tuple[complex, float]:
     value = exp_of_log(log_zeta_P(sys, s, pol))
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
-
-
-def system_from_json(text: str) -> ZetaSystem:
-    """Inverse of ZetaSystem.to_json for all built-in backends."""
-    try:
-        obj = json.loads(text)
-        backend = obj["backend"]
-        params = obj["params"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidConfigError(f"bad system JSON: {exc}") from exc
-    if backend == "explicit":
-        primes = [PrimeDatum(norm=n, id=i, frob_class=c, frob_order=o)
-                  for n, i, c, o in params["primes"]]
-        return ExplicitSystem(primes, params.get("group_order", max(
-            (p.frob_order for p in primes), default=1)))
-    if backend == "quadratic":
-        from .numberfield import kronecker_system
-
-        return kronecker_system(params["d"])
-    if backend == "cyclic":
-        from .numberfield import cyclic_system, prime_order_character
-
-        chi = prime_order_character(params["modulus"], params["order"],
-                                    params.get("generator"))
-        return cyclic_system(chi)
-    if backend == "graph":
-        from .graphs import GraphZetaSystem, parse_graph_file
-
-        vg = parse_graph_file(params["text"])
-        return GraphZetaSystem(vg)
-    raise InvalidConfigError(f"unknown backend {backend!r}")

@@ -16,13 +16,13 @@ import numpy as np
 
 from . import primes as prime_sieve
 from .continuation import (GEvaluator, SingularityCatalog, SingularPoint,
-                           evaluate_in_chunks)
+                           _matches, evaluate_in_chunks)
 from .core import PRIME_DTYPE, ZetaSystem
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
 from .lfunctions import (HEIGHT_MAX, DirichletCharacter, dirichlet_L,
                          is_primitive_root, kronecker_character,
-                         prime_order_character, trivial_character)
+                         trivial_character)
 
 
 class AbelianSystem(ZetaSystem):
@@ -96,7 +96,9 @@ def g_closed_form(sys: AbelianSystem,
     evaluator's max_height.  The callback broadcasts over arrays of s, as
     `find_zeros` requires, and takes zeta and every L(s, chi^j) from one
     `dirichlet_L` call, that is one Hurwitz call over the union of their
-    columns a = r/m and a = 1.
+    columns a = r/m and a = 1.  The evaluator's factors are zeta, with
+    exponent q - 1, and each L(s, chi^j), with exponent -1; the ramified
+    factors vanish only on Re s = 0.  `find_zeros` scans them one by one.
     """
     q = sys.group_order
     chis = [trivial_character()] + [sys.chi.power(j) for j in range(1, q)]
@@ -117,8 +119,12 @@ def g_closed_form(sys: AbelianSystem,
         out = num / den
         return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
+    def factor(chi: DirichletCharacter) -> Callable:
+        return lambda s: dirichlet_L(s, chi)
+
+    factors = [(factor(chi), q - 1 if chi.is_trivial else -1) for chi in chis]
     return GEvaluator(fn, catalog=catalog, max_height=HEIGHT_MAX,
-                      pole_at_one=True)
+                      pole_at_one=True, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +136,8 @@ _SAMPLES_PER_EDGE = 8  # boundary samples per box edge
 # boxes whose windings are computed together; bounds the scan's own memory
 _BOXES_PER_PASS = 256
 _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
-_MAX_ORDER = 3  # larger windings are subdivided further, not cataloged
+# larger windings, a multiple zero of one factor, are subdivided further
+_MAX_ORDER = 3
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
 
@@ -181,12 +188,9 @@ def _bisect(f: Callable, memo: dict, segments: list[tuple]) -> None:
 def _windings(f: Callable, boxes: list[tuple]):
     """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
 
-    Yields, box by box, the winding and the total absolute phase variation
-    along the boundary: a box whose winding is zero can still hide a
-    cancelling zero-pole pair, which betrays itself through large boundary
-    phase swings.  The boxes are taken _BOXES_PER_PASS at a time; a pass
-    evaluates the boundary samples of all its boxes, and then each
-    bisection depth of the phase tracking, in batched calls of f.
+    Yields the windings box by box.  The boxes are taken _BOXES_PER_PASS at
+    a time; a pass evaluates the boundary samples of all its boxes, and then
+    each bisection depth of the phase tracking, in batched calls of f.
     """
     m = 4 * _SAMPLES_PER_EDGE
     for start in range(0, len(boxes), _BOXES_PER_PASS):
@@ -205,18 +209,15 @@ def _windings(f: Callable, boxes: list[tuple]):
         _bisect(f, memo, segments)
         for k, (re0, re1, im0, im1) in enumerate(batch):
             total = 0.0
-            variation = 0.0
             for seg in segments[k * m:(k + 1) * m]:
-                d = _phase_change(memo.__getitem__, *seg)
-                total += d
-                variation += abs(d)
+                total += _phase_change(memo.__getitem__, *seg)
             w = total / (2 * math.pi)
             wi = round(w)
             if abs(w - wi) > 1e-6:
                 raise UnresolvedBoxError(
                     f"non-integer winding {w} on box "
                     f"{complex(re0, im0)}..{complex(re1, im1)}")
-            yield wi, variation
+            yield wi
 
 
 def _rect(re0, re1, im0, im1) -> list[complex]:
@@ -248,75 +249,106 @@ def _newton_refine(f, s0: complex, mult: int) -> complex:
     return s
 
 
-def find_zeros(evaluator: Callable | GEvaluator,
-               T: float, *, im_floor: float = 0.05) -> SingularityCatalog:
-    """Catalog zeros and poles of `evaluator` in {0 < Re s < 1, 0 < Im s < T}.
+def _center(box: tuple) -> complex:
+    re0, re1, im0, im1 = box
+    return complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
 
-    The evaluator must map a 1-d array of s to the array of its values.
 
-    Rectangles are scanned by the argument principle (adaptive phase tracking
-    along the boundary), subdivided until each singular point is isolated,
-    then refined by Newton iteration.  Orders come from winding counts;
-    windings above 3 are subdivided down to width 1e-8 and then flagged.
+def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
+    """(box, winding w, root) per zero or pole of f in the boxes of `level`,
+    and the number of boxes scanned.
 
-    The scan walks one subdivision level at a time, _BOXES_PER_PASS boxes
-    per pass.  A pass's boundary samples go to the evaluator in calls of at
-    most _SAMPLES_PER_CALL points (8 boxes), a point shared by several boxes
-    once; each phase-bisection depth is batched the same way, and each Newton
-    step is one call of five points.  For an evaluator that gives a point
-    the same value in any batch, as `g_closed_form` does, the catalog does
+    A box of nonzero winding is split until it is at most 2e-2 wide and
+    |w| <= _MAX_ORDER, then refined by Newton on f from its center; an
+    iterate that escapes the box splits it again.  The scan walks one
+    subdivision level at a time: boundary samples go to f in calls of at
+    most _SAMPLES_PER_CALL points (8 boxes), a point shared by boxes once,
+    each phase-bisection depth is batched the same way, and each Newton
+    step is one call of five points.  For an f that gives a point the same
+    value in any batch, as `g_closed_form`'s functions do, the result does
     not depend on this batching.
-
-    The box budget, 4000 + 400 T, is more than twice what the scans for d=5
-    and for the cubic character 7,3,3 use at T=100 (7,160 and 18,984 boxes).
     """
-    if T > HEIGHT_MAX:
-        raise InvalidConfigError(
-            f"zero searches above T={HEIGHT_MAX:g} are out of scope")
-    budget = int(4000 + 400 * T)
-    f = evaluator.fn if isinstance(evaluator, GEvaluator) else evaluator
-
-    points: list[SingularPoint] = []
-    # initial horizontal slabs of height 1/2; the offsets keep box edges away
-    # from zeta/L zeros, which lie at irrational-looking heights
-    level = []
-    im = im_floor
-    while im < T:
-        top = min(im + 0.5, T)
-        level.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))
-        im = top
+    found = []
     used = 0
     while level:
         used += len(level)
         if used > budget:
             raise BudgetExceededError("box subdivision budget exceeded")
         children = []
-        for (re0, re1, im0, im1), (w, variation) in zip(level,
-                                                        _windings(f, level)):
+        for box, w in zip(level, _windings(f, level)):
+            if w == 0:
+                continue
+            re0, re1, im0, im1 = box
             width = max(re1 - re0, im1 - im0)
-            # zero net winding can mask a cancelling zero-pole pair, which
-            # betrays itself through large boundary phase swings: subdivide
-            suspicious = variation >= 3.0 and width > 2e-2
-            if w == 0 and not suspicious:
-                continue
-            if w == 0 or width > 2e-2 or abs(w) > _MAX_ORDER:
-                if width < 1e-8:
-                    raise UnresolvedBoxError(
-                        f"winding {w} unresolved below width 1e-8 near "
-                        f"({re0 + re1})/2 + ({im0 + im1})/2 i")
-                # split slightly off-center: zeros of interest sit on Re = 1/2
-                # and an exact-midpoint cut would run straight through them
-                rm = re0 + 0.5137 * (re1 - re0)
-                imm = im0 + 0.4873 * (im1 - im0)
-                children += [(re0, rm, im0, imm), (rm, re1, im0, imm),
-                             (re0, rm, imm, im1), (rm, re1, imm, im1)]
-                continue
-            center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-            s_ref = _newton_refine(f, center, w)
-            if not (re0 - 1e-6 <= s_ref.real <= re1 + 1e-6
-                    and im0 - 1e-6 <= s_ref.imag <= im1 + 1e-6):
-                s_ref = center  # refinement escaped; keep the box center estimate
-            points.append(SingularPoint(location=s_ref, order=w))
+            if width <= 2e-2 and abs(w) <= _MAX_ORDER:
+                root = _newton_refine(f, _center(box), w)
+                if (re0 - 1e-6 <= root.real <= re1 + 1e-6
+                        and im0 - 1e-6 <= root.imag <= im1 + 1e-6):
+                    found.append((box, w, root))
+                    continue
+            if width < 1e-8:
+                raise UnresolvedBoxError(
+                    f"winding {w} unresolved below width 1e-8 near "
+                    f"{_center(box)}")
+            # split slightly off-center: zeros of interest sit on Re = 1/2
+            # and an exact-midpoint cut would run straight through them
+            rm = re0 + 0.5137 * (re1 - re0)
+            imm = im0 + 0.4873 * (im1 - im0)
+            children += [(re0, rm, im0, imm), (rm, re1, im0, imm),
+                         (re0, rm, imm, im1), (rm, re1, imm, im1)]
         level = children
+    return found, used
+
+
+def find_zeros(evaluator: Callable | GEvaluator,
+               T: float, *, im_floor: float = 0.05) -> SingularityCatalog:
+    """Catalog zeros and poles of `evaluator` in {0 < Re s < 1, 0 < Im s < T}.
+
+    The evaluator maps a 1-d array of s to the array of its values.  A
+    GEvaluator with `factors`, as `g_closed_form` gives, is cataloged
+    through them: each factor is holomorphic on the strip and scanned on its
+    own, so zeros of two factors cannot cancel in a winding.  A factor's
+    point of winding k has order k * (its exponent); points of different
+    factors within CLASS_MATCH_RTOL merge with the summed order, and order 0
+    is dropped.  A point of order +-1 is refined again by Newton on g from
+    the center of its box, kept if it agrees with the factor's root; a
+    higher order keeps the factor's root, where the zero is simple (Newton
+    on a zero of order k reaches only about eps^(1/k)).  The box budget,
+    4000 + 400 T, is shared by the factor scans.
+    """
+    if T > HEIGHT_MAX:
+        raise InvalidConfigError(
+            f"zero searches above T={HEIGHT_MAX:g} are out of scope")
+    budget = int(4000 + 400 * T)
+    g = evaluator.fn if isinstance(evaluator, GEvaluator) else evaluator
+    factors = getattr(evaluator, "factors", None) or [(g, 1)]
+
+    # initial horizontal slabs of height 1/2; the offsets keep box edges away
+    # from zeta/L zeros, which lie at irrational-looking heights
+    slabs = []
+    im = im_floor
+    while im < T:
+        top = min(im + 0.5, T)
+        slabs.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))
+        im = top
+    merged: list[list] = []  # [root, order in g, box, factor] per point
+    for f, exponent in factors:
+        found, used = _scan(f, slabs, budget)
+        budget -= used
+        others = list(merged)  # a factor's own points are distinct
+        for box, w, root in found:
+            match = next((m for m in others if _matches(root, m[0])), None)
+            if match is None:
+                merged.append([root, w * exponent, box, f])
+            else:
+                match[1] += w * exponent
+    points = []
+    for root, order, box, f in merged:
+        if abs(order) == 1 and f is not g:
+            s_g = _newton_refine(g, _center(box), order)
+            if _matches(s_g, root):
+                root = s_g
+        if order != 0:
+            points.append(SingularPoint(location=root, order=order))
     points.sort(key=lambda p: (p.location.imag, p.location.real))
     return SingularityCatalog(points=points, complete_up_to=T)

@@ -162,11 +162,6 @@ class ExactSeries:
             cs = cs[: len(cs) - (k - 1)]
         return ExactSeries(cs, self.order)
 
-    def derivative(self) -> "ExactSeries":
-        cs = [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-        order = None if self.order is None else max(self.order - 1, 0)
-        return ExactSeries(cs, order)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -353,13 +348,6 @@ class Cyclotomic:
     def __truediv__(self, other):
         other = self._wrap(other)
         return self * other.inverse()
-
-    def conjugate_map(self, t: int) -> "Cyclotomic":
-        """Galois action zeta -> zeta^t."""
-        acc = Cyclotomic.zero(self.q)
-        for j, c in enumerate(self.vec):
-            acc = acc + Cyclotomic.root_power(self.q, j * t) * c
-        return acc
 
     def __complex__(self) -> complex:
         import cmath

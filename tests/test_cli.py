@@ -184,6 +184,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 3 and "overflows a double" in err
 
+    def test_log_of_a_factor_next_to_one(self, capsys):
+        # at s = 1e-10, 2^{-s} is within 1e-10 of 1 and the kernel's
+        # log1p(2a + a^2 + b^2) rounds to -inf: refused, not printed as inf
+        code = main(["eval", "--d", "5", "--s", "1e-10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "not finite" in captured.err
+
     def test_bad_s(self, capsys):
         code, _ = run(capsys, "eval", "--backend", "quadratic", "--d", "5",
                       "--s", "nope")
@@ -344,11 +352,12 @@ class TestZeros:
                    for _, im, order in entries)
 
     def test_budget_covers_accepted_heights(self, capsys):
-        # the scan needs 4,500 boxes here, more than a fixed 4,000 allowed
+        # the scan of g itself needed 4,500 boxes here, more than a fixed
+        # 4,000 allowed; the factor scans need 1,480
         code, out = run(capsys, "zeros", "--backend", "quadratic", "--d", "5",
                         "--height", "70")
         assert code == 0
-        assert len(out.strip().splitlines()) == 49  # header + 48 points
+        assert len(out.strip().splitlines()) == 51  # header + 50 points
 
     def test_graph_backend(self, capsys, k4_file):
         code, out = run(capsys, "zeros", "--backend", "graph", "--graph-file",

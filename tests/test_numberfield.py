@@ -10,7 +10,8 @@ from partialzeta import lfunctions
 from partialzeta.continuation import (_SAMPLES_PER_CALL, SingularityCatalog,
                                       SingularPoint)
 from partialzeta.core import PRIME_DTYPE, TruncationPolicy
-from partialzeta.errors import InvalidConfigError, SingularityProximityError
+from partialzeta.errors import (InvalidConfigError, SingularityProximityError,
+                               UnresolvedBoxError)
 from partialzeta.frobenius import log_Z
 from partialzeta.lfunctions import prime_order_character, riemann_zeta
 from partialzeta.numberfield import (AbelianSystem, cyclic_system,
@@ -219,39 +220,68 @@ class TestFindZeros:
             assert abs(p.location - complex(re, im)) < 1e-12
 
     def test_d5_scan_work(self):
-        # the level-batched scan: 1,585 g calls of at most 32 points when
-        # each box and each bisection or Newton point was its own call
+        # the level-batched factor scans: 1,585 g calls of at most 32 points
+        # when each box and each bisection or Newton point was its own
+        # call; now 104 factor calls, and g only for the Newton steps
         ev = g_closed_form(kronecker_system(5))
-        sizes = []
-        fn = ev.fn
+        sizes = {}
 
-        def counted(s):
-            sizes.append(np.size(s))
-            return fn(s)
+        def counted(fn, key):
+            def f(s):
+                sizes.setdefault(key, []).append(np.size(s))
+                return fn(s)
+            return f
 
-        ev.fn = counted
+        ev.fn = counted(ev.fn, "g")
+        ev.factors = [(counted(f, k), e) for k, (f, e) in enumerate(ev.factors)]
         cat = find_zeros(ev, 28.0)
-        assert len(sizes) <= 350
-        assert max(sizes) <= _SAMPLES_PER_CALL
+        calls = [n for v in sizes.values() for n in v]
+        assert len(calls) <= 350
+        assert max(calls) <= _SAMPLES_PER_CALL
+        assert set(sizes["g"]) == {5}
         assert len(cat.points) == len(_D5_CATALOG_T28)
         for p, (re, im, order) in zip(cat.points, _D5_CATALOG_T28):
             assert p.order == order
             assert abs(p.location - complex(re, im)) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: zeta's zero 0.5+32.935i and the L(s, chi_5) zero "
-        "0.5+33.000i, 0.065 apart, give the slab [32.55, 33.05] winding 0 "
-        "and boundary phase variation 2.62, below the 3.0 subdivision "
-        "threshold, so the pair is never isolated"))
     def test_d5_close_zero_pole_pair_found(self):
-        # exact locations from mpmath.zetazero(5) and mpmath.findroot on
-        # mpmath.dirichlet(s, chi_5)
-        zeta_zero, l_zero = 0.5 + 32.935061587739190j, 0.5 + 33.000456006870514j
-        cat = find_zeros(g_closed_form(kronecker_system(5)), 33.05,
-                         im_floor=32.55)
-        found = {(round(p.location.imag, 6), p.order) for p in cat.points}
-        assert (round(zeta_zero.imag, 6), 1) in found
-        assert (round(l_zero.imag, 6), -1) in found
+        # pairs of a zeta zero and an L(s, chi_5) zero that cancel in g's
+        # winding (0.065 and 0.042 apart): the scan of g itself missed both.
+        # Exact locations from mpmath.zetazero(5) and mpmath.zetazero(26),
+        # and mpmath.findroot on mpmath.dirichlet(s, chi_5)
+        pairs = [(0.5 + 32.935061587739190j, 0.5 + 33.000456006870514j, 32.55),
+                 (0.5 + 92.491899270558484j, 0.5 + 92.450243253774403j, 92.3)]
+        g = g_closed_form(kronecker_system(5))
+        for zeta_zero, l_zero, floor in pairs:
+            cat = find_zeros(g, floor + 0.5, im_floor=floor)
+            found = {(round(p.location.imag, 6), p.order) for p in cat.points}
+            assert (round(zeta_zero.imag, 6), 1) in found
+            assert (round(l_zero.imag, 6), -1) in found
+
+    def test_newton_escape_splits_the_box(self, monkeypatch):
+        # an iterate that leaves its box is not cataloged at the box center:
+        # the box is split and its children refined again
+        from partialzeta import numberfield
+
+        refine, calls = numberfield._newton_refine, []
+
+        def escaping_once(f, s0, mult):
+            calls.append(s0)
+            return s0 + 1.0 if len(calls) == 1 else refine(f, s0, mult)
+
+        monkeypatch.setattr(numberfield, "_newton_refine", escaping_once)
+        cat = find_zeros(riemann_zeta, 15.0)
+        assert len(calls) > 1
+        assert [p.order for p in cat.points] == [1]
+        assert abs(cat.points[0].location - (0.5 + 14.134725141734694j)) < 1e-12
+
+    def test_newton_escape_unresolved_below_1e_8(self, monkeypatch):
+        from partialzeta import numberfield
+
+        monkeypatch.setattr(numberfield, "_newton_refine",
+                            lambda f, s0, mult: s0 + 1.0)
+        with pytest.raises(UnresolvedBoxError):
+            find_zeros(riemann_zeta, 15.0)
 
     def test_zeta_below_15(self):
         cat = find_zeros(riemann_zeta, 15.0)

@@ -28,7 +28,10 @@ def reference_log_product(norms, chi, s) -> complex:
     x = np.exp(-s * np.log(norms)) * chi
     if np.any(np.abs(1.0 - x) < SINGULAR_FACTOR_EPS):
         raise SingularLocalFactorError(f"singular local factor at s={s}")
-    return complex(-np.sum(_clog1p(-x)))
+    total = complex(-np.sum(_clog1p(-x)))
+    if total.real == math.inf:
+        raise SingularLocalFactorError(f"local factor log not finite at s={s}")
+    return total
 
 
 # Hurwitz zeta and L(s, chi) with one complex exp per head term and one
