@@ -11,7 +11,7 @@ from .continuation import (GEvaluator, PartialZetaEvaluator,
                            composite_feq_residual, continue_f_power,
                            counting_functions, feq_residual, lambda_q_betas,
                            mq_classes)
-from .core import (ExplicitSystem, PrimeDatum, TruncationPolicy, ZetaSystem,
+from .core import (ExplicitSystem, PrimeTable, TruncationPolicy, ZetaSystem,
                    truncated_zeta_P, truncated_zeta_Pn)
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
@@ -25,7 +25,7 @@ from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
 from .lfunctions import (DirichletCharacter, dirichlet_L,
                          fundamental_discriminant, hurwitz_zeta,
                          kronecker_character, kronecker_symbol,
-                         prime_order_character, riemann_zeta)
+                         prime_order_character)
 from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
                           g_closed_form, kronecker_system)
 from .series import Cyclotomic, ExactSeries

@@ -233,9 +233,11 @@ def cmd_continue(args) -> None:
     if args.grid:
         pts = sorted(_parse_grid(args.grid), key=lambda z: (z.real, z.imag))
         rows = ["re,im,log_abs,arg"]
-        # points the recursion refuses come back as nan and print nan,nan
+        # refused points come back as nan and print nan,nan (abs() of a nan
+        # can raise on an errno left by numpy's libm calls)
         for s, val in zip(pts, ev(np.array(pts)).tolist()):
-            log_abs, arg = math.log(abs(val)), cmath.phase(val)
+            log_abs, arg = ((math.log(abs(val)), cmath.phase(val))
+                            if cmath.isfinite(val) else (math.nan, math.nan))
             rows.append(f"{s.real:.15g},{s.imag:.15g},"
                         f"{log_abs:.15g},{arg:.15g}")
         _emit(args, "\n".join(rows) + "\n")

@@ -249,7 +249,8 @@ def feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
     """Residual of zeta_{P_q}(s)^q / zeta_{P_q}(qs) = zeta_P(s)^q / Z_P(s)."""
     q = sys.group_order
     pol = TruncationPolicy(X)
-    lhs = q * log_zeta_Pn(sys, q, s, pol) - log_zeta_Pn(sys, q, q * s, pol)
+    lhs = (q * log_zeta_Pn(sys, q, s, pol)
+           - log_zeta_Pn(sys, q, q * s, pol, twists=False))
     rhs = q * log_zeta_P(sys, s, pol) - log_Z(sys, s, pol)
     return abs(lhs - rhs)
 
@@ -263,7 +264,7 @@ def composite_feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
             f"group order {n} is not a product of two distinct primes")
     q1, q2 = fac
     pol = TruncationPolicy(X)
-    f = lambda arg: log_zeta_Pn(sys, n, arg, pol)
+    f = lambda arg: log_zeta_Pn(sys, n, arg, pol, twists=arg == s)
     lhs = f(n * s) + n * f(s) - q2 * f(q1 * s) - q1 * f(q2 * s)
     h1 = subgroup_character_indices(n, q1)
     h2 = subgroup_character_indices(n, q2)

@@ -4,18 +4,20 @@ All truncated products are accumulated in log space (complex, principal
 branch per factor) and exponentiated at the end; every public operation
 returns the value together with a tail bound on |log(true/value)|.
 
-The products over one prime table differ only in which Frobenius classes
-they keep and in the root of unity each class is twisted by.  So the table
-is split once per cutoff into (frob_class, frob_order) slices, and at each
-point s every slice sum -log(1 - w norm^{-s}) is computed once and shared
-by zeta_P, every zeta_{P_n} and every L(s, chi_j) at that point.
+A system's primes are one `PrimeTable` of columns: float64 norms, classes
+in [0, #G) and orders in the smallest integer dtype holding #G, and ids
+only where they are not the norms.  It is split once per cutoff into
+contiguous (frob_class, frob_order) slices of norms; at each point s each
+slice's norm^{-s} is twisted by every w a character of #G gives its class,
+and each sum -log(1 - w norm^{-s}) is shared by every product at s.
 
 `log_product`, the kernel under all of them, works in place: it writes
 into a few preallocated arrays instead of a fresh array per operation.  On
 tables of ~10^5 primes much of the cost of fresh arrays was page faults,
 not arithmetic.  It takes a batch of points s, a 1-d array (a scalar is a
-batch of one), and shares between them the log of the norms and, among
-points of one height, the phase:
+batch of one), and a twist or a list of twists, and shares between them
+the log of the norms, each point's norm^{-s} between the twists, and,
+among points of one height, the phase:
 
 - each point of a shared height forms norm^{-s} as
   exp(-Re s log p) * (cos y, sin y), with y = -Im s log p; the real factor
@@ -27,13 +29,12 @@ points of one height, the phase:
   exp per point, at the cost of a real one;
 - a height that only one point of the batch has, or a point the identity
   does not cover, takes one complex exp, and needs no phase table;
-- a real-dtype batch stays in float arithmetic throughout.
+- a real-dtype batch stays in float arithmetic with a real twist.
 
-The rest runs per point over the whole slice, with the same floating-point
-operations in the same order as the one-array-per-operation form, down to
-numpy's pairwise complex sum, so every point's sum is bit-for-bit that of
-`reference_log_product` in the tests, which check it on real and complex
-s, scalar and per-prime chi, up to 4e5 primes and random batches.  The 63
+The rest runs per point and twist over the whole slice, with the same
+floating-point operations in the same order as the one-array-per-operation
+form, down to numpy's pairwise complex sum, so every sum is bit-for-bit
+that of `reference_log_product` in the tests with its one twist.  The 63
 points of the bench `continue --grid` share 7 heights.
 """
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,25 +56,26 @@ CEXP_REAL_MAX = 709.0
 # composite functional-equation residual (s, q1 s, q2 s, n s) fits
 POINT_CACHE = 8
 
-# one row per prime; a system's prime table is sorted by (norm, id)
-PRIME_DTYPE = np.dtype([("norm", "f8"), ("id", "i8"), ("frob_class", "i8"),
-                        ("frob_order", "i8")])
+
+def class_dtype(group_order: int) -> np.dtype:
+    """The smallest signed integer dtype holding every integer in [0, #G]."""
+    return np.min_scalar_type(-group_order - 1)
 
 
-@dataclass(frozen=True, order=True)
-class PrimeDatum:
-    """One abstract prime: a norm and a Frobenius conjugacy-class label."""
+@dataclass(frozen=True, eq=False)
+class PrimeTable:
+    """Prime columns sorted by (norm, id); no id where ids are the norms."""
 
-    norm: float
-    id: int
-    frob_class: int = 0
-    frob_order: int = 1
+    norm: np.ndarray
+    frob_class: np.ndarray
+    frob_order: np.ndarray
+    id: np.ndarray | None = None
 
-    def __post_init__(self):
-        if not self.norm > 1:
-            raise InvalidConfigError(f"prime norm must exceed 1, got {self.norm}")
-        if self.frob_order < 1:
-            raise InvalidConfigError("frob_order must be a positive integer")
+    def __len__(self):
+        return len(self.norm)
+
+    def __getitem__(self, rows) -> PrimeTable:
+        return PrimeTable(*(c if c is None else c[rows] for c in vars(self).values()))
 
 
 @dataclass
@@ -105,8 +107,8 @@ class TruncationPolicy:
 class ZetaSystem:
     """A countable family of primes with a finite cyclic group descriptor.
 
-    Subclasses implement `_enumerate(X)` returning the PRIME_DTYPE table of
-    all primes with norm <= X, cached for the largest X asked so far.
+    Subclasses implement `_enumerate(X)`: the PrimeTable, classes in
+    [0, #G), of all primes with norm <= X, cached for the largest X asked.
     """
 
     backend = "abstract"
@@ -116,55 +118,51 @@ class ZetaSystem:
             raise InvalidConfigError("group order must be >= 1")
         self.group_order = group_order
         self._cache_X = 0.0
-        self._cache = np.empty(0, PRIME_DTYPE)
-        self._slices_X = None
-        self._slices: dict[tuple[int, int], np.ndarray] = {}
+        self._cache = PrimeTable(np.empty(0), *2 * [np.empty(0, np.int8)])
+        self._slices: tuple[float | None, dict] = (None, {})  # (X, slices)
         self._sums: dict[tuple[float, complex], ClassSums] = {}
 
     # -- subclass surface --------------------------------------------
-    def _enumerate(self, X: float) -> np.ndarray:
+    def _enumerate(self, X: float) -> PrimeTable:
         raise NotImplementedError
 
     def count_coeff(self) -> float:
         """c with #{p : norm <= t} <= c * t for all t (monotone over-count)."""
         return 1.0
 
-    def params(self) -> dict:
-        """The inputs that rebuild this system through its backend."""
-        return {}
-
     # -- public ------------------------------------------------------
-    def primes_up_to(self, X: float) -> np.ndarray:
-        """Read-only view of the prime table rows with norm <= X."""
+    def primes_up_to(self, X: float) -> PrimeTable:
+        """The prime table rows with norm <= X, as read-only column views."""
         if math.isnan(X):
             raise InvalidConfigError("prime cutoff is NaN")
         if X > self._cache_X:
             table = self._enumerate(X)
-            norms = table["norm"]
-            if not np.all(norms[1:] > norms[:-1]):
-                table = table[np.lexsort((table["id"], norms))]
-            table.flags.writeable = False
+            if not np.all(table.norm[1:] > table.norm[:-1]):
+                table = table[np.lexsort((table.id, table.norm))]
+            for col in vars(table).values():
+                if col is not None:
+                    col.flags.writeable = False
             self._cache = table
             self._cache_X = X
-        return self._cache[:np.searchsorted(self._cache["norm"], X, side="right")]
+        return self._cache[:np.searchsorted(self._cache.norm, X, side="right")]
 
     def arrays_up_to(self, X: float):
         """(norms, frob_class, frob_order) column views of primes_up_to(X)."""
         table = self.primes_up_to(X)
-        return table["norm"], table["frob_class"], table["frob_order"]
+        return table.norm, table.frob_class, table.frob_order
 
     def class_slices(self, X: float) -> dict[tuple[int, int], np.ndarray]:
-        """The norms <= X split by (frob_class mod #G, frob_order), in norm
-        order inside each slice; built once per cutoff."""
-        if X != self._slices_X:
+        """The norms <= X split by (frob_class, frob_order), keys ascending,
+        each slice contiguous and in norm order; built once per cutoff."""
+        if X != self._slices[0]:
             norms, classes, orders = self.arrays_up_to(X)
-            norms = np.ascontiguousarray(norms)
             q = self.group_order
-            code = classes % q * (q + 1) + orders  # frob_order <= #G
-            self._slices = {divmod(int(k), q + 1): np.compress(code == k, norms)
-                            for k in np.flatnonzero(np.bincount(code))}
-            self._slices_X = X
-        return self._slices
+            # one code per (class, order) pair, ascending with the pair
+            code = np.multiply(classes, q + 1, dtype=class_dtype((q + 1) ** 2))
+            code += orders
+            self._slices = (X, {divmod(int(k), q + 1): np.compress(code == k, norms)
+                                for k in np.flatnonzero(np.bincount(code))})
+        return self._slices[1]
 
     def class_sums(self, X: float, s: complex) -> ClassSums:
         """The slice sums at s over the primes with norm <= X, kept for the
@@ -172,69 +170,78 @@ class ZetaSystem:
         key = (X, complex(s))
         sums = self._sums.pop(key, None)
         if sums is None:
-            sums = ClassSums(self.class_slices(X), s)
+            sums = ClassSums(self.class_slices(X), s, self.group_order)
             if len(self._sums) >= POINT_CACHE:
                 del self._sums[next(iter(self._sums))]
         self._sums[key] = sums  # most recently used last
         return sums
 
     def dump_csv(self, X: float) -> str:
+        t = self.primes_up_to(X)
+        norms = [int(v) if v.is_integer() else v for v in t.norm.tolist()]
+        rows = zip(norms if t.id is None else t.id.tolist(), norms,
+                   t.frob_class.tolist(), t.frob_order.tolist())
         lines = ["id,norm,frob_class,frob_order"]
-        for norm, pid, cls, order in self.primes_up_to(X).tolist():
-            norm = int(norm) if norm.is_integer() else norm
-            lines.append(f"{pid},{norm},{cls},{order}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
 class ExplicitSystem(ZetaSystem):
-    """Finite, hand-specified prime list; used for synthetic test systems."""
+    """Hand-specified prime columns, classes taken mod #G and ids defaulting
+    to positions; used for synthetic test systems."""
 
     backend = "explicit"
 
-    def __init__(self, primes: list[PrimeDatum], group_order: int):
+    def __init__(self, norm, frob_class, frob_order, group_order: int,
+                 id=None):
         super().__init__(group_order)
-        for p in primes:
-            if group_order % p.frob_order != 0:
-                raise InvalidConfigError(
-                    f"frob_order {p.frob_order} does not divide #G={group_order}")
-        self._table = np.array([astuple(p) for p in sorted(primes)], PRIME_DTYPE)
+        norm = np.asarray(norm, dtype=float)
+        classes, orders, ids = (np.asarray(c, dtype=np.int64) for c in (
+            frob_class, frob_order, np.arange(len(norm)) if id is None else id))
+        if (norm.ndim != 1 or {c.shape for c in (classes, orders, ids)} != {norm.shape}
+                or not np.all((norm > 1) & (orders >= 1)
+                              & (group_order % np.maximum(orders, 1) == 0))):
+            raise InvalidConfigError(f"prime columns need one length, norms > 1 "
+                                     f"and frob_orders dividing #G={group_order}")
+        dt = class_dtype(group_order)
+        self._table = PrimeTable(norm, (classes % group_order).astype(dt),
+                                 orders.astype(dt), ids)
 
     def _enumerate(self, X):
-        return self._table[self._table["norm"] <= X]
+        return self._table[np.flatnonzero(self._table.norm <= X)]
 
     def count_coeff(self):
         return max(1.0, float(len(self._table)))
-
-    def params(self):
-        return {"primes": self._table.tolist(), "group_order": self.group_order}
 
 
 # ---------------------------------------------------------------------------
 # log-space products
 # ---------------------------------------------------------------------------
 
-def log_product(norms: np.ndarray, chi: np.ndarray | complex, s):
-    """sum over primes of -log(1 - chi * norm^{-s}), principal branch per factor.
+def log_product(norms: np.ndarray, w, s):
+    """sum over primes of -log(1 - w * norm^{-s}), principal branch per factor.
 
-    s is a 1-d array, giving an array with one sum per point, or a scalar,
-    a batch of one that gives a Python complex.  log(1 - x) = log1p(z) with
-    z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), stable
-    for small |z|; computed in place in a few work arrays shared by the
-    points, see the module docstring.
+    s is a 1-d array, giving one sum per point, or a scalar, a batch of one;
+    a list of twists w adds an axis of one sum per twist, all from one
+    norm^{-s} per point.  Scalar s and w give a Python complex.
+    log(1 - x) = log1p(z) with z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2)
+    + i atan2(b, 1 + a), stable for small |z|; computed in place in a few
+    work arrays shared by the points, see the module docstring.
     """
     z = np.asarray(s)
     pts = z.reshape(-1).tolist()
-    sums = np.zeros(len(pts), complex)
+    ws = list(w) if np.ndim(w) else [w]
+    sums = np.zeros((len(pts), len(ws)), complex)
     n = len(norms)
     if n:
         out = np.empty(n, complex)
         # one point keeps the log in out's first half: contiguous, and free
-        # until the singular-factor check
+        # until the first twist
         logs = np.log(norms,
                       out=out.view(float)[:n] if len(pts) == 1 else None)
-        # x = chi norm^{-s} stays float while s and chi are real: a complex
-        # exp would move last bits
+        # x = norm^{-s} stays float while s is real: a complex exp would
+        # move last bits
         x = np.empty(n, complex if np.iscomplexobj(z) else float)
+        spare = np.empty(n, complex) if len(ws) > 1 else None
         cis = None  # the phase table, allocated for the first shared height
         for members in _phase_groups(pts, logs, np.iscomplexobj(z)):
             shared = len(members) > 1
@@ -254,8 +261,13 @@ def log_product(norms: np.ndarray, chi: np.ndarray | complex, s):
                     x.real *= cis.real
                 else:
                     np.exp(np.multiply(-pts[k], logs, out=x), out=x)
-                sums[k] = _log_one_minus_sum(x, out, chi, pts[k])
-    return complex(sums[0]) if z.ndim == 0 else sums
+                for i, wi in enumerate(ws):
+                    # the last twist of a complex x may take x as work
+                    last = i + 1 == len(ws) and x.dtype == complex
+                    sums[k, i] = _log_one_minus_sum(
+                        x, wi, out, None if last else spare, pts[k])
+    shape = z.shape + np.shape(w)
+    return complex(sums[0, 0]) if shape == () else sums.reshape(shape)
 
 
 def _phase_groups(pts: list, logs: np.ndarray,
@@ -283,15 +295,18 @@ def _phase_groups(pts: list, logs: np.ndarray,
     return list(groups.values())
 
 
-def _log_one_minus_sum(x: np.ndarray, out: np.ndarray, chi, s) -> complex:
-    """-sum of log(1 - chi x) over x = norm^{-s}, using x and out as work."""
-    if np.iscomplexobj(x) or np.iscomplexobj(chi):
+def _log_one_minus_sum(x: np.ndarray, w, out: np.ndarray, spare, s) -> complex:
+    """-sum of log(1 - w x) over x = norm^{-s}, using out and spare, complex
+    arrays of x's length, as work; without spare, x is work and is lost."""
+    if np.iscomplexobj(x) or np.iscomplexobj(w):
+        if spare is None:
+            spare = x if np.iscomplexobj(x) else np.empty(len(x), complex)
         # out of place: numpy multiplies a one-element complex array in
         # place with its reduction loop, which rounds differently
-        spare = x if np.iscomplexobj(x) else np.empty(len(x), complex)
-        x, out = np.multiply(x, chi, out=out), spare
+        x, out = np.multiply(x, w, out=out), spare
     else:
-        x *= chi
+        x = np.multiply(x, w, out=x if spare is None
+                        else spare.view(float)[:len(x)])
     one_minus_x = np.subtract(1.0, x, out=out if np.iscomplexobj(x) else out.real)
     if np.any(np.abs(one_minus_x) < SINGULAR_FACTOR_EPS):
         raise SingularLocalFactorError(f"singular local factor at s={s}")
@@ -330,23 +345,34 @@ def roots_of_unity(n: int) -> np.ndarray:
     return roots
 
 
+@dataclass
 class ClassSums:
     """Euler-product sums at one point s over the class slices of a table.
 
     term(w, key) is the sum over slice key = (frob_class, frob_order) of
-    -log(1 - w norm^{-s}): one log_product pass on first use, then shared
-    by every product at s that twists that slice by w.
+    -log(1 - w norm^{-s}), shared by every product at s that twists that
+    slice by w; from the same norm^{-s} it computes, unless twists is
+    False, every other twist a character of #G gives the class.
     """
 
-    def __init__(self, slices: dict[tuple[int, int], np.ndarray], s: complex):
-        self.slices = slices
-        self.s = s
-        self._terms: dict[tuple[complex, tuple[int, int]], complex] = {}
+    slices: dict[tuple[int, int], np.ndarray]
+    s: complex
+    group_order: int
+    _terms: dict = field(default_factory=dict)  # (w, key) -> term
 
-    def term(self, w: complex, key: tuple[int, int]) -> complex:
+    def term(self, w: complex, key: tuple[int, int], twists: bool = True) -> complex:
         t = self._terms.get((w, key))
         if t is None:
-            t = self._terms[w, key] = log_product(self.slices[key], w, self.s)
+            q, roots = self.group_order, roots_of_unity(self.group_order)
+            ws = [w] + [complex(roots[j * key[0] % q]) for j in range(q) if twists]
+            ws = [v for v in dict.fromkeys(ws) if (v, key) not in self._terms]
+            try:
+                sums = log_product(self.slices[key], ws, self.s).tolist()
+            except SingularLocalFactorError:
+                # a sibling twist may be singular where w is not: w alone
+                ws, sums = [w], [log_product(self.slices[key], w, self.s)]
+            self._terms.update(zip([(v, key) for v in ws], sums))
+            t = sums[0]
         return t
 
 
@@ -355,17 +381,24 @@ class ClassSums:
 # ---------------------------------------------------------------------------
 
 def exp_of_log(log_value: complex) -> complex:
-    """A product from its log; DomainError where it overflows a double."""
+    """A product from its log; DomainError where it is not a finite double."""
+    if not cmath.isfinite(log_value):
+        raise DomainError(f"a product with log {log_value} is not finite")
     try:
-        return cmath.exp(log_value)
+        value = cmath.exp(log_value)
+        abs(value)
     except OverflowError:
         raise DomainError(f"a product with log {log_value} overflows a "
                           f"double") from None
+    return value
 
 
-def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy) -> complex:
+def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy,
+                twists: bool = True) -> complex:
+    """log zeta_{P_n}(s); twists=False where no L is read at s, as at q s."""
     sums = sys.class_sums(pol.cutoff, s)
-    return sum((sums.term(1.0, key) for key in sums.slices if key[1] == n), 0j)
+    return sum((sums.term(1.0, key, twists) for key in sums.slices
+                if key[1] == n), 0j)
 
 
 def truncated_zeta_Pn(sys: ZetaSystem, n: int, s: complex,

@@ -78,7 +78,7 @@ def zp_factorization_residual(sys: ZetaSystem, s: complex, X: float) -> float:
     pol = TruncationPolicy(X)
     lhs = log_Z(sys, s, pol)
     g = CyclicGroup(sys.group_order)
-    rhs = sum((sys.group_order // n) * log_zeta_Pn(sys, n, n * s, pol)
+    rhs = sum((sys.group_order // n) * log_zeta_Pn(sys, n, n * s, pol, False)
               for n in g.divisors())
     return abs(lhs - rhs)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import PRIME_DTYPE, ZetaSystem
+from .core import PrimeTable, ZetaSystem, class_dtype
 from .errors import BudgetExceededError, InvalidConfigError
 from .primes import factorize
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
@@ -245,23 +245,24 @@ class GraphZetaSystem(ZetaSystem):
         super().__init__(group_order=vg.q_c)
         self.vg = vg
         self.q_g = vg.base.q_g
+        if self.q_g < 2:  # a cycle of norm q_g^length must exceed 1
+            raise InvalidConfigError(f"graph systems need q_g >= 2, got {self.q_g}")
 
     def _enumerate(self, X):
-        if X < self.q_g:
-            return np.empty(0, PRIME_DTYPE)
-        max_len = int(math.floor(math.log(X) / math.log(self.q_g) + 1e-12))
-        rows = []
-        for idx, walk in enumerate(primitive_cycles(self.vg.base, max_len)):
-            vol = self.vg.cycle_voltage(walk)
-            order = 1 if vol == 0 else self.vg.q_c
-            rows.append((float(self.q_g ** len(walk)), idx, vol, order))
-        return np.array(rows, PRIME_DTYPE)
+        if X == math.inf:
+            raise BudgetExceededError("cycles of every length exceed the budget")
+        walks = []
+        if X >= self.q_g:
+            max_len = int(math.floor(math.log(X) / math.log(self.q_g) + 1e-12))
+            walks = primitive_cycles(self.vg.base, max_len)
+        dt = class_dtype(self.group_order)
+        vol = np.array([self.vg.cycle_voltage(w) for w in walks], dtype=dt)
+        return PrimeTable(np.array([float(self.q_g ** len(w)) for w in walks]),
+                          vol, np.where(vol == 0, 1, self.group_order).astype(dt),
+                          np.arange(len(walks)))
 
     def count_coeff(self):
-        return 2.0 * self.vg.base.m / max(self.q_g - 1, 1) + 1.0
-
-    def params(self):
-        return {"text": dump_graph_file(self.vg)}
+        return 2.0 * self.vg.base.m / (self.q_g - 1) + 1.0
 
 
 def parse_graph_file(text: str) -> VoltageGraph:

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import roots_of_unity
+from .core import CEXP_REAL_MAX, roots_of_unity
 from .errors import InvalidConfigError, PoleAtOneError
 from .primes import factorize
 
@@ -310,10 +310,14 @@ def dirichlet_L(s, chi):
     z = np.asarray(s, dtype=complex)
     s = z.reshape(-1)
     out = np.empty((len(chis), len(s)), dtype=complex)
-    keep = slice(None)
+    cols = [(chi_j.residues / chi_j.modulus).tolist() for chi_j in chis]
+    a = sorted(set().union(*cols))
     at_pole = np.abs(s - 1.0) < POLE_RADIUS
-    if at_pole.any():
-        for row, chi_j in zip(out, chis):
+    # m^{-s} zeta(s, a) is 0 * inf where a^{-s} overflows for the least a;
+    # there Re s > 709 / log m, and chi(n) n^{-s} to n = 64 is L to a double
+    far = -s.real * math.log(a[0]) > CEXP_REAL_MAX
+    for row, chi_j in zip(out, chis):
+        if at_pole.any():
             if chi_j.is_trivial:
                 raise PoleAtOneError(
                     "principal character: L(s) has a pole at s = 1")
@@ -321,10 +325,11 @@ def dirichlet_L(s, chi):
             m = chi_j.modulus
             finite = _hurwitz_finite_at_one(chi_j.residues / m)
             row[at_pole] = np.sum(chi_j.values * finite) / m
-        keep = ~at_pole
-        s = s[keep]
-    cols = [(chi_j.residues / chi_j.modulus).tolist() for chi_j in chis]
-    a = sorted(set().union(*cols))
+        if far.any():
+            row[far] = np.exp(-np.outer(s[far], np.log(np.arange(1, 65)))) @ [
+                chi_j.value(k) for k in range(1, 65)]
+    keep = ~(at_pole | far)
+    s = s[keep]
     col = {x: j for j, x in enumerate(a)}
     hz = hurwitz_zeta(s[:, None], np.array(a))
     for row, chi_j, cols_j in zip(out, chis, cols):
@@ -335,7 +340,3 @@ def dirichlet_L(s, chi):
     if isinstance(chi, DirichletCharacter):
         return complex(out[0, 0]) if z.ndim == 0 else out[0].reshape(z.shape)
     return out.reshape((len(chis),) + z.shape)
-
-
-def riemann_zeta(s):
-    return hurwitz_zeta(s, 1.0)

@@ -17,12 +17,11 @@ import numpy as np
 from . import primes as prime_sieve
 from .continuation import (GEvaluator, SingularityCatalog, SingularPoint,
                            _matches, evaluate_in_chunks)
-from .core import PRIME_DTYPE, ZetaSystem
+from .core import PrimeTable, ZetaSystem, class_dtype
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
 from .lfunctions import (HEIGHT_MAX, DirichletCharacter, dirichlet_L,
-                         is_primitive_root, kronecker_character,
-                         trivial_character)
+                         kronecker_character, trivial_character)
 
 
 class AbelianSystem(ZetaSystem):
@@ -41,36 +40,24 @@ class AbelianSystem(ZetaSystem):
             raise InvalidConfigError(f"character order {q} is not prime")
         super().__init__(group_order=q)
         self.chi = chi
-        self._kronecker_d = d
+        self.d = d  # the d of kronecker_system, None for a cyclic system
         if d is not None:
             self.backend = "quadratic"
         self.ramified = list(prime_sieve.factorize(chi.modulus))
-        # residue -> exponent of chi, -1 for residues of ramified primes
-        self._exponents = np.full(chi.modulus, -1, dtype=np.int64)
-        self._exponents[list(chi.exps)] = list(chi.exps.values())
-        # exponent -> frob_order: 1 for split primes, q for the rest
-        self._orders = np.full(q, q, dtype=np.int64)
-        self._orders[0] = 1
+        # residue -> class (exponent of chi, -1 if ramified) and -> order
+        dt = class_dtype(q)
+        self._classes = np.full(chi.modulus, -1, dtype=dt)
+        self._classes[list(chi.exps)] = list(chi.exps.values())
+        self._orders = np.where(self._classes == 0, 1, q).astype(dt)
 
     def _enumerate(self, X):
         p = prime_sieve.primes_up_to(X)
-        j = self._exponents[p % self.chi.modulus]
-        ramified = np.flatnonzero(j < 0)
-        p, j = np.delete(p, ramified), np.delete(j, ramified)
-        table = np.empty(len(p), PRIME_DTYPE)
-        table["norm"] = table["id"] = p
-        table["frob_class"] = j
-        table["frob_order"] = self._orders[j]
-        return table
-
-    def params(self):
-        if self._kronecker_d is not None:
-            return {"d": self._kronecker_d}
-        # chi(g) = e^{2 pi i/q} fixes chi only when g is a primitive root
-        m = self.chi.modulus
-        gen = next(a for a in range(2, m)
-                   if self.chi.exps.get(a) == 1 and is_primitive_root(a, m))
-        return {"modulus": m, "order": self.chi.order, "generator": gen}
+        # the ramified primes divide the modulus: drop them by index
+        ram = np.searchsorted(p, [r for r in self.ramified if r <= X])
+        norm = np.delete(p, ram).astype(float)
+        residues = np.remainder(p, self.chi.modulus, out=p)
+        return PrimeTable(norm, np.delete(self._classes[residues], ram),
+                          np.delete(self._orders[residues], ram))
 
 
 def kronecker_system(d: int) -> AbelianSystem:

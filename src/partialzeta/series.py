@@ -259,9 +259,6 @@ class Cyclotomic:
             return cls(q, [0] * j + [1])
         return cls(q, [-1] * (q - 1))  # z^{q-1} = -(1 + z + ... + z^{q-2})
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.vec)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.vec[1:])
 

@@ -15,21 +15,21 @@ from partialzeta.continuation import (PartialZetaEvaluator, boundary_report,
                                       composite_feq_residual,
                                       counting_functions, feq_residual,
                                       lambda_q_betas)
-from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
-                              log_zeta_P)
+from partialzeta.core import TruncationPolicy, log_zeta_P
 from partialzeta.frobenius import log_Z, zp_factorization_residual
 from partialzeta.graphs import (VoltageGraph, build_cover,
                                 cover_zeta_inverse, g_series_fraction,
                                 graph_singularities_in_s, ihara_det,
                                 ihara_edge, partial_zeta_series,
                                 primitive_cycles)
-from partialzeta.lfunctions import prime_order_character, riemann_zeta
+from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import (cyclic_system, find_zeros, g_closed_form,
                                      kronecker_system)
 from partialzeta.series import ExactSeries
 
 from graph_oracles import count_cycles, named_graph
-from zeta_oracles import critical_line_zero_scan
+from prime_data import PrimeDatum, explicit_system
+from zeta_oracles import critical_line_zero_scan, riemann_zeta
 
 
 def _systems_under_test():
@@ -63,7 +63,7 @@ def test_criterion_2_zp_factorization(acceptance_log):
         for _ in range(5):
             s = complex(rng.uniform(1.1, 3.0), rng.uniform(-10.0, 10.0))
             worst = max(worst, zp_factorization_residual(sys_obj, s, 10**4))
-    sys6 = ExplicitSystem(
+    sys6 = explicit_system(
         [PrimeDatum(norm=2, id=0, frob_class=0, frob_order=1),
          PrimeDatum(norm=3, id=1, frob_class=3, frob_order=2),
          PrimeDatum(norm=5, id=2, frob_class=2, frob_order=3),

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,12 +92,32 @@ class TestSieve:
          "063663a5165c3b7683a03c64d0df06b9c8c878e257a96c8183efee9847b694e5"),
         (["--backend", "cyclic", "--char", "7,3,3", "--cutoff", "1e5"],
          "9fdad496774fe4fc077747d532ddc80ccad6286702c3a85d4119048a103cfe45"),
-    ], ids=["d5-1e6", "char7,3,3-1e5"])
+        (["--d", "5", "--cutoff", "1e5"],
+         "c1de2cc141efe4ecf1363a35ce3a89ffbc99e5e065d99d5c94f2185e45bb73e5"),
+        (["--backend", "cyclic", "--char", "11,5", "--cutoff", "1e4"],
+         "1a8957db486b6026723d09577e50c5691b9ad7268b55692ad52a5ac953bf0385"),
+    ], ids=["d5-1e6", "char7,3,3-1e5", "d5-1e5", "char11,5-1e4"])
     def test_output_pinned(self, capsys, argv, digest):
         # sieve CSV is part of the determinism contract: these never change
         code, out = run(capsys, "sieve", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_graph_output_pinned(self, capsys, k4_file):
+        # equal norms listed by cycle id; recorded from the row table
+        code, out = run(capsys, "sieve", "--backend", "graph", "--graph-file",
+                        k4_file, "--cutoff", "1e3")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest() ==
+                "7604386d2384bf1fdee435b46f81aa43951adbb082b380c0e33fbc3617817605")
+
+    def test_graph_without_cycles_of_norm_above_one(self, capsys, tmp_path):
+        # a cycle graph has q_g = 1: every cycle would have norm 1
+        path = tmp_path / "c3.txt"
+        path.write_text("3 1 3\n0 1 1\n1 2 0\n2 0 0\n")
+        code = main(["sieve", "--backend", "graph", "--graph-file", str(path),
+                     "--cutoff", "100"])
+        assert code == 2 and capsys.readouterr().err.startswith("error:")
 
 
 class TestScanPinned:
@@ -137,7 +158,15 @@ class TestKernelPinned:
         (["feq-check", "--backend", "cyclic", "--char", "7,3,3", "--s", "2,1",
           "--cutoff", "1e7"],
          "9ef1ef890b02daf6a7c72f2a6e6fa3d14d865fea1b7ab4ea6d11e4403cf7d2a4"),
-    ], ids=["continue-grid-d5", "eval-d5-1e7", "feq-check-7,3,3-1e7"])
+        # recorded from one log_product call per twist of a slice
+        (["eval", "--backend", "cyclic", "--char", "11,5", "--s", "1.5,2",
+          "--cutoff", "1e7"],
+         "5bd2a4258cb13d406d37969e7aa9b3fbeb3858df22396a798f613a99288ec746"),
+        (["feq-check", "--backend", "cyclic", "--char", "11,5", "--s", "1.5",
+          "--cutoff", "1e7"],
+         "46567e61095c05d02f656241d7816339ae2903b31c6644509427da028f1a737e"),
+    ], ids=["continue-grid-d5", "eval-d5-1e7", "feq-check-7,3,3-1e7",
+            "eval-11,5-1e7", "feq-check-11,5-1e7"])
     def test_output_pinned(self, capsys, argv, digest):
         # recorded from the one-array-per-operation Euler-product kernel: the
         # in-place kernel must give the same bits.  These digests depend on
@@ -145,6 +174,26 @@ class TestKernelPinned:
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOverflow:
+    def test_continue_far_right_exits_3(self, capsys):
+        # f^(2^20) overflows a double, as f^(2^9) does; g at Re s = 0.9 * 2^19
+        # used to be nan, and so was the printed f_power, with exit 0
+        for depth in ("9", "20"):
+            code, out = run(capsys, "continue", "--d", "5", "--s", "0.9",
+                            "--depth", depth)
+            assert code == 3 and out == ""
+
+    def test_eval_nan_point_exits_3(self, capsys):
+        # x = norm^{-s} overflows far to the left and the sums are nan; they
+        # printed as "nan" with exit 0, and a grid holding such a point
+        # now exits 3, as one holding an overflowing or singular point did
+        with np.errstate(all="ignore"):
+            for where in (["--s", "-1000"], ["--grid=-1000:2:2,0:0:1"]):
+                code, out = run(capsys, "eval", "--d", "5", "--cutoff", "100",
+                                *where)
+                assert code == 3 and out == ""
 
 
 class TestEval:
@@ -595,9 +644,9 @@ _FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
 
 
 class TestArgvFuzz:
-    """eval and continue exit 0, 2, 3, 4 or 5 on any argv, never with a
-    traceback; oversized grids and depths are refused before they
-    allocate."""
+    """eval, continue, sieve and feq-check exit 0, 2, 3, 4 or 5 on any argv,
+    never with a traceback; oversized grids and depths are refused before
+    they allocate."""
 
     @given(command=st.sampled_from(["eval", "continue"]),
            backend=st.sampled_from([["--d", "5"], ["--d", "-1"],
@@ -621,6 +670,27 @@ class TestArgvFuzz:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
+        assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("cutoff", ["0", "-5", "1.5", "nan", "inf", "1e7",
+                                        "2e7"])
+    @pytest.mark.parametrize("backend", [
+        ["--d", "5"], ["--backend", "cyclic", "--char", "11,5"],
+        ["--backend", "graph", "--graph-file", None],
+    ], ids=["quadratic", "cyclic", "graph"])
+    @pytest.mark.parametrize("command", [["sieve"], ["feq-check", "--s", "1.5,2"]],
+                             ids=["sieve", "feq-check"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sieve_and_feq_check_cutoffs(self, k4_file, command, backend,
+                                         cutoff):
+        # 1e7 is the sieve cap and 2e7 beyond it; a graph hits its cycle
+        # budget at either
+        argv = [*command, *(k4_file if x is None else x for x in backend),
+                f"--cutoff={cutoff}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
         assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 

@@ -15,14 +15,15 @@ from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       boundary_report, composite_feq_residual,
                                       continue_f_power, counting_functions,
                                       feq_residual, lambda_q_betas, mq_classes)
-from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
-                              truncated_zeta_Pn)
+from partialzeta.core import TruncationPolicy, truncated_zeta_Pn
 from partialzeta.errors import (DomainError, InsufficientDataError,
                                 InvalidConfigError, PoleAtOneError,
                                 SingularityProximityError)
 from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import (cyclic_system, g_closed_form,
                                      kronecker_system)
+
+from prime_data import PrimeDatum, explicit_system
 
 
 def order6_system():
@@ -33,7 +34,7 @@ def order6_system():
             PrimeDatum(norm=7, id=3, frob_class=1, frob_order=6),
             PrimeDatum(norm=11, id=4, frob_class=4, frob_order=3),
             PrimeDatum(norm=13, id=5, frob_class=5, frob_order=6)]
-    return ExplicitSystem(data, group_order=6)
+    return explicit_system(data, group_order=6)
 
 
 class TestFeqResidual:
@@ -42,7 +43,7 @@ class TestFeqResidual:
         assert feq_residual(sys5, 1.7 + 3.1j, 10**4) <= 1e-10
 
     def test_only_order1_primes_trivial(self):
-        sys = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=0,
+        sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=0,
                                          frob_order=1)], group_order=2)
         assert feq_residual(sys, 2.0, 10) <= 1e-14
 
@@ -50,8 +51,9 @@ class TestFeqResidual:
         # RHS evaluated with independent numeric zeta/L at X=1e5: the
         # difference is the truncation tail, well under 1e-4 at s=2
         from partialzeta.frobenius import Character, CyclicGroup, truncated_L
-        from partialzeta.lfunctions import (dirichlet_L, kronecker_character,
-                                            riemann_zeta)
+        from partialzeta.lfunctions import dirichlet_L, kronecker_character
+
+        from zeta_oracles import riemann_zeta
 
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**5)
@@ -70,7 +72,7 @@ class TestCompositeFeq:
                                       100) <= 1e-10
 
     def test_order1_only_system(self):
-        sys = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=0,
+        sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=0,
                                          frob_order=1)], group_order=6)
         assert composite_feq_residual(sys, 2.0, 10) <= 1e-13
 

@@ -1,4 +1,4 @@
-"""Prime-datum model, truncated products and tail bounds."""
+"""Prime tables, truncated products and tail bounds."""
 import bisect
 import cmath
 import contextlib
@@ -11,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialzeta import primes
-from partialzeta.core import (PRIME_DTYPE, ExplicitSystem, PrimeDatum,
-                              TruncationPolicy, ZetaSystem, log_zeta_P,
+from partialzeta.core import (ExplicitSystem, PrimeTable, TruncationPolicy,
+                              ZetaSystem, exp_of_log, log_zeta_P, log_zeta_Pn,
                               truncated_zeta_P, truncated_zeta_Pn)
-from partialzeta.errors import (BudgetExceededError, InvalidConfigError,
-                                SingularLocalFactorError)
+from partialzeta.errors import (BudgetExceededError, DomainError,
+                                InvalidConfigError, SingularLocalFactorError)
+from partialzeta.frobenius import Character, CyclicGroup, truncated_L
 from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
 
+from prime_data import PrimeDatum, explicit_system, table_rows
 from system_json import system_from_json, system_to_json
 from zeta_oracles import local_factor
 
@@ -28,17 +30,49 @@ def simple_system():
     data = [PrimeDatum(norm=2, id=0, frob_class=1, frob_order=2),
             PrimeDatum(norm=3, id=1, frob_class=0, frob_order=1),
             PrimeDatum(norm=5, id=2, frob_class=1, frob_order=2)]
-    return ExplicitSystem(data, group_order=2)
+    return explicit_system(data, group_order=2)
 
 
 class TestPrimeDatum:
+    """ExplicitSystem checks its columns as PrimeDatum checks a row."""
+
     def test_norm_must_exceed_one(self):
         with pytest.raises(InvalidConfigError):
-            PrimeDatum(norm=1.0, id=0)
+            ExplicitSystem([2.0, 1.0], [0, 0], [1, 1], group_order=1)
+        with pytest.raises(InvalidConfigError):
+            ExplicitSystem([float("nan")], [0], [1], group_order=1)
 
     def test_frob_order_positive(self):
         with pytest.raises(InvalidConfigError):
-            PrimeDatum(norm=2.0, id=0, frob_order=0)
+            ExplicitSystem([2.0, 3.0], [0, 0], [1, 0], group_order=2)
+        with pytest.raises(InvalidConfigError):
+            ExplicitSystem([2.0], [0], [-2], group_order=2)
+
+    def test_frob_order_divides_group_order(self):
+        with pytest.raises(InvalidConfigError):
+            ExplicitSystem([2.0, 3.0], [0, 1], [1, 4], group_order=6)
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(InvalidConfigError):
+            ExplicitSystem([2.0, 3.0], [0], [1, 1], group_order=2)
+
+    def test_classes_reduced_mod_group_order(self):
+        sys = ExplicitSystem([2.0, 3.0], [7, -1], [6, 6], group_order=6)
+        assert sys.primes_up_to(5).frob_class.tolist() == [1, 5]
+
+
+class TestExpOfLog:
+    @pytest.mark.parametrize("log_value", [
+        complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+        complex(-math.inf, 1.0), complex(1.0, math.inf),
+        complex(709.9, math.pi / 4)],  # finite parts, modulus above DBL_MAX
+        ids=["nan-re", "nan-im", "inf", "minus-inf", "inf-im", "modulus"])
+    def test_domain_error(self, log_value):
+        with pytest.raises(DomainError):
+            exp_of_log(log_value)
+
+    def test_finite(self):
+        assert exp_of_log(complex(math.log(2.0), math.pi)) == pytest.approx(-2)
 
 
 class TestLocalFactor:
@@ -69,7 +103,7 @@ class TestPartition:
         assert sorted(norms[order == 2].tolist()) == [2, 3, 7]
 
     def test_singleton(self):
-        sys = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=1,
+        sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=1,
                                          frob_order=2)], group_order=2)
         _, _, order = sys.arrays_up_to(2.5)
         assert set(order.tolist()) == {2}
@@ -128,42 +162,58 @@ class TestTruncatedProducts:
     def test_tail_infinite_at_or_below_one(self):
         assert TruncationPolicy(100).tail_bound(1.0) == float("inf")
 
+    def test_singular_sibling_twist_spares_zeta_P(self):
+        # 2 is inert for d = 5; at s = i pi / log 2 its zeta_P factor
+        # 1 - 2^{-s} is 2, while the twist by -1, 1 + 2^{-s}, vanishes
+        s, pol = 1j * math.pi / math.log(2), TruncationPolicy(100)
+        sys5 = kronecker_system(5)
+        p, _ = truncated_zeta_P(sys5, s, pol)
+        p2, _ = truncated_zeta_Pn(sys5, 2, s, pol)
+        with pytest.raises(SingularLocalFactorError):
+            truncated_L(sys5, Character(CyclicGroup(2), 1), s, pol)
+        # the values of a system that never computes the twist
+        alone = kronecker_system(5)
+        assert p2 == exp_of_log(log_zeta_Pn(alone, 2, s, pol, twists=False))
+        assert p == exp_of_log(log_zeta_Pn(alone, 1, s, pol, twists=False)
+                               + log_zeta_Pn(alone, 2, s, pol, twists=False))
+
 
 class TestEnumeration:
     def test_increasing_cutoff_appends(self):
         sys5 = kronecker_system(5)
         small = sys5.primes_up_to(100)
         large = sys5.primes_up_to(1000)
-        assert np.array_equal(large[: len(small)], small)
+        assert table_rows(large)[: len(small)] == table_rows(small)
 
     def test_deterministic(self):
         a = kronecker_system(5).primes_up_to(10**4)
         b = kronecker_system(5).primes_up_to(10**4)
-        assert np.array_equal(a, b)
+        assert table_rows(a) == table_rows(b)
 
     def test_cutoffs_up_then_down_are_prefixes(self):
         sys5 = kronecker_system(5)
         fresh = kronecker_system(5).primes_up_to(10**4)
         for x in (10, 100, 10**3, 10**4, 10**3, 100, 10, 1.5):
             got = sys5.primes_up_to(x)
-            assert np.array_equal(got, fresh[: len(got)])
-            assert len(got) == np.count_nonzero(fresh["norm"] <= x)
+            assert table_rows(got) == table_rows(fresh[: len(got)])
+            assert len(got) == np.count_nonzero(fresh.norm <= x)
 
     @pytest.mark.parametrize("rows", [
         [(3.0, 0), (2.0, 1), (2.0, 0), (5.0, 2)],  # out of order, equal norms
         [(2.0, 1), (3.0, 0), (5.0, 2)],            # already strictly increasing
     ])
     def test_table_sorted_by_norm_then_id(self, rows):
-        table = np.zeros(len(rows), PRIME_DTYPE)
-        table["norm"], table["id"] = zip(*rows)
+        norms, ids = (np.array(col) for col in zip(*rows))
+        zeros = np.zeros(len(rows), np.int8)
+        table = PrimeTable(norms, zeros, zeros + 1, ids)
 
         class Fixed(ZetaSystem):
             def _enumerate(self, X):
-                return table[table["norm"] <= X]
+                return table[np.flatnonzero(table.norm <= X)]
 
         got = Fixed(1).primes_up_to(10)
-        assert [tuple(r) for r in got[["norm", "id"]].tolist()] == sorted(rows)
-        assert not got.flags.writeable
+        assert list(zip(got.norm.tolist(), got.id.tolist())) == sorted(rows)
+        assert not any(col.flags.writeable for col in vars(got).values())
 
     def test_sieve_cap_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -277,7 +327,8 @@ class TestSerialization:
     def test_json_roundtrip_quadratic(self):
         sys5 = kronecker_system(5)
         clone = system_from_json(system_to_json(sys5))
-        assert np.array_equal(clone.primes_up_to(200), sys5.primes_up_to(200))
+        assert (table_rows(clone.primes_up_to(200))
+                == table_rows(sys5.primes_up_to(200)))
 
     @pytest.mark.parametrize("modulus,order", [
         (43, 2), (73, 3), (79, 3), (97, 3), (103, 2), (109, 2), (151, 5),
@@ -286,13 +337,14 @@ class TestSerialization:
         # the least residue with exponent 1 is not a primitive root here
         sys = cyclic_system(prime_order_character(modulus, order))
         clone = system_from_json(system_to_json(sys))
-        assert np.array_equal(clone.primes_up_to(10**4),
-                              sys.primes_up_to(10**4))
+        assert (table_rows(clone.primes_up_to(10**4))
+                == table_rows(sys.primes_up_to(10**4)))
 
     def test_json_roundtrip_explicit(self):
         sys = simple_system()
         clone = system_from_json(system_to_json(sys))
-        assert np.array_equal(clone.primes_up_to(10), sys.primes_up_to(10))
+        assert (table_rows(clone.primes_up_to(10))
+                == table_rows(sys.primes_up_to(10)))
         assert clone.group_order == 2
 
     def test_csv_dump(self):
@@ -317,6 +369,6 @@ class TestLogProductStability:
         pol = TruncationPolicy(10)
         s = 1.5 + 2.0j
         direct = 1.0
-        for row in sys.primes_up_to(10):
+        for row in table_rows(sys.primes_up_to(10)):
             direct *= local_factor(PrimeDatum(*row), s)
         assert abs(cmath.exp(log_zeta_P(sys, s, pol)) - direct) < 1e-14

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partialzeta.core import ExplicitSystem, PrimeDatum, TruncationPolicy
+from partialzeta.core import ExplicitSystem, TruncationPolicy
 from partialzeta.errors import InvalidConfigError
 from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
                                    log_Z, subgroup_character_indices,
@@ -14,6 +14,8 @@ from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
                                    zp_factorization_residual)
 from partialzeta.numberfield import kronecker_system
 from partialzeta.series import ExactSeries
+
+from prime_data import PrimeDatum, explicit_system
 
 
 class TestCharacterValues:
@@ -72,7 +74,7 @@ class TestTruncatedL:
         assert lv == zv
 
     def test_single_prime_sign_character(self):
-        sys = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=1,
+        sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=1,
                                          frob_order=2)], group_order=2)
         chi = Character(CyclicGroup(2), 1)
         v, _ = truncated_L(sys, chi, 1.0, TruncationPolicy(4))
@@ -106,7 +108,7 @@ def _cubic_system():
 class TestTruncatedZ:
     def test_order3_single_prime(self):
         # frozen oracle: prod_j (1 - w^j/2)^{-1} = (1 - 2^{-3})^{-1} = 8/7
-        sys = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=1,
+        sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=1,
                                          frob_order=3)], group_order=3)
         v, _ = truncated_Z(sys, 1.0, TruncationPolicy(4))
         assert abs(v - 8 / 7) < 1e-14
@@ -120,7 +122,7 @@ class TestTruncatedZ:
 
     def test_order2_local_factor(self):
         # order-2 prime: Z local factor is (1 - norm^{-2s})^{-1}
-        sys = ExplicitSystem([PrimeDatum(norm=3, id=0, frob_class=1,
+        sys = explicit_system([PrimeDatum(norm=3, id=0, frob_class=1,
                                          frob_order=2)], group_order=2)
         v, _ = truncated_Z(sys, 1.5, TruncationPolicy(4))
         assert abs(v - 1.0 / (1.0 - 3.0**-3)) < 1e-14
@@ -151,7 +153,7 @@ class TestFactorization:
         assert abs(lhs - rhs) < 1e-12
 
     def test_empty_system_residual_zero(self):
-        sys = ExplicitSystem([], group_order=2)
+        sys = ExplicitSystem([], [], [], group_order=2)
         assert zp_factorization_residual(sys, 2.0, 10) == 0.0
 
 

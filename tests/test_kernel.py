@@ -3,18 +3,18 @@ a point, checked against one full pass per product."""
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialzeta import core
+from partialzeta import core, primes
 from partialzeta.cli import main
 from partialzeta.continuation import feq_residual
-from partialzeta.core import (ExplicitSystem, PrimeDatum, TruncationPolicy,
-                              log_product, log_zeta_P, log_zeta_Pn,
-                              roots_of_unity)
+from partialzeta.core import (ExplicitSystem, TruncationPolicy, log_product,
+                              log_zeta_P, log_zeta_Pn, roots_of_unity)
 from partialzeta.errors import SingularLocalFactorError
 from partialzeta.frobenius import Character, CyclicGroup, log_L
 from partialzeta.graphs import GraphZetaSystem, MultiGraph, VoltageGraph
@@ -22,6 +22,7 @@ from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import primes_up_to
 
+from prime_data import PrimeDatum, explicit_system
 from zeta_oracles import (pass_log_L, pass_log_zeta_P, pass_log_zeta_Pn,
                           reference_log_product)
 
@@ -37,7 +38,7 @@ def order6_system():
         c = rng.randrange(6)
         data.append(PrimeDatum(norm=p, id=i, frob_class=c,
                                frob_order=6 // math.gcd(c, 6)))
-    return ExplicitSystem(data, group_order=6)
+    return explicit_system(data, group_order=6)
 
 
 SYSTEMS = {
@@ -78,9 +79,10 @@ class TestAgainstOnePassPerProduct:
 class TestSharedPass:
     def test_eval_touches_each_prime_about_once(self, monkeypatch, capsys):
         # zeta_P, zeta_P1, zeta_P2, L0 and L1 at one point: a split prime
-        # needs one term for the four it is in, an inert one two (w = 1, -1).
-        # Below 1e6 there are 39,210 split and 39,287 inert primes, so the
-        # count is 1.5002 pi(1e6); one pass per product touched 4 pi(1e6).
+        # needs one term for the four it is in, an inert one two (w = 1, -1),
+        # and both come from one norm^{-s} in one call per slice.  One call
+        # per twist touched 1.5002 pi(1e6) primes, one pass per product
+        # 4 pi(1e6).
         touched = []
         orig = core.log_product
 
@@ -93,8 +95,8 @@ class TestSharedPass:
         capsys.readouterr()
         _, _, orders = kronecker_system(5).arrays_up_to(1e6)
         split, inert = np.count_nonzero(orders == 1), np.count_nonzero(orders == 2)
-        assert sum(touched) == split + 2 * inert
-        assert sum(touched) < 1.51 * len(primes_up_to(1e6))
+        assert touched == [split, inert]
+        assert sum(touched) == len(primes_up_to(1e6)) - 1  # 5 is ramified
 
     def test_feq_takes_its_own_pass_at_q_s(self, monkeypatch):
         # zeta_{P_q}(q s) is not assembled from the character sums at s
@@ -131,7 +133,7 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("product", ["zeta_P", "L1"])
     def test_singular_factor_raises_on_every_call(self, product):
-        sys_obj = ExplicitSystem([PrimeDatum(norm=2, id=0, frob_class=1,
+        sys_obj = explicit_system([PrimeDatum(norm=2, id=0, frob_class=1,
                                              frob_order=2)], group_order=2)
         pol = TruncationPolicy(4)
         if product == "zeta_P":  # 2^{-0} = 1
@@ -171,7 +173,7 @@ def _norms(kind, n, seed):
         return RATIONAL_PRIMES[start:start + n]
     if kind == "graph":  # powers of q_g = 2 with repeats, as in a graph table
         return np.sort(2.0 ** rng.integers(1, 24, n))
-    # a strided column view with arbitrary real norms, as arrays_up_to gives
+    # a strided view with arbitrary real norms
     return np.repeat(1.0 + rng.exponential(50.0, n), 2)[::2]
 
 
@@ -186,14 +188,26 @@ def _chi(kind, n, seed):
         return roots_of_unity(m)[int(rng.integers(0, m))]
     if kind == "python-complex":
         return complex(np.exp(2j * np.pi * rng.integers(0, 7) / 7))
-    if kind == "sign-array":
-        return rng.choice([1.0, -1.0], n)
-    return np.exp(2j * np.pi * rng.integers(0, 6, n) / 6)  # per-prime twist
+    k = int(rng.integers(1, 5))
+    if kind == "sign-list":  # the twists of a slice under real characters
+        return [float(w) for w in rng.choice([1.0, -1.0], k)]
+    # the twists of a class of Z/6, the trivial one first as ClassSums has it
+    roots = roots_of_unity(6)
+    return [1.0] + [complex(roots[j]) for j in rng.integers(0, 6, k)]
 
 
 def _bits(z):
-    """The bytes of a complex value: exact, and tells -0.0 from 0.0."""
-    return struct.pack("<dd", z.real, z.imag)
+    """The bytes of a complex value, or of each value of a list or array:
+    exact, and tells -0.0 from 0.0."""
+    return b"".join(struct.pack("<dd", v.real, v.imag)
+                    for v in np.ravel(z).tolist())
+
+
+def _reference(norms, chi, s):
+    """reference_log_product with one twist, or with each of a list."""
+    if isinstance(chi, list):
+        return [reference_log_product(norms, w, s) for w in chi]
+    return reference_log_product(norms, chi, s)
 
 
 def _outcome(norms, chi, s, kernel):
@@ -210,7 +224,7 @@ class TestKernelBitIdentity:
     @given(norm_kind=st.sampled_from(["primes", "graph", "strided"]),
            n=st.one_of(st.integers(0, 10), st.integers(0, 400_000)),
            chi_kind=st.sampled_from(["float", "int", "root", "python-complex",
-                                     "sign-array", "twist-array"]),
+                                     "sign-list", "twist-list"]),
            s=st.one_of(
                st.floats(-1.0, 4.0),
                st.builds(complex, st.floats(-1.0, 4.0), st.just(0.0)),
@@ -222,10 +236,11 @@ class TestKernelBitIdentity:
     def test_same_bits_as_reference(self, norm_kind, n, chi_kind, s, seed):
         norms = _norms(norm_kind, n, seed)
         chi = _chi(chi_kind, n, seed)
-        ref = _outcome(norms, chi, s, reference_log_product)
+        ref = _outcome(norms, chi, s, _reference)
         assert _outcome(norms, chi, s, log_product) == ref
         if ref != "singular":
-            assert log_product(norms, chi, s) == reference_log_product(norms, chi, s)
+            assert np.array_equal(log_product(norms, chi, s),
+                                  _reference(norms, chi, s))
 
     @pytest.mark.parametrize("s", SINGULAR_S)
     @pytest.mark.parametrize("chi", [1.0, -1.0, -1 + 0j])
@@ -270,7 +285,7 @@ class TestBatchedKernel:
     @given(norm_kind=st.sampled_from(["primes", "graph", "strided"]),
            n=st.one_of(st.integers(0, 10), st.integers(0, 50_000)),
            chi_kind=st.sampled_from(["float", "root", "python-complex",
-                                     "sign-array", "twist-array"]),
+                                     "sign-list", "twist-list"]),
            s_kind=st.sampled_from(["complex", "complex", "real"]),
            n_points=st.integers(1, 12),
            singular=st.booleans(),
@@ -287,13 +302,13 @@ class TestBatchedKernel:
             s[int(rng.integers(0, len(s)))] = (
                 SINGULAR_S[0] if s_kind == "real"
                 else SINGULAR_S[int(rng.integers(1, 3))])
-        refs = [_outcome(norms, chi, z, reference_log_product) for z in s]
+        refs = [_outcome(norms, chi, z, _reference) for z in s]
         if "singular" in refs:
             with pytest.raises(SingularLocalFactorError):
                 log_product(norms, chi, s)
             return
         sums = log_product(norms, chi, s)
-        assert sums.shape == s.shape and sums.dtype == complex
+        assert sums.shape == s.shape + np.shape(chi) and sums.dtype == complex
         assert [_bits(v) for v in sums.tolist()] == refs
 
     def test_scalar_is_a_batch_of_one(self):
@@ -315,6 +330,39 @@ class TestBatchedKernel:
 
 
 class TestClassSlices:
+    def test_memory_per_prime(self):
+        # the row table kept 40 bytes per prime (a 32-byte row, 8 in the
+        # slices) and peaked at 61; the columns keep 10 and the slices 8
+        primes.primes_up_to(1e6)  # the module's sieve cache is not the table's
+        sys_obj = kronecker_system(5)
+        tracemalloc.start()
+        try:
+            sys_obj.class_slices(1e6)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(sys_obj.primes_up_to(1e6))
+        assert retained <= 24 * n and peak <= 48 * n, (retained / n, peak / n)
+
+    @pytest.mark.parametrize("make, X", [
+        (lambda: cyclic_system(prime_order_character(23, 11)), 1e4),
+        (lambda: ExplicitSystem([2.0, 3.0, 5.0, 7.0], [127, 1, 0, 200],
+                                [128, 128, 1, 64], 128), 10)],
+        ids=["cyclic-23,11", "explicit-Z128"])
+    def test_codes_past_the_class_dtype(self, make, X):
+        # (class, order) codes pass 127 at #G = 11, and orders reach 128 at
+        # #G = 128, where the classes alone would fit in int8
+        sys_obj = make()
+        norms, classes, orders = sys_obj.arrays_up_to(X)
+        q = sys_obj.group_order
+        assert orders.max() == q or q == 11
+        slices = sys_obj.class_slices(X)
+        assert list(slices) == sorted(slices)
+        assert sum(len(v) for v in slices.values()) == len(norms)
+        for (c, o), part in slices.items():
+            assert 0 <= c < q and o in (1, 64, q)
+            assert np.array_equal(part, norms[(classes == c) & (orders == o)])
+
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_contiguous_and_equal_to_mask_selection(self, name):
         make, X = SYSTEMS[name]

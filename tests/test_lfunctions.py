@@ -13,11 +13,11 @@ from partialzeta.errors import InvalidConfigError, PoleAtOneError
 from partialzeta.lfunctions import (DirichletCharacter, dirichlet_L,
                                     fundamental_discriminant, hurwitz_zeta,
                                     kronecker_character, kronecker_symbol,
-                                    prime_order_character, riemann_zeta,
-                                    trivial_character)
+                                    prime_order_character, trivial_character)
 
 from zeta_oracles import (completed_zeta, hardy_Z, reference_dirichlet_L,
-                          reference_hurwitz_zeta, riemann_siegel_theta)
+                          reference_hurwitz_zeta, riemann_siegel_theta,
+                          riemann_zeta)
 
 mpmath.mp.dps = 30
 

@@ -9,32 +9,35 @@ from hypothesis import strategies as st
 from partialzeta import lfunctions
 from partialzeta.continuation import (_SAMPLES_PER_CALL, SingularityCatalog,
                                       SingularPoint)
-from partialzeta.core import PRIME_DTYPE, TruncationPolicy
+from partialzeta.core import TruncationPolicy
 from partialzeta.errors import (InvalidConfigError, SingularityProximityError,
                                UnresolvedBoxError)
 from partialzeta.frobenius import log_Z
-from partialzeta.lfunctions import prime_order_character, riemann_zeta
+from partialzeta.lfunctions import (dirichlet_L, kronecker_character,
+                                    prime_order_character)
 from partialzeta.numberfield import (AbelianSystem, cyclic_system,
                                      find_zeros, g_closed_form, kronecker_system)
 from partialzeta.primes import primes_up_to
 
-from zeta_oracles import (critical_line_zero_scan, reference_g,
-                          riemann_von_mangoldt)
+from prime_data import table_rows
+from zeta_oracles import (critical_line_zero_scan, reference_dirichlet_L,
+                          reference_g, riemann_von_mangoldt, riemann_zeta)
 
 
 class TestSystems:
     def test_d5_splitting(self):
         sys5 = kronecker_system(5)
-        by_norm = {p["norm"]: p["frob_order"] for p in sys5.primes_up_to(12)}
+        by_norm = {norm: order for norm, _, _, order
+                   in table_rows(sys5.primes_up_to(12))}
         assert by_norm == {2: 2, 3: 2, 7: 2, 11: 1}
         assert 5 in sys5.ramified
 
     def test_d_minus_one_splitting(self):
         # first supplement: p splits in Q(i) iff p = 1 mod 4
         sysm1 = kronecker_system(-1)
-        for p in sysm1.primes_up_to(50):
-            expected = 1 if int(p["norm"]) % 4 == 1 else 2
-            assert p["frob_order"] == expected
+        for norm, _, _, order in table_rows(sysm1.primes_up_to(50)):
+            expected = 1 if int(norm) % 4 == 1 else 2
+            assert order == expected
 
     def test_d1_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -42,8 +45,8 @@ class TestSystems:
 
     def test_cubic_mod7(self):
         sys7 = cyclic_system(prime_order_character(7, 3, generator=3))
-        split = [int(p["norm"]) for p in sys7.primes_up_to(50)
-                 if p["frob_order"] == 1]
+        split = [int(norm) for norm, _, _, order
+                 in table_rows(sys7.primes_up_to(50)) if order == 1]
         assert all(p % 7 in (1, 6) for p in split)
         assert 13 in split  # 13 = 6 mod 7
         assert sys7.ramified == [7]
@@ -53,7 +56,8 @@ class TestSystems:
         sys5 = kronecker_system(5)
         chi = sys5.chi
         clone = AbelianSystem(chi)
-        assert np.array_equal(clone.primes_up_to(100), sys5.primes_up_to(100))
+        assert (table_rows(clone.primes_up_to(100))
+                == table_rows(sys5.primes_up_to(100)))
 
     @pytest.mark.parametrize("system", [
         lambda: kronecker_system(5), lambda: kronecker_system(-1),
@@ -68,8 +72,7 @@ class TestSystems:
             j = sys.chi.exponent(p)
             if j is not None:
                 rows.append((p, p, j, 1 if j == 0 else sys.group_order))
-        expected = np.array(rows, dtype=PRIME_DTYPE)
-        assert np.array_equal(sys.primes_up_to(10**5), expected)
+        assert table_rows(sys.primes_up_to(10**5)) == rows
 
     def test_nonprime_order_rejected(self):
         from partialzeta.lfunctions import DirichletCharacter
@@ -116,6 +119,35 @@ class TestGClosedForm:
         g = g_closed_form(sys5, catalog=cat)
         with pytest.raises(SingularityProximityError):
             g(0.5 + 14.134725j)
+
+
+class TestFarRight:
+    """Where a^{-s} overflows for the least Hurwitz column a = 1/m, that is
+    Re s > 709 / log m, m^{-s} zeta(s, a) was 0 * inf and g was nan; L is
+    the Dirichlet series there."""
+
+    @pytest.mark.parametrize("system", [
+        lambda: kronecker_system(5),
+        lambda: cyclic_system(prime_order_character(11, 5))],
+        ids=["d5", "char11,5"])
+    def test_g_is_one_far_right(self, system):
+        g = g_closed_form(system())
+        vals = g.fn(np.array([445.0, 445.0 + 3.0j, 1e4 + 2.0j, 1e8]))
+        assert np.all(np.abs(vals - 1.0) <= 1e-15), vals
+        assert g.fn(445.0) == vals[0]
+
+    def test_L_on_both_sides_of_the_threshold(self):
+        # 709 / log 5 = 440.5; L(s, chi_5) = 1 - 2^{-s} - 3^{-s} + ...
+        chi = kronecker_character(5)
+        s = np.array([440.0 + 1.0j, 441.0 + 1.0j, 60.0])
+        below, above, plain = dirichlet_L(s, chi)
+        assert below == reference_dirichlet_L(s[0], chi)  # the old bits
+        assert abs(below - 1.0) <= 1e-15 and abs(above - 1.0) <= 1e-15
+        assert plain == reference_dirichlet_L(60.0, chi)
+        # modulus 11: 709 / log 11 = 295.7, and the series' second term
+        chi11 = prime_order_character(11, 5)
+        far = dirichlet_L(300.0 - 40.0j, chi11)
+        assert abs(far - (1.0 + chi11.value(2) * 2.0 ** (-300 + 40j))) <= 1e-16
 
 
 class TestGBatch:

@@ -7,10 +7,10 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from partialzeta.core import SINGULAR_FACTOR_EPS, PrimeDatum, log_product
+from partialzeta.core import SINGULAR_FACTOR_EPS, log_product
 from partialzeta.errors import PoleAtOneError, SingularLocalFactorError
 from partialzeta.lfunctions import (_EM_COEFF, DirichletCharacter,
-                                    _hurwitz_finite_at_one, riemann_zeta,
+                                    _hurwitz_finite_at_one, hurwitz_zeta,
                                     trivial_character)
 
 
@@ -117,7 +117,7 @@ def reference_g(sys, s):
         den = den * reference_dirichlet_L(s, sys.chi.power(j))
     return num / den
 
-def local_factor(p: PrimeDatum, s: complex) -> complex:
+def local_factor(p, s: complex) -> complex:
     """(1 - N(p)^{-s})^{-1}."""
     x = cmath.exp(-s * cmath.log(p.norm))
     denom = 1.0 - x
@@ -126,7 +126,7 @@ def local_factor(p: PrimeDatum, s: complex) -> complex:
     return 1.0 / denom
 
 
-# one log_product pass over the whole prime table per product, each prime
+# one pass over the whole prime table per product, each prime of an L
 # twisted by its own complex exponential
 
 def pass_log_zeta_P(sys, s, X):
@@ -143,7 +143,12 @@ def pass_log_L(sys, j, s, X):
     """log L(s, chi_j) for the character k -> e^{2 pi i j k/#G} of Z/#G."""
     norms, classes, _ = sys.arrays_up_to(X)
     q = sys.group_order
-    return log_product(norms, np.exp(2j * np.pi * ((j * classes) % q) / q), s)
+    twist = np.exp(2j * np.pi * ((j * classes.astype(np.int64)) % q) / q)
+    return reference_log_product(norms, twist, s)
+
+
+def riemann_zeta(s):
+    return hurwitz_zeta(s, 1.0)
 
 
 def completed_zeta(s: complex) -> complex:
