@@ -291,6 +291,8 @@ def cmd_graph(args) -> None:
     if args.order is not None and sub not in ("partial", "verify"):
         raise InvalidConfigError(f"--order is read only by graph partial "
                                  f"and verify, not graph {sub}")
+    if args.order is not None and args.order < 0:
+        raise InvalidConfigError("--order must be >= 0")
     vg = _load_voltage_graph(args)
     if sub == "ihara":
         det = ihara_det(vg.base)
@@ -311,7 +313,7 @@ def cmd_graph(args) -> None:
         _emit_json(args, payload)
     elif sub == "partial":
         l_ord = args.order if args.order is not None else 12
-        direct, recursive = partial_zeta_series(vg, l_ord)
+        direct, recursive = partial_zeta_series(vg, l_ord, g_series_fraction(vg))
         _emit_json(args, {"direct": _series_json(direct),
                           "recursive": _series_json(recursive),
                           "agree": direct.coeffs == recursive.coeffs,
@@ -323,7 +325,7 @@ def cmd_graph(args) -> None:
         checks = {"bass_identity": det == edge}
         prod = cover_zeta_inverse(vg)
         checks["cover_identity"] = prod == ihara_edge(build_cover(vg))
-        direct, recursive = partial_zeta_series(vg, l_ord)
+        direct, recursive = partial_zeta_series(vg, l_ord, (prod, edge ** vg.q_c))
         checks["partial_dual_route"] = direct.coeffs == recursive.coeffs
         _emit_json(args, {"checks": checks,
                           "pass": bool(all(checks.values()))})

@@ -184,12 +184,14 @@ def primitive_cycles(x: MultiGraph, max_len: int) -> list[tuple[int, ...]]:
 
 
 def _is_canonical_primitive(walk: tuple[int, ...]) -> bool:
-    n = len(walk)
-    rotations = [walk[i:] + walk[:i] for i in range(n)]
-    if walk != min(rotations):
-        return False
-    # primitive: not a proper power (no nontrivial rotation fixes it)
-    return all(rot != walk for rot in rotations[1:])
+    """Whether walk is a Lyndon word (strictly below each proper rotation: its
+    own least rotation and no proper power), by Duval's O(n) scan (J.
+    Algorithms 4, 1983): its first Lyndon factor, j - k long, is all of it."""
+    n, k, j = len(walk), 0, 1
+    while j < n and walk[k] <= walk[j]:
+        k = k + 1 if walk[k] == walk[j] else 0
+        j += 1
+    return j == n and k == 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ def graph_L(vg: VoltageGraph, j: int) -> ExactSeries:
     The vertex-side twisted Ihara-Bass formula (Stark-Terras, Adv. Math. 121,
     1996): each oriented edge e adds chi_j(voltage(e)) to A_chi[tail e, head e].
     It equals det(I - u T_chi), T_chi[e -> f] = chi_j(voltage(f)) T[e -> f].
-    Rational coefficients come back as Fractions, the rest as Cyclotomics.
+    Rational coefficients come back as ints, the rest as Cyclotomics over Z.
     """
     q = vg.q_c
     zeta_pows = [Cyclotomic.root_power(q, j * a) for a in range(q)]
@@ -319,7 +321,7 @@ def graph_L(vg: VoltageGraph, j: int) -> ExactSeries:
 
 
 def cover_zeta_inverse(vg: VoltageGraph) -> ExactSeries:
-    """zeta_Y(u)^{-1} as prod_j L(u, chi_j)^{-1}, returned with rational coefficients."""
+    """zeta_Y(u)^{-1} as prod_j L(u, chi_j)^{-1}, returned with int coefficients."""
     prod = ExactSeries.one()
     for j in range(vg.q_c):
         prod = prod * graph_L(vg, j)
@@ -340,12 +342,16 @@ def g_series_fraction(vg: VoltageGraph) -> tuple[ExactSeries, ExactSeries]:
     return zy_inv, zx_inv ** vg.q_c
 
 
-def partial_zeta_series(vg: VoltageGraph, l_ord: int) -> tuple[ExactSeries, ExactSeries]:
+def partial_zeta_series(vg: VoltageGraph, l_ord: int,
+                        g_fraction: tuple[ExactSeries, ExactSeries]
+                        ) -> tuple[ExactSeries, ExactSeries]:
     """The u-domain partial zeta by two independent routes, truncated at u^l_ord.
 
-    direct: Euler product over primitive classes whose voltage sum has order
-    q_c.  recursive: the unique F with F(0)=1 solving
-    F(u)^{q_c} = F(u^{q_c}) * G(u).  Contract: identical coefficients.
+    direct: Euler product over the c_nu primitive classes of length nu whose
+    voltage sum has order q_c, (1 - u^nu)^{-c_nu} = sum_k C(c_nu+k-1, k) u^{nu k}.
+    recursive: the unique F with F(0)=1 solving F(u)^{q_c} = F(u^{q_c}) * G(u),
+    G = num / den from g_fraction (:func:`g_series_fraction`).  Contract:
+    identical coefficients.
     """
     cover = build_cover(vg)
     if not cover.is_connected():
@@ -356,18 +362,19 @@ def partial_zeta_series(vg: VoltageGraph, l_ord: int) -> tuple[ExactSeries, Exac
                      if vg.cycle_voltage(walk) != 0)
     direct = ExactSeries.one(l_ord)
     for nu, c in sorted(counts.items()):
-        direct = direct * (ExactSeries.one(l_ord) - ExactSeries.monomial(nu, 1, l_ord)) ** -c
+        binom = [math.comb(c + k - 1, k) for k in range(l_ord // nu + 1)]
+        direct = direct * ExactSeries(binom, l_ord).substitute_power(nu)
 
-    num, den = g_series_fraction(vg)
+    num, den = g_fraction
     g_series = num.truncate(l_ord) / den.truncate(l_ord)
-    f_coeffs = [Fraction(1)]
+    f_coeffs = [1]
     for k in range(1, l_ord + 1):
-        f_coeffs.append(Fraction(0))
-        partial = ExactSeries(f_coeffs, k)
-        lhs_k = (partial ** q).coeff(k)
-        rhs_k = (partial.substitute_power(q).truncate(k) * g_series.truncate(k)).coeff(k)
+        f_coeffs.append(0)
+        lhs_k = (ExactSeries(f_coeffs, k) ** q).coeff(k)
+        rhs_k = sum(f_coeffs[i] * g_series.coeff(k - q * i) for i in range(k // q + 1))
         # lhs coefficient is linear in f_k with slope q; rhs does not involve f_k
-        f_coeffs[k] = (rhs_k - lhs_k) / q
+        f_k = Fraction(rhs_k - lhs_k, q)
+        f_coeffs[k] = f_k.numerator if f_k.denominator == 1 else f_k
     recursive = ExactSeries(f_coeffs, l_ord)
     return direct, recursive
 

@@ -1,7 +1,8 @@
 """Exact rational power series / polynomial arithmetic, plus cyclotomic scalars.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` (or
-:class:`Cyclotomic` vectors over them).  An :class:`ExactSeries` with
+Everything here is exact.  Coefficients are Python ints where they are
+integral, a ``fractions.Fraction`` only where a division makes one, or
+:class:`Cyclotomic` vectors over those.  An :class:`ExactSeries` with
 ``order=None`` behaves as an honest polynomial; with a finite ``order`` it is
 a truncated power series and all operations drop coefficients beyond
 ``u^order``.
@@ -13,8 +14,6 @@ from typing import Sequence
 
 from .errors import InvalidConfigError
 
-Q = Fraction
-
 
 def _trim(coeffs: list) -> list:
     while coeffs and coeffs[-1] == 0:
@@ -23,12 +22,13 @@ def _trim(coeffs: list) -> list:
 
 
 class ExactSeries:
-    """Polynomial or truncated power series with exact coefficients."""
+    """Polynomial or truncated power series with exact coefficients: ints,
+    Fractions or Cyclotomics, stored as given."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = [c if isinstance(c, (Fraction, Cyclotomic)) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
             cs = cs[: order + 1]
         self.coeffs = _trim(cs)
@@ -52,7 +52,7 @@ class ExactSeries:
         return len(self.coeffs) - 1
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def _join_order(self, other) -> int | None:
         a, b = self.order, getattr(other, "order", None)
@@ -101,7 +101,7 @@ class ExactSeries:
         ncap = na + nb - 1 if self.coeffs and other.coeffs else 0
         if order is not None:
             ncap = min(ncap, order + 1)
-        out = [Fraction(0)] * max(ncap, 0)
+        out = [0] * max(ncap, 0)
         for i, a in enumerate(self.coeffs):
             if a == 0 or i >= len(out):
                 continue
@@ -137,10 +137,12 @@ class ExactSeries:
         if not self.coeffs or self.coeffs[0] == 0:
             raise InvalidConfigError("series inverse needs a unit constant term")
         c0 = self.coeffs[0]
-        inv = [Fraction(1) / c0 if isinstance(c0, Fraction) else c0.inverse()]
+        if c0 in (1, -1):
+            inv = [c0]
+        else:
+            inv = [c0.inverse() if isinstance(c0, Cyclotomic) else Fraction(1) / c0]
         for k in range(1, self.order + 1):
-            acc = sum((self.coeff(j) * inv[k - j] for j in range(1, k + 1)), Fraction(0))
-            inv.append(-acc * inv[0] if isinstance(c0, Cyclotomic) else -acc / c0)
+            inv.append(-sum(self.coeff(j) * inv[k - j] for j in range(1, k + 1)) * inv[0])
         return ExactSeries(inv, self.order)
 
     def __truediv__(self, other):
@@ -157,7 +159,7 @@ class ExactSeries:
         """Return series in u obtained by u -> u^k."""
         cs = []
         for c in self.coeffs:
-            cs.extend([c] + [Fraction(0)] * (k - 1))
+            cs.extend([c] + [0] * (k - 1))
         if cs:
             cs = cs[: len(cs) - (k - 1)]
         return ExactSeries(cs, self.order)
@@ -231,16 +233,19 @@ def squarefree_decomposition(coeffs: Sequence) -> list[tuple[list, int]]:
 # ---------------------------------------------------------------------------
 
 class Cyclotomic:
-    """Element of Q(zeta_q), q prime, on the power basis 1, z, ..., z^{q-2}."""
+    """Element of Q(zeta_q), q prime, on the power basis 1, z, ..., z^{q-2}.
+
+    The vector entries are ints for elements of Z[zeta_q], and Fractions only
+    where a division (:meth:`inverse`) makes them."""
 
     __slots__ = ("q", "vec")
 
     def __init__(self, q: int, vec: Sequence):
         self.q = q
-        v = [Fraction(c) if not isinstance(c, Fraction) else c for c in vec]
+        v = list(vec)
         if len(v) > q - 1:
             raise InvalidConfigError("cyclotomic vector longer than the power basis")
-        v += [Fraction(0)] * (q - 1 - len(v))
+        v += [0] * (q - 1 - len(v))
         self.vec = v
 
     @classmethod
@@ -262,7 +267,7 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.vec[1:])
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         if not self.is_rational():
             raise InvalidConfigError("cyclotomic value is not rational")
         return self.vec[0]
@@ -303,7 +308,7 @@ class Cyclotomic:
             return Cyclotomic(self.q, [a * other for a in self.vec])
         other = self._wrap(other)
         q = self.q
-        conv = [Fraction(0)] * (2 * (q - 1) - 1)
+        conv = [0] * (2 * (q - 1) - 1)
         for i, a in enumerate(self.vec):
             if a == 0:
                 continue

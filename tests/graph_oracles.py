@@ -54,3 +54,14 @@ def count_cycles(x: MultiGraph, m_len: int) -> tuple[int, int]:
             prim += _mobius(d) * int(np.trace(td))
     assert prim % m_len == 0
     return n_m, prim // m_len
+
+
+def is_canonical_primitive_by_rotations(walk: tuple) -> bool:
+    """Whether walk is its own least rotation and no proper power, by
+    building all len(walk) rotations."""
+    n = len(walk)
+    rotations = [walk[i:] + walk[:i] for i in range(n)]
+    if walk != min(rotations):
+        return False
+    # primitive: not a proper power (no nontrivial rotation fixes it)
+    return all(rot != walk for rot in rotations[1:])

@@ -501,6 +501,26 @@ class TestGraphCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digests[name, command]
 
+    @pytest.mark.parametrize("name,text", [("k4.txt", K4_TEXT),
+                                           ("cube.txt", CUBE_TEXT)])
+    @pytest.mark.parametrize("command", ["partial", "verify"])
+    def test_order_16_pinned(self, capsys, tmp_path, monkeypatch, name, text,
+                             command):
+        # past u^12 the coefficients grow large, and every cycle length up
+        # to 16 enters the direct route's product
+        digests = {
+            ("k4.txt", "partial"): "3f50276493d1fd60fff6b114b76698493d39ba98900a48d03584119cab7077f3",
+            ("k4.txt", "verify"): "07661f236a24886728e9f69c00f596bb0ea09e4148c48a1afb03d139aa33413b",
+            ("cube.txt", "partial"): "e2f11b3c440ea0e8296f16d860c12ed0b62fad727e7fda1c0b6cb653e63c2902",
+            ("cube.txt", "verify"): "bf5b7688c8800b9e28e7e5d7eae4c039be3d73ba71eeaa34f1929e492d9e5304",
+        }
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        code, out = run(capsys, "graph", command, "--graph-file", name,
+                        "--order", "16")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[name, command]
+
 
 class TestBadInput:
     """Malformed input exits 2 with an error line, never a traceback."""
@@ -535,6 +555,14 @@ class TestBadInput:
     def test_order_not_read_by_graph_command(self, capsys, k4_file, command):
         self.assert_config_error(capsys, "graph", command, "--graph-file",
                                  k4_file, "--order", "5")
+
+    @pytest.mark.parametrize("order", ["-1", "-2"])
+    @pytest.mark.parametrize("command", ["partial", "verify"])
+    def test_negative_order(self, capsys, k4_file, command, order):
+        code = main(["graph", command, "--graph-file", k4_file,
+                     f"--order={order}"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --order must be >= 0\n"
 
     @pytest.mark.parametrize("cutoff", ["0", "-5", "0.5", "1", "nan"])
     @pytest.mark.parametrize("argv", [
@@ -637,6 +665,42 @@ FUZZ_CUTOFF = ["100", "1e3", "1e4", "2", "1", "0", "-5", "nan", "inf",
                "1e400", "x"]
 
 
+# small base graphs: K4, two loops and a bridge, a theta (parallel edges),
+# one loop (2-regular, q_g = 1) and a path (not regular)
+FUZZ_GRAPHS = [(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+               (2, [(0, 0), (0, 1), (1, 1)]),
+               (2, [(0, 1), (0, 1), (0, 1)]),
+               (1, [(0, 0)]),
+               (3, [(0, 1), (1, 2)])]
+_VOLTAGE = (st.integers(-4, 4) | st.sampled_from([10**19 + 1, -10**19 - 2])
+            | st.none())
+_BAD_TOKEN = st.sampled_from(["x", "1.5", "0x1", "-", "7 7"])
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph file: a base graph, maybe one extra loop or parallel edge,
+    header fields that may disagree with it (q_c <= 1, non-prime q_c),
+    small, negative and 20-digit voltages, and maybe a bad token."""
+    n, edges = draw(st.sampled_from(FUZZ_GRAPHS))
+    nodes = st.integers(0, n - 1)
+    if draw(st.integers(0, 3)) == 0:
+        edges = edges + [(draw(nodes), draw(nodes))]
+    # header values stay small: a large prime q_c or a large vertex count
+    # makes the graph layer run without bound before it can refuse anything
+    header = [draw(st.sampled_from([n] * 5 + [n + 1, 0, -1])),
+              draw(st.sampled_from([2] * 5 + [1, 0])),
+              draw(st.sampled_from([3, 3, 3, 5, 2, 1, 0, -3, 4, 9]))]
+    lines = [" ".join(map(str, header))]
+    for u, v in edges:
+        volt = draw(_VOLTAGE)
+        lines.append(f"{u} {v}" + ("" if volt is None else f" {volt}"))
+    if draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += " " + draw(_BAD_TOKEN)
+    return "\n".join(lines) + "\n"
+
+
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 # the listed points and any pair of floats
 _FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
@@ -644,9 +708,9 @@ _FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
 
 
 class TestArgvFuzz:
-    """eval, continue, sieve and feq-check exit 0, 2, 3, 4 or 5 on any argv,
-    never with a traceback; oversized grids and depths are refused before
-    they allocate."""
+    """eval, continue, sieve, feq-check and graph exit 0, 2, 3, 4 or 5 on any
+    argv and graph file, never with a traceback; oversized grids and depths
+    are refused before they allocate."""
 
     @given(command=st.sampled_from(["eval", "continue"]),
            backend=st.sampled_from([["--d", "5"], ["--d", "-1"],
@@ -692,6 +756,23 @@ class TestArgvFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+    @given(command=st.sampled_from(["ihara", "lfun", "partial", "verify"]),
+           text=graph_texts(), order=st.none() | st.integers(-2, 14))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:voltage cover is disconnected")
+    def test_graph_commands(self, tmp_path_factory, command, text, order):
+        path = tmp_path_factory.mktemp("fuzz") / "graph.txt"
+        path.write_text(text)
+        argv = ["graph", command, "--graph-file", str(path)]
+        if order is not None:
+            argv.append(f"--order={order}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 2, 3, 5}, (text, argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 

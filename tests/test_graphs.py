@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partialzeta.errors import InvalidConfigError
 from partialzeta.graphs import (GraphZetaSystem, MultiGraph, VoltageGraph,
-                                _det_one_minus_u, build_cover,
+                                _det_one_minus_u, _is_canonical_primitive,
+                                build_cover,
                                 cover_zeta_inverse,
                                 dump_graph_file, g_series_fraction, graph_L,
                                 graph_singularities_in_s, ihara_det,
@@ -20,7 +21,8 @@ from partialzeta.graphs import (GraphZetaSystem, MultiGraph, VoltageGraph,
                                 partial_zeta_series, primitive_cycles)
 from partialzeta.series import Cyclotomic, ExactSeries
 
-from graph_oracles import count_cycles, named_graph
+from graph_oracles import (count_cycles, is_canonical_primitive_by_rotations,
+                           named_graph)
 from series_helpers import conjugate_map, derivative
 
 
@@ -206,6 +208,17 @@ class TestCycleCounts:
             _, prim = count_cycles(g, m)
             assert by_len.get(m, 0) == prim
 
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=9).map(tuple))
+    @example((0,))
+    @example((0, 1, 0, 1))  # abab: a proper power
+    @example((0, 0, 1))  # aab: Lyndon
+    @example((0, 1, 0))  # aba: not its least rotation
+    @example((1, 1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_lyndon_test_matches_rotations(self, walk):
+        assert _is_canonical_primitive(walk) == \
+            is_canonical_primitive_by_rotations(walk)
+
     def test_rotation_invariance_of_voltage(self):
         vg = k4_voltage()
         for walk in primitive_cycles(vg.base, 5):
@@ -288,21 +301,34 @@ class TestGraphL:
 
 class TestPartialZeta:
     def test_k4_dual_route(self):
-        direct, recursive = partial_zeta_series(k4_voltage(), 12)
+        vg = k4_voltage()
+        direct, recursive = partial_zeta_series(vg, 12, g_series_fraction(vg))
         assert direct.coeffs == recursive.coeffs
 
     def test_trivial_voltage_gives_one(self):
         vg = VoltageGraph(named_graph("K4"), 3, [0] * 6)
         with pytest.warns(UserWarning), pytest.raises(InvalidConfigError):
-            partial_zeta_series(vg, 6)  # disconnected cover rejected
+            partial_zeta_series(vg, 6, g_series_fraction(vg))  # disconnected cover rejected
 
     def test_constant_coefficient(self):
-        direct, recursive = partial_zeta_series(k4_voltage(), 6)
+        vg = k4_voltage()
+        direct, recursive = partial_zeta_series(vg, 6, g_series_fraction(vg))
         assert direct.coeff(0) == 1 and recursive.coeff(0) == 1
+
+    @pytest.mark.parametrize("vg", [
+        k4_voltage(),
+        VoltageGraph(named_graph("cube"), 3, [1] + [0] * 11),
+    ], ids=["K4/Z3", "cube/Z3"])
+    def test_coefficients_are_ints(self, vg):
+        # both routes stay on integers: no Fraction from the divide-by-q_c
+        # and never a float
+        for series in partial_zeta_series(vg, 14, g_series_fraction(vg)):
+            assert len(series.coeffs) == 15
+            assert all(type(c) is int for c in series.coeffs)
 
     def test_direct_matches_manual_product(self):
         vg = k4_voltage()
-        direct, _ = partial_zeta_series(vg, 8)
+        direct, _ = partial_zeta_series(vg, 8, g_series_fraction(vg))
         manual = ExactSeries.one(8)
         for walk in primitive_cycles(vg.base, 8):
             if vg.cycle_voltage(walk) != 0:

@@ -82,6 +82,59 @@ class TestExactSeries:
         assert prod.coeffs == [Fraction(1)]
 
 
+def _all_fractions(c):
+    if isinstance(c, Cyclotomic):
+        return Cyclotomic(c.q, [Fraction(v) for v in c.vec])
+    return Fraction(c)
+
+
+def _assert_exact(series: ExactSeries):
+    for c in series.coeffs:
+        for v in (c.vec if isinstance(c, Cyclotomic) else [c]):
+            assert isinstance(v, (int, Fraction)), series
+
+
+@st.composite
+def series_and_fraction_copy(draw, kind):
+    """Truncated series with int, Fraction or Z[zeta_q] coefficients and a
+    unit or non-unit constant term, and the same series on Fractions."""
+    if kind == "int":
+        scalars = st.integers(-9, 9)
+    elif kind == "fraction":
+        scalars = small_fracs
+    else:
+        scalars = st.lists(st.integers(-4, 4), min_size=kind - 1,
+                           max_size=kind - 1).map(lambda v: Cyclotomic(kind, v))
+    c0 = draw(st.sampled_from([1, -1, 2]))
+    if kind not in ("int", "fraction"):
+        c0 = Cyclotomic(kind, [c0])
+    coeffs = [c0] + draw(st.lists(scalars, max_size=5))
+    order = draw(st.integers(0, 6))
+    return (ExactSeries(coeffs, order),
+            ExactSeries([_all_fractions(c) for c in coeffs], order))
+
+
+class TestIntCoefficients:
+    """Arithmetic on int and Z[zeta_q] coefficients equals the same on
+    Fractions, and never leaves the exact numbers."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", 3, 5])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ops_match_fraction_oracle(self, kind, data):
+        a, fa = data.draw(series_and_fraction_copy(kind))
+        b, fb = data.draw(series_and_fraction_copy(kind))
+        n = data.draw(st.integers(-2, 3))
+        k = data.draw(st.integers(1, 3))
+        for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
+                          (a ** n, fa ** n), (a.inverse(), fa.inverse()),
+                          (a.substitute_power(k), fa.substitute_power(k))):
+            assert got == want
+            _assert_exact(got)
+        if kind == "int" and a.coeffs[0] in (1, -1):
+            assert all(type(c) is int for c in a.inverse().coeffs)
+
+
 class TestPolyHelpers:
     def test_divmod(self):
         q, r = poly_divmod([ -1, 0, 1], [1, 1])  # (u^2-1)/(u+1)
