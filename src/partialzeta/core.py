@@ -36,12 +36,35 @@ floating-point operations in the same order as the one-array-per-operation
 form, down to numpy's pairwise complex sum, so every sum is bit-for-bit
 that of `reference_log_product` in the tests with its one twist.  The 63
 points of the bench `continue --grid` share 7 heights.
+
+The points of a batch are independent and numpy's ufuncs release the GIL,
+so a batch of two or more runs on threads, one per CPU the process may
+use and at most one per point.  The batch is cut, in phase-group order,
+into contiguous runs, and the caller's thread takes the first:
+
+- each run allocates its own work arrays and writes only its own rows of
+  the result, so no lock is needed;
+- a run computes the phase table of every height it touches, and takes
+  the shared-height path wherever the whole height is shared, so a point's
+  bits do not depend on where the batch was cut;
+- every thread is joined before the call returns or raises, and the error
+  raised is the first run's, the one the serial loop would meet first;
+- the threads run in copies of the caller's context, so its np.errstate
+  holds on them.
+
+A batch of one, as in every `ClassSums` term of `eval` and `feq-check`,
+starts no thread and keeps the log in its output array.  On a 2-vCPU host
+this took the bench `grid` workload from 0.153 s to 0.089 s (median of 10
+pairs, `bench/run.py` nominal seconds).
 """
 from __future__ import annotations
 
 import cmath
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,49 +248,98 @@ def log_product(norms: np.ndarray, w, s):
     norm^{-s} per point.  Scalar s and w give a Python complex.
     log(1 - x) = log1p(z) with z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2)
     + i atan2(b, 1 + a), stable for small |z|; computed in place in a few
-    work arrays shared by the points, see the module docstring.
+    work arrays, the points of a batch split over threads, see the module
+    docstring.
     """
     z = np.asarray(s)
     pts = z.reshape(-1).tolist()
     ws = list(w) if np.ndim(w) else [w]
     sums = np.zeros((len(pts), len(ws)), complex)
     n = len(norms)
-    if n:
-        out = np.empty(n, complex)
+    if n and len(pts) == 1:
         # one point keeps the log in out's first half: contiguous, and free
         # until the first twist
-        logs = np.log(norms,
-                      out=out.view(float)[:n] if len(pts) == 1 else None)
-        # x = norm^{-s} stays float while s is real: a complex exp would
-        # move last bits
-        x = np.empty(n, complex if np.iscomplexobj(z) else float)
-        spare = np.empty(n, complex) if len(ws) > 1 else None
-        cis = None  # the phase table, allocated for the first shared height
-        for members in _phase_groups(pts, logs, np.iscomplexobj(z)):
-            shared = len(members) > 1
-            if shared:
-                # exp(0 + iy) with y = Im(-s log p), the same bits for every
-                # member (see _phase_groups)
-                cis = np.multiply(-pts[members[0]], logs, out=cis)
-                cis.real = 0.0
-                np.exp(cis, out=cis)
-            for k in members:
-                if shared:
-                    # exp(-Re s log p) * (cos y, sin y): cexp's own bits
-                    np.multiply(-pts[k].real, logs, out=x.real)
-                    x.imag = 0.0
-                    np.exp(x, out=x)
-                    np.multiply(x.real, cis.imag, out=x.imag)
-                    x.real *= cis.real
-                else:
-                    np.exp(np.multiply(-pts[k], logs, out=x), out=x)
-                for i, wi in enumerate(ws):
-                    # the last twist of a complex x may take x as work
-                    last = i + 1 == len(ws) and x.dtype == complex
-                    sums[k, i] = _log_one_minus_sum(
-                        x, wi, out, None if last else spare, pts[k])
+        out = np.empty(n, complex)
+        logs = np.log(norms, out=out.view(float)[:n])
+        _sum_points(logs, ws, pts, [(0, 0, False)], sums, out)
+    elif n and len(pts) > 1:
+        logs = np.log(norms)
+        # (point, group, shared) in phase-group order, cut into one
+        # contiguous run per thread
+        order = [(k, i, len(members) > 1) for i, members in
+                 enumerate(_phase_groups(pts, logs, np.iscomplexobj(z)))
+                 for k in members]
+        n_runs = min(len(pts), _cpu_count())
+        runs = [order[r * len(order) // n_runs:(r + 1) * len(order) // n_runs]
+                for r in range(n_runs)]
+        errors: list[Exception | None] = [None] * n_runs
+
+        def work(r):
+            try:
+                _sum_points(logs, ws, pts, runs[r], sums)
+            except Exception as exc:  # raised below, once every run is done
+                errors[r] = exc
+
+        # a copy of the caller's context carries its np.errstate
+        threads = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(work, r)) for r in range(1, n_runs)]
+        for t in threads:
+            t.start()
+        try:
+            work(0)
+        finally:
+            for t in threads:
+                t.join()
+        # each run stops at its first error, so the first run's error is
+        # the one the serial loop would raise
+        first = next((e for e in errors if e is not None), None)
+        if first is not None:
+            raise first
     shape = z.shape + np.shape(w)
     return complex(sums[0, 0]) if shape == () else sums.reshape(shape)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sum_points(logs: np.ndarray, ws: list, pts: list, run: list,
+                sums: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Fill the rows of sums of the points of run, a list of (point, phase
+    group, shared) in phase-group order, from its own work arrays; out, if
+    given, may hold logs in its first half."""
+    n = len(logs)
+    out = np.empty(n, complex) if out is None else out
+    # x = norm^{-s} stays float while s is real: a complex exp would move
+    # last bits
+    x = np.empty(n, complex if isinstance(pts[0], complex) else float)
+    spare = np.empty(n, complex) if len(ws) > 1 else None
+    cis, cis_group = None, None  # the phase table and the group it is for
+    for k, group, shared in run:
+        if shared:
+            if group != cis_group:
+                # exp(0 + iy) with y = Im(-s log p), the same bits for every
+                # member (see _phase_groups)
+                cis = np.multiply(-pts[k], logs, out=cis)
+                cis.real = 0.0
+                np.exp(cis, out=cis)
+                cis_group = group
+            # exp(-Re s log p) * (cos y, sin y): cexp's own bits
+            np.multiply(-pts[k].real, logs, out=x.real)
+            x.imag = 0.0
+            np.exp(x, out=x)
+            np.multiply(x.real, cis.imag, out=x.imag)
+            x.real *= cis.real
+        else:
+            np.exp(np.multiply(-pts[k], logs, out=x), out=x)
+        for i, wi in enumerate(ws):
+            # the last twist of a complex x may take x as work
+            last = i + 1 == len(ws) and x.dtype == complex
+            sums[k, i] = _log_one_minus_sum(
+                x, wi, out, None if last else spare, pts[k])
 
 
 def _phase_groups(pts: list, logs: np.ndarray,

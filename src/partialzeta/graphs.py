@@ -23,6 +23,10 @@ from .primes import factorize
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
 
 CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
+# largest cover group order: Z[zeta_q] products cost O(q^2) and the cover's
+# edge determinant O((2 m q)^4), so `graph verify` on K4/Z19 takes about 2.4 s
+# and on K4/Z47 about 44 s
+MAX_COVER_ORDER = 19
 
 
 class MultiGraph:
@@ -46,15 +50,12 @@ class MultiGraph:
             self.tail += [u, v]
             self.head += [v, u]
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for u, w in self.edges:
-            d += (u == v) + (w == v)
-        return d
-
     @property
     def regularity(self) -> int:
-        degs = {self.degree(v) for v in range(self.n)}
+        # one pass over the oriented edges' tails, so a loop counts twice;
+        # a vertex on no edge has degree 0
+        counts = Counter(self.tail)
+        degs = set(counts.values()) | ({0} if len(counts) < self.n else set())
         if len(degs) != 1:
             raise InvalidConfigError(f"graph is not regular: degrees {sorted(degs)}")
         return degs.pop()
@@ -65,6 +66,8 @@ class MultiGraph:
         return self.regularity - 1
 
     def is_connected(self) -> bool:
+        if self.m < self.n - 1:  # connecting n vertices takes n - 1 edges
+            return False
         seen = {0}
         stack = [0]
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -208,6 +211,9 @@ class VoltageGraph:
     voltages: list[int]
 
     def __post_init__(self):
+        if self.q_c > MAX_COVER_ORDER:
+            raise InvalidConfigError(f"cover group order {self.q_c} exceeds "
+                                     f"{MAX_COVER_ORDER}")
         if factorize(self.q_c) != {self.q_c: 1}:
             raise InvalidConfigError(f"cover group order {self.q_c} is not prime")
         if len(self.voltages) != self.base.m:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from partialzeta import cli
 from partialzeta.cli import main
 from partialzeta.errors import PartialZetaError
-from partialzeta.graphs import (g_series_fraction, graph_singularities_in_s,
-                                parse_graph_file)
+from partialzeta.graphs import (MAX_COVER_ORDER, g_series_fraction,
+                                graph_singularities_in_s, parse_graph_file)
 
 K4_TEXT = "4 2 3\n0 1 1\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 1\n"
 CUBE_TEXT = ("8 2 3\n0 1 1\n1 2 0\n2 3 0\n3 0 0\n4 5 0\n5 6 0\n6 7 0\n"
@@ -556,6 +557,32 @@ class TestBadInput:
         self.assert_config_error(capsys, "graph", command, "--graph-file",
                                  k4_file, "--order", "5")
 
+    @pytest.mark.parametrize("header", [
+        "100000000 2 3", "4 2 10007", "4 2 10000000000000000051"])
+    @pytest.mark.parametrize("command", ["ihara", "lfun", "partial", "verify"])
+    def test_oversized_graph_header(self, capsys, tmp_path, command, header):
+        # a vertex count or cover order the graph layer would otherwise work
+        # through without bound: O(n) degree scans, Z[zeta_q] vectors of
+        # q - 1 entries, trial division to sqrt(q_c)
+        g = tmp_path / "big.txt"
+        g.write_text(K4_TEXT.replace("4 2 3", header))
+        start = time.perf_counter()
+        self.assert_config_error(capsys, "graph", command, "--graph-file",
+                                 str(g))
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("command", ["partial", "cover"])
+    def test_edgeless_graph_with_many_vertices(self, capsys, tmp_path, command):
+        # a 0-regular graph passes the degree check; its cover's connectivity
+        # must not visit every vertex
+        g = tmp_path / "empty.txt"
+        g.write_text("100000000 -1 3\n")
+        start = time.perf_counter()
+        with pytest.warns(UserWarning, match="cover is disconnected"):
+            code = main(["graph", command, "--graph-file", str(g)])
+        assert code in {0, 2} and "Traceback" not in capsys.readouterr().err
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("order", ["-1", "-2"])
     @pytest.mark.parametrize("command", ["partial", "verify"])
     def test_negative_order(self, capsys, k4_file, command, order):
@@ -680,17 +707,22 @@ _BAD_TOKEN = st.sampled_from(["x", "1.5", "0x1", "-", "7 7"])
 @st.composite
 def graph_texts(draw):
     """A graph file: a base graph, maybe one extra loop or parallel edge,
-    header fields that may disagree with it (q_c <= 1, non-prime q_c),
-    small, negative and 20-digit voltages, and maybe a bad token."""
+    header fields that may disagree with it (q_c <= 1, non-prime q_c, up
+    to 20 digits), small, negative and 20-digit voltages, and maybe a bad
+    token."""
     n, edges = draw(st.sampled_from(FUZZ_GRAPHS))
     nodes = st.integers(0, n - 1)
     if draw(st.integers(0, 3)) == 0:
         edges = edges + [(draw(nodes), draw(nodes))]
-    # header values stay small: a large prime q_c or a large vertex count
-    # makes the graph layer run without bound before it can refuse anything
     header = [draw(st.sampled_from([n] * 5 + [n + 1, 0, -1])),
               draw(st.sampled_from([2] * 5 + [1, 0])),
               draw(st.sampled_from([3, 3, 3, 5, 2, 1, 0, -3, 4, 9]))]
+    # one header field of up to 20 digits, above MAX_COVER_ORDER so that a
+    # prime q_c is refused and never builds a cover of seconds
+    if draw(st.integers(0, 3)) == 0:
+        header[draw(st.integers(0, 2))] = draw(
+            st.integers(MAX_COVER_ORDER + 1, 10**20 - 1)
+            | st.integers(-10**20 + 1, -1))
     lines = [" ".join(map(str, header))]
     for u, v in edges:
         volt = draw(_VOLTAGE)

@@ -3,7 +3,10 @@ a point, checked against one full pass per product."""
 import math
 import random
 import struct
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -318,12 +321,87 @@ class TestBatchedKernel:
         batch = log_product(norms, 1.0, np.array([0.75 + 3.0j]))
         assert _bits(batch[0]) == _bits(one)
         assert log_product(norms[:0], 1.0, np.array([2.0, 3.0])).tolist() == [0j, 0j]
+        assert log_product(norms, [1.0, -1.0], np.array([], complex)).shape == (0, 2)
+
+    @pytest.mark.parametrize("workers", [2, 3, 40])
+    @pytest.mark.parametrize("chi_kind", ["float", "root", "twist-list"])
+    @pytest.mark.parametrize("s_kind", ["complex", "real"])
+    def test_threads_keep_each_points_bits(self, monkeypatch, workers,
+                                           chi_kind, s_kind):
+        # heights of 5, 4 and 6 points and a lone one, shuffled, so phase-group
+        # order is not index order; at these seeds 2 runs cut the 6-point
+        # height, 3 runs move one of its points alone into the next run, and
+        # 40 runs put every point alone
+        rng = np.random.default_rng(workers)
+        s = np.array([complex(float(rng.uniform(1.1, 3.0)), h)
+                      for h, k in [(14.5, 5), (0.0, 4), (-3.25, 6)]
+                      for _ in range(k)] + [2.0 + 77.0j])
+        s = s[rng.permutation(len(s))]
+        if s_kind == "real":
+            s = s.real.copy()
+        norms = _norms("primes", 5000, workers)
+        chi = _chi(chi_kind, 5000, workers)
+        runs = []
+        sum_points = core._sum_points
+
+        def recording(logs, ws, pts, run, *rest):
+            runs.append((threading.current_thread(), [k for k, _, _ in run]))
+            sum_points(logs, ws, pts, run, *rest)
+
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(core, "_sum_points", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            sums = log_product(norms, chi, s)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [_bits(v) for v in sums.tolist()] == [
+            _outcome(norms, chi, z, _reference) for z in s]
+        assert len(runs) == min(workers, len(s)) == len({t for t, _ in runs})
+        assert sorted(k for _, ks in runs for k in ks) == list(range(len(s)))
+
+    @pytest.mark.parametrize("workers", [2, 3, 40])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_threads_raise_the_serial_error(self, monkeypatch, workers,
+                                            reverse):
+        # two singular points in two runs: 0j under the twist 1 and
+        # i pi/log 2 under the twist -1; the one the serial loop meets
+        # first is named
+        s = np.array([2 + 1j, 0j, 3 + 2j, 1.5 + 5j, 2.5 + 7j, SINGULAR_S[2],
+                      1.25 + 9j])
+        s = s[::-1] if reverse else s
+        norms = RATIONAL_PRIMES[:2000]
+        errors = []
+        for n in (1, workers):
+            monkeypatch.setattr(core, "_cpu_count", lambda: n)
+            with pytest.raises(SingularLocalFactorError) as exc:
+                log_product(norms, [1.0, -1.0], s)
+            errors.append(str(exc.value))
+        first = SINGULAR_S[2] if reverse else 0j
+        assert errors[0] == errors[1] and errors[0].endswith(f"s={first}")
+
+    def test_memory_per_prime_of_one_point(self):
+        # a twisted call on 332k norms, the size of the inert slice of
+        # `eval --d 5` at the 1e7 sieve cap: out, x, spare (16 bytes each)
+        # and the singular check's float and bool temporaries peak at 57
+        # bytes per prime
+        norms = RATIONAL_PRIMES[1::2].copy()
+        tracemalloc.start()
+        try:
+            log_product(norms, [1.0, -1 + 0j], 2 + 1j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 58 * len(norms), peak / len(norms)
 
     def test_points_outside_the_cexp_identity_stand_alone(self):
         # x = -Re s log p above 709 and an overflowing phase take a lone cexp
         norms = np.array([2.0, 3.0, 1e7])
         s = np.array([-50 + 1j, 2 + 1j, -45 + 1j, 2 + 1e307j, 3 + 1e307j])
-        with np.errstate(all="ignore"):
+        # the caller's errstate holds on every thread of the batch
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = log_product(norms, -1.0, s)
             refs = [_bits(reference_log_product(norms, -1.0, z)) for z in s]
         assert [_bits(v) for v in got.tolist()] == refs

@@ -12,15 +12,27 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, partialzeta.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_after_cli_import() -> list[str]:
+    code = "import sys, partialzeta.cli; print(*sorted(sys.modules))"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert [m for m in _modules_after_cli_import()
+            if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_pool_or_logging():
+    # the kernel's threads come from `threading`; importing
+    # concurrent.futures alone took about 6 ms (`python -X importtime`,
+    # 2-vCPU host), which every CLI run would pay
+    banned = ("concurrent.futures", "multiprocessing", "logging")
+    assert [m for m in _modules_after_cli_import()
+            if m in banned or m.startswith(tuple(b + "." for b in banned))] == []
 
 
 def _load_tracer():
