@@ -31,31 +31,39 @@ among points of one height, the phase:
   does not cover, takes one complex exp, and needs no phase table;
 - a real-dtype batch stays in float arithmetic with a real twist.
 
-The rest runs per point and twist over the whole slice, with the same
-floating-point operations in the same order as the one-array-per-operation
-form, down to numpy's pairwise complex sum, so every sum is bit-for-bit
+The rest runs per point and twist with the same floating-point operations
+in the same order as the one-array-per-operation form, down to numpy's
+pairwise complex sum over the whole slice, so every sum is bit-for-bit
 that of `reference_log_product` in the tests with its one twist.  The 63
 points of the bench `continue --grid` share 7 heights.
 
-The points of a batch are independent and numpy's ufuncs release the GIL,
-so a batch of two or more runs on threads, one per CPU the process may
-use and at most one per point.  The batch is cut, in phase-group order,
-into contiguous runs, and the caller's thread takes the first:
+Both cuts below run through `in_threads`, which starts one thread per CPU
+the process may use, in copies of the caller's context so its np.errstate
+holds on them, joins every thread before it returns or raises, and raises
+the error of the first part that met one.  numpy's ufuncs release the GIL.
 
-- each run allocates its own work arrays and writes only its own rows of
-  the result, so no lock is needed;
-- a run computes the phase table of every height it touches, and takes
-  the shared-height path wherever the whole height is shared, so a point's
-  bits do not depend on where the batch was cut;
-- every thread is joined before the call returns or raises, and the error
-  raised is the first run's, the one the serial loop would meet first;
-- the threads run in copies of the caller's context, so its np.errstate
-  holds on them.
+- A batch of two or more points is cut, in phase-group order, into
+  contiguous runs of points.  Each run allocates its own work arrays and
+  writes only its own rows of the result, so no lock is needed, and
+  computes the phase table of every height it touches, taking the
+  shared-height path wherever the whole height is shared, so a point's
+  bits do not depend on where the batch was cut.
+- One point on a slice of at least 2 RANGE_MIN norms, as in the
+  `ClassSums` terms of `eval` and `feq-check` at the 1e7 sieve cap, is cut
+  into contiguous ranges of norms.  Each range works chunk by chunk in its
+  own small arrays and writes log(1 - w norm^{-s}) into its part of one
+  full-length array per twist; after the join each twist takes one
+  pairwise sum over its whole array.  Every other step is elementwise, so
+  the bits do not depend on the cut.  The error is the serial loop's: a
+  twist's sum is checked for +inf before a later twist's singular factor
+  is reported.  With one CPU this is one range on the caller's thread, in
+  about 18 bytes per prime for one twist, where a whole-slice pass took 41.
+- A shorter slice at one point, as at the 1e6 cutoff, takes one
+  whole-slice pass on the caller's thread, and keeps the log in its
+  output array.
 
-A batch of one, as in every `ClassSums` term of `eval` and `feq-check`,
-starts no thread and keeps the log in its output array.  On a 2-vCPU host
-this took the bench `grid` workload from 0.153 s to 0.089 s (median of 10
-pairs, `bench/run.py` nominal seconds).
+On a 2-vCPU host the batch runs took the bench `grid` workload from
+0.153 s to 0.089 s (median of 10 pairs, `bench/run.py` nominal seconds).
 """
 from __future__ import annotations
 
@@ -78,6 +86,14 @@ CEXP_REAL_MAX = 709.0
 # points whose slice sums a system keeps: every point of one feq-check or
 # composite functional-equation residual (s, q1 s, q2 s, n s) fits
 POINT_CACHE = 8
+# one point's slice of at least 2 RANGE_MIN norms is cut into ranges of at
+# least RANGE_MIN norms, one per CPU, each worked in chunks of RANGE_CHUNK:
+# a range takes about 5 ms with two twists, against about 0.1 ms to start
+# and join a thread, and a chunk's work arrays (about 0.8 MB) stay in cache;
+# a shorter slice takes one whole-slice pass, tens of microseconds a call
+# cheaper than the chunked one on a few norms
+RANGE_MIN = 2**16
+RANGE_CHUNK = 2**14
 
 
 def class_dtype(group_order: int) -> np.dtype:
@@ -248,15 +264,17 @@ def log_product(norms: np.ndarray, w, s):
     norm^{-s} per point.  Scalar s and w give a Python complex.
     log(1 - x) = log1p(z) with z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2)
     + i atan2(b, 1 + a), stable for small |z|; computed in place in a few
-    work arrays, the points of a batch split over threads, see the module
-    docstring.
+    work arrays, a long slice at one point cut into ranges and the points
+    of a batch into runs, one per thread, see the module docstring.
     """
     z = np.asarray(s)
     pts = z.reshape(-1).tolist()
     ws = list(w) if np.ndim(w) else [w]
     sums = np.zeros((len(pts), len(ws)), complex)
     n = len(norms)
-    if n and len(pts) == 1:
+    if len(pts) == 1 and n >= 2 * RANGE_MIN:
+        _sum_ranges(norms, ws, pts[0], sums[0])
+    elif n and len(pts) == 1:
         # one point keeps the log in out's first half: contiguous, and free
         # until the first twist
         out = np.empty(n, complex)
@@ -269,32 +287,8 @@ def log_product(norms: np.ndarray, w, s):
         order = [(k, i, len(members) > 1) for i, members in
                  enumerate(_phase_groups(pts, logs, np.iscomplexobj(z)))
                  for k in members]
-        n_runs = min(len(pts), _cpu_count())
-        runs = [order[r * len(order) // n_runs:(r + 1) * len(order) // n_runs]
-                for r in range(n_runs)]
-        errors: list[Exception | None] = [None] * n_runs
-
-        def work(r):
-            try:
-                _sum_points(logs, ws, pts, runs[r], sums)
-            except Exception as exc:  # raised below, once every run is done
-                errors[r] = exc
-
-        # a copy of the caller's context carries its np.errstate
-        threads = [threading.Thread(target=contextvars.copy_context().run,
-                                    args=(work, r)) for r in range(1, n_runs)]
-        for t in threads:
-            t.start()
-        try:
-            work(0)
-        finally:
-            for t in threads:
-                t.join()
-        # each run stops at its first error, so the first run's error is
-        # the one the serial loop would raise
-        first = next((e for e in errors if e is not None), None)
-        if first is not None:
-            raise first
+        in_threads(lambda lo, hi: _sum_points(logs, ws, pts, order[lo:hi], sums),
+                   len(order))
     shape = z.shape + np.shape(w)
     return complex(sums[0, 0]) if shape == () else sums.reshape(shape)
 
@@ -304,6 +298,84 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def in_threads(work, n: int, min_len: int = 1) -> None:
+    """Call work(lo, hi) on contiguous ranges cutting [0, n), one per CPU
+    the process may use and each at least min_len long, or on [0, n)
+    alone where n < 2 min_len.
+
+    The first range runs on the caller's thread and every other on a
+    thread of its own, in a copy of the caller's context, so its
+    np.errstate holds there.  Every thread is joined before this returns
+    or raises, and the error raised is that of the first range that
+    raised one: the error a serial loop over the ranges would meet first.
+    """
+    parts = max(1, min(_cpu_count(), n // min_len))
+    cuts = [r * n // parts for r in range(parts + 1)]
+    errors: list[Exception | None] = [None] * parts
+
+    def run(r):
+        try:
+            work(cuts[r], cuts[r + 1])
+        except Exception as exc:  # raised below, once every range is done
+            errors[r] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, r)) for r in range(1, parts)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        raise first
+
+
+def _sum_ranges(norms: np.ndarray, ws: list, s, sums: np.ndarray) -> None:
+    """Fill sums, one per twist, at the one point s, from norms cut into
+    ranges over threads; each range works chunk by chunk in its own small
+    arrays and writes log(1 - w norm^{-s}) into its part of one
+    full-length array per twist, and each sum is taken after the join."""
+    n = len(norms)
+    outs = [np.empty(n, complex) for _ in ws]
+    singular = []  # the first singular twist of each range that met one
+
+    def work(lo, hi):
+        buf = np.empty(RANGE_CHUNK, complex)
+        x = np.empty(RANGE_CHUNK, complex if isinstance(s, complex) else float)
+        first = len(ws)  # the twists past a singular one are not needed
+        for a in range(lo, hi, RANGE_CHUNK):
+            m = min(RANGE_CHUNK, hi - a)
+            xm = x[:m]
+            # the log in buf's first half, free until the first twist
+            np.exp(np.multiply(-s, np.log(norms[a:a + m], out=buf.view(float)[:m]),
+                               out=xm), out=xm)
+            for i in range(first):
+                part = outs[i][a:a + m]
+                # complex work leaves the log in spare, real work in out
+                if xm.dtype == complex or np.iscomplexobj(ws[i]):
+                    done = _log_one_minus(xm, ws[i], buf[:m], part)
+                else:
+                    done = _log_one_minus(xm, ws[i], part,
+                                          None if i + 1 == first else buf[:m])
+                if done is None:
+                    first = i
+                    break
+        if first < len(ws):
+            singular.append(first)
+
+    in_threads(work, n, RANGE_MIN)
+    # the serial loop's error: each twist's sum is checked before the next
+    # twist's singular factor is
+    first = min(singular, default=len(ws))
+    for i in range(first):
+        sums[i] = _minus_sum(outs[i], s)
+    if first < len(ws):
+        raise SingularLocalFactorError(f"singular local factor at s={s}")
 
 
 def _sum_points(logs: np.ndarray, ws: list, pts: list, run: list,
@@ -338,8 +410,11 @@ def _sum_points(logs: np.ndarray, ws: list, pts: list, run: list,
         for i, wi in enumerate(ws):
             # the last twist of a complex x may take x as work
             last = i + 1 == len(ws) and x.dtype == complex
-            sums[k, i] = _log_one_minus_sum(
-                x, wi, out, None if last else spare, pts[k])
+            done = _log_one_minus(x, wi, out, None if last else spare)
+            if done is None:
+                raise SingularLocalFactorError(
+                    f"singular local factor at s={pts[k]}")
+            sums[k, i] = _minus_sum(done, pts[k])
 
 
 def _phase_groups(pts: list, logs: np.ndarray,
@@ -367,9 +442,12 @@ def _phase_groups(pts: list, logs: np.ndarray,
     return list(groups.values())
 
 
-def _log_one_minus_sum(x: np.ndarray, w, out: np.ndarray, spare, s) -> complex:
-    """-sum of log(1 - w x) over x = norm^{-s}, using out and spare, complex
-    arrays of x's length, as work; without spare, x is work and is lost."""
+def _log_one_minus(x: np.ndarray, w, out: np.ndarray, spare):
+    """log(1 - w x) over x = norm^{-s}, written into spare where x or w is
+    complex and into out where both are real, and that array returned;
+    None, with the array part written, where a factor is singular.  out and
+    spare are complex arrays of x's length; without spare, x is work and
+    is lost."""
     if np.iscomplexobj(x) or np.iscomplexobj(w):
         if spare is None:
             spare = x if np.iscomplexobj(x) else np.empty(len(x), complex)
@@ -381,7 +459,7 @@ def _log_one_minus_sum(x: np.ndarray, w, out: np.ndarray, spare, s) -> complex:
                         else spare.view(float)[:len(x)])
     one_minus_x = np.subtract(1.0, x, out=out if np.iscomplexobj(x) else out.real)
     if np.any(np.abs(one_minus_x) < SINGULAR_FACTOR_EPS):
-        raise SingularLocalFactorError(f"singular local factor at s={s}")
+        return None
     # z = -x in place, negated as floats: numpy's complex loop is slower
     np.negative(x.view(float), out=x.view(float))
     a, re, im = x.real, out.real, out.imag
@@ -399,7 +477,13 @@ def _log_one_minus_sum(x: np.ndarray, w, out: np.ndarray, spare, s) -> complex:
     re *= 0.5
     np.add(1.0, a, out=im)
     np.arctan2(b, im, out=im)
-    total = -np.sum(out)
+    return out
+
+
+def _minus_sum(logs: np.ndarray, s) -> complex:
+    """-sum of the logs of the local factors at s: numpy's pairwise sum of
+    one array, the same bits however the array was filled."""
+    total = -np.sum(logs)
     # x within about 1e-8 of 1 rounds 2a + a^2 to -1 and its log1p to -inf
     if total.real == math.inf:
         raise SingularLocalFactorError(f"local factor log not finite at s={s}")

@@ -27,6 +27,10 @@ CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
 # edge determinant O((2 m q)^4), so `graph verify` on K4/Z19 takes about 2.4 s
 # and on K4/Z47 about 44 s
 MAX_COVER_ORDER = 19
+# largest cover, in oriented edges 2 m q_c: Petersen/Z5, the largest in the
+# tests; `graph verify` on cube/Z7 (168) takes about 1.1 s, on cube/Z13
+# (312) 6 s and on cube/Z19 (456) 21 s
+MAX_COVER_EDGES = 150
 
 
 class MultiGraph:
@@ -214,18 +218,21 @@ class VoltageGraph:
         if self.q_c > MAX_COVER_ORDER:
             raise InvalidConfigError(f"cover group order {self.q_c} exceeds "
                                      f"{MAX_COVER_ORDER}")
+        if 2 * self.base.m * self.q_c > MAX_COVER_EDGES:
+            raise InvalidConfigError(
+                f"cover of {2 * self.base.m * self.q_c} oriented edges exceeds "
+                f"{MAX_COVER_EDGES}")
         if factorize(self.q_c) != {self.q_c: 1}:
             raise InvalidConfigError(f"cover group order {self.q_c} is not prime")
         if len(self.voltages) != self.base.m:
             raise InvalidConfigError("need one voltage per undirected edge")
         self.voltages = [v % self.q_c for v in self.voltages]
-
-    def oriented_voltage(self, e: int) -> int:
-        v = self.voltages[e // 2]
-        return v if e % 2 == 0 else (-v) % self.q_c
+        # the voltage of oriented edge e, looked up once per edge of a walk
+        self.oriented_voltages = [u for v in self.voltages
+                                  for u in (v, (-v) % self.q_c)]
 
     def cycle_voltage(self, walk: tuple[int, ...]) -> int:
-        return sum(self.oriented_voltage(e) for e in walk) % self.q_c
+        return sum(map(self.oriented_voltages.__getitem__, walk)) % self.q_c
 
 
 def build_cover(vg: VoltageGraph) -> MultiGraph:
@@ -321,7 +328,7 @@ def graph_L(vg: VoltageGraph, j: int) -> ExactSeries:
     """
     q = vg.q_c
     zeta_pows = [Cyclotomic.root_power(q, j * a) for a in range(q)]
-    det = _ihara_bass(vg.base, lambda e: zeta_pows[vg.oriented_voltage(e)])
+    det = _ihara_bass(vg.base, lambda e: zeta_pows[vg.oriented_voltages[e]])
     return ExactSeries([c.rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
                         for c in det.coeffs])
 

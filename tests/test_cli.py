@@ -15,8 +15,12 @@ from hypothesis import strategies as st
 from partialzeta import cli
 from partialzeta.cli import main
 from partialzeta.errors import PartialZetaError
-from partialzeta.graphs import (MAX_COVER_ORDER, g_series_fraction,
+from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
+                                VoltageGraph, dump_graph_file,
+                                g_series_fraction,
                                 graph_singularities_in_s, parse_graph_file)
+
+from graph_oracles import named_graph
 
 K4_TEXT = "4 2 3\n0 1 1\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 1\n"
 CUBE_TEXT = ("8 2 3\n0 1 1\n1 2 0\n2 3 0\n3 0 0\n4 5 0\n5 6 0\n6 7 0\n"
@@ -571,6 +575,29 @@ class TestBadInput:
                                  str(g))
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("header", ["4 2 13", "8 2 19"],
+                             ids=["K4/Z13", "cube/Z19"])
+    @pytest.mark.parametrize("command", ["ihara", "lfun", "partial", "verify"])
+    def test_oversized_cover(self, capsys, tmp_path, command, header):
+        # 156 and 456 oriented cover edges, past MAX_COVER_EDGES = 150:
+        # `graph verify` on cube/Z19 took 21 s before the bound
+        g = tmp_path / "big.txt"
+        base = K4_TEXT if header.startswith("4") else CUBE_TEXT
+        g.write_text(header + base[base.index("\n"):])
+        start = time.perf_counter()
+        self.assert_config_error(capsys, "graph", command, "--graph-file",
+                                 str(g))
+        assert time.perf_counter() - start < 2.0
+
+    def test_largest_cover_passes(self, capsys, tmp_path):
+        # Petersen/Z5 has exactly MAX_COVER_EDGES oriented cover edges
+        vg = VoltageGraph(named_graph("petersen"), 5, [1, 2] + [0] * 13)
+        assert 2 * vg.base.m * vg.q_c == MAX_COVER_EDGES
+        g = tmp_path / "petersen.txt"
+        g.write_text(dump_graph_file(vg))
+        assert main(["graph", "ihara", "--graph-file", str(g)]) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("command", ["partial", "cover"])
     def test_edgeless_graph_with_many_vertices(self, capsys, tmp_path, command):
         # a 0-regular graph passes the degree check; its cover's connectivity
@@ -707,16 +734,16 @@ _BAD_TOKEN = st.sampled_from(["x", "1.5", "0x1", "-", "7 7"])
 @st.composite
 def graph_texts(draw):
     """A graph file: a base graph, maybe one extra loop or parallel edge,
-    header fields that may disagree with it (q_c <= 1, non-prime q_c, up
-    to 20 digits), small, negative and 20-digit voltages, and maybe a bad
-    token."""
+    header fields that may disagree with it (q_c <= 1, non-prime q_c,
+    q_c = 19, whose K4 cover is too large, up to 20 digits), small,
+    negative and 20-digit voltages, and maybe a bad token."""
     n, edges = draw(st.sampled_from(FUZZ_GRAPHS))
     nodes = st.integers(0, n - 1)
     if draw(st.integers(0, 3)) == 0:
         edges = edges + [(draw(nodes), draw(nodes))]
     header = [draw(st.sampled_from([n] * 5 + [n + 1, 0, -1])),
               draw(st.sampled_from([2] * 5 + [1, 0])),
-              draw(st.sampled_from([3, 3, 3, 5, 2, 1, 0, -3, 4, 9]))]
+              draw(st.sampled_from([3, 3, 3, 5, 2, 1, 0, -3, 4, 9, 19]))]
     # one header field of up to 20 digits, above MAX_COVER_ORDER so that a
     # prime q_c is refused and never builds a cover of seconds
     if draw(st.integers(0, 3)) == 0:

@@ -3,6 +3,7 @@ import bisect
 import cmath
 import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialzeta import primes
+from partialzeta import core, primes
 from partialzeta.core import (ExplicitSystem, PrimeTable, TruncationPolicy,
                               ZetaSystem, exp_of_log, log_zeta_P, log_zeta_Pn,
                               truncated_zeta_P, truncated_zeta_Pn)
@@ -296,6 +297,40 @@ class TestSieve:
         with empty_sieve_cache():
             for x in order:
                 assert_primes(x)
+
+    @pytest.mark.parametrize("segments", [1, 2, 3, 7])
+    def test_segments_strike_what_one_loop_strikes(self, monkeypatch,
+                                                   segments):
+        # edge is the least target whose odd numbers make `segments`
+        # segments, two below it make one fewer; segments of 2^16 odd
+        # numbers keep 7 of them under the sieve cap
+        monkeypatch.setattr(core, "_cpu_count", lambda: segments)
+        monkeypatch.setattr(primes, "SEGMENT_MIN", 2**16)
+        edge = 2 * segments * primes.SEGMENT_MIN
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            for x in range(edge - 3, edge + 2):
+                with empty_sieve_cache():
+                    assert np.array_equal(primes_up_to(x), full_width_primes(x))
+            # a request just past a cache sieved to edge / 2 - 1 regrows it
+            # to edge
+            with empty_sieve_cache():
+                primes_up_to(edge // 2 - 1)
+                got = primes_up_to(edge // 2)
+                assert primes._sieved_to == edge
+                assert np.array_equal(primes._primes, full_width_primes(edge))
+                assert np.array_equal(got, full_width_primes(edge // 2))
+            # segments of a few odd numbers put an edge next to every small
+            # prime square
+            for short in (1, 3, 5):
+                monkeypatch.setattr(primes, "SEGMENT_MIN", short)
+                for x in range(64, 300):
+                    with empty_sieve_cache():
+                        assert primes_up_to(x).tolist() == NAIVE_2000[
+                            :bisect.bisect(NAIVE_2000, x)], (short, x)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_mutating_a_result_leaves_the_cache_intact(self):
         with empty_sieve_cache():

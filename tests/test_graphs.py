@@ -283,7 +283,7 @@ class TestGraphL:
         t = vg.base.edge_matrix()
         k = 2 * vg.base.m
         for j in range(1, vg.q_c):
-            t_chi = [[Cyclotomic.root_power(vg.q_c, j * vg.oriented_voltage(f))
+            t_chi = [[Cyclotomic.root_power(vg.q_c, j * vg.oriented_voltages[f])
                       if t[e, f] else 0 for f in range(k)] for e in range(k)]
             edge_side = ExactSeries(_det_one_minus_u(t_chi))
             assert graph_L(vg, j) == edge_side

@@ -381,11 +381,13 @@ class TestBatchedKernel:
         first = SINGULAR_S[2] if reverse else 0j
         assert errors[0] == errors[1] and errors[0].endswith(f"s={first}")
 
-    def test_memory_per_prime_of_one_point(self):
+    def test_memory_per_prime_of_one_point(self, monkeypatch):
         # a twisted call on 332k norms, the size of the inert slice of
-        # `eval --d 5` at the 1e7 sieve cap: out, x, spare (16 bytes each)
-        # and the singular check's float and bool temporaries peak at 57
-        # bytes per prime
+        # `eval --d 5` at the 1e7 sieve cap: one 16-byte log array per
+        # twist, and on each of 2 ranges a chunk's work arrays, peak at 36
+        # bytes per prime; out, x and spare over the whole slice and the
+        # singular check's temporaries peaked at 57
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         norms = RATIONAL_PRIMES[1::2].copy()
         tracemalloc.start()
         try:
@@ -393,7 +395,7 @@ class TestBatchedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 58 * len(norms), peak / len(norms)
+        assert peak <= 38 * len(norms), peak / len(norms)
 
     def test_points_outside_the_cexp_identity_stand_alone(self):
         # x = -Re s log p above 709 and an overflowing phase take a lone cexp
@@ -405,6 +407,71 @@ class TestBatchedKernel:
             got = log_product(norms, -1.0, s)
             refs = [_bits(reference_log_product(norms, -1.0, z)) for z in s]
         assert [_bits(v) for v in got.tolist()] == refs
+
+
+class TestRangedKernel:
+    """One point on a long slice has the bits of the serial pass, however
+    its norms are cut into ranges."""
+
+    N = 3 * core.RANGE_MIN + 1001  # no range cut falls on a chunk edge
+
+    @pytest.mark.parametrize("workers", [2, 3, 40])
+    @pytest.mark.parametrize("chi_kind", ["float", "root", "twist-list"])
+    @pytest.mark.parametrize("s", [2.0 + 14.5j, 1.5], ids=["complex", "real"])
+    def test_ranges_keep_the_bits(self, monkeypatch, workers, chi_kind, s):
+        norms = _norms("primes", self.N, workers)
+        chi = _chi(chi_kind, self.N, workers)
+        ranges = []
+        in_threads = core.in_threads
+
+        def recording(work, n, min_len=1):
+            def run(lo, hi):
+                ranges.append((threading.current_thread(), lo, hi))
+                work(lo, hi)
+            in_threads(run, n, min_len)
+
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(core, "in_threads", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            got = log_product(norms, chi, s)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _bits(got) == _outcome(norms, chi, s, _reference)
+        # 3 minimum ranges fit, each on a thread of its own
+        assert len(ranges) == min(workers, 3) == len({t for t, _, _ in ranges})
+        cuts = sorted((lo, hi) for _, lo, hi in ranges)
+        assert [lo for lo, _ in cuts] == [0] + [hi for _, hi in cuts[:-1]]
+        assert cuts[-1][1] == self.N
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 40])
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_ranges_raise_the_serial_error(self, monkeypatch, workers):
+        # the twist 2 is singular at the first norm, in the first range;
+        # the twist w sums to +inf from the last norm, in the last range,
+        # where w x rounds 2a + a^2 to -1; the serial loop meets the error
+        # of the earlier twist first
+        norms = RATIONAL_PRIMES[:self.N]
+        w = (1 - 1e-10) / float(np.exp(-np.log(norms[-1:]))[0])
+        assert _error(norms, w).startswith("local factor log not finite")
+        assert _error(norms, 2.0).startswith("singular local factor")
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+        for chi, message in (([w, 2.0], "local factor log not finite"),
+                             ([2.0, w], "singular local factor"),
+                             ([1.0, 2.0], "singular local factor")):
+            with pytest.raises(SingularLocalFactorError) as exc:
+                log_product(norms, chi, 1.0)
+            assert str(exc.value) == f"{message} at s=1.0", chi
+
+
+def _error(norms, w):
+    """The message reference_log_product raises at s = 1."""
+    try:
+        reference_log_product(norms, w, 1.0)
+    except SingularLocalFactorError as exc:
+        return str(exc)
+    return ""
 
 
 class TestClassSlices:
