@@ -25,10 +25,10 @@ from .errors import (BudgetExceededError, DomainError, InvalidConfigError,
                      SingularityProximityError)
 from .frobenius import CyclicGroup, zp_factorization_residual
 from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
-                     cover_zeta_inverse, dump_graph_file, g_series_fraction,
+                     cover_zeta_inverse, g_series_fraction,
                      graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
                      parse_graph_file, partial_zeta_series)
-from .lfunctions import prime_order_character
+from .lfunctions import HEIGHT_MAX, prime_order_character
 from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
                           g_closed_form, kronecker_system)
 from .series import Cyclotomic, ExactSeries
@@ -181,10 +181,20 @@ def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
 
 
 def _load_catalog(args) -> SingularityCatalog:
+    _check_finite(f"--height={args.height}", args.height)
     if args.catalog_file:
         with open(args.catalog_file) as fh:
-            return SingularityCatalog.from_csv(fh.read(), args.height)
+            cat = SingularityCatalog.from_csv(fh.read(), args.height)
+        # the catalog is complete for 0 < Im s < T, and its points are
+        # dilated by powers of q up to T
+        if any(p.location.imag <= 0 for p in cat.points):
+            raise InvalidConfigError("catalog points need Im s > 0")
+        return cat
     if args.backend == "graph":
+        # a graph's towers grow with T as a zero search's boxes do
+        if args.height > HEIGHT_MAX:
+            raise InvalidConfigError(
+                f"graph catalogs above T={HEIGHT_MAX:g} are out of scope")
         vg = _load_voltage_graph(args)
         return graph_singularities_in_s(g_series_fraction(vg), vg.base.q_g,
                                         args.height)
@@ -273,14 +283,19 @@ def cmd_boundary(args) -> None:
     if args.backend == "graph":
         q = _load_voltage_graph(args).q_c
     elif args.backend == "catalog":
-        if args.depth is None:
-            raise InvalidConfigError("catalog backend needs --depth to pass q")
+        if args.depth is None or args.depth < 2:
+            raise InvalidConfigError("catalog backend needs --depth to pass "
+                                     "q >= 2")
         q = args.depth
     else:
         q = _build_system(args).group_order
-    report = boundary_report(cat, q, args.height)
     alpha = 0.25
-    i_t, j_t, om_t = counting_functions(cat, q, args.height, alpha)
+    try:
+        report = boundary_report(cat, q, args.height)
+        i_t, j_t, om_t = counting_functions(cat, q, args.height, alpha)
+    except OverflowError as exc:  # q^k or a gap's end past a double
+        raise DomainError(f"the boundary report of this catalog leaves a "
+                          f"double's range: {exc}") from exc
     report["counting"] = {"I": i_t, "J_alpha": j_t, "Omega_q": om_t,
                           "alpha": alpha}
     _emit_json(args, report)

@@ -81,6 +81,8 @@ class SingularityCatalog:
                 loc, order = complex(float(re_s), float(im_s)), int(order_s)
             except ValueError as exc:
                 raise InvalidConfigError(f"bad catalog row {ln!r}") from exc
+            if not cmath.isfinite(loc):
+                raise InvalidConfigError(f"non-finite catalog row {ln!r}")
             pts.append(SingularPoint(loc, order))
         return cls(points=pts, complete_up_to=complete_up_to)
 

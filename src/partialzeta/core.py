@@ -11,13 +11,13 @@ contiguous (frob_class, frob_order) slices of norms; at each point s each
 slice's norm^{-s} is twisted by every w a character of #G gives its class,
 and each sum -log(1 - w norm^{-s}) is shared by every product at s.
 
-`log_product`, the kernel under all of them, works in place: it writes
-into a few preallocated arrays instead of a fresh array per operation.  On
-tables of ~10^5 primes much of the cost of fresh arrays was page faults,
-not arithmetic.  It takes a batch of points s, a 1-d array (a scalar is a
-batch of one), and a twist or a list of twists, and shares between them
-the log of the norms, each point's norm^{-s} between the twists, and,
-among points of one height, the phase:
+`log_product`, the kernel under all of them, works in place: `_fill`
+writes log(1 - w norm^{-s}) over a range of norms into one array per twist,
+chunk by chunk in work arrays its caller sizes, instead of a fresh array per
+operation, and `_finish` takes each twist's sum.  It takes a batch of points
+s, a 1-d array (a scalar is a batch of one), and a twist or a list of
+twists, and shares between them the log of the norms, each point's
+norm^{-s} between the twists, and, among points of one height, the phase:
 
 - each point of a shared height forms norm^{-s} as
   exp(-Re s log p) * (cos y, sin y), with y = -Im s log p; the real factor
@@ -31,39 +31,31 @@ among points of one height, the phase:
   does not cover, takes one complex exp, and needs no phase table;
 - a real-dtype batch stays in float arithmetic with a real twist.
 
-The rest runs per point and twist with the same floating-point operations
-in the same order as the one-array-per-operation form, down to numpy's
-pairwise complex sum over the whole slice, so every sum is bit-for-bit
-that of `reference_log_product` in the tests with its one twist.  The 63
-points of the bench `continue --grid` share 7 heights.
+Every step before the sum is elementwise, with the same floating-point
+operations in the same order as the one-array-per-operation form, and each
+sum is numpy's pairwise complex sum over the whole slice, so every sum is
+bit-for-bit that of `reference_log_product` in the tests with its one
+twist, however the norms were cut into chunks and ranges.
 
-Both cuts below run through `in_threads`, which starts one thread per CPU
-the process may use, in copies of the caller's context so its np.errstate
+Both cuts run through `in_threads`, which starts one thread per CPU the
+process may use, in copies of the caller's context so its np.errstate
 holds on them, joins every thread before it returns or raises, and raises
 the error of the first part that met one.  numpy's ufuncs release the GIL.
 
+- One point's norms are cut into ranges of at least RANGE_MIN norms, one
+  per CPU, or one range on the caller's thread for a shorter slice.  Each
+  range fills its part of the twists' arrays in chunks of RANGE_CHUNK;
+  `_finish` runs once after the join.
 - A batch of two or more points is cut, in phase-group order, into
-  contiguous runs of points.  Each run allocates its own work arrays and
-  writes only its own rows of the result, so no lock is needed, and
-  computes the phase table of every height it touches, taking the
+  contiguous runs of points.  Each run allocates its work arrays once,
+  fills each point over the whole slice as one chunk, taking the
   shared-height path wherever the whole height is shared, so a point's
-  bits do not depend on where the batch was cut.
-- One point on a slice of at least 2 RANGE_MIN norms, as in the
-  `ClassSums` terms of `eval` and `feq-check` at the 1e7 sieve cap, is cut
-  into contiguous ranges of norms.  Each range works chunk by chunk in its
-  own small arrays and writes log(1 - w norm^{-s}) into its part of one
-  full-length array per twist; after the join each twist takes one
-  pairwise sum over its whole array.  Every other step is elementwise, so
-  the bits do not depend on the cut.  The error is the serial loop's: a
-  twist's sum is checked for +inf before a later twist's singular factor
-  is reported.  With one CPU this is one range on the caller's thread, in
-  about 18 bytes per prime for one twist, where a whole-slice pass took 41.
-- A shorter slice at one point, as at the 1e6 cutoff, takes one
-  whole-slice pass on the caller's thread, and keeps the log in its
-  output array.
+  bits do not depend on where the batch was cut, and finishes it.  Where
+  s is complex, the last twist's logs overwrite the point's norm^{-s}.
 
-On a 2-vCPU host the batch runs took the bench `grid` workload from
-0.153 s to 0.089 s (median of 10 pairs, `bench/run.py` nominal seconds).
+The error is the serial loop's: a fill stops at the first singular twist,
+and `_finish` checks each earlier twist's sum for +inf before it reports
+that twist's singular factor.
 """
 from __future__ import annotations
 
@@ -86,12 +78,10 @@ CEXP_REAL_MAX = 709.0
 # points whose slice sums a system keeps: every point of one feq-check or
 # composite functional-equation residual (s, q1 s, q2 s, n s) fits
 POINT_CACHE = 8
-# one point's slice of at least 2 RANGE_MIN norms is cut into ranges of at
-# least RANGE_MIN norms, one per CPU, each worked in chunks of RANGE_CHUNK:
-# a range takes about 5 ms with two twists, against about 0.1 ms to start
-# and join a thread, and a chunk's work arrays (about 0.8 MB) stay in cache;
-# a shorter slice takes one whole-slice pass, tens of microseconds a call
-# cheaper than the chunked one on a few norms
+# one point's slice is cut into ranges of at least RANGE_MIN norms, one per
+# CPU, each filled in chunks of RANGE_CHUNK: a range takes about 5 ms with
+# two twists, against about 0.1 ms to start and join a thread, and a chunk's
+# work arrays (about 0.8 MB) stay in cache
 RANGE_MIN = 2**16
 RANGE_CHUNK = 2**14
 
@@ -264,7 +254,7 @@ def log_product(norms: np.ndarray, w, s):
     norm^{-s} per point.  Scalar s and w give a Python complex.
     log(1 - x) = log1p(z) with z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2)
     + i atan2(b, 1 + a), stable for small |z|; computed in place in a few
-    work arrays, a long slice at one point cut into ranges and the points
+    work arrays by `_fill`, one point's norms cut into ranges and the points
     of a batch into runs, one per thread, see the module docstring.
     """
     z = np.asarray(s)
@@ -272,23 +262,48 @@ def log_product(norms: np.ndarray, w, s):
     ws = list(w) if np.ndim(w) else [w]
     sums = np.zeros((len(pts), len(ws)), complex)
     n = len(norms)
-    if len(pts) == 1 and n >= 2 * RANGE_MIN:
-        _sum_ranges(norms, ws, pts[0], sums[0])
-    elif n and len(pts) == 1:
-        # one point keeps the log in out's first half: contiguous, and free
-        # until the first twist
-        out = np.empty(n, complex)
-        logs = np.log(norms, out=out.view(float)[:n])
-        _sum_points(logs, ws, pts, [(0, 0, False)], sums, out)
+    complex_s = np.iscomplexobj(z)
+    if n and len(pts) == 1:
+        outs = [np.empty(n, complex) for _ in ws]
+        firsts = []
+
+        def fill_range(lo, hi):
+            m = min(RANGE_CHUNK, hi - lo)
+            x = np.empty(m, complex if complex_s else float)
+            firsts.append(_fill(norms, ws, pts[0], lo, hi, outs, x,
+                                np.empty(m, complex)))
+
+        in_threads(fill_range, n, RANGE_MIN)
+        _finish(outs, min(firsts), pts[0], sums[0])
     elif n and len(pts) > 1:
         logs = np.log(norms)
         # (point, group, shared) in phase-group order, cut into one
         # contiguous run per thread
         order = [(k, i, len(members) > 1) for i, members in
-                 enumerate(_phase_groups(pts, logs, np.iscomplexobj(z)))
+                 enumerate(_phase_groups(pts, logs, complex_s))
                  for k in members]
-        in_threads(lambda lo, hi: _sum_points(logs, ws, pts, order[lo:hi], sums),
-                   len(order))
+
+        def fill_run(lo, hi):
+            # norm^{-s} stays float while s is real: a complex exp would
+            # move last bits; a complex x is free for the last twist's logs
+            x = np.empty(n, complex if complex_s else float)
+            outs = [x if complex_s and i + 1 == len(ws) else np.empty(n, complex)
+                    for i in range(len(ws))]
+            work = np.empty(n, complex)
+            cis, cis_group = None, None  # the phase table and its group
+            for k, group, shared in order[lo:hi]:
+                if shared and group != cis_group:
+                    # exp(0 + iy) with y = Im(-s log p), the same bits for
+                    # every member (see _phase_groups)
+                    cis = np.multiply(-pts[k], logs, out=cis)
+                    cis.real = 0.0
+                    np.exp(cis, out=cis)
+                    cis_group = group
+                first = _fill(norms, ws, pts[k], 0, n, outs, x, work, logs,
+                              cis if shared else None)
+                _finish(outs, first, pts[k], sums[k])
+
+        in_threads(fill_run, len(order))
     shape = z.shape + np.shape(w)
     return complex(sums[0, 0]) if shape == () else sums.reshape(shape)
 
@@ -312,6 +327,9 @@ def in_threads(work, n: int, min_len: int = 1) -> None:
     raised one: the error a serial loop over the ranges would meet first.
     """
     parts = max(1, min(_cpu_count(), n // min_len))
+    if parts == 1:  # no thread to start: a few microseconds a call cheaper
+        work(0, n)
+        return
     cuts = [r * n // parts for r in range(parts + 1)]
     errors: list[Exception | None] = [None] * parts
 
@@ -335,86 +353,55 @@ def in_threads(work, n: int, min_len: int = 1) -> None:
         raise first
 
 
-def _sum_ranges(norms: np.ndarray, ws: list, s, sums: np.ndarray) -> None:
-    """Fill sums, one per twist, at the one point s, from norms cut into
-    ranges over threads; each range works chunk by chunk in its own small
-    arrays and writes log(1 - w norm^{-s}) into its part of one
-    full-length array per twist, and each sum is taken after the join."""
-    n = len(norms)
-    outs = [np.empty(n, complex) for _ in ws]
-    singular = []  # the first singular twist of each range that met one
+def _fill(norms: np.ndarray, ws: list, s, lo: int, hi: int, outs: list,
+          x: np.ndarray, work: np.ndarray, logs: np.ndarray | None = None,
+          cis: np.ndarray | None = None) -> int:
+    """Write log(1 - w norm^{-s}) over norms[lo:hi] into outs[i][lo:hi] for
+    each twist w = ws[i], in chunks of len(x) worked in x and work, and
+    return the first singular twist, len(ws) if none is; the twists past
+    it are not written.
 
-    def work(lo, hi):
-        buf = np.empty(RANGE_CHUNK, complex)
-        x = np.empty(RANGE_CHUNK, complex if isinstance(s, complex) else float)
-        first = len(ws)  # the twists past a singular one are not needed
-        for a in range(lo, hi, RANGE_CHUNK):
-            m = min(RANGE_CHUNK, hi - a)
-            xm = x[:m]
-            # the log in buf's first half, free until the first twist
-            np.exp(np.multiply(-s, np.log(norms[a:a + m], out=buf.view(float)[:m]),
-                               out=xm), out=xm)
-            for i in range(first):
-                part = outs[i][a:a + m]
-                # complex work leaves the log in spare, real work in out
-                if xm.dtype == complex or np.iscomplexobj(ws[i]):
-                    done = _log_one_minus(xm, ws[i], buf[:m], part)
-                else:
-                    done = _log_one_minus(xm, ws[i], part,
-                                          None if i + 1 == first else buf[:m])
-                if done is None:
-                    first = i
-                    break
-        if first < len(ws):
-            singular.append(first)
-
-    in_threads(work, n, RANGE_MIN)
-    # the serial loop's error: each twist's sum is checked before the next
-    # twist's singular factor is
-    first = min(singular, default=len(ws))
-    for i in range(first):
-        sums[i] = _minus_sum(outs[i], s)
-    if first < len(ws):
-        raise SingularLocalFactorError(f"singular local factor at s={s}")
-
-
-def _sum_points(logs: np.ndarray, ws: list, pts: list, run: list,
-                sums: np.ndarray, out: np.ndarray | None = None) -> None:
-    """Fill the rows of sums of the points of run, a list of (point, phase
-    group, shared) in phase-group order, from its own work arrays; out, if
-    given, may hold logs in its first half."""
-    n = len(logs)
-    out = np.empty(n, complex) if out is None else out
-    # x = norm^{-s} stays float while s is real: a complex exp would move
-    # last bits
-    x = np.empty(n, complex if isinstance(pts[0], complex) else float)
-    spare = np.empty(n, complex) if len(ws) > 1 else None
-    cis, cis_group = None, None  # the phase table and the group it is for
-    for k, group, shared in run:
-        if shared:
-            if group != cis_group:
-                # exp(0 + iy) with y = Im(-s log p), the same bits for every
-                # member (see _phase_groups)
-                cis = np.multiply(-pts[k], logs, out=cis)
-                cis.real = 0.0
-                np.exp(cis, out=cis)
-                cis_group = group
-            # exp(-Re s log p) * (cos y, sin y): cexp's own bits
-            np.multiply(-pts[k].real, logs, out=x.real)
-            x.imag = 0.0
-            np.exp(x, out=x)
-            np.multiply(x.real, cis.imag, out=x.imag)
-            x.real *= cis.real
+    logs, if given, are the logs of all of norms, and cis the phase table
+    exp(i Im(-s log p)) of s's height over them; without logs each chunk
+    takes its logs in work.  outs[-1] may be x where x is one chunk over
+    all of norms.
+    """
+    first = len(ws)
+    for a in range(lo, hi, len(x)):
+        m = min(len(x), hi - a)
+        xm, wm = x[:m], work[:m]
+        lg = (np.log(norms[a:a + m], out=wm.view(float)[:m]) if logs is None
+              else logs[a:a + m])
+        if cis is None:
+            np.exp(np.multiply(-s, lg, out=xm), out=xm)
         else:
-            np.exp(np.multiply(-pts[k], logs, out=x), out=x)
-        for i, wi in enumerate(ws):
-            # the last twist of a complex x may take x as work
-            last = i + 1 == len(ws) and x.dtype == complex
-            done = _log_one_minus(x, wi, out, None if last else spare)
-            if done is None:
-                raise SingularLocalFactorError(
-                    f"singular local factor at s={pts[k]}")
-            sums[k, i] = _minus_sum(done, pts[k])
+            # exp(-Re s log p) * (cos y, sin y): cexp's own bits
+            np.multiply(-s.real, lg, out=xm.real)
+            xm.imag = 0.0
+            np.exp(xm, out=xm)
+            np.multiply(xm.real, cis.imag[a:a + m], out=xm.imag)
+            xm.real *= cis.real[a:a + m]
+        for i in range(first):
+            if not _log_one_minus(xm, ws[i], outs[i][a:a + m], wm):
+                first = i
+                break
+    return first
+
+
+def _finish(outs: list, first: int, s, sums: np.ndarray) -> None:
+    """Fill sums[i] with -sum of outs[i] for each twist before first, then
+    raise first's singular error: the serial loop's order, where a twist's
+    sum is checked for +inf before a later twist's factors are."""
+    for i in range(first):
+        # numpy's pairwise sum of one array: the same bits however the
+        # array was filled
+        total = -np.sum(outs[i])
+        # x within about 1e-8 of 1 rounds 2a + a^2 to -1 and its log1p to -inf
+        if total.real == math.inf:
+            raise SingularLocalFactorError(f"local factor log not finite at s={s}")
+        sums[i] = total
+    if first < len(outs):
+        raise SingularLocalFactorError(f"singular local factor at s={s}")
 
 
 def _phase_groups(pts: list, logs: np.ndarray,
@@ -428,7 +415,7 @@ def _phase_groups(pts: list, logs: np.ndarray,
     a zero product can carry.  cexp(x + iy) is (exp(x) cos y, exp(x) sin y)
     only for x <= 709 and finite y, so the group asks that of every member.
     """
-    if not complex_s or len(pts) == 1:
+    if not complex_s:
         return [[k] for k in range(len(pts))]
     lo, hi = float(np.min(logs)), float(np.max(logs))
     groups: dict = {}
@@ -442,24 +429,17 @@ def _phase_groups(pts: list, logs: np.ndarray,
     return list(groups.values())
 
 
-def _log_one_minus(x: np.ndarray, w, out: np.ndarray, spare):
-    """log(1 - w x) over x = norm^{-s}, written into spare where x or w is
-    complex and into out where both are real, and that array returned;
-    None, with the array part written, where a factor is singular.  out and
-    spare are complex arrays of x's length; without spare, x is work and
-    is lost."""
-    if np.iscomplexobj(x) or np.iscomplexobj(w):
-        if spare is None:
-            spare = x if np.iscomplexobj(x) else np.empty(len(x), complex)
-        # out of place: numpy multiplies a one-element complex array in
-        # place with its reduction loop, which rounds differently
-        x, out = np.multiply(x, w, out=out), spare
-    else:
-        x = np.multiply(x, w, out=x if spare is None
-                        else spare.view(float)[:len(x)])
+def _log_one_minus(x: np.ndarray, w, out: np.ndarray, work: np.ndarray) -> bool:
+    """Write log(1 - w x) over x = norm^{-s} into out, with w x in work;
+    False, out partly written, where a factor is singular.  out and work
+    are complex arrays of x's length, and out may be x."""
+    # out of place: numpy multiplies a one-element complex array in place
+    # with its reduction loop, which rounds differently
+    x = np.multiply(x, w, out=work if np.iscomplexobj(x) or np.iscomplexobj(w)
+                    else work.view(float)[:len(x)])
     one_minus_x = np.subtract(1.0, x, out=out if np.iscomplexobj(x) else out.real)
     if np.any(np.abs(one_minus_x) < SINGULAR_FACTOR_EPS):
-        return None
+        return False
     # z = -x in place, negated as floats: numpy's complex loop is slower
     np.negative(x.view(float), out=x.view(float))
     a, re, im = x.real, out.real, out.imag
@@ -477,17 +457,7 @@ def _log_one_minus(x: np.ndarray, w, out: np.ndarray, spare):
     re *= 0.5
     np.add(1.0, a, out=im)
     np.arctan2(b, im, out=im)
-    return out
-
-
-def _minus_sum(logs: np.ndarray, s) -> complex:
-    """-sum of the logs of the local factors at s: numpy's pairwise sum of
-    one array, the same bits however the array was filled."""
-    total = -np.sum(logs)
-    # x within about 1e-8 of 1 rounds 2a + a^2 to -1 and its log1p to -inf
-    if total.real == math.inf:
-        raise SingularLocalFactorError(f"local factor log not finite at s={s}")
-    return total
+    return True
 
 
 @functools.lru_cache(maxsize=None)

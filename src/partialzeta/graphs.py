@@ -307,13 +307,6 @@ def parse_graph_file(text: str) -> VoltageGraph:
     return VoltageGraph(g, q_c, volts)
 
 
-def dump_graph_file(vg: VoltageGraph) -> str:
-    lines = [f"{vg.base.n} {vg.base.q_g} {vg.q_c}"]
-    for (u, v), a in zip(vg.base.edges, vg.voltages):
-        lines.append(f"{u} {v} {a}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # graph L-functions and the partial zeta series
 # ---------------------------------------------------------------------------
@@ -435,6 +428,8 @@ def graph_singularities_in_s(poly: tuple[ExactSeries, ExactSeries], q_g: int,
     """
     from .continuation import SingularityCatalog, SingularPoint
 
+    if q_g < 2:
+        raise InvalidConfigError(f"s = -log(u)/log(q_g) needs q_g >= 2, got {q_g}")
     num, den = poly
     common = poly_gcd(num.coeffs, den.coeffs)
     if len(common) > 1:

@@ -1,9 +1,9 @@
-"""Named test graphs and independent oracles for cycle counts on graphs,
-kept out of the package."""
+"""Named test graphs, the graph-file writer and independent oracles for
+cycle counts on graphs, kept out of the package."""
 import numpy as np
 
 from partialzeta.errors import InvalidConfigError
-from partialzeta.graphs import MultiGraph
+from partialzeta.graphs import MultiGraph, VoltageGraph
 
 
 def named_graph(name: str) -> MultiGraph:
@@ -20,6 +20,14 @@ def named_graph(name: str) -> MultiGraph:
         spokes = [(i, 5 + i) for i in range(5)]
         return MultiGraph(10, outer + inner + spokes)
     raise InvalidConfigError(f"unknown named graph {name!r}")
+
+
+def dump_graph_file(vg: VoltageGraph) -> str:
+    """The graph file `parse_graph_file` reads back as vg."""
+    lines = [f"{vg.base.n} {vg.base.q_g} {vg.q_c}"]
+    for (u, v), a in zip(vg.base.edges, vg.voltages):
+        lines.append(f"{u} {v} {a}")
+    return "\n".join(lines) + "\n"
 
 
 def _mobius(n: int) -> int:

@@ -5,11 +5,12 @@ import json
 
 from partialzeta.core import ExplicitSystem, ZetaSystem
 from partialzeta.errors import InvalidConfigError
-from partialzeta.graphs import (GraphZetaSystem, dump_graph_file,
-                                parse_graph_file)
+from partialzeta.graphs import GraphZetaSystem, parse_graph_file
 from partialzeta.lfunctions import is_primitive_root, prime_order_character
 from partialzeta.numberfield import (AbelianSystem, cyclic_system,
                                      kronecker_system)
+
+from graph_oracles import dump_graph_file
 
 
 def system_params(sys: ZetaSystem) -> dict:

@@ -16,11 +16,10 @@ from partialzeta import cli
 from partialzeta.cli import main
 from partialzeta.errors import PartialZetaError
 from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
-                                VoltageGraph, dump_graph_file,
-                                g_series_fraction,
+                                VoltageGraph, g_series_fraction,
                                 graph_singularities_in_s, parse_graph_file)
 
-from graph_oracles import named_graph
+from graph_oracles import dump_graph_file, named_graph
 
 K4_TEXT = "4 2 3\n0 1 1\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 1\n"
 CUBE_TEXT = ("8 2 3\n0 1 1\n1 2 0\n2 3 0\n3 0 0\n4 5 0\n5 6 0\n6 7 0\n"
@@ -668,6 +667,59 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 5 and err.startswith("error: grid of")
 
+    @pytest.mark.parametrize("height", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("backend", ["quadratic", "graph", "catalog"])
+    @pytest.mark.parametrize("command", ["zeros", "boundary"])
+    def test_non_finite_height(self, capsys, tmp_path, k4_file, command,
+                               backend, height):
+        # nan and -inf gave a traceback, and inf ran a graph tower forever
+        cat = tmp_path / "cat.csv"
+        cat.write_text("re,im,order\n0.5,1,1\n")
+        extra = {"quadratic": ["--d", "5"],
+                 "graph": ["--graph-file", k4_file],
+                 "catalog": ["--catalog-file", str(cat)]
+                 + (["--depth", "2"] if command == "boundary" else [])}
+        self.assert_config_error(capsys, command, "--backend", backend,
+                                 *extra[backend], f"--height={height}")
+
+    @pytest.mark.parametrize("command", ["zeros", "boundary"])
+    def test_graph_catalog_over_the_height_range(self, capsys, k4_file,
+                                                  command):
+        self.assert_config_error(capsys, command, "--backend", "graph",
+                                 "--graph-file", k4_file, "--height", "1e300")
+
+    @pytest.mark.parametrize("text", ["1 1 3\n0 0 1\n", "2 0 3\n0 1 1\n"],
+                             ids=["q_g=1", "q_g=0"])
+    @pytest.mark.parametrize("command", ["zeros", "boundary"])
+    def test_graph_catalog_needs_q_g_2(self, capsys, tmp_path, command, text):
+        # log(q_g) was 0 or log(0): a ZeroDivisionError or a ValueError
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        self.assert_config_error(capsys, command, "--backend", "graph",
+                                 "--graph-file", str(g), "--height", "10")
+
+    @pytest.mark.parametrize("rows, depth", [
+        ("nan,1,1", "2"), ("0.5,inf,1", "2"), ("0.5,0,1", "2"),
+        ("0.5,-3,2", "2"), ("0.5,1,1", "1"), ("0.5,1,1", "0"),
+        ("0.5,1,1", "-1")])
+    def test_catalog_outside_the_report(self, capsys, tmp_path, rows, depth):
+        # q = 1 or 0 dilated a point forever, and Im s <= 0 until q^k left
+        # a double
+        cat = tmp_path / "cat.csv"
+        cat.write_text(f"re,im,order\n{rows}\n0.5,3,1\n")
+        self.assert_config_error(capsys, "boundary", "--backend", "catalog",
+                                 "--catalog-file", str(cat), "--height", "10",
+                                 "--depth", depth)
+
+    def test_catalog_past_a_double(self, capsys, tmp_path):
+        # 5e-324 * 2^k stays below T = 10 until 2^k leaves a double
+        cat = tmp_path / "cat.csv"
+        cat.write_text("re,im,order\n0.5,5e-324,1\n0.5,3,1\n")
+        code = main(["boundary", "--backend", "catalog", "--catalog-file",
+                     str(cat), "--height", "10", "--depth", "2"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error:") and "Traceback" not in err
+
     def test_depth_without_catalog_backend(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height",
                                  "30", "--depth", "7")
@@ -717,6 +769,10 @@ FUZZ_DEPTH = ["0", "1", "2", "3", "40", "1023", "-1", "1024", "5000",
               "99999999999999999999", "x"]
 FUZZ_CUTOFF = ["100", "1e3", "1e4", "2", "1", "0", "-5", "nan", "inf",
                "1e400", "x"]
+# heights that run are at most 12, so each search takes a fraction of a
+# second; the rest are refused, or give an empty catalog
+FUZZ_HEIGHT = ["12", "4.5", "0", "-3", "-inf", "nan", "inf", "100.5", "150",
+               "1e300", "1e400", "x"]
 
 
 # small base graphs: K4, two loops and a bridge, a theta (parallel edges),
@@ -760,6 +816,24 @@ def graph_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+_CSV_FIELD = (st.sampled_from(["0.5", "0.75", "14.1", "-14.1", "0", "1", "-1",
+                               "2", "1.5", "nan", "inf", "-inf", "1e400",
+                               "1e300", "x", "", " 7 "])
+              | st.floats().map(repr) | st.integers(-10**20, 10**20).map(str))
+
+
+@st.composite
+def catalog_texts(draw):
+    """A catalog CSV: the header, a mangled one or none, then rows of two to
+    four fields, each a number, a non-finite or out-of-range float, a
+    20-digit integer or not a number."""
+    header = draw(st.sampled_from(["re,im,order"] * 4
+                                  + ["re, im, order", "re,im", "order,re,im", ""]))
+    rows = draw(st.lists(st.lists(_CSV_FIELD, min_size=2, max_size=4)
+                         .map(",".join), max_size=8))
+    return "\n".join([header, *rows]) + "\n"
+
+
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 # the listed points and any pair of floats
 _FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
@@ -767,9 +841,10 @@ _FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
 
 
 class TestArgvFuzz:
-    """eval, continue, sieve, feq-check and graph exit 0, 2, 3, 4 or 5 on any
-    argv and graph file, never with a traceback; oversized grids and depths
-    are refused before they allocate."""
+    """eval, continue, sieve, feq-check, zeros, boundary and graph exit 0, 2,
+    3, 4 or 5 on any argv, graph file and catalog CSV, never with a
+    traceback; oversized grids, depths and heights are refused before they
+    allocate."""
 
     @given(command=st.sampled_from(["eval", "continue"]),
            backend=st.sampled_from([["--d", "5"], ["--d", "-1"],
@@ -817,6 +892,36 @@ class TestArgvFuzz:
         assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
+
+    @given(command=st.sampled_from(["zeros", "boundary"]),
+           backend=st.sampled_from(["quadratic", "cyclic", "graph", "catalog"]),
+           height=st.sampled_from(FUZZ_HEIGHT),
+           depth=st.none() | st.sampled_from(FUZZ_DEPTH),
+           graph=graph_texts(), catalog=catalog_texts())
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:voltage cover is disconnected")
+    def test_zeros_and_boundary(self, tmp_path_factory, command, backend,
+                                height, depth, graph, catalog):
+        argv = [command, "--backend", backend, f"--height={height}"]
+        path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+        if backend == "quadratic":
+            argv += ["--d", "5"]
+        elif backend == "cyclic":
+            argv += ["--char", "7,3,3"]
+        else:
+            path.write_text(graph if backend == "graph" else catalog)
+            argv += [f"--{backend}-file", str(path)]
+        if depth is not None and command == "boundary" and backend == "catalog":
+            argv.append(f"--depth={depth}")  # q, read only from the catalog
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in {0, 2, 3, 4, 5}, (argv, graph, catalog, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
     @given(command=st.sampled_from(["ihara", "lfun", "partial", "verify"]),
            text=graph_texts(), order=st.none() | st.integers(-2, 14))

@@ -11,18 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partialzeta.errors import InvalidConfigError
-from partialzeta.graphs import (GraphZetaSystem, MultiGraph, VoltageGraph,
+from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
+                                GraphZetaSystem, MultiGraph, VoltageGraph,
                                 _det_one_minus_u, _is_canonical_primitive,
-                                build_cover,
-                                cover_zeta_inverse,
-                                dump_graph_file, g_series_fraction, graph_L,
+                                build_cover, cover_zeta_inverse,
+                                g_series_fraction, graph_L,
                                 graph_singularities_in_s, ihara_det,
                                 ihara_edge, parse_graph_file,
                                 partial_zeta_series, primitive_cycles)
 from partialzeta.series import Cyclotomic, ExactSeries
 
-from graph_oracles import (count_cycles, is_canonical_primitive_by_rotations,
-                           named_graph)
+from graph_oracles import (count_cycles, dump_graph_file,
+                           is_canonical_primitive_by_rotations, named_graph)
 from series_helpers import conjugate_map, derivative
 
 
@@ -400,6 +400,28 @@ class TestGraphFileFormat:
         assert clone.base.edges == vg.base.edges
         assert clone.voltages == vg.voltages
         assert clone.q_c == vg.q_c
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_of_random_voltage_graphs(self, data):
+        # a random pairing of k stubs per vertex: a k-regular multigraph with
+        # loops and parallel edges, within the cover bounds
+        q_c = data.draw(st.sampled_from(
+            [p for p in range(2, MAX_COVER_ORDER + 1)
+             if all(p % d for d in range(2, p))]))
+        k = data.draw(st.integers(1, 4))
+        max_n = 2 * (MAX_COVER_EDGES // (2 * q_c)) // k
+        n = data.draw(st.sampled_from(
+            [n for n in range(1, max_n + 1) if n * k % 2 == 0]))
+        stubs = data.draw(st.permutations([v for v in range(n) for _ in range(k)]))
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        raw = data.draw(st.lists(st.integers(-50, 50), min_size=len(edges),
+                                 max_size=len(edges)))
+        vg = VoltageGraph(MultiGraph(n, edges), q_c, raw)
+        clone = parse_graph_file(dump_graph_file(vg))
+        assert clone.base.n == n and clone.base.edges == edges
+        assert clone.q_c == q_c
+        assert clone.voltages == vg.voltages == [a % q_c for a in raw]
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(InvalidConfigError):

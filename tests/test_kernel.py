@@ -342,14 +342,16 @@ class TestBatchedKernel:
         norms = _norms("primes", 5000, workers)
         chi = _chi(chi_kind, 5000, workers)
         runs = []
-        sum_points = core._sum_points
+        in_threads = core.in_threads
 
-        def recording(logs, ws, pts, run, *rest):
-            runs.append((threading.current_thread(), [k for k, _, _ in run]))
-            sum_points(logs, ws, pts, run, *rest)
+        def recording(work, n, min_len=1):
+            def run(lo, hi):
+                runs.append((threading.current_thread(), range(lo, hi)))
+                work(lo, hi)
+            in_threads(run, n, min_len)
 
         monkeypatch.setattr(core, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(core, "_sum_points", recording)
+        monkeypatch.setattr(core, "in_threads", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as it can
         try:
@@ -396,6 +398,26 @@ class TestBatchedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 38 * len(norms), peak / len(norms)
+
+    @pytest.mark.parametrize("chi, bound", [(1.0, 124.5),
+                                            ([1.0, -1 + 0j], 156.5)],
+                             ids=["one-twist", "two-twists"])
+    def test_memory_per_prime_of_a_grid_batch(self, monkeypatch, chi, bound):
+        # the 63 points q s of the bench `continue --grid` on the d=5 inert
+        # slice at 1e6, on 2 runs: the shared logs, and on each run x, work,
+        # the phase table and one array per twist past the last, whose logs
+        # overwrite x; peak at 122.5 and 154.3 bytes per prime
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+        norms = kronecker_system(5).class_slices(1e6)[(1, 2)]
+        s = 2 * np.array([complex(a, b) for b in np.linspace(0, 30, 7)
+                          for a in np.linspace(0.55, 0.95, 9)])
+        tracemalloc.start()
+        try:
+            log_product(norms, chi, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(norms), peak / len(norms)
 
     def test_points_outside_the_cexp_identity_stand_alone(self):
         # x = -Re s log p above 709 and an overflowing phase take a lone cexp
