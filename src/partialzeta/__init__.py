@@ -11,8 +11,8 @@ from .continuation import (GEvaluator, PartialZetaEvaluator,
                            composite_feq_residual, continue_f_power,
                            counting_functions, feq_residual, lambda_q_betas,
                            mq_classes)
-from .core import (ExplicitSystem, PrimeTable, TruncationPolicy, ZetaSystem,
-                   truncated_zeta_P, truncated_zeta_Pn)
+from .core import (PrimeTable, TruncationPolicy, ZetaSystem, truncated_zeta_P,
+                   truncated_zeta_Pn)
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
                      SingularityProximityError, SingularLocalFactorError,

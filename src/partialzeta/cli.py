@@ -180,26 +180,23 @@ def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
     raise InvalidConfigError(f"no g evaluator for backend {sys_obj.backend!r}")
 
 
-def _load_catalog(args) -> SingularityCatalog:
+def _load_catalog(args) -> tuple[SingularityCatalog, int | None]:
+    """The singularity catalog of the command's input, and the q of the
+    graph or system it was computed from (None for --catalog-file)."""
     _check_finite(f"--height={args.height}", args.height)
     if args.catalog_file:
         with open(args.catalog_file) as fh:
-            cat = SingularityCatalog.from_csv(fh.read(), args.height)
-        # the catalog is complete for 0 < Im s < T, and its points are
-        # dilated by powers of q up to T
-        if any(p.location.imag <= 0 for p in cat.points):
-            raise InvalidConfigError("catalog points need Im s > 0")
-        return cat
+            return SingularityCatalog.from_csv(fh.read(), args.height), None
     if args.backend == "graph":
         # a graph's towers grow with T as a zero search's boxes do
         if args.height > HEIGHT_MAX:
             raise InvalidConfigError(
                 f"graph catalogs above T={HEIGHT_MAX:g} are out of scope")
         vg = _load_voltage_graph(args)
-        return graph_singularities_in_s(g_series_fraction(vg), vg.base.q_g,
-                                        args.height)
+        return (graph_singularities_in_s(g_series_fraction(vg), vg.base.q_g,
+                                         args.height), vg.q_c)
     sys_obj = _build_system(args)
-    return find_zeros(g_closed_form(sys_obj), args.height)
+    return find_zeros(g_closed_form(sys_obj), args.height), sys_obj.group_order
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +270,21 @@ def cmd_feq_check(args) -> None:
 
 
 def cmd_zeros(args) -> None:
-    _emit(args, _load_catalog(args).to_csv())
+    _emit(args, _load_catalog(args)[0].to_csv())
 
 
 def cmd_boundary(args) -> None:
     if args.depth is not None and args.backend != "catalog":
         raise InvalidConfigError("--depth is read only with --backend catalog")
-    cat = _load_catalog(args)
-    if args.backend == "graph":
-        q = _load_voltage_graph(args).q_c
-    elif args.backend == "catalog":
+    cat, q = _load_catalog(args)
+    if args.backend == "catalog":
         if args.depth is None or args.depth < 2:
             raise InvalidConfigError("catalog backend needs --depth to pass "
                                      "q >= 2")
         q = args.depth
-    else:
-        q = _build_system(args).group_order
+    elif q is None:  # a --catalog-file with the q of the named system
+        q = (_load_voltage_graph(args).q_c if args.backend == "graph"
+             else _build_system(args).group_order)
     alpha = 0.25
     try:
         report = boundary_report(cat, q, args.height)

@@ -49,7 +49,11 @@ class SingularPoint:
 
 @dataclass
 class SingularityCatalog:
-    """Finite singularity list, complete for 0 < Im < complete_up_to."""
+    """Finite singularity list, complete for 0 < Im < complete_up_to.
+
+    A point at Im s <= 0 is refused: its dilates by powers of q never pass
+    complete_up_to.
+    """
 
     points: list[SingularPoint]
     complete_up_to: float
@@ -59,6 +63,8 @@ class SingularityCatalog:
                 for p in self.points]
         if len(set(locs)) != len(locs):
             raise InvalidConfigError("catalog points must be pairwise distinct")
+        if any(p.location.imag <= 0 for p in self.points):
+            raise InvalidConfigError("catalog points need Im s > 0")
 
     def __len__(self):
         return len(self.points)
@@ -288,8 +294,11 @@ def mq_classes(cat: SingularityCatalog, q: int) -> list[tuple[complex, float]]:
     """Partition the catalog into q-power classes with weights M_q.
 
     Each class is keyed by its lowest-height representative sigma; the weight
-    is sum over members sigma' = q^k sigma of q^{-k} m(sigma').
+    is sum over members sigma' = q^k sigma of q^{-k} m(sigma').  q < 2
+    would never dilate a point past the catalog height.
     """
+    if q < 2:
+        raise InvalidConfigError(f"q-power classes need q >= 2, got {q}")
     pts = sorted(cat.points, key=lambda p: (p.location.imag, p.location.real))
     assigned = [False] * len(pts)
     classes = []

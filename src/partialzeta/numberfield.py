@@ -120,8 +120,6 @@ def g_closed_form(sys: AbelianSystem,
 
 _MAX_PHASE_DEPTH = 40
 _SAMPLES_PER_EDGE = 8  # boundary samples per box edge
-# boxes whose windings are computed together; bounds the scan's own memory
-_BOXES_PER_PASS = 256
 _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
 # larger windings, a multiple zero of one factor, are subdivided further
 _MAX_ORDER = 3
@@ -137,74 +135,53 @@ def _evaluate(f: Callable, memo: dict, zs: list[complex]) -> None:
     memo.update(zip(new, evaluate_in_chunks(f, new)))
 
 
-def _phase_change(f: Callable, z0, z1, f0, f1,
-                  depth: int = 0) -> float:
-    """Continuous arg variation of f along [z0, z1] by adaptive bisection."""
-    d = cmath.phase(f1 / f0)
-    if abs(d) < 1.9:  # safely below pi: no aliasing possible once refined
-        return d
-    if depth >= _MAX_PHASE_DEPTH:
-        raise UnresolvedBoxError(f"phase tracking failed near {z0}..{z1}")
-    zm = 0.5 * (z0 + z1)
-    fm = f(zm)
-    if fm == 0:
-        raise UnresolvedBoxError(f"contour passes through a zero at {zm}")
-    return (_phase_change(f, z0, zm, f0, fm, depth + 1)
-            + _phase_change(f, zm, z1, fm, f1, depth + 1))
-
-
-def _bisect(f: Callable, memo: dict, segments: list[tuple]) -> None:
-    """Add to memo f at every midpoint `_phase_change` bisects at.
-
-    Walks the bisection trees of all segments (z0, z1, f0, f1) one depth at
-    a time, so each depth is one batched evaluation; `_phase_change` then
-    reads the values back and keeps its own summation order.
-    """
-    for _ in range(_MAX_PHASE_DEPTH):
-        split = [seg for seg in segments
-                 if abs(cmath.phase(seg[3] / seg[2])) >= 1.9]
-        if not split:
-            break
-        mids = [0.5 * (z0 + z1) for z0, z1, _, _ in split]
-        _evaluate(f, memo, mids)
-        segments = [half for (z0, z1, f0, f1), zm in zip(split, mids)
-                    if memo[zm] != 0
-                    for half in ((z0, zm, f0, memo[zm]), (zm, z1, memo[zm], f1))]
-
-
-def _windings(f: Callable, boxes: list[tuple]):
+def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
     """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
 
-    Yields the windings box by box.  The boxes are taken _BOXES_PER_PASS at
-    a time; a pass evaluates the boundary samples of all its boxes, and then
-    each bisection depth of the phase tracking, in batched calls of f.
+    The boundary samples of all boxes are one `_evaluate` call.  The phase
+    of f is then tracked one bisection depth at a time over the live contour
+    segments of every box: a step |arg(f1/f0)| < 1.9 is added to its box's
+    total, any other segment is split at its midpoint, and the midpoints of
+    one depth are one `_evaluate` call.
     """
-    m = 4 * _SAMPLES_PER_EDGE
-    for start in range(0, len(boxes), _BOXES_PER_PASS):
-        batch = boxes[start:start + _BOXES_PER_PASS]
-        contours = []
-        for re0, re1, im0, im1 in batch:
-            corners = _rect(re0, re1, im0, im1)
-            contours.append([a + (b - a) * t / _SAMPLES_PER_EDGE
-                             for a, b in zip(corners, corners[1:] + corners[:1])
-                             for t in range(_SAMPLES_PER_EDGE)])
-        memo: dict[complex, complex] = {}
-        _evaluate(f, memo, [z for pts in contours for z in pts])
-        segments = [(pts[i], pts[(i + 1) % m],
-                     memo[pts[i]], memo[pts[(i + 1) % m]])
-                    for pts in contours for i in range(m)]
-        _bisect(f, memo, segments)
-        for k, (re0, re1, im0, im1) in enumerate(batch):
-            total = 0.0
-            for seg in segments[k * m:(k + 1) * m]:
-                total += _phase_change(memo.__getitem__, *seg)
-            w = total / (2 * math.pi)
-            wi = round(w)
-            if abs(w - wi) > 1e-6:
+    segments = []  # (box index, z0, z1) still to be tracked
+    for k, (re0, re1, im0, im1) in enumerate(boxes):
+        corners = _rect(re0, re1, im0, im1)
+        pts = [a + (b - a) * t / _SAMPLES_PER_EDGE
+               for a, b in zip(corners, corners[1:] + corners[:1])
+               for t in range(_SAMPLES_PER_EDGE)]
+        segments += [(k, z0, z1) for z0, z1 in zip(pts, pts[1:] + pts[:1])]
+    memo: dict[complex, complex] = {}
+    _evaluate(f, memo, [z0 for _, z0, _ in segments])
+    totals = [0.0] * len(boxes)
+    for depth in range(_MAX_PHASE_DEPTH + 1):
+        split = []
+        for k, z0, z1 in segments:
+            f0, f1 = memo[z0], memo[z1]
+            if f0 == 0 or f1 == 0:
                 raise UnresolvedBoxError(
-                    f"non-integer winding {w} on box "
-                    f"{complex(re0, im0)}..{complex(re1, im1)}")
-            yield wi
+                    f"contour passes through a zero near {z0}..{z1}")
+            d = cmath.phase(f1 / f0)
+            if abs(d) < 1.9:  # safely below pi: no aliasing possible
+                totals[k] += d
+            elif depth == _MAX_PHASE_DEPTH:
+                raise UnresolvedBoxError(
+                    f"phase tracking failed near {z0}..{z1}")
+            else:
+                split.append((k, z0, z1))
+        mids = [0.5 * (z0 + z1) for _, z0, z1 in split]
+        _evaluate(f, memo, mids)
+        segments = [half for (k, z0, z1), zm in zip(split, mids)
+                    for half in ((k, z0, zm), (k, zm, z1))]
+    windings = []
+    for (re0, re1, im0, im1), total in zip(boxes, totals):
+        w = total / (2 * math.pi)
+        if abs(w - round(w)) > 1e-6:
+            raise UnresolvedBoxError(
+                f"non-integer winding {w} on box "
+                f"{complex(re0, im0)}..{complex(re1, im1)}")
+        windings.append(round(w))
+    return windings
 
 
 def _rect(re0, re1, im0, im1) -> list[complex]:
@@ -248,12 +225,12 @@ def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
     A box of nonzero winding is split until it is at most 2e-2 wide and
     |w| <= _MAX_ORDER, then refined by Newton on f from its center; an
     iterate that escapes the box splits it again.  The scan walks one
-    subdivision level at a time: boundary samples go to f in calls of at
-    most _SAMPLES_PER_CALL points (8 boxes), a point shared by boxes once,
-    each phase-bisection depth is batched the same way, and each Newton
-    step is one call of five points.  For an f that gives a point the same
-    value in any batch, as `g_closed_form`'s functions do, the result does
-    not depend on this batching.
+    subdivision level at a time: `_windings` gives f the boundary samples of
+    the whole level, a point shared by boxes once, and then the midpoints of
+    each phase-bisection depth, in calls of at most _SAMPLES_PER_CALL points
+    (8 boxes); each Newton step is one call of five points.  For an f that
+    gives a point the same value in any batch, as `g_closed_form`'s
+    functions do, the result does not depend on this batching.
     """
     found = []
     used = 0

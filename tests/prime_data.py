@@ -1,10 +1,10 @@
-"""Row-wise prime data for building small test systems, and row views of
-the column tables the systems keep."""
+"""Hand-specified systems and row-wise prime data for building small test
+systems, and row views of the column tables the systems keep."""
 from dataclasses import dataclass
 
 import numpy as np
 
-from partialzeta.core import ExplicitSystem, PrimeTable
+from partialzeta.core import PrimeTable, ZetaSystem, class_dtype
 from partialzeta.errors import InvalidConfigError
 
 
@@ -22,6 +22,34 @@ class PrimeDatum:
             raise InvalidConfigError(f"prime norm must exceed 1, got {self.norm}")
         if self.frob_order < 1:
             raise InvalidConfigError("frob_order must be a positive integer")
+
+
+class ExplicitSystem(ZetaSystem):
+    """Hand-specified prime columns, classes taken mod #G and ids defaulting
+    to positions; used for synthetic test systems."""
+
+    backend = "explicit"
+
+    def __init__(self, norm, frob_class, frob_order, group_order: int,
+                 id=None):
+        super().__init__(group_order)
+        norm = np.asarray(norm, dtype=float)
+        classes, orders, ids = (np.asarray(c, dtype=np.int64) for c in (
+            frob_class, frob_order, np.arange(len(norm)) if id is None else id))
+        if (norm.ndim != 1 or {c.shape for c in (classes, orders, ids)} != {norm.shape}
+                or not np.all((norm > 1) & (orders >= 1)
+                              & (group_order % np.maximum(orders, 1) == 0))):
+            raise InvalidConfigError(f"prime columns need one length, norms > 1 "
+                                     f"and frob_orders dividing #G={group_order}")
+        dt = class_dtype(group_order)
+        self._table = PrimeTable(norm, (classes % group_order).astype(dt),
+                                 orders.astype(dt), ids)
+
+    def _enumerate(self, X):
+        return self._table[np.flatnonzero(self._table.norm <= X)]
+
+    def count_coeff(self):
+        return max(1.0, float(len(self._table)))
 
 
 def explicit_system(primes: list[PrimeDatum], group_order: int) -> ExplicitSystem:

@@ -3,7 +3,7 @@ the inputs that rebuild it; no CLI command reads or writes it, so it lives
 with the tests."""
 import json
 
-from partialzeta.core import ExplicitSystem, ZetaSystem
+from partialzeta.core import ZetaSystem
 from partialzeta.errors import InvalidConfigError
 from partialzeta.graphs import GraphZetaSystem, parse_graph_file
 from partialzeta.lfunctions import is_primitive_root, prime_order_character
@@ -11,6 +11,7 @@ from partialzeta.numberfield import (AbelianSystem, cyclic_system,
                                      kronecker_system)
 
 from graph_oracles import dump_graph_file
+from prime_data import ExplicitSystem
 
 
 def system_params(sys: ZetaSystem) -> dict:

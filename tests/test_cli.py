@@ -137,8 +137,11 @@ class TestScanPinned:
         (["continue", "--backend", "cyclic", "--char", "7,3,3", "--s",
           "0.7,10", "--depth", "2", "--cutoff", "1e5"],
          "452c6c8c824c2feb3705933f5426b2d7c7eb0cee1e4fca263028442b7ea956ba"),
+        # the highest d = 5 scan the CLI accepts, levels of up to 216 boxes
+        (["zeros", "--d", "5", "--height", "100"],
+         "1910ffebed63169571f6b3c7642c799668278a676e32d39b4a12c8f99c0819e5"),
     ], ids=["zeros-d5-30", "zeros-char7,3,3-12", "boundary-d5-28",
-            "zeros-char11,5-12", "continue-char7,3,3"])
+            "zeros-char11,5-12", "continue-char7,3,3", "zeros-d5-100"])
     def test_output_pinned(self, capsys, argv, digest):
         # the first three were recorded from the depth-first, one-box-per-call
         # scan, the last two from one complex exp per Hurwitz head term and
@@ -430,6 +433,28 @@ class TestBoundary:
         doc = json.loads(out)
         assert doc["verdict"] == "consistent-with-natural-boundary"
         assert "counting" in doc
+
+    def test_input_loaded_once(self, capsys, monkeypatch, k4_file):
+        # one parse of the graph file, or one system, serves both the
+        # catalog and q
+        calls = []
+
+        def counted(fn):
+            def wrapped(*a):
+                calls.append(fn.__name__)
+                return fn(*a)
+            return wrapped
+
+        monkeypatch.setattr(cli, "parse_graph_file",
+                            counted(cli.parse_graph_file))
+        monkeypatch.setattr(cli, "_build_system", counted(cli._build_system))
+        code, _ = run(capsys, "boundary", "--backend", "graph",
+                      "--graph-file", k4_file, "--height", "100")
+        assert code == 0 and calls == ["parse_graph_file"]
+        calls.clear()
+        code, _ = run(capsys, "boundary", "--backend", "cyclic", "--char",
+                      "7,3,3", "--height", "12")
+        assert code == 2 and calls == ["_build_system"]
 
     def test_catalog_backend(self, capsys, tmp_path):
         lines = ["re,im,order"]

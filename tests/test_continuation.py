@@ -263,6 +263,15 @@ class TestMqClasses:
         assert len(classes) == 8
         assert all(w == pytest.approx(1.0) for _, w in classes)
 
+    @pytest.mark.parametrize("q", [1, 0, -1])
+    def test_q_below_2_refused(self, q):
+        # q^k sigma would never pass the catalog height
+        cat = SingularityCatalog([SingularPoint(0.5 + 3j, 1)], 10.0)
+        with pytest.raises(InvalidConfigError):
+            mq_classes(cat, q)
+        with pytest.raises(InvalidConfigError):
+            counting_functions(cat, q, 10.0, 0.25)
+
 
 class TestCountingFunctions:
     def test_empty(self):
@@ -346,7 +355,8 @@ class TestCatalogSerialization:
         assert clone.points == pts
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3),
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3),
+                              st.floats(0.0, 1e3, exclude_min=True),
                               st.integers(-6, 6).filter(bool)),
                     max_size=12, unique_by=lambda r: (r[0], r[1])))
     def test_csv_roundtrip_property(self, rows):
@@ -359,6 +369,14 @@ class TestCatalogSerialization:
         clone = SingularityCatalog.from_csv(text, 50.0)
         assert clone.to_csv() == text
         assert [p.order for p in clone.points] == [o for _, _, o in rows]
+
+    @pytest.mark.parametrize("im", [0.0, -0.0, -3.0])
+    def test_point_off_the_upper_strip_refused(self, im):
+        # its dilates q^k s would never pass the catalog height
+        with pytest.raises(InvalidConfigError):
+            SingularityCatalog([SingularPoint(complex(0.5, im), 1)], 10.0)
+        with pytest.raises(InvalidConfigError):
+            SingularityCatalog.from_csv(f"re,im,order\n0.5,{im},1\n", 10.0)
 
     def test_header_required(self):
         with pytest.raises(InvalidConfigError):

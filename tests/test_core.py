@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialzeta import core, primes
-from partialzeta.core import (ExplicitSystem, PrimeTable, TruncationPolicy,
-                              ZetaSystem, exp_of_log, log_zeta_P, log_zeta_Pn,
+from partialzeta.core import (PrimeTable, TruncationPolicy, ZetaSystem,
+                              exp_of_log, log_zeta_P, log_zeta_Pn,
                               truncated_zeta_P, truncated_zeta_Pn)
 from partialzeta.errors import (BudgetExceededError, DomainError,
                                 InvalidConfigError, SingularLocalFactorError)
@@ -22,7 +22,8 @@ from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
 
-from prime_data import PrimeDatum, explicit_system, table_rows
+from prime_data import (ExplicitSystem, PrimeDatum, explicit_system,
+                        table_rows)
 from system_json import system_from_json, system_to_json
 from zeta_oracles import local_factor
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partialzeta.core import ExplicitSystem, TruncationPolicy
+from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError
 from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
                                    log_Z, subgroup_character_indices,
@@ -15,7 +15,7 @@ from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
 from partialzeta.numberfield import kronecker_system
 from partialzeta.series import ExactSeries
 
-from prime_data import PrimeDatum, explicit_system
+from prime_data import ExplicitSystem, PrimeDatum, explicit_system
 
 
 class TestCharacterValues:

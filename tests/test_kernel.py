@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from partialzeta import core, primes
 from partialzeta.cli import main
 from partialzeta.continuation import feq_residual
-from partialzeta.core import (ExplicitSystem, TruncationPolicy, log_product,
-                              log_zeta_P, log_zeta_Pn, roots_of_unity)
+from partialzeta.core import (TruncationPolicy, log_product, log_zeta_P,
+                              log_zeta_Pn, roots_of_unity)
 from partialzeta.errors import SingularLocalFactorError
 from partialzeta.frobenius import Character, CyclicGroup, log_L
 from partialzeta.graphs import GraphZetaSystem, MultiGraph, VoltageGraph
@@ -25,7 +25,7 @@ from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import primes_up_to
 
-from prime_data import PrimeDatum, explicit_system
+from prime_data import ExplicitSystem, PrimeDatum, explicit_system
 from zeta_oracles import (pass_log_L, pass_log_zeta_P, pass_log_zeta_Pn,
                           reference_log_product)
 

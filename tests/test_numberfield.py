@@ -276,6 +276,27 @@ class TestFindZeros:
             assert p.order == order
             assert abs(p.location - complex(re, im)) < 1e-12
 
+    def test_400_box_level(self):
+        # sin(pi w), w = -i(s - 1/2) - 1/4, vanishes at 1/2 + i(n + 1/4):
+        # 100 simple zeros below T = 100, and levels of 200 and 400 boxes
+        def f(s):
+            return np.sin(np.pi * (-1j * (np.asarray(s) - 0.5) - 0.25))
+
+        cat = find_zeros(f, 100.0)
+        assert len(cat.points) == 100
+        for n, p in enumerate(cat.points):
+            assert p.order == 1
+            assert abs(p.location - complex(0.5, n + 0.25)) < 1e-12
+
+    @pytest.mark.parametrize("t", [0, 3], ids=["corner", "edge"])
+    def test_zero_on_a_boundary_sample(self, t):
+        # a zero of f on the first slab's corner or on a sample of its
+        # bottom edge
+        a, b = complex(1e-3, 0.05), complex(1.0 - 1e-3, 0.05)
+        c = a + (b - a) * t / 8
+        with pytest.raises(UnresolvedBoxError, match="passes through a zero"):
+            find_zeros(lambda s: np.asarray(s) - c, 2.0)
+
     def test_d5_close_zero_pole_pair_found(self):
         # pairs of a zeta zero and an L(s, chi_5) zero that cancel in g's
         # winding (0.065 and 0.042 apart): the scan of g itself missed both.
