@@ -8,17 +8,15 @@ __version__ = "0.1.0"
 
 from .continuation import (GEvaluator, PartialZetaEvaluator,
                            SingularityCatalog, SingularPoint, boundary_report,
-                           composite_feq_residual, continue_f_power,
-                           counting_functions, feq_residual, lambda_q_betas,
-                           mq_classes)
+                           continue_f_power, counting_functions, feq_residual,
+                           lambda_q_betas, mq_classes)
 from .core import (PrimeTable, TruncationPolicy, ZetaSystem, truncated_zeta_P,
                    truncated_zeta_Pn)
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
-                     SingularityProximityError, SingularLocalFactorError,
-                     UnresolvedBoxError)
-from .frobenius import (Character, CyclicGroup, subgroup_character_indices,
-                        truncated_L, truncated_Z, zp_factorization_residual)
+                     SingularLocalFactorError, UnresolvedBoxError)
+from .frobenius import (Character, CyclicGroup, truncated_L, truncated_Z,
+                        zp_factorization_residual)
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
                      graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
                      parse_graph_file, partial_zeta_series, primitive_cycles)

@@ -4,8 +4,8 @@ emit boundary reports and plot-ready grids.
 Determinism contract: identical configuration produces byte-identical output
 (all floating results are formatted at 15 significant digits, JSON keys are
 sorted, grid rows are sorted).  Exit codes: 2 invalid configuration or
-too few cataloged singularities, 3 domain error, 4 singularity proximity,
-5 budget exceeded or unresolved argument-principle box.
+too few cataloged singularities, 3 domain error, 5 budget exceeded or
+unresolved argument-principle box.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from . import __version__
 from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
                            boundary_report, counting_functions, feq_residual)
 from .core import TruncationPolicy, ZetaSystem
-from .errors import (BudgetExceededError, DomainError, InvalidConfigError,
-                     SingularityProximityError)
+from .errors import BudgetExceededError, DomainError, InvalidConfigError
 from .frobenius import CyclicGroup, zp_factorization_residual
 from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
                      cover_zeta_inverse, g_series_fraction,
@@ -182,9 +181,12 @@ def _g_evaluator(args, sys_obj: ZetaSystem) -> GEvaluator:
 
 def _load_catalog(args) -> tuple[SingularityCatalog, int | None]:
     """The singularity catalog of the command's input, and the q of the
-    graph or system it was computed from (None for --catalog-file)."""
+    graph or system it was computed from (None for --backend catalog)."""
     _check_finite(f"--height={args.height}", args.height)
     if args.catalog_file:
+        if args.backend != "catalog":
+            raise InvalidConfigError("--catalog-file is read only with "
+                                     "--backend catalog")
         with open(args.catalog_file) as fh:
             return SingularityCatalog.from_csv(fh.read(), args.height), None
     if args.backend == "graph":
@@ -233,10 +235,8 @@ def cmd_eval(args) -> None:
 
 def cmd_continue(args) -> None:
     sys_obj = _build_system(args)
-    q = sys_obj.group_order
-    ev = PartialZetaEvaluator(sys_obj, q, _g_evaluator(args, sys_obj),
-                              depth=args.depth,
-                              policy=TruncationPolicy(args.cutoff))
+    ev = PartialZetaEvaluator(sys_obj, _g_evaluator(args, sys_obj), args.depth,
+                              TruncationPolicy(args.cutoff))
     if args.grid:
         pts = sorted(_parse_grid(args.grid), key=lambda z: (z.real, z.imag))
         rows = ["re,im,log_abs,arg"]
@@ -251,7 +251,7 @@ def cmd_continue(args) -> None:
         return
     s = _parse_s(args.s)
     val = ev(s)
-    _emit_json(args, {"s": s, "depth": args.depth, "q": q,
+    _emit_json(args, {"s": s, "depth": args.depth, "q": sys_obj.group_order,
                       "f_power": val, "domain_re_floor": ev.domain_re_floor})
 
 
@@ -282,9 +282,6 @@ def cmd_boundary(args) -> None:
             raise InvalidConfigError("catalog backend needs --depth to pass "
                                      "q >= 2")
         q = args.depth
-    elif q is None:  # a --catalog-file with the q of the named system
-        q = (_load_voltage_graph(args).q_c if args.backend == "graph"
-             else _build_system(args).group_order)
     alpha = 0.25
     try:
         report = boundary_report(cat, q, args.height)
@@ -432,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except SingularityProximityError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 4
     except DomainError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3

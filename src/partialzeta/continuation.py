@@ -18,13 +18,10 @@ import numpy as np
 from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_product,
                    log_zeta_P, log_zeta_Pn)
 from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
-                     PartialZetaError, PoleAtOneError,
-                     SingularityProximityError)
-from .frobenius import log_Z, subgroup_character_indices
+                     PartialZetaError, PoleAtOneError)
+from .frobenius import log_Z
 from .lfunctions import POLE_RADIUS
-from .primes import factorize
 
-PROXIMITY_RADIUS = 1e-6
 CLASS_MATCH_RTOL = 1e-9
 WEIGHT_ZERO_TOL = 1e-12
 # a largest residue arc of ratio >= 1 + GAP_DELTA is reported as a gap
@@ -115,7 +112,6 @@ class GEvaluator:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    catalog: SingularityCatalog | None = None
     max_height: float = math.inf
     pole_at_one: bool = False
     factors: list[tuple[Callable[[np.ndarray], np.ndarray], int]] | None = None
@@ -127,13 +123,6 @@ class GEvaluator:
                                f"|Im s| <= {self.max_height}")
         if self.pole_at_one and abs(s - 1.0) < POLE_RADIUS:
             return PoleAtOneError(f"g has a pole at s = 1, evaluated at {s}")
-        if self.catalog is not None:
-            for p in self.catalog.points:
-                if (abs(s - p.location) < PROXIMITY_RADIUS
-                        or abs(s - p.location.conjugate()) < PROXIMITY_RADIUS):
-                    return SingularityProximityError(
-                        f"s={s} within {PROXIMITY_RADIUS} of singular point "
-                        f"{p.location}")
         return None
 
     def __call__(self, s):
@@ -150,10 +139,10 @@ class GEvaluator:
 
 @dataclass
 class PartialZetaEvaluator:
-    """Composite evaluator for f(s)^{q^r} via the continuation recursion."""
+    """Composite evaluator for f(s)^{q^r} via the continuation recursion,
+    with q the group order of sys."""
 
     sys: ZetaSystem
-    q: int
     g: GEvaluator
     depth: int
     policy: TruncationPolicy
@@ -161,17 +150,15 @@ class PartialZetaEvaluator:
     def __post_init__(self):
         if self.depth < 0:
             raise InvalidConfigError("depth r must be >= 0")
-        if self.q != self.sys.group_order:
-            raise InvalidConfigError("q must equal the system group order")
         try:
-            float(self.q) ** self.depth
+            float(self.sys.group_order) ** self.depth
         except OverflowError:
             raise InvalidConfigError(
                 f"depth {self.depth}: q^r overflows a double") from None
 
     @property
     def domain_re_floor(self) -> float:
-        return 1.0 / self.q**self.depth
+        return 1.0 / self.sys.group_order**self.depth
 
     def __call__(self, s):
         return continue_f_power(self, s)
@@ -193,7 +180,7 @@ def continue_f_power(ev: PartialZetaEvaluator, s):
     if z.ndim == 0 and errors[0] is not None:
         raise errors[0]
     ok = [k for k, err in enumerate(errors) if err is None]
-    q, r = ev.q, ev.depth
+    q, r = ev.sys.group_order, ev.depth
     # Re(q^r s) > 1 in the domain, so |N(p)^{-q^r s}| <= 1/2 for norms >= 2
     # (every CLI backend) and no local factor is singular
     top = np.array([q**r * pts[k] for k in ok], dtype=complex)
@@ -220,32 +207,10 @@ def _refusal(ev: PartialZetaEvaluator, s: complex) -> PartialZetaError | None:
     if not s.real > ev.domain_re_floor:
         return DomainError(
             f"Re s = {s.real} outside domain Re s > 1/q^r = {ev.domain_re_floor}")
-    if ev.g.catalog is not None:
-        err = _omega_refusal(ev.g.catalog, ev.q, s)
-        if err is not None:
-            return err
     for i in range(ev.depth):
-        err = ev.g.refusal(ev.q**i * s)
+        err = ev.g.refusal(ev.sys.group_order**i * s)
         if err is not None:
             return err
-    return None
-
-
-def _omega_refusal(cat: SingularityCatalog, q: int,
-                   s: complex) -> SingularityProximityError | None:
-    """s within the exclusion radius of Omega = {q^{-k} sigma}, or None."""
-    k = 0
-    z = s
-    height = cat.complete_up_to + 1.0
-    while abs(z) < height and k < 64:
-        for p in cat.points:
-            if (abs(z - p.location) < PROXIMITY_RADIUS
-                    or abs(z - p.location.conjugate()) < PROXIMITY_RADIUS):
-                return SingularityProximityError(
-                    f"s={s} is within {PROXIMITY_RADIUS} of Omega "
-                    f"(q^{-k} * {p.location})")
-        z *= q
-        k += 1
     return None
 
 
@@ -260,24 +225,6 @@ def feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
     lhs = (q * log_zeta_Pn(sys, q, s, pol)
            - log_zeta_Pn(sys, q, q * s, pol, twists=False))
     rhs = q * log_zeta_P(sys, s, pol) - log_Z(sys, s, pol)
-    return abs(lhs - rhs)
-
-
-def composite_feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
-    """Residual of the composite-order functional equation for #G = q1*q2."""
-    n = sys.group_order
-    fac = factorize(n)
-    if list(fac.values()) != [1, 1]:
-        raise InvalidConfigError(
-            f"group order {n} is not a product of two distinct primes")
-    q1, q2 = fac
-    pol = TruncationPolicy(X)
-    f = lambda arg: log_zeta_Pn(sys, n, arg, pol, twists=arg == s)
-    lhs = f(n * s) + n * f(s) - q2 * f(q1 * s) - q1 * f(q2 * s)
-    h1 = subgroup_character_indices(n, q1)
-    h2 = subgroup_character_indices(n, q2)
-    rhs = (log_Z(sys, s, pol) + n * log_zeta_P(sys, s, pol)
-           - q2 * log_Z(sys, s, pol, h1) - q1 * log_Z(sys, s, pol, h2))
     return abs(lhs - rhs)
 
 

@@ -410,7 +410,10 @@ def _log_one_minus(x: np.ndarray, w, out: np.ndarray, work: np.ndarray) -> bool:
     x = np.multiply(x, w, out=work if np.iscomplexobj(x) or np.iscomplexobj(w)
                     else work.view(float)[:len(x)])
     one_minus_x = np.subtract(1.0, x, out=out if np.iscomplexobj(x) else out.real)
-    if np.any(np.abs(one_minus_x) < SINGULAR_FACTOR_EPS):
+    # |z| >= |Re z|: the modulus, the costlier test, runs only on a chunk
+    # with a real part below the bound
+    if (np.any(np.abs(one_minus_x.real) < SINGULAR_FACTOR_EPS)
+            and np.any(np.abs(one_minus_x) < SINGULAR_FACTOR_EPS)):
         return False
     # z = -x in place, negated as floats: numpy's complex loop is slower
     np.negative(x.view(float), out=x.view(float))

@@ -1,11 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps the four groups below onto its exit codes, so new error
+The CLI maps the three groups below onto its exit codes, so new error
 conditions subclass one of them rather than raising bare ValueError:
 
 - 2: InvalidConfigError (and InsufficientDataError)
 - 3: DomainError (and SingularLocalFactorError, PoleAtOneError)
-- 4: SingularityProximityError
 - 5: BudgetExceededError (and UnresolvedBoxError)
 """
 
@@ -24,10 +23,6 @@ class DomainError(PartialZetaError):
 
 class SingularLocalFactorError(DomainError):
     """A local Euler factor 1 - chi * N(p)^{-s} is numerically zero."""
-
-
-class SingularityProximityError(PartialZetaError):
-    """Evaluation point within the exclusion radius of a cataloged singularity."""
 
 
 class BudgetExceededError(PartialZetaError):

@@ -54,16 +54,10 @@ def truncated_L(sys: ZetaSystem, chi: Character, s: complex,
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
 
 
-def log_Z(sys: ZetaSystem, s: complex, pol: TruncationPolicy,
-          character_indices: list[int] | None = None) -> complex:
-    """log of prod_j L_P(s, chi_j); optionally over a subset of indices.
-
-    The subset form realizes Z_P^{(H)} for a subgroup H of the cyclic group:
-    pass the indices of the characters trivial on the complement of H.
-    """
+def log_Z(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
+    """log of prod_j L_P(s, chi_j) over every character of the group."""
     g = CyclicGroup(sys.group_order)
-    idx = range(g.order) if character_indices is None else character_indices
-    return sum(log_L(sys, Character(g, j), s, pol) for j in idx)
+    return sum(log_L(sys, Character(g, j), s, pol) for j in range(g.order))
 
 
 def truncated_Z(sys: ZetaSystem, s: complex,
@@ -82,11 +76,3 @@ def zp_factorization_residual(sys: ZetaSystem, s: complex, X: float) -> float:
               for n in g.divisors())
     return abs(lhs - rhs)
 
-
-def subgroup_character_indices(group_order: int, subgroup_order: int) -> list[int]:
-    """Indices j of Z/group_order characters forming the dual of the order-
-    subgroup quotient, i.e. multiples of group_order/subgroup_order."""
-    if group_order % subgroup_order != 0:
-        raise InvalidConfigError("subgroup order must divide the group order")
-    step = group_order // subgroup_order
-    return [j * step for j in range(subgroup_order)]

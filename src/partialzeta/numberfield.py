@@ -74,8 +74,7 @@ def cyclic_system(chi: DirichletCharacter) -> AbelianSystem:
 # closed-form g
 # ---------------------------------------------------------------------------
 
-def g_closed_form(sys: AbelianSystem,
-                  catalog: SingularityCatalog | None = None) -> GEvaluator:
+def g_closed_form(sys: AbelianSystem) -> GEvaluator:
     """Evaluator for g(s) = zeta_P(s)^q / Z_P(s) as a ratio of L-functions.
 
     g = zeta(s)^{q-1} * prod_{p ram} (1 - p^{-s})^{q-1} / prod_{j=1}^{q-1} L(s, chi^j).
@@ -110,8 +109,8 @@ def g_closed_form(sys: AbelianSystem,
         return lambda s: dirichlet_L(s, chi)
 
     factors = [(factor(chi), q - 1 if chi.is_trivial else -1) for chi in chis]
-    return GEvaluator(fn, catalog=catalog, max_height=HEIGHT_MAX,
-                      pole_at_one=True, factors=factors)
+    return GEvaluator(fn, max_height=HEIGHT_MAX, pole_at_one=True,
+                      factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from partialzeta.continuation import (PartialZetaEvaluator, boundary_report,
-                                      composite_feq_residual,
                                       counting_functions, feq_residual,
                                       lambda_q_betas)
 from partialzeta.core import TruncationPolicy, log_zeta_P
@@ -27,6 +26,7 @@ from partialzeta.numberfield import (cyclic_system, find_zeros, g_closed_form,
                                      kronecker_system)
 from partialzeta.series import ExactSeries
 
+from composite_feq import composite_feq_residual
 from graph_oracles import count_cycles, named_graph
 from prime_data import PrimeDatum, explicit_system
 from zeta_oracles import critical_line_zero_scan, riemann_zeta
@@ -96,7 +96,7 @@ def test_criterion_3_continuation_coherence(acceptance_log):
     sys5 = kronecker_system(5)
     g = g_closed_form(sys5)
     pol = TruncationPolicy(10**7)
-    evs = {r: PartialZetaEvaluator(sys5, 2, g, r, pol) for r in (1, 2, 3)}
+    evs = {r: PartialZetaEvaluator(sys5, g, r, pol) for r in (1, 2, 3)}
     rng = random.Random(303)
     worst = 0.0
     n_points = 0
@@ -137,7 +137,7 @@ def test_criterion_4_branch_point_exponent(acceptance_log):
     details = []
     ok = True
     for r in (1, 2):
-        ev = PartialZetaEvaluator(sys5, 2, g, r, pol)
+        ev = PartialZetaEvaluator(sys5, g, r, pol)
         eps = [1e-2, 1e-3, 1e-4, 1e-5]
         xs = [math.log(1.0 / e) for e in eps]
         ys = [math.log(abs(ev(1.0 + e))) for e in eps]

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from partialzeta import cli
 from partialzeta.cli import main
-from partialzeta.errors import PartialZetaError
+from partialzeta.errors import (BudgetExceededError, DomainError,
+                                InvalidConfigError, PartialZetaError)
 from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
                                 VoltageGraph, g_series_fraction,
                                 graph_singularities_in_s, parse_graph_file)
@@ -745,6 +746,24 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("backend", [
+        ["--d", "5"], ["--d", "1"], ["--backend", "cyclic", "--char", "7,3,3"],
+        ["--backend", "graph", "--graph-file", None],
+    ], ids=["d5", "d1", "cyclic", "graph"])
+    @pytest.mark.parametrize("command", ["zeros", "boundary"])
+    def test_catalog_file_needs_catalog_backend(self, capsys, tmp_path,
+                                                k4_file, command, backend):
+        # zeros printed the file whatever the backend, and boundary took q
+        # from a system that had no part in the catalog
+        cat = tmp_path / "cat.csv"
+        cat.write_text("re,im,order\n"
+                       + "".join(f"0.5,{j + 1}.0,1\n" for j in range(40)))
+        code = main([command, *(k4_file if x is None else x for x in backend),
+                     "--catalog-file", str(cat), "--height", "50"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --catalog-file is read only with --backend catalog\n"
+
     def test_depth_without_catalog_backend(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height",
                                  "30", "--depth", "7")
@@ -867,9 +886,8 @@ _FUZZ_S = st.sampled_from(FUZZ_S) | st.tuples(_FLOATS, _FLOATS).map(
 
 class TestArgvFuzz:
     """eval, continue, sieve, feq-check, zeros, boundary and graph exit 0, 2,
-    3, 4 or 5 on any argv, graph file and catalog CSV, never with a
-    traceback; oversized grids, depths and heights are refused before they
-    allocate."""
+    3 or 5 on any argv, graph file and catalog CSV, never with a traceback;
+    oversized grids, depths and heights are refused before they allocate."""
 
     @given(command=st.sampled_from(["eval", "continue"]),
            backend=st.sampled_from([["--d", "5"], ["--d", "-1"],
@@ -893,7 +911,7 @@ class TestArgvFuzz:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
-        assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert code in {0, 2, 3, 5}, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("cutoff", ["0", "-5", "1.5", "nan", "inf", "1e7",
@@ -914,7 +932,7 @@ class TestArgvFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert code in {0, 2, 3, 5}, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
 
@@ -945,7 +963,7 @@ class TestArgvFuzz:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
-        assert code in {0, 2, 3, 4, 5}, (argv, graph, catalog, err.getvalue())
+        assert code in {0, 2, 3, 5}, (argv, graph, catalog, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
     @given(command=st.sampled_from(["ihara", "lfun", "partial", "verify"]),
@@ -971,6 +989,11 @@ def _error_classes(cls=PartialZetaError):
         yield from _error_classes(sub)
 
 
+# each group of error classes and its exit code
+EXIT_CODES = [(InvalidConfigError, 2), (DomainError, 3),
+              (BudgetExceededError, 5)]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("exc", sorted(set(_error_classes()),
                                            key=lambda c: c.__name__),
@@ -982,7 +1005,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_sieve", fail)
         code = main(["sieve", "--d", "5", "--cutoff", "10"])
-        assert code in {2, 3, 4, 5}
+        assert code == next(c for group, c in EXIT_CODES
+                            if issubclass(exc, group))
         assert capsys.readouterr().err == "error: stubbed failure\n"
 
 

@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from partialzeta import continuation
 from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
-                                      boundary_report, composite_feq_residual,
-                                      continue_f_power, counting_functions,
-                                      feq_residual, lambda_q_betas, mq_classes)
+                                      boundary_report, continue_f_power,
+                                      counting_functions, feq_residual,
+                                      lambda_q_betas, mq_classes)
 from partialzeta.core import TruncationPolicy, truncated_zeta_Pn
 from partialzeta.errors import (DomainError, InsufficientDataError,
-                                InvalidConfigError, PoleAtOneError,
-                                SingularityProximityError)
+                                InvalidConfigError, PoleAtOneError)
 from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import (cyclic_system, g_closed_form,
                                      kronecker_system)
 
+from composite_feq import composite_feq_residual
 from prime_data import PrimeDatum, explicit_system
 
 
@@ -108,7 +108,7 @@ class TestContinueFPower:
     def test_depth0_is_truncated_product(self):
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**3)
-        ev = PartialZetaEvaluator(sys5, 2, g_closed_form(sys5), 0, pol)
+        ev = PartialZetaEvaluator(sys5, g_closed_form(sys5), 0, pol)
         direct, _ = truncated_zeta_Pn(sys5, 2, 2.0, pol)
         assert ev(2.0) == direct
 
@@ -117,13 +117,13 @@ class TestContinueFPower:
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**4)
         g = g_closed_form(sys5)
-        ev = PartialZetaEvaluator(sys5, 2, g, 1, pol)
+        ev = PartialZetaEvaluator(sys5, g, 1, pol)
         f15, _ = truncated_zeta_Pn(sys5, 2, 1.5, pol)
         assert abs(ev(0.75) - g(0.75) * f15) < 1e-12
 
     def test_domain_guard(self):
         sys5 = kronecker_system(5)
-        ev = PartialZetaEvaluator(sys5, 2, g_closed_form(sys5), 1,
+        ev = PartialZetaEvaluator(sys5, g_closed_form(sys5), 1,
                                   TruncationPolicy(10**3))
         with pytest.raises(DomainError):
             ev(0.5)
@@ -132,21 +132,13 @@ class TestContinueFPower:
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**6)
         g = g_closed_form(sys5)
-        ev1 = PartialZetaEvaluator(sys5, 2, g, 1, pol)
-        ev2 = PartialZetaEvaluator(sys5, 2, g, 2, pol)
+        ev1 = PartialZetaEvaluator(sys5, g, 1, pol)
+        ev2 = PartialZetaEvaluator(sys5, g, 2, pol)
         s = 0.95 + 2.0j
         v1, v2 = ev1(s), ev2(s)
         tails = (2 * pol.tail_bound(2 * s.real, sys5.count_coeff())
                  + pol.tail_bound(4 * s.real, sys5.count_coeff()))
         assert abs(cmath.log(v1**2 / v2)) <= 10 * tails
-
-    def test_proximity_guard(self):
-        sys5 = kronecker_system(5)
-        cat = SingularityCatalog([SingularPoint(0.6 + 14.13j, 1)], 20.0)
-        g = g_closed_form(sys5, catalog=cat)
-        ev = PartialZetaEvaluator(sys5, 2, g, 2, TruncationPolicy(10**3))
-        with pytest.raises(SingularityProximityError):
-            ev(0.3 + 7.065j)  # 2s hits the cataloged point
 
 
 def _bits(z):
@@ -161,8 +153,7 @@ class TestBatchedContinuation:
     def test_batch_equals_pointwise(self, system, depth):
         sys_obj = (kronecker_system(5) if system == "d5"
                    else cyclic_system(prime_order_character(7, 3, 3)))
-        ev = PartialZetaEvaluator(sys_obj, sys_obj.group_order,
-                                  g_closed_form(sys_obj), depth,
+        ev = PartialZetaEvaluator(sys_obj, g_closed_form(sys_obj), depth,
                                   TruncationPolicy(10**4))
         pts = [complex(re, im) for re in (0.05, 0.3, 0.55, 0.8, 1.0, 1.7)
                for im in (-7.5, -0.0, 0.0, 3.25, 20.0, 60.0)]
@@ -197,7 +188,7 @@ class TestBatchedContinuation:
             return kernel(norms, chi, s)
 
         monkeypatch.setattr(continuation, "log_product", counted_kernel)
-        ev = PartialZetaEvaluator(sys_obj, 3, g, 2, TruncationPolicy(10**3))
+        ev = PartialZetaEvaluator(sys_obj, g, 2, TruncationPolicy(10**3))
         pts = np.array([complex(0.2 + 0.001 * k, 0.01 * k) for k in range(300)])
         ev(pts)
         # slices (1, 3) and (2, 3) of order q; 256 + 44 points per level
@@ -205,26 +196,24 @@ class TestBatchedContinuation:
         assert sizes == [256, 44, 256, 44]
 
     def test_refused_points_are_nan_in_a_batch(self):
+        # Re s at or below 1/q^r, and 2s above the L range |Im| <= 100
         sys5 = kronecker_system(5)
-        cat = SingularityCatalog([SingularPoint(0.6 + 14.13j, 1)], 20.0)
-        ev = PartialZetaEvaluator(sys5, 2, g_closed_form(sys5, catalog=cat), 2,
+        ev = PartialZetaEvaluator(sys5, g_closed_form(sys5), 2,
                                   TruncationPolicy(10**3))
-        pts = [0.3 + 7.065j, 0.3 + 7.0j, 0.2 + 1j, 0.7 + 60j]
+        pts = [0.3 + 7.0j, 0.2 + 1j, 0.25 + 3j, 0.7 + 60j]
         vals = ev(np.array(pts)).tolist()
-        assert [cmath.isnan(v) for v in vals] == [True, False, True, True]
-        assert vals[1] == ev(pts[1])
-        for z, err in zip(pts, [SingularityProximityError, None, DomainError,
-                                DomainError]):
-            if err is not None:
-                with pytest.raises(err):
-                    ev(z)
+        assert [cmath.isnan(v) for v in vals] == [False, True, True, True]
+        assert vals[0] == ev(pts[0])
+        for z in pts[1:]:
+            with pytest.raises(DomainError):
+                ev(z)
 
     def test_depth_whose_power_overflows(self):
         sys5 = kronecker_system(5)
-        PartialZetaEvaluator(sys5, 2, g_closed_form(sys5), 1023,
+        PartialZetaEvaluator(sys5, g_closed_form(sys5), 1023,
                              TruncationPolicy(10**3))
         with pytest.raises(InvalidConfigError):
-            PartialZetaEvaluator(sys5, 2, g_closed_form(sys5), 1024,
+            PartialZetaEvaluator(sys5, g_closed_form(sys5), 1024,
                                  TruncationPolicy(10**3))
 
     def test_g_range(self):

@@ -258,6 +258,14 @@ class TestKernelBitIdentity:
         with pytest.raises(SingularLocalFactorError):
             log_product(np.array([2.0]), -1.0, SINGULAR_S[2])
 
+    @pytest.mark.parametrize("s", [0.0, 0j])
+    @pytest.mark.parametrize("n", [1, core.RANGE_CHUNK + 5])
+    def test_factor_with_zero_real_part_is_not_singular(self, n, s):
+        # 1 - w 2^{-0} = 0.5i: Re 0 flags the chunk, the modulus 0.5 clears it
+        norms, w = np.full(n, 2.0), 1 - 0.5j
+        assert (_outcome(norms, w, s, log_product)
+                == _outcome(norms, w, s, reference_log_product) != "singular")
+
     @pytest.mark.parametrize("chi", [1.0, -1.0, -1 + 0j, roots_of_unity(3)[1]])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_inputs(self, n, chi):

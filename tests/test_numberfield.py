@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialzeta import lfunctions
-from partialzeta.continuation import (_SAMPLES_PER_CALL, SingularityCatalog,
-                                      SingularPoint)
+from partialzeta.continuation import _SAMPLES_PER_CALL
 from partialzeta.core import TruncationPolicy
-from partialzeta.errors import (InvalidConfigError, SingularityProximityError,
-                               UnresolvedBoxError)
+from partialzeta.errors import InvalidConfigError, UnresolvedBoxError
 from partialzeta.frobenius import log_Z
 from partialzeta.lfunctions import (dirichlet_L, kronecker_character,
                                     prime_order_character)
@@ -112,13 +110,6 @@ class TestGClosedForm:
         g = g_closed_form(sys7)
         h = 1e-4
         assert abs(g(1 + h / 2) / g(1 + h)) == pytest.approx(4, rel=1e-3)
-
-    def test_proximity_check_with_catalog(self):
-        sys5 = kronecker_system(5)
-        cat = SingularityCatalog([SingularPoint(0.5 + 14.134725j, 1)], 20.0)
-        g = g_closed_form(sys5, catalog=cat)
-        with pytest.raises(SingularityProximityError):
-            g(0.5 + 14.134725j)
 
 
 class TestFarRight:
