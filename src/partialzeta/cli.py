@@ -19,8 +19,9 @@ import numpy as np
 
 from . import __version__
 from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
-                           boundary_report, counting_functions, feq_residual)
-from .core import TruncationPolicy, ZetaSystem
+                           boundary_report, continue_f_power,
+                           counting_functions, feq_residual)
+from .core import TruncationPolicy, ZetaSystem, exp_of_log
 from .errors import BudgetExceededError, DomainError, InvalidConfigError
 from .frobenius import CyclicGroup, zp_factorization_residual
 from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
@@ -189,6 +190,8 @@ def _load_catalog(args) -> tuple[SingularityCatalog, int | None]:
                                      "--backend catalog")
         with open(args.catalog_file) as fh:
             return SingularityCatalog.from_csv(fh.read(), args.height), None
+    if args.backend == "catalog":
+        raise InvalidConfigError("--backend catalog needs --catalog-file")
     if args.backend == "graph":
         # a graph's towers grow with T as a zero search's boxes do
         if args.height > HEIGHT_MAX:
@@ -233,6 +236,23 @@ def cmd_eval(args) -> None:
     _emit_json(args, {"results": results})
 
 
+def _polar(log_val: complex) -> tuple[float, float]:
+    """(log |v|, arg v) of v = exp(log_val): from v where |v| is a normal
+    double, so the row holds the digits of the value `--s` prints, and from
+    log_val where v leaves that range (a subnormal |v| keeps too few bits).
+    A refused point's nan log gives nan, nan (abs() of a nan can raise on
+    an errno left by numpy's libm calls)."""
+    if not cmath.isfinite(log_val):
+        return math.nan, math.nan
+    try:
+        val = exp_of_log(log_val)
+    except DomainError:  # |v| above the largest double
+        val = 0j
+    if abs(val) >= _sys.float_info.min:
+        return math.log(abs(val)), cmath.phase(val)
+    return log_val.real, math.remainder(log_val.imag, 2 * math.pi)
+
+
 def cmd_continue(args) -> None:
     sys_obj = _build_system(args)
     ev = PartialZetaEvaluator(sys_obj, _g_evaluator(args, sys_obj), args.depth,
@@ -240,11 +260,9 @@ def cmd_continue(args) -> None:
     if args.grid:
         pts = sorted(_parse_grid(args.grid), key=lambda z: (z.real, z.imag))
         rows = ["re,im,log_abs,arg"]
-        # refused points come back as nan and print nan,nan (abs() of a nan
-        # can raise on an errno left by numpy's libm calls)
-        for s, val in zip(pts, ev(np.array(pts)).tolist()):
-            log_abs, arg = ((math.log(abs(val)), cmath.phase(val))
-                            if cmath.isfinite(val) else (math.nan, math.nan))
+        logs = continue_f_power(ev, np.array(pts), log=True)
+        for s, log_val in zip(pts, logs.tolist()):
+            log_abs, arg = _polar(log_val)
             rows.append(f"{s.real:.15g},{s.imag:.15g},"
                         f"{log_abs:.15g},{arg:.15g}")
         _emit(args, "\n".join(rows) + "\n")
@@ -332,7 +350,7 @@ def cmd_graph(args) -> None:
         l_ord = args.order if args.order is not None else 12
         checks = {"bass_identity": det == edge}
         prod = cover_zeta_inverse(vg)
-        checks["cover_identity"] = prod == ihara_edge(build_cover(vg))
+        checks["cover_identity"] = prod == ihara_det(build_cover(vg))
         direct, recursive = partial_zeta_series(vg, l_ord, (prod, edge ** vg.q_c))
         checks["partial_dual_route"] = direct.coeffs == recursive.coeffs
         _emit_json(args, {"checks": checks,

@@ -164,7 +164,7 @@ class PartialZetaEvaluator:
         return continue_f_power(self, s)
 
 
-def continue_f_power(ev: PartialZetaEvaluator, s):
+def continue_f_power(ev: PartialZetaEvaluator, s, log: bool = False):
     """Value of f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}.
 
     s is a scalar, which raises where the recursion cannot be evaluated, or
@@ -172,7 +172,8 @@ def continue_f_power(ev: PartialZetaEvaluator, s):
     all points take one `log_product` call per class slice, and each level
     i one g evaluation over all points; each point's logs are then summed
     in the order of a lone evaluation, so a point's value does not depend
-    on the batch.
+    on the batch.  With log, it gives log f(s)^{q^r} instead, which stays
+    finite where the value leaves a double's range.
     """
     z = np.asarray(s, dtype=complex)
     pts = z.reshape(-1).tolist()
@@ -195,7 +196,7 @@ def continue_f_power(ev: PartialZetaEvaluator, s):
     out = np.full(len(pts), complex(math.nan, math.nan))
     for k, v in zip(ok, log_vals):
         try:
-            out[k] = exp_of_log(v)
+            out[k] = v if log else exp_of_log(v)
         except DomainError:
             if z.ndim == 0:
                 raise

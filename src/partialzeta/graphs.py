@@ -23,13 +23,19 @@ from .primes import factorize
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
 
 CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
-# largest cover group order: Z[zeta_q] products cost O(q^2) and the cover's
-# edge determinant O((2 m q)^4), so `graph verify` on K4/Z19 takes about 2.4 s
-# and on K4/Z47 about 44 s
+# Times below are in-process `graph verify` runs with the bounds lifted, on
+# a 2-vCPU x86 VM.
+# largest cover group order: products in Z[zeta_q] cost O(q^2), and the
+# L-product takes most of K4/Z19 (0.9 s) and of K4/Z47 (26 s)
 MAX_COVER_ORDER = 19
 # largest cover, in oriented edges 2 m q_c: Petersen/Z5, the largest in the
-# tests; `graph verify` on cube/Z7 (168) takes about 1.1 s, on cube/Z13
-# (312) 6 s and on cube/Z19 (456) 21 s
+# tests.  The cover is checked by its vertex determinant on n q_c vertices:
+# cube/Z7 (168 edges) takes 0.18 s, cube/Z13 (312) 0.9 s and cube/Z19 (456)
+# 2.9 s, about half of it in that determinant and half in the L-product.
+# The base's edge determinant (bass_identity), on 2m oriented edges, grows
+# with the bound too: a q_c = 2 prism with 2m = 228 takes 11 s, 3.7 s in
+# that determinant and 5.2 s in the L-product.  A larger bound needs a
+# bound on m as well.
 MAX_COVER_EDGES = 150
 
 

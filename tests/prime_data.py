@@ -60,6 +60,13 @@ def explicit_system(primes: list[PrimeDatum], group_order: int) -> ExplicitSyste
                           id=[p.id for p in primes])
 
 
+def order6_system() -> ExplicitSystem:
+    """Synthetic #G = 6 system of six primes, one with each Frobenius order
+    and each class of Z/6."""
+    return ExplicitSystem([2, 3, 5, 7, 11, 13], [0, 3, 2, 1, 4, 5],
+                          [1, 2, 3, 6, 3, 6], group_order=6)
+
+
 def table_rows(table: PrimeTable) -> list[tuple]:
     """(norm, id, frob_class, frob_order) per prime, as the rows of the
     CSV dump; the id of a table without an id column is its norm."""

@@ -28,7 +28,7 @@ from partialzeta.series import ExactSeries
 
 from composite_feq import composite_feq_residual
 from graph_oracles import count_cycles, named_graph
-from prime_data import PrimeDatum, explicit_system
+from prime_data import order6_system
 from zeta_oracles import critical_line_zero_scan, riemann_zeta
 
 
@@ -63,14 +63,7 @@ def test_criterion_2_zp_factorization(acceptance_log):
         for _ in range(5):
             s = complex(rng.uniform(1.1, 3.0), rng.uniform(-10.0, 10.0))
             worst = max(worst, zp_factorization_residual(sys_obj, s, 10**4))
-    sys6 = explicit_system(
-        [PrimeDatum(norm=2, id=0, frob_class=0, frob_order=1),
-         PrimeDatum(norm=3, id=1, frob_class=3, frob_order=2),
-         PrimeDatum(norm=5, id=2, frob_class=2, frob_order=3),
-         PrimeDatum(norm=7, id=3, frob_class=1, frob_order=6),
-         PrimeDatum(norm=11, id=4, frob_class=4, frob_order=3),
-         PrimeDatum(norm=13, id=5, frob_class=5, frob_order=6)],
-        group_order=6)
+    sys6 = order6_system()
     for _ in range(5):
         s = complex(rng.uniform(1.1, 3.0), rng.uniform(-5.0, 5.0))
         worst = max(worst, zp_factorization_residual(sys6, s, 100))

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, determinism, exit codes."""
+import cmath
 import contextlib
 import hashlib
 import io
@@ -19,6 +20,7 @@ from partialzeta.errors import (BudgetExceededError, DomainError,
 from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
                                 VoltageGraph, g_series_fraction,
                                 graph_singularities_in_s, parse_graph_file)
+from partialzeta.series import ExactSeries
 
 from graph_oracles import dump_graph_file, named_graph
 
@@ -312,6 +314,32 @@ class TestContinue:
                        "0.7,50,-3.86205507528166,2.42278334784202\n"
                        "0.7,60,nan,nan\n")
 
+    @staticmethod
+    def grid_logs(capsys, d, grid, depth):
+        code, out = run(capsys, "continue", "--d", d, "--grid", grid,
+                        "--depth", str(depth), "--cutoff", "1e4")
+        assert code == 0
+        return [complex(float(row.split(",")[2]), float(row.split(",")[3]))
+                for row in out.splitlines()[1:]]
+
+    @pytest.mark.parametrize("d,grid,depth", [
+        ("5", "0.6:0.9:2,0:0:1", 9), ("5", "0.6:0.9:2,0:0:1", 10),
+        ("-1", "0.035:0.035:1,0:0:1", 8), ("-1", "0.036:0.037:2,0:0:1", 8)],
+        ids=["d5-above-depth9", "d5-above-depth10", "d-1-below-depth8",
+             "d-1-subnormal-depth8"])
+    def test_grid_rows_past_a_double_print_from_the_log(self, capsys, d,
+                                                        grid, depth):
+        # |f^(2^r)| above the largest double printed nan,nan (e^884 at 0.9,
+        # depth 9); one that rounded to 0 raised a traceback from log(0)
+        # (e^-750 at 0.035, d = -1, depth 8), and a subnormal one printed
+        # log_abs from too few bits (off by 0.064 at 0.036).  Each row must
+        # agree with the square of the row one depth lower, to criterion
+        # 3's 1e-6
+        lower = self.grid_logs(capsys, d, grid, depth - 1)
+        for lo, hi in zip(lower, self.grid_logs(capsys, d, grid, depth)):
+            assert cmath.isfinite(hi) and abs(hi.real) > 700
+            assert abs(cmath.exp(2 * lo - hi) - 1) <= 1e-6, (lo, hi)
+
     def test_graph_g_has_no_height_range(self, capsys, k4_file):
         code, _ = run(capsys, "continue", "--backend", "graph", "--graph-file",
                       k4_file, "--s", "0.6,60", "--depth", "2", "--cutoff",
@@ -503,6 +531,22 @@ class TestGraphCommands:
         code, out = run(capsys, "graph", "verify", "--graph-file", k4_file,
                         "--order", "8")
         assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_verify_catches_a_wrong_cover_product(self, capsys, monkeypatch,
+                                                  k4_file):
+        # the cover's own determinant, not the L-product, decides the check
+        def off_by_one(vg):
+            coeffs = list(real(vg).coeffs)
+            coeffs[3] += 1
+            return ExactSeries(coeffs)
+
+        real = cli.cover_zeta_inverse
+        monkeypatch.setattr(cli, "cover_zeta_inverse", off_by_one)
+        code, out = run(capsys, "graph", "verify", "--graph-file", k4_file)
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] is False
+        assert doc["checks"]["cover_identity"] is False
+        assert doc["checks"]["bass_identity"] is True
 
     def test_missing_graph_file(self, capsys):
         code, _ = run(capsys, "graph", "ihara")
@@ -763,6 +807,16 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: --catalog-file is read only with --backend catalog\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros"], ["boundary", "--depth", "2"], ["boundary"]],
+        ids=["zeros", "boundary", "boundary-no-depth"])
+    def test_catalog_backend_needs_catalog_file(self, capsys, argv):
+        # the refusal said "backend 'catalog' has no prime enumeration"
+        code = main([*argv, "--backend", "catalog", "--height", "28"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --backend catalog needs --catalog-file\n"
 
     def test_depth_without_catalog_backend(self, capsys):
         self.assert_config_error(capsys, "boundary", "--d", "5", "--height",

@@ -23,18 +23,7 @@ from partialzeta.numberfield import (cyclic_system, g_closed_form,
                                      kronecker_system)
 
 from composite_feq import composite_feq_residual
-from prime_data import PrimeDatum, explicit_system
-
-
-def order6_system():
-    """Synthetic #G = 6 system with primes of every Frobenius order."""
-    data = [PrimeDatum(norm=2, id=0, frob_class=0, frob_order=1),
-            PrimeDatum(norm=3, id=1, frob_class=3, frob_order=2),
-            PrimeDatum(norm=5, id=2, frob_class=2, frob_order=3),
-            PrimeDatum(norm=7, id=3, frob_class=1, frob_order=6),
-            PrimeDatum(norm=11, id=4, frob_class=4, frob_order=3),
-            PrimeDatum(norm=13, id=5, frob_class=5, frob_order=6)]
-    return explicit_system(data, group_order=6)
+from prime_data import PrimeDatum, explicit_system, order6_system
 
 
 class TestFeqResidual:

@@ -30,6 +30,25 @@ def k4_voltage():
     return VoltageGraph(named_graph("K4"), 3, [1, 0, 0, 0, 0, 1])
 
 
+def draw_voltage_graph(data, min_degree: int):
+    """A random pairing of k >= min_degree stubs per vertex: a k-regular
+    multigraph with loops and parallel edges, within the cover bounds, with
+    random voltages.  Returns the voltage graph, and its edges and voltages
+    as drawn."""
+    q_c = data.draw(st.sampled_from(
+        [p for p in range(2, MAX_COVER_ORDER + 1)
+         if all(p % d for d in range(2, p))]))
+    k = data.draw(st.integers(min_degree, 4))
+    max_n = 2 * (MAX_COVER_EDGES // (2 * q_c)) // k
+    n = data.draw(st.sampled_from(
+        [n for n in range(1, max_n + 1) if n * k % 2 == 0]))
+    stubs = data.draw(st.permutations([v for v in range(n) for _ in range(k)]))
+    edges = list(zip(stubs[::2], stubs[1::2]))
+    raw = data.draw(st.lists(st.integers(-50, 50), min_size=len(edges),
+                             max_size=len(edges)))
+    return VoltageGraph(MultiGraph(n, edges), q_c, raw), edges, raw
+
+
 def brute_force_closed_nbt_walks(g: MultiGraph, length: int) -> int:
     """Independent DFS oracle for N_m (no edge-matrix powers)."""
     k = 2 * g.m
@@ -261,6 +280,16 @@ class TestGraphL:
         vg = k4_voltage()
         assert cover_zeta_inverse(vg) == ihara_edge(build_cover(vg))
 
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.filterwarnings("ignore:voltage cover is disconnected")
+    def test_cover_determinants_of_random_voltage_graphs(self, data):
+        # `graph verify` checks the L-product against the cover's vertex
+        # determinant; the edge determinant must agree with both
+        vg, _, _ = draw_voltage_graph(data, min_degree=2)
+        cover = build_cover(vg)
+        assert ihara_det(cover) == ihara_edge(cover) == cover_zeta_inverse(vg)
+
     def test_conjugate_characters(self):
         vg = k4_voltage()
         l1, l2 = graph_L(vg, 1), graph_L(vg, 2)
@@ -404,24 +433,11 @@ class TestGraphFileFormat:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_of_random_voltage_graphs(self, data):
-        # a random pairing of k stubs per vertex: a k-regular multigraph with
-        # loops and parallel edges, within the cover bounds
-        q_c = data.draw(st.sampled_from(
-            [p for p in range(2, MAX_COVER_ORDER + 1)
-             if all(p % d for d in range(2, p))]))
-        k = data.draw(st.integers(1, 4))
-        max_n = 2 * (MAX_COVER_EDGES // (2 * q_c)) // k
-        n = data.draw(st.sampled_from(
-            [n for n in range(1, max_n + 1) if n * k % 2 == 0]))
-        stubs = data.draw(st.permutations([v for v in range(n) for _ in range(k)]))
-        edges = list(zip(stubs[::2], stubs[1::2]))
-        raw = data.draw(st.lists(st.integers(-50, 50), min_size=len(edges),
-                                 max_size=len(edges)))
-        vg = VoltageGraph(MultiGraph(n, edges), q_c, raw)
+        vg, edges, raw = draw_voltage_graph(data, min_degree=1)
         clone = parse_graph_file(dump_graph_file(vg))
-        assert clone.base.n == n and clone.base.edges == edges
-        assert clone.q_c == q_c
-        assert clone.voltages == vg.voltages == [a % q_c for a in raw]
+        assert clone.base.n == vg.base.n and clone.base.edges == edges
+        assert clone.q_c == vg.q_c
+        assert clone.voltages == vg.voltages == [a % vg.q_c for a in raw]
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(InvalidConfigError):

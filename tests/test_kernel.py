@@ -32,7 +32,7 @@ from zeta_oracles import (pass_log_L, pass_log_zeta_P, pass_log_zeta_Pn,
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def order6_system():
+def random_order6_system():
     """#G = 6 over the rational primes below 3000, seeded random classes;
     frob_order is the order of the class in Z/6."""
     rng = random.Random(6)
@@ -51,7 +51,7 @@ SYSTEMS = {
     "cyclic-11,5": (lambda: cyclic_system(prime_order_character(11, 5)), 1e5),
     "graph-K4/Z3": (lambda: GraphZetaSystem(VoltageGraph(
         MultiGraph(4, K4_EDGES), 3, [1, 0, 0, 0, 0, 1])), 2.0**10),
-    "explicit-Z6": (order6_system, 1e4),
+    "explicit-Z6": (random_order6_system, 1e4),
 }
 POINTS = [1.2, 1.2 + 9.5j, 2.0 - 3.0j, 2.0 + 14.0j]
 
