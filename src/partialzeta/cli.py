@@ -246,7 +246,7 @@ def _polar(log_val: complex) -> tuple[float, float]:
         return math.nan, math.nan
     try:
         val = exp_of_log(log_val)
-    except DomainError:  # |v| above the largest double
+    except DomainError:  # |v| outside the normal doubles
         val = 0j
     if abs(val) >= _sys.float_info.min:
         return math.log(abs(val)), cmath.phase(val)

@@ -64,6 +64,7 @@ import contextvars
 import functools
 import math
 import os
+import sys as _sys
 import threading
 from dataclasses import dataclass, field
 
@@ -482,9 +483,14 @@ class ClassSums:
 # ---------------------------------------------------------------------------
 
 def exp_of_log(log_value: complex) -> complex:
-    """A product from its log; DomainError where it is not a finite double."""
+    """A product from its log; DomainError where it is not a finite double
+    or its modulus is below the least normal double, where it would keep
+    too few bits or none."""
     if not cmath.isfinite(log_value):
         raise DomainError(f"a product with log {log_value} is not finite")
+    if log_value.real < math.log(_sys.float_info.min):
+        raise DomainError(f"a product with log {log_value} underflows a "
+                          f"double")
     try:
         value = cmath.exp(log_value)
         abs(value)

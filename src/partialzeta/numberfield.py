@@ -8,7 +8,6 @@ argument principle.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable
 
@@ -126,90 +125,148 @@ _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
 
 
-def _evaluate(f: Callable, memo: dict, zs: list[complex]) -> None:
-    """Add f at each point of zs that memo lacks, in batched calls of at
-    most _SAMPLES_PER_CALL points (the boundaries of 8 boxes); a point
-    listed twice is evaluated once."""
-    new = [z for z in dict.fromkeys(zs) if z not in memo]
-    memo.update(zip(new, evaluate_in_chunks(f, new)))
+def _evaluate(f: Callable, zs: np.ndarray) -> np.ndarray:
+    """f at the points zs, each distinct one evaluated once, in order of
+    first appearance and in calls of at most _SAMPLES_PER_CALL points."""
+    distinct, first, row = np.unique(zs, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    vals = np.array(evaluate_in_chunks(f, distinct[rank]), dtype=complex)
+    return vals[np.argsort(rank)][row]
 
 
-def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
-    """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
+def _segments(x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+    """(z0, z1) of _SAMPLES_PER_EDGE even steps along lines (x0, y0) -> (x1, y1)."""
+    t = np.arange(_SAMPLES_PER_EDGE + 1)
+    x, y = (np.where(t < _SAMPLES_PER_EDGE,
+                     a[..., None] + (b - a)[..., None] * t / _SAMPLES_PER_EDGE,
+                     b[..., None]) for a, b in ((x0, x1), (y0, y1)))
+    z = x + 1j * y
+    return z[..., :-1].ravel(), z[..., 1:].ravel()
 
-    The boundary samples of all boxes are one `_evaluate` call.  The phase
-    of f is then tracked one bisection depth at a time over the live contour
-    segments of every box: a step |arg(f1/f0)| < 1.9 is added to its box's
-    total, any other segment is split at its midpoint, and the midpoints of
-    one depth are one `_evaluate` call.
+
+def _windings(f: Callable, boxes: list[tuple],
+              contour: tuple | None = None) -> tuple[list[int], tuple]:
+    """Zeros-minus-poles count inside each box (re0, re1, im0, im1), and the
+    resolved contour: the segments whose phase step was accepted.
+
+    A contour is the arrays (box, z0, z1, f(z0), f(z1)) over segments z0 ->
+    z1 along each box's edges, counterclockwise; by default _SAMPLES_PER_EDGE
+    per edge.  A step |arg(f1/f0)| < 1.9 is added to its box's total, any
+    other segment is split, one bisection depth and `_evaluate` at a time.
     """
-    segments = []  # (box index, z0, z1) still to be tracked
-    for k, (re0, re1, im0, im1) in enumerate(boxes):
-        corners = _rect(re0, re1, im0, im1)
-        pts = [a + (b - a) * t / _SAMPLES_PER_EDGE
-               for a, b in zip(corners, corners[1:] + corners[:1])
-               for t in range(_SAMPLES_PER_EDGE)]
-        segments += [(k, z0, z1) for z0, z1 in zip(pts, pts[1:] + pts[:1])]
-    memo: dict[complex, complex] = {}
-    _evaluate(f, memo, [z0 for _, z0, _ in segments])
-    totals = [0.0] * len(boxes)
+    if contour is None:
+        re0, re1, im0, im1 = np.array(boxes).T
+        z0, z1 = _segments(*(np.stack(c, axis=1) for c in (
+            (re0, re1, re1, re0), (im0, im0, im1, im1),
+            (re1, re1, re0, re0), (im0, im1, im1, im0))))
+        contour = (np.repeat(np.arange(len(boxes)), 4 * _SAMPLES_PER_EDGE),
+                   z0, z1, *_evaluate(f, np.concatenate([z0, z1])).reshape(2, -1))
+    totals = np.zeros(len(boxes))
+    resolved = []
     for depth in range(_MAX_PHASE_DEPTH + 1):
-        split = []
-        for k, z0, z1 in segments:
-            f0, f1 = memo[z0], memo[z1]
-            if f0 == 0 or f1 == 0:
-                raise UnresolvedBoxError(
-                    f"contour passes through a zero near {z0}..{z1}")
-            d = cmath.phase(f1 / f0)
-            if abs(d) < 1.9:  # safely below pi: no aliasing possible
-                totals[k] += d
-            elif depth == _MAX_PHASE_DEPTH:
-                raise UnresolvedBoxError(
-                    f"phase tracking failed near {z0}..{z1}")
-            else:
-                split.append((k, z0, z1))
-        mids = [0.5 * (z0 + z1) for _, z0, z1 in split]
-        _evaluate(f, memo, mids)
-        segments = [half for (k, z0, z1), zm in zip(split, mids)
-                    for half in ((k, z0, zm), (k, zm, z1))]
-    windings = []
-    for (re0, re1, im0, im1), total in zip(boxes, totals):
-        w = total / (2 * math.pi)
-        if abs(w - round(w)) > 1e-6:
-            raise UnresolvedBoxError(
-                f"non-integer winding {w} on box "
-                f"{complex(re0, im0)}..{complex(re1, im1)}")
-        windings.append(round(w))
-    return windings
+        k, z0, z1, f0, f1 = contour
+        zero = (f0 == 0) | (f1 == 0)
+        if zero.any():
+            i = zero.argmax()
+            raise UnresolvedBoxError(f"contour passes through a zero near "
+                                     f"{complex(z0[i])}..{complex(z1[i])}")
+        d = np.angle(f1 / f0)
+        ok = np.abs(d) < 1.9  # safely below pi: no aliasing possible
+        np.add.at(totals, k[ok], d[ok])
+        resolved.append([x[ok] for x in contour])
+        if ok.all():
+            break
+        if depth == _MAX_PHASE_DEPTH:
+            i = ok.argmin()
+            raise UnresolvedBoxError(f"phase tracking failed near "
+                                     f"{complex(z0[i])}..{complex(z1[i])}")
+        k, z0, z1, f0, f1 = (x[~ok] for x in contour)
+        zm = 0.5 * (z0 + z1)
+        fm = _evaluate(f, zm)
+        contour = tuple(np.concatenate(x) for x in (
+            (k, k), (z0, zm), (zm, z1), (f0, fm), (fm, f1)))
+    w = totals / (2 * math.pi)
+    off = np.abs(w - np.round(w)) > 1e-6
+    if off.any():
+        re0, re1, im0, im1 = boxes[off.argmax()]
+        raise UnresolvedBoxError(
+            f"non-integer winding {float(w[off][0])} on box "
+            f"{complex(re0, im0)}..{complex(re1, im1)}")
+    return (np.round(w).astype(int).tolist(),
+            tuple(np.concatenate(x) for x in zip(*resolved)))
 
 
-def _rect(re0, re1, im0, im1) -> list[complex]:
-    return [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+def _split(f: Callable, boxes: list[tuple], contour: tuple,
+           keep: list[int]) -> tuple[list[tuple], tuple]:
+    """The four children of each box boxes[i], i in keep, and their contour:
+    a child's share of its parent's resolved `contour`, cut where the cuts
+    meet it, and fresh segments on each half of the two cuts, which the
+    children on either side run in opposite directions."""
+    re0, re1, im0, im1 = np.array([boxes[i] for i in keep]).reshape(-1, 4).T
+    # split slightly off-center: zeros of interest sit on Re = 1/2
+    # and an exact-midpoint cut would run straight through them
+    rm, imm = re0 + 0.5137 * (re1 - re0), im0 + 0.4873 * (im1 - im0)
+    children = np.stack([re0, rm, im0, imm, rm, re1, im0, imm, re0, rm, imm,
+                         im1, rm, re1, imm, im1], axis=1).reshape(-1, 4)
+    pos = np.full(len(boxes), -1)
+    pos[keep] = np.arange(len(keep))
+    k, z0, z1, f0, f1 = contour
+    j, z0, z1, f0, f1 = (x[pos[k] >= 0] for x in (pos[k], z0, z1, f0, f1))
+    across_re = (z0.real - rm[j]) * (z1.real - rm[j]) < 0
+    across_im = (z0.imag - imm[j]) * (z1.imag - imm[j]) < 0
+    cut = across_re | across_im
+    zc = (np.where(across_re, rm[j], z0.real)
+          + 1j * np.where(across_im, imm[j], z0.imag))[cut]
+    # the halves of the cuts, from the center to each edge point
+    a, b = _segments(*(np.stack(c, axis=1) for c in (
+        (rm,) * 4, (imm,) * 4, (rm, re1, rm, re0), (im0, imm, im1, imm))))
+    fa, fb, fc = np.split(_evaluate(f, np.concatenate([a, b, zc])),
+                          [a.size, 2 * a.size])
+    jh = np.repeat(np.arange(len(keep)), 4 * _SAMPLES_PER_EDGE)
+    j, z0, z1, f0, f1 = (np.concatenate(x) for x in (
+        (j[~cut], j[cut], j[cut], jh, jh),
+        (z0[~cut], z0[cut], zc, a, b), (z1[~cut], zc, z1[cut], b, a),
+        (f0[~cut], f0[cut], fc, fa, fb), (f1[~cut], fc, f1[cut], fb, fa)))
+    # a segment's child is on its left, as a contour runs counterclockwise
+    mid, step = 0.5 * (z0 + z1), z1 - z0
+    right = (mid.real > rm[j]) | ((mid.real == rm[j]) & (step.imag < 0))
+    top = (mid.imag > imm[j]) | ((mid.imag == imm[j]) & (step.real > 0))
+    return ([tuple(box) for box in children.tolist()],
+            (4 * j + right + 2 * top, z0, z1, f0, f1))
 
 
-def _newton_refine(f, s0: complex, mult: int) -> complex:
-    """Newton iteration s -> s - |mult| * f/f' with Richardson-extrapolated f'.
-
-    A negative mult refines a pole of that order as a zero of 1/f.  Each
-    step evaluates its five points in one call.
-    """
-    s = s0
+def _newton_refine(f: Callable, starts: list[tuple[complex, int]]) -> list[complex]:
+    """One root per (start, mult), by Newton steps s -> s - |mult| * f/f'
+    with Richardson-extrapolated f' from all starts in lockstep, one call
+    per _SAMPLES_PER_CALL points; each iterate stops on its own, on a step
+    below _NEWTON_TOL or f' = 0.  A negative mult refines a pole of that
+    order as a zero of 1/f."""
+    roots = [s for s, _ in starts]
+    live = list(range(len(starts)))
     for _ in range(_NEWTON_MAX_ITER):
-        h = 1e-6 * (1.0 + abs(s))
-        vals = f(np.array([s + h, s - h, s + h / 2, s - h / 2, s])).tolist()
-        if mult < 0:
-            vals = [1.0 / v for v in vals]  # Python complex division
-        f_ph, f_mh, f_ph2, f_mh2, f_s = vals
-        d1 = (f_ph - f_mh) / (2 * h)
-        d2 = (f_ph2 - f_mh2) / h
-        deriv = (4 * d2 - d1) / 3
-        if deriv == 0:
+        if not live:
             break
-        step = abs(mult) * f_s / deriv
-        s -= step
-        if abs(step) < _NEWTON_TOL:
-            break
-    return s
+        hs = [1e-6 * (1.0 + abs(roots[i])) for i in live]
+        vals = evaluate_in_chunks(f, [
+            z for i, h in zip(live, hs) for s in [roots[i]]
+            for z in (s + h, s - h, s + h / 2, s - h / 2, s)])
+        still = []
+        for n, (i, h) in enumerate(zip(live, hs)):
+            mult = starts[i][1]
+            v = vals[5 * n:5 * n + 5]
+            if mult < 0:
+                v = [1.0 / x for x in v]  # Python complex division
+            f_ph, f_mh, f_ph2, f_mh2, f_s = v
+            d1 = (f_ph - f_mh) / (2 * h)
+            d2 = (f_ph2 - f_mh2) / h
+            deriv = (4 * d2 - d1) / 3
+            if deriv != 0:
+                step = abs(mult) * f_s / deriv
+                roots[i] -= step
+                if abs(step) >= _NEWTON_TOL:
+                    still.append(i)
+        live = still
+    return roots
 
 
 def _center(box: tuple) -> complex:
@@ -221,45 +278,44 @@ def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
     """(box, winding w, root) per zero or pole of f in the boxes of `level`,
     and the number of boxes scanned.
 
-    A box of nonzero winding is split until it is at most 2e-2 wide and
-    |w| <= _MAX_ORDER, then refined by Newton on f from its center; an
-    iterate that escapes the box splits it again.  The scan walks one
-    subdivision level at a time: `_windings` gives f the boundary samples of
-    the whole level, a point shared by boxes once, and then the midpoints of
-    each phase-bisection depth, in calls of at most _SAMPLES_PER_CALL points
-    (8 boxes); each Newton step is one call of five points.  For an f that
-    gives a point the same value in any batch, as `g_closed_form`'s
-    functions do, the result does not depend on this batching.
+    A box of nonzero winding is split (`_split`) until it is at most 2e-2
+    wide and |w| <= _MAX_ORDER, then refined by Newton on f from its center;
+    an iterate that escapes the box splits it again.  The scan walks one
+    subdivision level at a time: one `_windings` over its contours, which
+    only level 0 samples afresh, and one lockstep `_newton_refine` over its
+    small boxes.  For an f that gives a point the same value in any batch,
+    as `g_closed_form`'s functions do, the result does not depend on this
+    batching.
     """
     found = []
     used = 0
+    contour = None
     while level:
         used += len(level)
         if used > budget:
             raise BudgetExceededError("box subdivision budget exceeded")
-        children = []
-        for box, w in zip(level, _windings(f, level)):
+        windings, contour = _windings(f, level, contour)
+        width = [max(re1 - re0, im1 - im0) for re0, re1, im0, im1 in level]
+        small = [i for i, w in enumerate(windings)
+                 if w and width[i] <= 2e-2 and abs(w) <= _MAX_ORDER]
+        roots = dict(zip(small, _newton_refine(
+            f, [(_center(level[i]), windings[i]) for i in small])))
+        keep = []
+        for i, (box, w) in enumerate(zip(level, windings)):
             if w == 0:
                 continue
             re0, re1, im0, im1 = box
-            width = max(re1 - re0, im1 - im0)
-            if width <= 2e-2 and abs(w) <= _MAX_ORDER:
-                root = _newton_refine(f, _center(box), w)
-                if (re0 - 1e-6 <= root.real <= re1 + 1e-6
-                        and im0 - 1e-6 <= root.imag <= im1 + 1e-6):
-                    found.append((box, w, root))
-                    continue
-            if width < 1e-8:
+            root = roots.get(i, complex(math.nan))  # nan: not refined
+            if (re0 - 1e-6 <= root.real <= re1 + 1e-6
+                    and im0 - 1e-6 <= root.imag <= im1 + 1e-6):
+                found.append((box, w, root))
+            elif width[i] < 1e-8:
                 raise UnresolvedBoxError(
                     f"winding {w} unresolved below width 1e-8 near "
                     f"{_center(box)}")
-            # split slightly off-center: zeros of interest sit on Re = 1/2
-            # and an exact-midpoint cut would run straight through them
-            rm = re0 + 0.5137 * (re1 - re0)
-            imm = im0 + 0.4873 * (im1 - im0)
-            children += [(re0, rm, im0, imm), (rm, re1, im0, imm),
-                         (re0, rm, imm, im1), (rm, re1, imm, im1)]
-        level = children
+            else:
+                keep.append(i)
+        level, contour = _split(f, level, contour, keep)
     return found, used
 
 
@@ -305,13 +361,13 @@ def find_zeros(evaluator: Callable | GEvaluator,
                 merged.append([root, w * exponent, box, f])
             else:
                 match[1] += w * exponent
-    points = []
-    for root, order, box, f in merged:
-        if abs(order) == 1 and f is not g:
-            s_g = _newton_refine(g, _center(box), order)
-            if _matches(s_g, root):
-                root = s_g
-        if order != 0:
-            points.append(SingularPoint(location=root, order=order))
+    # the order +-1 points of factors, refined again on g in one lockstep run
+    ones = [m for m in merged if abs(m[1]) == 1 and m[3] is not g]
+    for m, s_g in zip(ones, _newton_refine(
+            g, [(_center(box), order) for _, order, box, _ in ones])):
+        if _matches(s_g, m[0]):
+            m[0] = s_g
+    points = [SingularPoint(location=root, order=order)
+              for root, order, _, _ in merged if order != 0]
     points.sort(key=lambda p: (p.location.imag, p.location.real))
     return SingularityCatalog(points=points, complete_up_to=T)

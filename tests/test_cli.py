@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -194,6 +195,29 @@ class TestOverflow:
             code, out = run(capsys, "continue", "--d", "5", "--s", "0.9",
                             "--depth", depth)
             assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("s", ["0.035", "0.036", "0.04108"])
+    def test_continue_underflow_exits_3(self, capsys, s):
+        # |f^(2^8)| below the least normal double: e^-749.8 at 0.035 printed
+        # f_power 0, e^-742.9 at 0.036 a subnormal 2.47e-323 and e^-708.41
+        # at 0.04108 one just below 2.2e-308, each with exit 0
+        code = main(["continue", "--d", "-1", "--s", s, "--depth", "8",
+                     "--cutoff", "1e4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "underflows a double" in captured.err
+
+    def test_continue_just_above_the_least_normal_double(self, capsys):
+        # e^-708.28 at 0.0411 is a normal double: printed, and its log is
+        # the grid row's log_abs
+        code, out = run(capsys, "continue", "--d", "-1", "--s", "0.0411",
+                        "--depth", "8", "--cutoff", "1e4")
+        assert code == 0
+        doc = json.loads(out)["f_power"]
+        value = complex(float(doc["re"]), float(doc["im"]))
+        assert abs(value) >= sys.float_info.min
+        row = TestContinue.grid_logs(capsys, "-1", "0.0411:0.0411:1,0:0:1", 8)
+        assert abs(math.log(abs(value)) - row[0].real) < 1e-9
 
     def test_eval_nan_point_exits_3(self, capsys):
         # x = norm^{-s} overflows far to the left and the sums are nan; they

@@ -67,14 +67,17 @@ class TestExpOfLog:
     @pytest.mark.parametrize("log_value", [
         complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
         complex(-math.inf, 1.0), complex(1.0, math.inf),
-        complex(709.9, math.pi / 4)],  # finite parts, modulus above DBL_MAX
-        ids=["nan-re", "nan-im", "inf", "minus-inf", "inf-im", "modulus"])
+        complex(709.9, math.pi / 4),  # finite parts, modulus above DBL_MAX
+        complex(-708.4, 1.0), complex(-750.0, 0.0)],  # below DBL_MIN
+        ids=["nan-re", "nan-im", "inf", "minus-inf", "inf-im", "modulus",
+             "subnormal", "zero"])
     def test_domain_error(self, log_value):
         with pytest.raises(DomainError):
             exp_of_log(log_value)
 
     def test_finite(self):
         assert exp_of_log(complex(math.log(2.0), math.pi)) == pytest.approx(-2)
+        assert abs(exp_of_log(complex(-708.39, 1.0))) >= sys.float_info.min
 
 
 class TestLocalFactor:
