@@ -15,7 +15,7 @@ from .core import (PrimeTable, TruncationPolicy, ZetaSystem, truncated_zeta_P,
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
                      SingularLocalFactorError, UnresolvedBoxError)
-from .frobenius import (Character, CyclicGroup, truncated_L, truncated_Z,
+from .frobenius import (Character, CyclicGroup, truncated_Z,
                         zp_factorization_residual)
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
                      graph_L, graph_singularities_in_s, ihara_det, ihara_edge,

@@ -20,7 +20,7 @@ from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_product,
 from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
                      PartialZetaError, PoleAtOneError)
 from .frobenius import log_Z
-from .lfunctions import POLE_RADIUS
+from .lfunctions import POLE_RADIUS, DirichletCharacter
 
 CLASS_MATCH_RTOL = 1e-9
 WEIGHT_ZERO_TOL = 1e-12
@@ -105,16 +105,18 @@ class GEvaluator:
 
     fn maps a 1-d array of s to the array of g at those points.  It is
     valid for |Im s| <= max_height and, with pole_at_one, raises within
-    POLE_RADIUS of s = 1, the pole of zeta.  factors, if given, are pairs
-    (h, k) of functions holomorphic on the critical strip, called like fn,
-    and their exponents in g: g is prod h^k up to factors without zeros
-    there.
+    POLE_RADIUS of s = 1, the pole of zeta.  factors, if given, are triples
+    (h, k, chi) of functions holomorphic on the critical strip, called like
+    fn, their exponents in g and their characters: g is prod h^k up to
+    factors without zeros there, and h is L(s, chi) for a primitive chi, or
+    chi is None.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     max_height: float = math.inf
     pole_at_one: bool = False
-    factors: list[tuple[Callable[[np.ndarray], np.ndarray], int]] | None = None
+    factors: list[tuple[Callable[[np.ndarray], np.ndarray], int,
+                        DirichletCharacter | None]] | None = None
 
     def refusal(self, s: complex) -> PartialZetaError | None:
         """The error g raises at s, or None where it can be evaluated."""

@@ -80,9 +80,9 @@ CEXP_REAL_MAX = 709.0
 # composite functional-equation residual (s, q1 s, q2 s, n s) fits
 POINT_CACHE = 8
 # one point's slice is cut into ranges of at least RANGE_MIN norms, one per
-# CPU, each filled in chunks of RANGE_CHUNK: a range takes about 5 ms with
-# two twists, against about 0.1 ms to start and join a thread, and a chunk's
-# work arrays (about 0.8 MB) stay in cache
+# CPU, each filled in chunks of RANGE_CHUNK: a range's work outweighs the
+# start and join of its thread many times over (README, Continuation grid),
+# and a chunk's work arrays (about 0.8 MB) stay in cache
 RANGE_MIN = 2**16
 RANGE_CHUNK = 2**14
 

@@ -47,13 +47,6 @@ def log_L(sys: ZetaSystem, chi: Character, s: complex, pol: TruncationPolicy) ->
     return sum((sums.term(complex(wk), key) for wk, key in zip(w, keys)), 0j)
 
 
-def truncated_L(sys: ZetaSystem, chi: Character, s: complex,
-                pol: TruncationPolicy) -> tuple[complex, float]:
-    """Truncated L_P(s, chi) with the zeta-core tail bound."""
-    value = exp_of_log(log_L(sys, chi, s, pol))
-    return value, pol.tail_bound(complex(s).real, sys.count_coeff())
-
-
 def log_Z(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
     """log of prod_j L_P(s, chi_j) over every character of the group."""
     g = CyclicGroup(sys.group_order)

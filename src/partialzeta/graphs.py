@@ -23,19 +23,14 @@ from .primes import factorize
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
 
 CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
-# Times below are in-process `graph verify` runs with the bounds lifted, on
-# a 2-vCPU x86 VM.
 # largest cover group order: products in Z[zeta_q] cost O(q^2), and the
-# L-product takes most of K4/Z19 (0.9 s) and of K4/Z47 (26 s)
+# L-product takes most of a large cover's time (README, CLI)
 MAX_COVER_ORDER = 19
 # largest cover, in oriented edges 2 m q_c: Petersen/Z5, the largest in the
-# tests.  The cover is checked by its vertex determinant on n q_c vertices:
-# cube/Z7 (168 edges) takes 0.18 s, cube/Z13 (312) 0.9 s and cube/Z19 (456)
-# 2.9 s, about half of it in that determinant and half in the L-product.
-# The base's edge determinant (bass_identity), on 2m oriented edges, grows
-# with the bound too: a q_c = 2 prism with 2m = 228 takes 11 s, 3.7 s in
-# that determinant and 5.2 s in the L-product.  A larger bound needs a
-# bound on m as well.
+# tests.  The cover is checked by its vertex determinant on n q_c vertices,
+# which grows with the cover as the L-product does.  The base's edge
+# determinant (bass_identity), on 2m oriented edges, grows with the bound
+# too, so a larger bound needs a bound on m as well.
 MAX_COVER_EDGES = 150
 
 

@@ -10,7 +10,9 @@ for |Im s| <= 100).
 evaluated as a batch of one through the same code and returned as a Python
 complex, so batched and pointwise values agree bit for bit.  `dirichlet_L`
 takes a sequence of characters too, and evaluates all of them from one
-Hurwitz call over the union of their columns a = r/m.
+Hurwitz call over the union of their columns a = r/m.  `hardy_theta`
+rotates L(1/2 + it, chi) of a primitive chi onto the real axis, Hardy's
+Z(t, chi), for the zero scan's line pass.
 
 Factored exponentials.  Each Euler-Maclaurin head term exp(-s log(k+a)) is
 formed as E * cis, with E = exp(-Re s log(k+a)) computed once per distinct
@@ -38,6 +40,7 @@ tests/zeta_oracles.py); outside it the two may differ in the last bits.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -57,6 +60,9 @@ _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30), Fraction(5, 66)]
 _EM_COEFF = [float(b) / math.factorial(2 * (j + 1))
              for j, b in enumerate(_BERNOULLI)]
+# log_gamma takes Stirling's series at z + _GAMMA_SHIFT, where the first
+# omitted term, B_12 / (132 w^11), is below 2e-14
+_GAMMA_SHIFT = 10
 
 
 def _distinct(x: np.ndarray, a: np.ndarray):
@@ -340,3 +346,41 @@ def dirichlet_L(s, chi):
     if isinstance(chi, DirichletCharacter):
         return complex(out[0, 0]) if z.ndim == 0 else out[0].reshape(z.shape)
     return out.reshape((len(chis),) + z.shape)
+
+
+def log_gamma(z) -> np.ndarray:
+    """log Gamma(z) for Re z > 0, elementwise over an array of z, on the
+    branch continuous from the positive axis: Stirling's series with the
+    corrections B_2 ... B_10 at w = z + _GAMMA_SHIFT, less the principal
+    logs of z, ..., w - 1, each of imaginary part in (-pi/2, pi/2)."""
+    z = np.asarray(z, dtype=complex)
+    w = z + _GAMMA_SHIFT
+    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi)
+    for j, b in enumerate(_BERNOULLI, 1):
+        out += float(b) / (2 * j * (2 * j - 1)) / w ** (2 * j - 1)
+    for k in range(_GAMMA_SHIFT):
+        out -= np.log(z + k)
+    return out
+
+
+def hardy_theta(t, chi: DirichletCharacter) -> np.ndarray:
+    """theta(t, chi), elementwise over an array of t, for which Hardy's
+    Z(t, chi) = e^{i theta} L(1/2 + it, chi) is real.
+
+    For chi primitive mod m with chi(-1) = (-1)^a, Lambda(s) = (m/pi)^{(s+a)/2}
+    Gamma((s+a)/2) L(s, chi) = eps Lambda(1 - s, conj chi), with the root
+    number eps = tau(chi) / (i^a sqrt m) from the Gauss sum tau(chi)
+    (Davenport, Multiplicative Number Theory, ch. 9); so
+    theta = (t/2) log(m/pi) + Im log Gamma((1/2 + a + it)/2) - arg(eps)/2.
+    |tau(chi)| = sqrt m exactly when chi is primitive; any other chi raises
+    InvalidConfigError, as its rotated L need not be real.
+    """
+    m = chi.modulus
+    tau = complex(np.sum(chi.values * np.exp(2j * math.pi * chi.residues / m)))
+    if abs(abs(tau) ** 2 - m) > 1e-9 * m:
+        raise InvalidConfigError(f"{chi!r} is not primitive")
+    a = 0 if chi.exponent(-1) == 0 else 1
+    t = np.asarray(t, dtype=float)
+    return (0.5 * t * math.log(m / math.pi)
+            + log_gamma(0.25 + 0.5 * a + 0.5j * t).imag
+            - 0.5 * cmath.phase(tau / (1j ** a * math.sqrt(m))))

@@ -4,7 +4,8 @@ The quadratic and cyclic backends realize the prime-splitting data of an
 abelian extension through a Dirichlet character; `g_closed_form` packages
 the closed-form ratio zeta^{q-1} * (ramified corrections) / prod L(s, chi^j)
 and `find_zeros` builds height-complete singularity catalogs by the
-argument principle.
+argument principle, taking the zeros it certifies on Re s = 1/2 from sign
+changes of Hardy's Z.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .core import PrimeTable, ZetaSystem, class_dtype
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
 from .lfunctions import (HEIGHT_MAX, DirichletCharacter, dirichlet_L,
-                         kronecker_character, trivial_character)
+                         hardy_theta, kronecker_character, trivial_character)
 
 
 class AbelianSystem(ZetaSystem):
@@ -82,8 +83,9 @@ def g_closed_form(sys: AbelianSystem) -> GEvaluator:
     `find_zeros` requires, and takes zeta and every L(s, chi^j) from one
     `dirichlet_L` call, that is one Hurwitz call over the union of their
     columns a = r/m and a = 1.  The evaluator's factors are zeta, with
-    exponent q - 1, and each L(s, chi^j), with exponent -1; the ramified
-    factors vanish only on Re s = 0.  `find_zeros` scans them one by one.
+    exponent q - 1, and each L(s, chi^j), with exponent -1, each with its
+    character, which is primitive; the ramified factors vanish only on
+    Re s = 0.  `find_zeros` scans them one by one.
     """
     q = sys.group_order
     chis = [trivial_character()] + [sys.chi.power(j) for j in range(1, q)]
@@ -107,7 +109,8 @@ def g_closed_form(sys: AbelianSystem) -> GEvaluator:
     def factor(chi: DirichletCharacter) -> Callable:
         return lambda s: dirichlet_L(s, chi)
 
-    factors = [(factor(chi), q - 1 if chi.is_trivial else -1) for chi in chis]
+    factors = [(factor(chi), q - 1 if chi.is_trivial else -1, chi)
+               for chi in chis]
     return GEvaluator(fn, max_height=HEIGHT_MAX, pole_at_one=True,
                       factors=factors)
 
@@ -123,6 +126,7 @@ _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
 _MAX_ORDER = 3
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
+_LINE_SAMPLES = 9  # heights of Hardy's Z up each slab in the line pass
 
 
 def _evaluate(f: Callable, zs: np.ndarray) -> np.ndarray:
@@ -239,11 +243,15 @@ def _newton_refine(f: Callable, starts: list[tuple[complex, int]]) -> list[compl
     """One root per (start, mult), by Newton steps s -> s - |mult| * f/f'
     with Richardson-extrapolated f' from all starts in lockstep, one call
     per _SAMPLES_PER_CALL points; each iterate stops on its own, on a step
-    below _NEWTON_TOL or f' = 0.  A negative mult refines a pole of that
-    order as a zero of 1/f."""
+    below _NEWTON_TOL or f' = 0, or unevaluated where it has left the strip
+    0 < Re s < 1, |Im s| <= HEIGHT_MAX: a caller's bounds reject it as
+    escaped.  A negative mult refines a pole of that order as a zero of
+    1/f."""
     roots = [s for s, _ in starts]
     live = list(range(len(starts)))
     for _ in range(_NEWTON_MAX_ITER):
+        live = [i for i in live if 0 < roots[i].real < 1
+                and abs(roots[i].imag) <= HEIGHT_MAX]
         if not live:
             break
         hs = [1e-6 * (1.0 + abs(roots[i])) for i in live]
@@ -274,13 +282,53 @@ def _center(box: tuple) -> complex:
     return complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
 
 
-def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
-    """(box, winding w, root) per zero or pole of f in the boxes of `level`,
-    and the number of boxes scanned.
+def _line_zeros(f: Callable, chi: DirichletCharacter, level: list[tuple],
+                windings: list[int]) -> dict[int, list[complex]]:
+    """The roots of f = L(s, chi) in each box of `level` that holds all its
+    zeros on Re s = 1/2, simple: box index -> roots.
 
-    A box of nonzero winding is split (`_split`) until it is at most 2e-2
-    wide and |w| <= _MAX_ORDER, then refined by Newton on f from its center;
-    an iterate that escapes the box splits it again.  The scan walks one
+    Hardy's Z(t) = e^{i theta(t, chi)} f(1/2 + it) is real, and is sampled
+    at _LINE_SAMPLES even heights up each box of winding w > 0.  Its c sign
+    changes bracket at least c zeros of odd order on the line, and w counts
+    every zero in the box, so c = w leaves exactly one zero, simple, in
+    each bracket.  Newton on f from a bracket's midpoint must stay on the
+    line inside that bracket.  A box with c != w, a sample Z = 0 or a root
+    that leaves its bracket is left out.
+    """
+    idx = [i for i, w in enumerate(windings) if w > 0]
+    t = np.linspace([level[i][2] for i in idx], [level[i][3] for i in idx],
+                    _LINE_SAMPLES, axis=1)
+    Z = (np.exp(1j * hardy_theta(t, chi))
+         * _evaluate(f, 0.5 + 1j * t.ravel()).reshape(t.shape)).real
+    flips = Z[:, :-1] * Z[:, 1:] < 0
+    ok = ((flips.sum(axis=1) == [windings[i] for i in idx])
+          & (Z != 0).all(axis=1))
+    rows, cols = np.nonzero(flips & ok[:, None])
+    lo, hi = t[rows, cols].tolist(), t[rows, cols + 1].tolist()
+    roots = _newton_refine(f, [(complex(0.5, 0.5 * (a + b)), 1)
+                               for a, b in zip(lo, hi)])
+    out = {idx[r]: [] for r in np.flatnonzero(ok).tolist()}
+    for r, a, b, root in zip(rows.tolist(), lo, hi, roots):
+        if (idx[r] in out and abs(root.real - 0.5) < 1e-6
+                and a <= root.imag <= b):
+            out[idx[r]].append(root)
+        else:
+            out.pop(idx[r], None)
+    return out
+
+
+def _scan(f: Callable, level: list[tuple], budget: int,
+          chi: DirichletCharacter | None = None) -> tuple[list, int]:
+    """(root, winding w) per zero or pole of f in the boxes of `level`, and
+    the number of boxes scanned.
+
+    With chi, f is L(s, chi) and its roots in each box that `_line_zeros`
+    resolves on Re s = 1/2 are taken from there, of winding 1 each; the
+    level-0 windings are their certificate.  Any other box of nonzero
+    winding is split (`_split`) until it is at most 2e-2 wide and
+    |w| <= _MAX_ORDER, then refined by Newton on f from its center; an
+    iterate that escapes the box splits it again.  So the box scan alone
+    finds a zero off the line or a multiple one.  The scan walks one
     subdivision level at a time: one `_windings` over its contours, which
     only level 0 samples afresh, and one lockstep `_newton_refine` over its
     small boxes.  For an f that gives a point the same value in any batch,
@@ -295,6 +343,11 @@ def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
         if used > budget:
             raise BudgetExceededError("box subdivision budget exceeded")
         windings, contour = _windings(f, level, contour)
+        if chi is not None:
+            for i, roots in _line_zeros(f, chi, level, windings).items():
+                found += [(root, 1) for root in roots]
+                windings[i] = 0
+            chi = None
         width = [max(re1 - re0, im1 - im0) for re0, re1, im0, im1 in level]
         small = [i for i, w in enumerate(windings)
                  if w and width[i] <= 2e-2 and abs(w) <= _MAX_ORDER]
@@ -308,7 +361,7 @@ def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
             root = roots.get(i, complex(math.nan))  # nan: not refined
             if (re0 - 1e-6 <= root.real <= re1 + 1e-6
                     and im0 - 1e-6 <= root.imag <= im1 + 1e-6):
-                found.append((box, w, root))
+                found.append((root, w))
             elif width[i] < 1e-8:
                 raise UnresolvedBoxError(
                     f"winding {w} unresolved below width 1e-8 near "
@@ -326,21 +379,22 @@ def find_zeros(evaluator: Callable | GEvaluator,
     The evaluator maps a 1-d array of s to the array of its values.  A
     GEvaluator with `factors`, as `g_closed_form` gives, is cataloged
     through them: each factor is holomorphic on the strip and scanned on its
-    own, so zeros of two factors cannot cancel in a winding.  A factor's
-    point of winding k has order k * (its exponent); points of different
-    factors within CLASS_MATCH_RTOL merge with the summed order, and order 0
-    is dropped.  A point of order +-1 is refined again by Newton on g from
-    the center of its box, kept if it agrees with the factor's root; a
-    higher order keeps the factor's root, where the zero is simple (Newton
-    on a zero of order k reaches only about eps^(1/k)).  The box budget,
-    4000 + 400 T, is shared by the factor scans.
+    own (`_scan`, with the factor's character for the line pass), so zeros
+    of two factors cannot cancel in a winding.  A factor's point of winding
+    k has order k * (its exponent); points of different factors within
+    CLASS_MATCH_RTOL merge with the summed order, and order 0 is dropped.
+    A point of order +-1 is refined again by Newton on g from the factor's
+    root, kept if it agrees with that root; a higher order keeps the
+    factor's root, where the zero is simple (Newton on a zero of order k
+    reaches only about eps^(1/k)).  The box budget, 4000 + 400 T, is shared
+    by the factor scans.
     """
     if T > HEIGHT_MAX:
         raise InvalidConfigError(
             f"zero searches above T={HEIGHT_MAX:g} are out of scope")
     budget = int(4000 + 400 * T)
     g = evaluator.fn if isinstance(evaluator, GEvaluator) else evaluator
-    factors = getattr(evaluator, "factors", None) or [(g, 1)]
+    factors = getattr(evaluator, "factors", None) or [(g, 1, None)]
 
     # initial horizontal slabs of height 1/2; the offsets keep box edges away
     # from zeta/L zeros, which lie at irrational-looking heights
@@ -350,24 +404,23 @@ def find_zeros(evaluator: Callable | GEvaluator,
         top = min(im + 0.5, T)
         slabs.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))
         im = top
-    merged: list[list] = []  # [root, order in g, box, factor] per point
-    for f, exponent in factors:
-        found, used = _scan(f, slabs, budget)
+    merged: list[list] = []  # [root, order in g, factor] per point
+    for f, exponent, chi in factors:
+        found, used = _scan(f, slabs, budget, chi)
         budget -= used
         others = list(merged)  # a factor's own points are distinct
-        for box, w, root in found:
+        for root, w in found:
             match = next((m for m in others if _matches(root, m[0])), None)
             if match is None:
-                merged.append([root, w * exponent, box, f])
+                merged.append([root, w * exponent, f])
             else:
                 match[1] += w * exponent
     # the order +-1 points of factors, refined again on g in one lockstep run
-    ones = [m for m in merged if abs(m[1]) == 1 and m[3] is not g]
-    for m, s_g in zip(ones, _newton_refine(
-            g, [(_center(box), order) for _, order, box, _ in ones])):
+    ones = [m for m in merged if abs(m[1]) == 1 and m[2] is not g]
+    for m, s_g in zip(ones, _newton_refine(g, [(m[0], m[1]) for m in ones])):
         if _matches(s_g, m[0]):
             m[0] = s_g
     points = [SingularPoint(location=root, order=order)
-              for root, order, _, _ in merged if order != 0]
+              for root, order, _ in merged if order != 0]
     points.sort(key=lambda p: (p.location.imag, p.location.real))
     return SingularityCatalog(points=points, complete_up_to=T)

@@ -20,8 +20,8 @@ from .errors import BudgetExceededError, InvalidConfigError
 
 SIEVE_CAP = 10**7
 # the sieve is struck out in segments of at least this many odd numbers, one
-# per CPU; on a 2-vCPU host two segments took 4.6 ms at 2^21 odd numbers
-# against 7.0 ms for one, and were no faster at 2^20
+# per CPU: a shorter segment does not pay for its thread (README, Euler
+# products)
 SEGMENT_MIN = 2**20
 
 _primes: np.ndarray = np.array([], dtype=np.int64)

@@ -131,28 +131,30 @@ class TestSieve:
 class TestScanPinned:
     @pytest.mark.parametrize("argv,digest", [
         (["zeros", "--d", "5", "--height", "30"],
-         "5a50209ce8932d9219503ec960b04f7a47c6efe0ceea88cf219c0f12023b04ad"),
+         "5c38b84ebe3803f794b29003a807820530a2465d0bc738782b35762b256fb3f1"),
         (["zeros", "--backend", "cyclic", "--char", "7,3,3", "--height", "12"],
-         "0d84cfb277b92ce7137617386e8c8b6db8935b0b09a12a13b244b657489a3d75"),
+         "5a5a6552fe6b24120e11b71dfe4996bba853c4bfa2bde28c1e89661c646a4bff"),
         (["boundary", "--d", "5", "--height", "28"],
-         "1ade7e07611049c8169c28aec616249f43155d03cb6520d72aad36f6faab208a"),
+         "c31c28b570bbafe85ae72297739fee6a8c7950c9e726a4138ce81c624a5990df"),
         (["zeros", "--backend", "cyclic", "--char", "11,5", "--height", "12"],
-         "a18ad5369ff5de0da38f99e2517d5aff59889a8f7bd240c3b730ed0c7cfebdf7"),
+         "490df547c5a7b3280abf28e45462caf55bcd002393f516434811d8a26d6f2774"),
         (["continue", "--backend", "cyclic", "--char", "7,3,3", "--s",
           "0.7,10", "--depth", "2", "--cutoff", "1e5"],
          "452c6c8c824c2feb3705933f5426b2d7c7eb0cee1e4fca263028442b7ea956ba"),
         # the highest d = 5 scan the CLI accepts, levels of up to 216 boxes
         (["zeros", "--d", "5", "--height", "100"],
-         "1910ffebed63169571f6b3c7642c799668278a676e32d39b4a12c8f99c0819e5"),
+         "d39cf5ef2607c996ef3183bae0b3f9b572f0bc90f4f091103dd82c80a87a9886"),
     ], ids=["zeros-d5-30", "zeros-char7,3,3-12", "boundary-d5-28",
             "zeros-char11,5-12", "continue-char7,3,3", "zeros-d5-100"])
     def test_output_pinned(self, capsys, argv, digest):
-        # the first three were recorded from the depth-first, one-box-per-call
-        # scan, the last two from one complex exp per Hurwitz head term and
-        # one Hurwitz call per L-function: batching the scan, sharing
-        # Hurwitz columns and factoring the exponentials must not move a
-        # single printed digit.  They also rest on glibc's cexp forming
-        # exp(x + iy) as exp(x) * (cos y, sin y).
+        # the zeros and boundary pins were recorded from the line-first
+        # scan, whose factor roots come from Hardy-Z brackets and whose
+        # Newton runs on g start at those roots; the box scan alone gives
+        # the same catalogs to 1e-12 (TestLineScan), and mpmath checks them
+        # (test_catalog_oracle).  Batching the scan, sharing Hurwitz columns
+        # and factoring the exponentials must not move a single printed
+        # digit.  They also rest on glibc's cexp forming exp(x + iy) as
+        # exp(x) * (cos y, sin y).
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -39,7 +39,6 @@ class TestFeqResidual:
     def test_against_numeric_L_oracle(self):
         # RHS evaluated with independent numeric zeta/L at X=1e5: the
         # difference is the truncation tail, well under 1e-4 at s=2
-        from partialzeta.frobenius import Character, CyclicGroup, truncated_L
         from partialzeta.lfunctions import dirichlet_L, kronecker_character
 
         from zeta_oracles import riemann_zeta

@@ -17,7 +17,7 @@ from partialzeta.core import (PrimeTable, TruncationPolicy, ZetaSystem,
                               truncated_zeta_P, truncated_zeta_Pn)
 from partialzeta.errors import (BudgetExceededError, DomainError,
                                 InvalidConfigError, SingularLocalFactorError)
-from partialzeta.frobenius import Character, CyclicGroup, truncated_L
+from partialzeta.frobenius import Character, CyclicGroup
 from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
@@ -25,7 +25,7 @@ from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
 from prime_data import (ExplicitSystem, PrimeDatum, explicit_system,
                         table_rows)
 from system_json import system_from_json, system_to_json
-from zeta_oracles import local_factor
+from zeta_oracles import local_factor, truncated_L
 
 
 def simple_system():

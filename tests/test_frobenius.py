@@ -9,13 +9,14 @@ import pytest
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError
 from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
-                                   log_Z, truncated_L, truncated_Z,
+                                   log_Z, truncated_Z,
                                    zp_factorization_residual)
 from partialzeta.numberfield import kronecker_system
 from partialzeta.series import ExactSeries
 
 from composite_feq import subgroup_character_indices
 from prime_data import ExplicitSystem, PrimeDatum, explicit_system
+from zeta_oracles import truncated_L
 
 
 class TestCharacterValues:

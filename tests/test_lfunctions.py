@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 
 from partialzeta.errors import InvalidConfigError, PoleAtOneError
 from partialzeta.lfunctions import (DirichletCharacter, dirichlet_L,
-                                    fundamental_discriminant, hurwitz_zeta,
-                                    kronecker_character, kronecker_symbol,
+                                    fundamental_discriminant, hardy_theta,
+                                    hurwitz_zeta, kronecker_character,
+                                    kronecker_symbol, log_gamma,
                                     prime_order_character, trivial_character)
 
 from zeta_oracles import (completed_zeta, hardy_Z, reference_dirichlet_L,
@@ -426,3 +428,41 @@ class TestHardyZ:
         t = 25.0
         ref = float(mpmath.siegeltheta(t))
         assert abs(riemann_siegel_theta(t) - ref) < 1e-9
+
+
+class TestHardyTheta:
+    """The rotation e^{i theta(t, chi)} that makes L(1/2 + it, chi) real,
+    from a Stirling-series log Gamma and the Gauss-sum root number."""
+
+    def test_log_gamma_against_scipy(self):
+        rng = np.random.default_rng(7)
+        z = (rng.uniform(1e-3, 5.0, 4000)
+             + 1j * rng.uniform(-120.0, 120.0, 4000))
+        z[:3] = [0.25 + 0.025j, 0.75, 1.0]  # theta's least |z|, and real z
+        ref = loggamma(z)
+        assert np.all(np.abs(log_gamma(z) - ref)
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_trivial_theta_is_riemann_siegel(self):
+        t = np.linspace(0.05, 100.0, 2000)
+        ours = hardy_theta(t, trivial_character())
+        ref = np.array([riemann_siegel_theta(x) for x in t.tolist()])
+        assert np.max(np.abs(ours - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("chi", [
+        trivial_character(), kronecker_character(5),
+        *_powers(prime_order_character(7, 3, generator=3))[1:],
+        *_powers(prime_order_character(11, 5))[1:]], ids=repr)
+    def test_Z_is_real(self, chi):
+        # every factor of d = 5, 7,3,3 and 11,5; relative to max(1, |L|),
+        # since near a zero |L| falls below the L-values' own error
+        t = np.linspace(1.0, 100.0, 2000)
+        L = dirichlet_L(0.5 + 1j * t, chi)
+        Z = np.exp(1j * hardy_theta(t, chi)) * L
+        assert np.all(np.abs(Z.imag) <= 1e-12 * np.maximum(1.0, np.abs(L)))
+
+    def test_imprimitive_character_refused(self):
+        # the principal character mod 5: |tau| = 1, not sqrt 5
+        chi = DirichletCharacter(5, 2, {1: 0, 2: 0, 3: 0, 4: 0})
+        with pytest.raises(InvalidConfigError, match="not primitive"):
+            hardy_theta(1.0, chi)

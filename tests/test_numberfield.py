@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partialzeta import lfunctions, numberfield
-from partialzeta.continuation import _SAMPLES_PER_CALL
+from partialzeta.continuation import _SAMPLES_PER_CALL, GEvaluator
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError, UnresolvedBoxError
 from partialzeta.frobenius import log_Z
@@ -246,8 +246,11 @@ class TestFindZeros:
         # the level-batched factor scans: 1,585 g calls of at most 32 points
         # when each box and each bisection or Newton point was its own
         # call; then 104 factor calls for 9,938 points and 48 g calls of 5
-        # points, one per Newton step; now the children of a box inherit its
-        # resolved contour and each level's Newton runs are one lockstep run
+        # points, one per Newton step; then 43 factor calls for 5,553 points
+        # and 4 g calls, with inherited contours and lockstep Newton runs;
+        # now 22 factor calls for 3,267 points and one g call, as the line
+        # pass takes every zero from Hardy's Z and g's Newton runs start at
+        # the factor roots
         ev = g_closed_form(kronecker_system(5))
         sizes = {}
 
@@ -258,13 +261,14 @@ class TestFindZeros:
             return f
 
         ev.fn = counted(ev.fn, "g")
-        ev.factors = [(counted(f, k), e) for k, (f, e) in enumerate(ev.factors)]
+        ev.factors = [(counted(f, k), e, chi)
+                      for k, (f, e, chi) in enumerate(ev.factors)]
         cat = find_zeros(ev, 28.0)
         calls = [n for v in sizes.values() for n in v]
         assert len(calls) <= 350
         assert max(calls) <= _SAMPLES_PER_CALL
-        assert sum(sizes[0]) + sum(sizes[1]) <= 6000
-        assert len(sizes["g"]) <= 5
+        assert sum(sizes[0]) + sum(sizes[1]) <= 3500
+        assert len(sizes["g"]) <= 2
         assert len(cat.points) == len(_D5_CATALOG_T28)
         for p, (re, im, order) in zip(cat.points, _D5_CATALOG_T28):
             assert p.order == order
@@ -328,6 +332,32 @@ class TestFindZeros:
         with pytest.raises(UnresolvedBoxError):
             find_zeros(riemann_zeta, 15.0)
 
+    def test_newton_escape_stays_in_the_strip(self):
+        # g's Newton run from the factor root rho1 steps 1e5 to the right,
+        # since g'/g = 1/(s - rho1 - 1/4) + 1/(s - rho2) + c is -1e-5 there;
+        # that iterate stops unevaluated, and rho1 keeps its factor root,
+        # while rho2 is refined on g as usual
+        rho1, rho2 = 0.5 + 3j, 0.5 + 5j
+        c = 4.0 - 1.0 / (rho1 - rho2) - 1e-5
+        seen = []
+
+        def g(s):
+            s = np.asarray(s)
+            seen.extend(s.tolist())
+            return (s - rho1 - 0.25) * (s - rho2) * np.exp(c * (s - rho1))
+
+        def h(s):
+            return (np.asarray(s) - rho1) * (np.asarray(s) - rho2)
+
+        cat = find_zeros(GEvaluator(g, factors=[(h, 1, None)]), 6.0)
+        assert seen and all(0 < z.real < 1 and abs(z.imag) <= 100
+                            for z in seen)
+        assert [p.order for p in cat.points] == [1, 1]
+        for p, rho in zip(cat.points, (rho1, rho2)):
+            assert abs(p.location - rho) < 1e-12
+        # the escaped point is h's own root, bit for bit
+        assert cat.points[0].location == find_zeros(h, 6.0).points[0].location
+
     def test_zeta_below_15(self):
         cat = find_zeros(riemann_zeta, 15.0)
         assert len(cat.points) == 1
@@ -367,6 +397,75 @@ class TestFindZeros:
         assert len(cat1.points) + len(cat2.points) > 0
         for p in cat1.points:
             assert 0 < p.location.real < 1
+
+
+def _box_only(ev):
+    """ev with its factors' characters dropped: every factor takes the box
+    scan alone."""
+    ev.factors = [(f, e, None) for f, e, _ in ev.factors]
+    return ev
+
+
+def _system(spec):
+    if isinstance(spec, int):
+        return kronecker_system(spec)
+    return cyclic_system(prime_order_character(*spec))
+
+
+class TestLineScan:
+    """Zeros of a factor L(s, chi) come from sign changes of Hardy's Z on
+    Re s = 1/2 in each level-0 slab whose winding they match; every other
+    slab takes the box scan."""
+
+    def test_off_line_pair_takes_the_box_scan(self, monkeypatch):
+        # L(s, chi_5) (s - rho)(s - 1 + conj rho), rho = 0.7 + 20i: on the
+        # line the new factor is -(0.04 + (t - 20)^2), so Z stays real and
+        # gains no sign change, while the slab's winding grows by 2
+        chi, rho = kronecker_character(5), 0.7 + 20j
+
+        def f(s):
+            s = np.asarray(s)
+            return dirichlet_L(s, chi) * (s - rho) * (s - 1 + rho.conjugate())
+
+        t = np.linspace(19.55, 20.05, 201)
+        theta = lfunctions.hardy_theta(t, chi)
+        Z, Z_L = (np.exp(1j * theta) * h(0.5 + 1j * t)
+                  for h in (f, lambda s: dirichlet_L(s, chi)))
+        assert np.all(np.abs(Z.imag) <= 1e-12 * np.maximum(1, np.abs(Z)))
+        assert np.array_equal(np.sign(Z.real), -np.sign(Z_L.real))
+
+        passes, line_zeros = [], numberfield._line_zeros
+
+        def recorded(f, chi, level, windings):
+            out = line_zeros(f, chi, level, windings)
+            passes.append((level, list(windings), out))
+            return out
+
+        monkeypatch.setattr(numberfield, "_line_zeros", recorded)
+        cat = find_zeros(GEvaluator(f, factors=[(f, 1, chi)]), 30.0)
+        (level, windings, out), = passes
+        fallback = [level[i] for i, w in enumerate(windings)
+                    if w and i not in out]
+        assert len(fallback) == 1 and fallback[0][2] < 20 < fallback[0][3]
+        assert all(len(roots) == windings[i] for i, roots in out.items())
+        on_line = find_zeros(lambda s: dirichlet_L(s, chi), 30.0).points
+        off_line = [p for p in cat.points if abs(p.location.real - 0.5) > 0.1]
+        assert [p.order for p in cat.points] == [1] * (len(on_line) + 2)
+        for p, z in zip(off_line, (0.3 + 20j, 0.7 + 20j)):
+            assert abs(p.location - z) < 1e-12
+        rest = [p for p in cat.points if p not in off_line]
+        for p, q in zip(rest, on_line):
+            assert abs(p.location - q.location) < 1e-12
+
+    @pytest.mark.parametrize("spec,T", [
+        (5, 30.0), (-3, 30.0), (13, 30.0), ((7, 3, 3), 30.0), ((11, 5), 30.0),
+        (5, 100.0), ((7, 3, 3), 100.0), ((11, 5), 100.0)], ids=str)
+    def test_line_first_equals_box_only(self, spec, T):
+        line = find_zeros(g_closed_form(_system(spec)), T).points
+        box = find_zeros(_box_only(g_closed_form(_system(spec))), T).points
+        assert [p.order for p in line] == [p.order for p in box]
+        for p, q in zip(line, box):
+            assert abs(p.location - q.location) < 1e-12
 
 
 def _rational(zeros, poles):

@@ -7,8 +7,9 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from partialzeta.core import SINGULAR_FACTOR_EPS, log_product
+from partialzeta.core import SINGULAR_FACTOR_EPS, exp_of_log, log_product
 from partialzeta.errors import PoleAtOneError, SingularLocalFactorError
+from partialzeta.frobenius import log_L
 from partialzeta.lfunctions import (_EM_COEFF, DirichletCharacter,
                                     _hurwitz_finite_at_one, hurwitz_zeta,
                                     trivial_character)
@@ -145,6 +146,13 @@ def pass_log_L(sys, j, s, X):
     q = sys.group_order
     twist = np.exp(2j * np.pi * ((j * classes.astype(np.int64)) % q) / q)
     return reference_log_product(norms, twist, s)
+
+
+def truncated_L(sys, chi, s: complex, pol) -> tuple[complex, float]:
+    """Truncated L_P(s, chi) from the package's `log_L`, with the zeta-core
+    tail bound."""
+    value = exp_of_log(log_L(sys, chi, s, pol))
+    return value, pol.tail_bound(complex(s).real, sys.count_coeff())
 
 
 def riemann_zeta(s):
