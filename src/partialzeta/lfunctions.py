@@ -9,8 +9,8 @@ for |Im s| <= 100).
 (`numberfield.g_closed_form`) broadcast over numpy arrays of s.  A scalar is
 evaluated as a batch of one through the same code and returned as a Python
 complex, so batched and pointwise values agree bit for bit.  `dirichlet_L`
-takes a sequence of characters too, and evaluates all of them from one
-Hurwitz call over the union of their columns a = r/m.  `hardy_theta`
+takes a sequence of characters too, and evaluates all of them from the
+same Hurwitz calls over the union of their columns a = r/m.  `hardy_theta`
 rotates L(1/2 + it, chi) of a primitive chi onto the real axis, Hardy's
 Z(t, chi), for the zero scan's line pass.
 
@@ -55,6 +55,9 @@ from .primes import factorize
 HEIGHT_MAX = 100.0
 # hurwitz_zeta and the principal L raise PoleAtOneError this close to s = 1
 POLE_RADIUS = 1e-14
+# (point, column) pairs per hurwitz_zeta call of dirichlet_L: a call holds
+# about N head terms for each pair, so large moduli go in blocks of points
+_HURWITZ_BLOCK = 2 ** 16
 # B_2, B_4, ..., B_10: Euler-Maclaurin corrections to the 10th Bernoulli term
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30), Fraction(5, 66)]
@@ -309,8 +312,9 @@ def dirichlet_L(s, chi):
     chi is one character or a sequence of characters.  Broadcasts over an
     array of s; a scalar s and one character give a Python complex, and a
     sequence gives an array with one leading row per character.  All the
-    L-values come from one Hurwitz call over the union of the characters'
-    columns a = r/m; each L sums its residues in order, as alone.
+    L-values come from Hurwitz calls over the union of the characters'
+    columns a = r/m, one call per block of at most _HURWITZ_BLOCK (point,
+    column) pairs; each L sums its residues in order, as alone.
     """
     chis = [chi] if isinstance(chi, DirichletCharacter) else list(chi)
     z = np.asarray(s, dtype=complex)
@@ -337,7 +341,9 @@ def dirichlet_L(s, chi):
     keep = ~(at_pole | far)
     s = s[keep]
     col = {x: j for j, x in enumerate(a)}
-    hz = hurwitz_zeta(s[:, None], np.array(a))
+    step = max(1, _HURWITZ_BLOCK // len(a))
+    hz = np.concatenate([hurwitz_zeta(s[i:i + step, None], np.array(a))
+                         for i in range(0, max(len(s), 1), step)])
     for row, chi_j, cols_j in zip(out, chis, cols):
         total = np.zeros_like(s)
         for x, v in zip(cols_j, chi_j.values):

@@ -81,7 +81,7 @@ def g_closed_form(sys: AbelianSystem) -> GEvaluator:
     Meromorphic wherever the L-evaluations are, |Im s| <= HEIGHT_MAX, the
     evaluator's max_height.  The callback broadcasts over arrays of s, as
     `find_zeros` requires, and takes zeta and every L(s, chi^j) from one
-    `dirichlet_L` call, that is one Hurwitz call over the union of their
+    `dirichlet_L` call, whose Hurwitz calls share the union of their
     columns a = r/m and a = 1.  The evaluator's factors are zeta, with
     exponent q - 1, and each L(s, chi^j), with exponent -1, each with its
     character, which is primitive; the ramified factors vanish only on
@@ -138,37 +138,29 @@ def _evaluate(f: Callable, zs: np.ndarray) -> np.ndarray:
     return vals[np.argsort(rank)][row]
 
 
-def _segments(x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
-    """(z0, z1) of _SAMPLES_PER_EDGE even steps along lines (x0, y0) -> (x1, y1)."""
+def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
+    """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
+
+    Each box is outlined afresh, counterclockwise, by segments z0 -> z1 of
+    _SAMPLES_PER_EDGE even steps per edge, all boxes' samples in one
+    `_evaluate`.  A step |arg(f1/f0)| < 1.9 is added to its box's total, any
+    other segment is split, one bisection depth and `_evaluate` at a time.
+    """
+    re0, re1, im0, im1 = np.array(boxes).T
+    # the edges (x0, y0) -> (x1, y1); each step ends exactly on its corner
+    x0, y0, x1, y1 = (np.stack(c, axis=1) for c in (
+        (re0, re1, re1, re0), (im0, im0, im1, im1),
+        (re1, re1, re0, re0), (im0, im1, im1, im0)))
     t = np.arange(_SAMPLES_PER_EDGE + 1)
     x, y = (np.where(t < _SAMPLES_PER_EDGE,
                      a[..., None] + (b - a)[..., None] * t / _SAMPLES_PER_EDGE,
                      b[..., None]) for a, b in ((x0, x1), (y0, y1)))
     z = x + 1j * y
-    return z[..., :-1].ravel(), z[..., 1:].ravel()
-
-
-def _windings(f: Callable, boxes: list[tuple],
-              contour: tuple | None = None) -> tuple[list[int], tuple]:
-    """Zeros-minus-poles count inside each box (re0, re1, im0, im1), and the
-    resolved contour: the segments whose phase step was accepted.
-
-    A contour is the arrays (box, z0, z1, f(z0), f(z1)) over segments z0 ->
-    z1 along each box's edges, counterclockwise; by default _SAMPLES_PER_EDGE
-    per edge.  A step |arg(f1/f0)| < 1.9 is added to its box's total, any
-    other segment is split, one bisection depth and `_evaluate` at a time.
-    """
-    if contour is None:
-        re0, re1, im0, im1 = np.array(boxes).T
-        z0, z1 = _segments(*(np.stack(c, axis=1) for c in (
-            (re0, re1, re1, re0), (im0, im0, im1, im1),
-            (re1, re1, re0, re0), (im0, im1, im1, im0))))
-        contour = (np.repeat(np.arange(len(boxes)), 4 * _SAMPLES_PER_EDGE),
-                   z0, z1, *_evaluate(f, np.concatenate([z0, z1])).reshape(2, -1))
+    z0, z1 = z[..., :-1].ravel(), z[..., 1:].ravel()
+    k = np.repeat(np.arange(len(boxes)), 4 * _SAMPLES_PER_EDGE)
+    f0, f1 = _evaluate(f, np.concatenate([z0, z1])).reshape(2, -1)
     totals = np.zeros(len(boxes))
-    resolved = []
     for depth in range(_MAX_PHASE_DEPTH + 1):
-        k, z0, z1, f0, f1 = contour
         zero = (f0 == 0) | (f1 == 0)
         if zero.any():
             i = zero.argmax()
@@ -177,17 +169,16 @@ def _windings(f: Callable, boxes: list[tuple],
         d = np.angle(f1 / f0)
         ok = np.abs(d) < 1.9  # safely below pi: no aliasing possible
         np.add.at(totals, k[ok], d[ok])
-        resolved.append([x[ok] for x in contour])
         if ok.all():
             break
         if depth == _MAX_PHASE_DEPTH:
             i = ok.argmin()
             raise UnresolvedBoxError(f"phase tracking failed near "
                                      f"{complex(z0[i])}..{complex(z1[i])}")
-        k, z0, z1, f0, f1 = (x[~ok] for x in contour)
+        k, z0, z1, f0, f1 = (x[~ok] for x in (k, z0, z1, f0, f1))
         zm = 0.5 * (z0 + z1)
         fm = _evaluate(f, zm)
-        contour = tuple(np.concatenate(x) for x in (
+        k, z0, z1, f0, f1 = (np.concatenate(x) for x in (
             (k, k), (z0, zm), (zm, z1), (f0, fm), (fm, f1)))
     w = totals / (2 * math.pi)
     off = np.abs(w - np.round(w)) > 1e-6
@@ -196,47 +187,19 @@ def _windings(f: Callable, boxes: list[tuple],
         raise UnresolvedBoxError(
             f"non-integer winding {float(w[off][0])} on box "
             f"{complex(re0, im0)}..{complex(re1, im1)}")
-    return (np.round(w).astype(int).tolist(),
-            tuple(np.concatenate(x) for x in zip(*resolved)))
+    return np.round(w).astype(int).tolist()
 
 
-def _split(f: Callable, boxes: list[tuple], contour: tuple,
-           keep: list[int]) -> tuple[list[tuple], tuple]:
-    """The four children of each box boxes[i], i in keep, and their contour:
-    a child's share of its parent's resolved `contour`, cut where the cuts
-    meet it, and fresh segments on each half of the two cuts, which the
-    children on either side run in opposite directions."""
-    re0, re1, im0, im1 = np.array([boxes[i] for i in keep]).reshape(-1, 4).T
-    # split slightly off-center: zeros of interest sit on Re = 1/2
-    # and an exact-midpoint cut would run straight through them
-    rm, imm = re0 + 0.5137 * (re1 - re0), im0 + 0.4873 * (im1 - im0)
-    children = np.stack([re0, rm, im0, imm, rm, re1, im0, imm, re0, rm, imm,
-                         im1, rm, re1, imm, im1], axis=1).reshape(-1, 4)
-    pos = np.full(len(boxes), -1)
-    pos[keep] = np.arange(len(keep))
-    k, z0, z1, f0, f1 = contour
-    j, z0, z1, f0, f1 = (x[pos[k] >= 0] for x in (pos[k], z0, z1, f0, f1))
-    across_re = (z0.real - rm[j]) * (z1.real - rm[j]) < 0
-    across_im = (z0.imag - imm[j]) * (z1.imag - imm[j]) < 0
-    cut = across_re | across_im
-    zc = (np.where(across_re, rm[j], z0.real)
-          + 1j * np.where(across_im, imm[j], z0.imag))[cut]
-    # the halves of the cuts, from the center to each edge point
-    a, b = _segments(*(np.stack(c, axis=1) for c in (
-        (rm,) * 4, (imm,) * 4, (rm, re1, rm, re0), (im0, imm, im1, imm))))
-    fa, fb, fc = np.split(_evaluate(f, np.concatenate([a, b, zc])),
-                          [a.size, 2 * a.size])
-    jh = np.repeat(np.arange(len(keep)), 4 * _SAMPLES_PER_EDGE)
-    j, z0, z1, f0, f1 = (np.concatenate(x) for x in (
-        (j[~cut], j[cut], j[cut], jh, jh),
-        (z0[~cut], z0[cut], zc, a, b), (z1[~cut], zc, z1[cut], b, a),
-        (f0[~cut], f0[cut], fc, fa, fb), (f1[~cut], fc, f1[cut], fb, fa)))
-    # a segment's child is on its left, as a contour runs counterclockwise
-    mid, step = 0.5 * (z0 + z1), z1 - z0
-    right = (mid.real > rm[j]) | ((mid.real == rm[j]) & (step.imag < 0))
-    top = (mid.imag > imm[j]) | ((mid.imag == imm[j]) & (step.real > 0))
-    return ([tuple(box) for box in children.tolist()],
-            (4 * j + right + 2 * top, z0, z1, f0, f1))
+def _split(boxes: list[tuple]) -> list[tuple]:
+    """The four children of each box, bottom left, bottom right, top left,
+    top right.  The cuts lie slightly off-center: zeros of interest sit on
+    Re s = 1/2, and an exact-midpoint cut would run straight through them."""
+    children = []
+    for re0, re1, im0, im1 in boxes:
+        rm, imm = re0 + 0.5137 * (re1 - re0), im0 + 0.4873 * (im1 - im0)
+        children += [(re0, rm, im0, imm), (rm, re1, im0, imm),
+                     (re0, rm, imm, im1), (rm, re1, imm, im1)]
+    return children
 
 
 def _newton_refine(f: Callable, starts: list[tuple[complex, int]]) -> list[complex]:
@@ -329,20 +292,19 @@ def _scan(f: Callable, level: list[tuple], budget: int,
     |w| <= _MAX_ORDER, then refined by Newton on f from its center; an
     iterate that escapes the box splits it again.  So the box scan alone
     finds a zero off the line or a multiple one.  The scan walks one
-    subdivision level at a time: one `_windings` over its contours, which
-    only level 0 samples afresh, and one lockstep `_newton_refine` over its
-    small boxes.  For an f that gives a point the same value in any batch,
-    as `g_closed_form`'s functions do, the result does not depend on this
+    subdivision level at a time: one `_windings` over fresh outlines of all
+    its boxes, and one lockstep `_newton_refine` over its small boxes.  For
+    an f that gives a point the same value in any batch, as
+    `g_closed_form`'s functions do, the result does not depend on this
     batching.
     """
     found = []
     used = 0
-    contour = None
     while level:
         used += len(level)
         if used > budget:
             raise BudgetExceededError("box subdivision budget exceeded")
-        windings, contour = _windings(f, level, contour)
+        windings = _windings(f, level)
         if chi is not None:
             for i, roots in _line_zeros(f, chi, level, windings).items():
                 found += [(root, 1) for root in roots]
@@ -367,8 +329,8 @@ def _scan(f: Callable, level: list[tuple], budget: int,
                     f"winding {w} unresolved below width 1e-8 near "
                     f"{_center(box)}")
             else:
-                keep.append(i)
-        level, contour = _split(f, level, contour, keep)
+                keep.append(box)
+        level = _split(keep)
     return found, used
 
 

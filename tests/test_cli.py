@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -469,6 +471,26 @@ class TestZeros:
                         "--height", "70")
         assert code == 0
         assert len(out.strip().splitlines()) == 51  # header + 50 points
+
+    def test_large_modulus_in_bounded_memory(self, capsys):
+        # d = 2003 has 4,005 Hurwitz columns: one call over all of a batch's
+        # 256 points held about 770 MB and died of numpy's MemoryError in
+        # 512 MiB of address space; in blocks of 2^16 (point, column) pairs
+        # the run peaks near 215 MB resident and 290 MB of address space
+        argv = ["zeros", "--d", "2003", "--height", "2"]
+        limit = 512 * 2 ** 20
+        code = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                "from partialzeta.cli import main; sys.exit(main(sys.argv[1:]))")
+        path = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path,
+                            "OPENBLAS_NUM_THREADS": "1"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(capsys, *argv)[1]
 
     def test_graph_backend(self, capsys, k4_file):
         code, out = run(capsys, "zeros", "--backend", "graph", "--graph-file",

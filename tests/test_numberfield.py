@@ -460,12 +460,23 @@ class TestLineScan:
     @pytest.mark.parametrize("spec,T", [
         (5, 30.0), (-3, 30.0), (13, 30.0), ((7, 3, 3), 30.0), ((11, 5), 30.0),
         (5, 100.0), ((7, 3, 3), 100.0), ((11, 5), 100.0)], ids=str)
-    def test_line_first_equals_box_only(self, spec, T):
+    def test_line_first_equals_box_only(self, monkeypatch, spec, T):
+        split, parents = numberfield._split, []
+
+        def recorded(boxes):
+            parents.extend(boxes)
+            return split(boxes)
+
+        monkeypatch.setattr(numberfield, "_split", recorded)
         line = find_zeros(g_closed_form(_system(spec)), T).points
+        monkeypatch.undo()
         box = find_zeros(_box_only(g_closed_form(_system(spec))), T).points
         assert [p.order for p in line] == [p.order for p in box]
         for p, q in zip(line, box):
             assert abs(p.location - q.location) < 1e-12
+        # the line pass resolves every level-0 slab here: were one to fall
+        # back, the box scan alone would find its zeros, at its own cost
+        assert parents == [], "a slab fell back to the box scan"
 
 
 def _rational(zeros, poles):
@@ -563,29 +574,27 @@ def _boxes_near_cuts(draw):
     return (re0, re0 + w, im0, im0 + h), pts, signs
 
 
-class TestInheritedContours:
-    """A child box's contour is its share of the parent's resolved segments
-    plus fresh samples on the cuts; its winding must be the one a fresh
-    outline of the child gives, and the true count."""
+class TestSplit:
+    """The children of `_split` tile their parent: each zero and pole lies in
+    exactly one of them, and each child's fresh outline winds by the count
+    of zeros less poles inside it."""
 
     @given(case=_boxes_near_cuts())
     @settings(max_examples=60, deadline=None)
-    def test_windings_equal_fresh_outlines(self, case):
+    def test_children_windings_equal_true_counts(self, case):
         box, pts, signs = case
         f = _rational([p for p, e in zip(pts, signs) if e > 0],
                       [p for p, e in zip(pts, signs) if e < 0])
 
-        def count(b):
+        def inside(p, b):
             re0, re1, im0, im1 = b
-            return sum(e for p, e in zip(pts, signs)
-                       if re0 < p.real < re1 and im0 < p.imag < im1)
+            return re0 < p.real < re1 and im0 < p.imag < im1
 
         level = [box]
-        w, contour = numberfield._windings(f, level)
-        assert w == [count(box)]
+        assert numberfield._windings(f, level) == [sum(signs)]
         for _ in range(2):  # children, then grandchildren
-            level, contour = numberfield._split(
-                f, level, contour, list(range(len(level))))
-            w, contour = numberfield._windings(f, level, contour)
-            assert w == numberfield._windings(f, level)[0]
-            assert w == [count(b) for b in level]
+            level = numberfield._split(level)
+            assert all(sum(inside(p, b) for b in level) == 1 for p in pts)
+            assert numberfield._windings(f, level) == [
+                sum(e for p, e in zip(pts, signs) if inside(p, b))
+                for b in level]
