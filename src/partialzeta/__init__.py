@@ -18,8 +18,9 @@ from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
 from .frobenius import (Character, CyclicGroup, truncated_Z,
                         zp_factorization_residual)
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
-                     graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
-                     parse_graph_file, partial_zeta_series, primitive_cycles)
+                     graph_L, graph_Ls, graph_singularities_in_s, ihara_det,
+                     ihara_edge, parse_graph_file, partial_zeta_series,
+                     primitive_cycles)
 from .lfunctions import (DirichletCharacter, dirichlet_L,
                          fundamental_discriminant, hurwitz_zeta,
                          kronecker_character, kronecker_symbol,

@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, DomainError, InvalidConfigError
 from .frobenius import CyclicGroup, zp_factorization_residual
 from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
                      cover_zeta_inverse, g_series_fraction,
-                     graph_L, graph_singularities_in_s, ihara_det, ihara_edge,
+                     graph_Ls, graph_singularities_in_s, ihara_det, ihara_edge,
                      parse_graph_file, partial_zeta_series)
 from .lfunctions import HEIGHT_MAX, prime_order_character
 from .numberfield import (AbelianSystem, cyclic_system, find_zeros,
@@ -54,13 +54,10 @@ def _fmt(x):
 
 
 def _series_json(series: ExactSeries):
-    out = []
-    for c in series.coeffs:
-        if isinstance(c, Cyclotomic):
-            out.append([[str(v.numerator), str(v.denominator)] for v in c.vec])
-        else:
-            out.append([str(c.numerator), str(c.denominator)])
-    return out
+    def pair(v):
+        return [str(v.numerator), str(v.denominator)]
+    return [[pair(v) for v in c.vec] if isinstance(c, Cyclotomic) else pair(c)
+            for c in series.coeffs]
 
 
 def _emit(args, text: str) -> None:
@@ -332,10 +329,9 @@ def cmd_graph(args) -> None:
                           "connected": cover.is_connected(),
                           "edges": [list(e) for e in cover.edges]})
     elif sub == "lfun":
-        payload = {}
-        for j in range(vg.q_c):
-            payload[f"L{j}"] = _series_json(graph_L(vg, j))
-        payload["product_zeta_Y_inverse"] = _series_json(cover_zeta_inverse(vg))
+        ls = graph_Ls(vg)
+        payload = {f"L{j}": _series_json(lj) for j, lj in enumerate(ls)}
+        payload["product_zeta_Y_inverse"] = _series_json(cover_zeta_inverse(vg, ls))
         _emit_json(args, payload)
     elif sub == "partial":
         l_ord = args.order if args.order is not None else 12
@@ -444,18 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         args.func(args)
-    except InvalidConfigError as exc:
+    except (InvalidConfigError, DomainError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        return (3 if isinstance(exc, DomainError)
+                else 5 if isinstance(exc, BudgetExceededError) else 2)
     return 0
 
 

@@ -4,11 +4,14 @@ Everything on the graph side is exact.  Every determinant is det(I - uM)
 from one division-free routine (Berkowitz's recurrence) over the integers or
 Z[zeta_q]: on the non-backtracking edge matrix for edge determinants, and on
 the n x n twisted adjacency matrix, through the vertex-side Ihara-Bass
-formula, for zeta_X and the L-functions of Z/q voltages.
+formula, for zeta_X and the L-functions of Z/q voltages.  The L-functions
+take one Berkowitz run per Galois orbit of characters: the trivial one on
+ints, and chi_1, whose conjugates give every other nontrivial L.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -22,7 +25,7 @@ from .errors import BudgetExceededError, InvalidConfigError
 from .primes import factorize
 from .series import Cyclotomic, ExactSeries, poly_gcd, poly_divmod, squarefree_decomposition
 
-CYCLE_ENUM_CAP = 2_000_000  # DFS step budget for primitive-cycle enumeration
+CYCLE_ENUM_CAP = 2_000_000  # prenecklace nodes of one primitive-cycle enumeration
 # largest cover group order: products in Z[zeta_q] cost O(q^2), and the
 # L-product takes most of a large cover's time (README, CLI)
 MAX_COVER_ORDER = 19
@@ -73,8 +76,7 @@ class MultiGraph:
     def is_connected(self) -> bool:
         if self.m < self.n - 1:  # connecting n vertices takes n - 1 edges
             return False
-        seen = {0}
-        stack = [0]
+        seen, stack = {0}, [0]
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -86,14 +88,17 @@ class MultiGraph:
                     stack.append(w)
         return len(seen) == self.n
 
-    def edge_matrix(self) -> np.ndarray:
-        """Non-backtracking oriented-edge matrix T: e -> f iff head(e) = tail(f), f != reverse(e)."""
+    def successors(self) -> list[list[int]]:
+        """Each oriented edge's NBT successors f: head(e) = tail(f), f != reverse(e)."""
         k = 2 * self.m
-        t = np.zeros((k, k), dtype=np.int64)
-        for e in range(k):
-            for f in range(k):
-                if self.head[e] == self.tail[f] and f != e ^ 1:
-                    t[e, f] = 1
+        return [[f for f in range(k) if self.head[e] == self.tail[f] and f != e ^ 1]
+                for e in range(k)]
+
+    def edge_matrix(self) -> np.ndarray:
+        """Non-backtracking oriented-edge matrix T: T[e, f] = 1 iff f succeeds e."""
+        t = np.zeros((2 * self.m, 2 * self.m), dtype=np.int64)
+        for e, fs in enumerate(self.successors()):
+            t[e, fs] = 1
         return t
 
 
@@ -162,44 +167,61 @@ def ihara_edge(x: MultiGraph) -> ExactSeries:
 # ---------------------------------------------------------------------------
 
 def primitive_cycles(x: MultiGraph, max_len: int) -> list[tuple[int, ...]]:
-    """Canonical (lex-least rotation) primitive closed NBT cycles, length <= max_len."""
-    k = 2 * x.m
-    succ = [[f for f in range(k) if x.head[e] == x.tail[f] and f != e ^ 1]
-            for e in range(k)]
-    out = []
-    budget = [CYCLE_ENUM_CAP]
+    """Canonical primitive closed NBT cycles, length <= max_len: the Lyndon
+    words of oriented edges, by length, then lexicographically.
 
-    def extend(path: list[int]) -> None:
+    Only prenecklaces are grown (Ruskey, Savage and Wang, J. Algorithms 13,
+    1992): a prefix of n edges and period p extends by f >= path[n - p],
+    keeping p where f equals that edge and taking p = n + 1 where f is
+    larger, and is a Lyndon word where p = n.  A prefix grows only while it
+    can close within max_len; each one shorter counts against CYCLE_ENUM_CAP.
+    """
+    if max_len < 1:
+        return []
+    k, succ = 2 * x.m, x.successors()
+    pred = [[e for e in range(k) if f in succ[e]] for f in range(k)]
+    by_len = [[] for _ in range(max_len + 1)]
+    budget = [CYCLE_ENUM_CAP]
+    path = []
+
+    def extend(n: int, p: int, reach: list[int]) -> None:
         budget[0] -= 1
         if budget[0] <= 0:
             raise BudgetExceededError("primitive-cycle enumeration budget exceeded")
-        e = path[-1]
-        if len(path) >= 1 and x.head[e] == x.tail[path[0]] and path[0] != e ^ 1:
-            walk = tuple(path)
-            if _is_canonical_primitive(walk):
-                out.append(walk)
-        if len(path) < max_len:
+        e, low = path[-1], path[n - p]
+        if p == n and reach[e] == 1:
+            by_len[n].append(tuple(path))
+        if n + 1 < max_len:
             for f in succ[e]:
-                if f >= path[0]:  # canonical rotation starts at the least edge
+                if f >= low and n + reach[f] <= max_len:
                     path.append(f)
-                    extend(path)
+                    extend(n + 1, p if f == low else n + 1, reach)
                     path.pop()
+        elif n < max_len:  # the last edge: only f > low gives a Lyndon word
+            by_len[max_len] += [(*path, f) for f in succ[e] if f > low and reach[f] == 1]
 
     for e0 in range(k):
-        extend([e0])
-    out.sort(key=lambda w: (len(w), w))
-    return out
+        # reach[e]: the fewest NBT steps from e on to e0, 1 where e closes onto it
+        reach, frontier = [max_len + 1] * k, {e0}
+        for d in range(1, max_len + 1):
+            frontier = {e for f in frontier for e in pred[f] if reach[e] > max_len}
+            for e in frontier:
+                reach[e] = d
+        path.append(e0)
+        extend(1, 1, reach)
+        path.pop()
+    return [walk for walks in by_len for walk in walks]
 
 
-def _is_canonical_primitive(walk: tuple[int, ...]) -> bool:
-    """Whether walk is a Lyndon word (strictly below each proper rotation: its
-    own least rotation and no proper power), by Duval's O(n) scan (J.
-    Algorithms 4, 1983): its first Lyndon factor, j - k long, is all of it."""
-    n, k, j = len(walk), 0, 1
-    while j < n and walk[k] <= walk[j]:
-        k = k + 1 if walk[k] == walk[j] else 0
-        j += 1
-    return j == n and k == 0
+def _cycle_voltages(vg: VoltageGraph, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The length and the voltage sum mod q_c of each primitive cycle of the
+    base to max_len, in one array pass over their edges."""
+    walks = primitive_cycles(vg.base, max_len)
+    lens = np.fromiter(map(len, walks), np.int64, len(walks))
+    edges = np.fromiter(itertools.chain.from_iterable(walks), np.int64, int(lens.sum()))
+    sums = np.add.reduceat(np.array(vg.oriented_voltages)[edges],
+                           np.cumsum(lens) - lens) if walks else lens
+    return lens, sums % vg.q_c
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +250,17 @@ class VoltageGraph:
         if len(self.voltages) != self.base.m:
             raise InvalidConfigError("need one voltage per undirected edge")
         self.voltages = [v % self.q_c for v in self.voltages]
-        # the voltage of oriented edge e, looked up once per edge of a walk
+        # oriented edge 2i carries voltages[i], its reversal 2i+1 the negation
         self.oriented_voltages = [u for v in self.voltages
                                   for u in (v, (-v) % self.q_c)]
-
-    def cycle_voltage(self, walk: tuple[int, ...]) -> int:
-        return sum(map(self.oriented_voltages.__getitem__, walk)) % self.q_c
 
 
 def build_cover(vg: VoltageGraph) -> MultiGraph:
     """Derived graph on (vertex, sheet) pairs; vertex v + n*a for sheet a."""
-    base, q = vg.base, vg.q_c
-    n = base.n
-    edges = []
-    for i, (u, v) in enumerate(base.edges):
-        alpha = vg.voltages[i]
-        for a in range(q):
-            edges.append((u + n * a, v + n * ((a + alpha) % q)))
-    cover = MultiGraph(n * q, edges)
+    n, q = vg.base.n, vg.q_c
+    cover = MultiGraph(n * q, [(u + n * a, v + n * ((a + alpha) % q))
+                               for (u, v), alpha in zip(vg.base.edges, vg.voltages)
+                               for a in range(q)])
     if not cover.is_connected():
         warnings.warn("voltage cover is disconnected (voltages do not generate "
                       "the cover group on a cycle basis)", stacklevel=2)
@@ -267,15 +282,15 @@ class GraphZetaSystem(ZetaSystem):
     def _enumerate(self, X):
         if X == math.inf:
             raise BudgetExceededError("cycles of every length exceed the budget")
-        walks = []
+        max_len = 0
         if X >= self.q_g:
             max_len = int(math.floor(math.log(X) / math.log(self.q_g) + 1e-12))
-            walks = primitive_cycles(self.vg.base, max_len)
+        lens, vol = _cycle_voltages(self.vg, max_len)
         dt = class_dtype(self.group_order)
-        vol = np.array([self.vg.cycle_voltage(w) for w in walks], dtype=dt)
-        return PrimeTable(np.array([float(self.q_g ** len(w)) for w in walks]),
-                          vol, np.where(vol == 0, 1, self.group_order).astype(dt),
-                          np.arange(len(walks)))
+        norms = np.array([float(self.q_g ** n) for n in range(max_len + 1)])
+        return PrimeTable(norms[lens], vol.astype(dt),
+                          np.where(vol == 0, 1, self.group_order).astype(dt),
+                          np.arange(len(lens)))
 
     def count_coeff(self):
         return 2.0 * self.vg.base.m / (self.q_g - 1) + 1.0
@@ -293,9 +308,8 @@ def parse_graph_file(text: str) -> VoltageGraph:
         raise InvalidConfigError(f"bad graph header {lines[0]!r}") from exc
     edges, volts = [], []
     for ln in lines[1:]:
-        toks = ln.split()
         try:
-            ints = [int(tok) for tok in toks]
+            ints = [int(tok) for tok in ln.split()]
         except ValueError:
             ints = []
         if len(ints) not in (2, 3):
@@ -318,35 +332,40 @@ def graph_L(vg: VoltageGraph, j: int) -> ExactSeries:
     The vertex-side twisted Ihara-Bass formula (Stark-Terras, Adv. Math. 121,
     1996): each oriented edge e adds chi_j(voltage(e)) to A_chi[tail e, head e].
     It equals det(I - u T_chi), T_chi[e -> f] = chi_j(voltage(f)) T[e -> f].
-    Rational coefficients come back as ints, the rest as Cyclotomics over Z.
+    A rational character (j = 0, or q_c = 2) has int entries; otherwise
+    rational coefficients come back as ints, the rest as Cyclotomics over Z.
     """
     q = vg.q_c
-    zeta_pows = [Cyclotomic.root_power(q, j * a) for a in range(q)]
-    det = _ihara_bass(vg.base, lambda e: zeta_pows[vg.oriented_voltages[e]])
+    chi = [(-1) ** (j * a % q) if j % q == 0 or q == 2 else Cyclotomic.root_power(q, j * a)
+           for a in range(q)]
+    det = _ihara_bass(vg.base, lambda e: chi[vg.oriented_voltages[e]])
     return ExactSeries([c.rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
                         for c in det.coeffs])
 
 
-def cover_zeta_inverse(vg: VoltageGraph) -> ExactSeries:
-    """zeta_Y(u)^{-1} as prod_j L(u, chi_j)^{-1}, returned with int coefficients."""
+def graph_Ls(vg: VoltageGraph) -> list[ExactSeries]:
+    """[L(u, chi_j)^{-1} for j < q_c] from graph_L at j = 0 and 1: every other
+    L_j is sigma_j(L_1), zeta -> zeta^j on each coefficient."""
+    l1 = graph_L(vg, 1)
+    return [graph_L(vg, 0), l1] + [
+        ExactSeries([c.conjugate(j) if isinstance(c, Cyclotomic) else c for c in l1.coeffs])
+        for j in range(2, vg.q_c)]
+
+
+def cover_zeta_inverse(vg: VoltageGraph, ls: list[ExactSeries] | None = None
+                       ) -> ExactSeries:
+    """zeta_Y(u)^{-1} as prod_j L(u, chi_j)^{-1} over ls = graph_Ls(vg), with
+    int coefficients (rational() raises if the product failed to pair up)."""
     prod = ExactSeries.one()
-    for j in range(vg.q_c):
-        prod = prod * graph_L(vg, j)
-    coeffs = []
-    for c in prod.coeffs:
-        if isinstance(c, Cyclotomic):
-            coeffs.append(c.rational())  # raises if the product failed to pair up
-        else:
-            coeffs.append(c)
-    return ExactSeries(coeffs)
+    for lj in ls or graph_Ls(vg):
+        prod = prod * lj
+    return ExactSeries([c.rational() if isinstance(c, Cyclotomic) else c for c in prod.coeffs])
 
 
 def g_series_fraction(vg: VoltageGraph) -> tuple[ExactSeries, ExactSeries]:
     """(numerator, denominator) of G(u) = zeta_X(u)^{q_c} / zeta_Y(u):
     numerator = zeta_Y(u)^{-1}, denominator = (zeta_X(u)^{-1})^{q_c}."""
-    zx_inv = ihara_edge(vg.base)
-    zy_inv = cover_zeta_inverse(vg)
-    return zy_inv, zx_inv ** vg.q_c
+    return cover_zeta_inverse(vg), ihara_edge(vg.base) ** vg.q_c
 
 
 def partial_zeta_series(vg: VoltageGraph, l_ord: int,
@@ -360,16 +379,15 @@ def partial_zeta_series(vg: VoltageGraph, l_ord: int,
     G = num / den from g_fraction (:func:`g_series_fraction`).  Contract:
     identical coefficients.
     """
-    cover = build_cover(vg)
-    if not cover.is_connected():
+    if not build_cover(vg).is_connected():
         raise InvalidConfigError("partial zeta needs a connected cover")
     q = vg.q_c
 
-    counts = Counter(len(walk) for walk in primitive_cycles(vg.base, l_ord)
-                     if vg.cycle_voltage(walk) != 0)
+    lens, vol = _cycle_voltages(vg, l_ord)
+    counts = np.bincount(lens[vol != 0], minlength=l_ord + 1).tolist()
     direct = ExactSeries.one(l_ord)
-    for nu, c in sorted(counts.items()):
-        binom = [math.comb(c + k - 1, k) for k in range(l_ord // nu + 1)]
+    for nu in np.flatnonzero(counts).tolist():
+        binom = [math.comb(counts[nu] + k - 1, k) for k in range(l_ord // nu + 1)]
         direct = direct * ExactSeries(binom, l_ord).substitute_power(nu)
 
     num, den = g_fraction
@@ -396,12 +414,11 @@ def _poly_roots_exact_mults(poly: ExactSeries) -> list[tuple[complex, int]]:
     for factor, mult in squarefree_decomposition(poly.coeffs):
         fc = np.array([float(c) for c in factor])
         roots = np.roots(fc[::-1])
-        dfc = [factor[k] * k for k in range(1, len(factor))]
+        f, df = ExactSeries(factor), ExactSeries([factor[k] * k for k in range(1, len(factor))])
         for r in roots:
             z = complex(r)
             for _ in range(60):  # Newton polish on the square-free factor
-                fv = _horner(factor, z)
-                dv = _horner(dfc, z)
+                fv, dv = f(z), df(z)
                 if dv == 0:
                     break
                 step = fv / dv
@@ -410,13 +427,6 @@ def _poly_roots_exact_mults(poly: ExactSeries) -> list[tuple[complex, int]]:
                     break
             out.append((z, mult))
     return out
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + complex(c)
-    return acc
 
 
 def graph_singularities_in_s(poly: tuple[ExactSeries, ExactSeries], q_g: int,

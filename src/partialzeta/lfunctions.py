@@ -55,9 +55,9 @@ from .primes import factorize
 HEIGHT_MAX = 100.0
 # hurwitz_zeta and the principal L raise PoleAtOneError this close to s = 1
 POLE_RADIUS = 1e-14
-# (point, column) pairs per hurwitz_zeta call of dirichlet_L: a call holds
-# about N head terms for each pair, so large moduli go in blocks of points
-_HURWITZ_BLOCK = 2 ** 16
+# head terms per hurwitz_zeta call of dirichlet_L, N for each (point, column)
+# pair: large moduli and heights go in blocks of points (2^16 pairs at N = 50)
+_HURWITZ_BLOCK = 50 * 2 ** 16
 # B_2, B_4, ..., B_10: Euler-Maclaurin corrections to the 10th Bernoulli term
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30), Fraction(5, 66)]
@@ -313,8 +313,9 @@ def dirichlet_L(s, chi):
     array of s; a scalar s and one character give a Python complex, and a
     sequence gives an array with one leading row per character.  All the
     L-values come from Hurwitz calls over the union of the characters'
-    columns a = r/m, one call per block of at most _HURWITZ_BLOCK (point,
-    column) pairs; each L sums its residues in order, as alone.
+    columns a = r/m, one call per block of points whose head terms, N for
+    each (point, column) pair, pass _HURWITZ_BLOCK by at most one point's;
+    each L sums its residues in order, as alone.
     """
     chis = [chi] if isinstance(chi, DirichletCharacter) else list(chi)
     z = np.asarray(s, dtype=complex)
@@ -341,9 +342,11 @@ def dirichlet_L(s, chi):
     keep = ~(at_pole | far)
     s = s[keep]
     col = {x: j for j, x in enumerate(a)}
-    step = max(1, _HURWITZ_BLOCK // len(a))
-    hz = np.concatenate([hurwitz_zeta(s[i:i + step, None], np.array(a))
-                         for i in range(0, max(len(s), 1), step)])
+    # the running count of head terms, N = max(50, int(2|Im s|) + 1) per pair
+    terms = np.cumsum(np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)) * len(a)
+    cuts = np.flatnonzero(np.diff(terms // _HURWITZ_BLOCK)) + 1
+    hz = np.concatenate([hurwitz_zeta(block[:, None], np.array(a))
+                         for block in np.split(s, cuts)])
     for row, chi_j, cols_j in zip(out, chis, cols):
         total = np.zeros_like(s)
         for x, v in zip(cols_j, chi_j.values):

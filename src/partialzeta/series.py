@@ -44,9 +44,6 @@ class ExactSeries:
         return cls([0] * power + [coeff], order)
 
     # -- bookkeeping --------------------------------------------------
-    def __len__(self):
-        return len(self.coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -70,9 +67,6 @@ class ExactSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def __repr__(self):
         return f"ExactSeries({self.coeffs!r}, order={self.order!r})"
 
@@ -93,8 +87,6 @@ class ExactSeries:
         return ExactSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return ExactSeries([c * other for c in self.coeffs], self.order)
         other = self._coerce(other)
         order = self._join_order(other)
         na, nb = len(self.coeffs), len(other.coeffs)
@@ -264,6 +256,13 @@ class Cyclotomic:
             return cls(q, [0] * j + [1])
         return cls(q, [-1] * (q - 1))  # z^{q-1} = -(1 + z + ... + z^{q-2})
 
+    def conjugate(self, j: int) -> "Cyclotomic":
+        """sigma_j(self), zeta -> zeta^j for j prime to q: z^i goes to z^{ij mod q}."""
+        out = [0] * self.q
+        for i, c in enumerate(self.vec):
+            out[i * j % self.q] += c
+        return Cyclotomic(self.q, [c - out[-1] for c in out[:-1]])
+
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.vec[1:])
 
@@ -283,9 +282,6 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self.q == other.q and self.vec == other.vec
-
-    def __hash__(self):
-        return hash((self.q, tuple(self.vec)))
 
     def __add__(self, other):
         other = self._wrap(other)

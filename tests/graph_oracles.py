@@ -1,5 +1,5 @@
 """Named test graphs, the graph-file writer and independent oracles for
-cycle counts on graphs, kept out of the package."""
+cycle counts and cycle enumeration on graphs, kept out of the package."""
 import numpy as np
 
 from partialzeta.errors import InvalidConfigError
@@ -14,12 +14,23 @@ def named_graph(name: str) -> MultiGraph:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
                  (0, 4), (1, 5), (2, 6), (3, 7)]
         return MultiGraph(8, edges)
+    if name == "K33":
+        return MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    if name == "prism":
+        return prism(3)
     if name == "petersen":
         outer = [(i, (i + 1) % 5) for i in range(5)]
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, 5 + i) for i in range(5)]
         return MultiGraph(10, outer + inner + spokes)
     raise InvalidConfigError(f"unknown named graph {name!r}")
+
+
+def prism(k: int) -> MultiGraph:
+    """The k-gonal prism C_k x K_2: two k-cycles joined by k rungs."""
+    return MultiGraph(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                      + [(k + i, k + (i + 1) % k) for i in range(k)]
+                      + [(i, k + i) for i in range(k)])
 
 
 def dump_graph_file(vg: VoltageGraph) -> str:
@@ -73,3 +84,47 @@ def is_canonical_primitive_by_rotations(walk: tuple) -> bool:
         return False
     # primitive: not a proper power (no nontrivial rotation fixes it)
     return all(rot != walk for rot in rotations[1:])
+
+
+def primitive_cycles_by_dfs(x: MultiGraph, max_len: int) -> list[tuple[int, ...]]:
+    """Canonical primitive closed NBT cycles, length <= max_len, sorted by
+    (length, walk): every NBT path that starts at its least edge is grown,
+    and the closed ones that pass `is_canonical_primitive` are kept."""
+    k = 2 * x.m
+    succ = [[f for f in range(k) if x.head[e] == x.tail[f] and f != e ^ 1]
+            for e in range(k)]
+    out = []
+
+    def extend(path: list[int]) -> None:
+        e = path[-1]
+        if x.head[e] == x.tail[path[0]] and path[0] != e ^ 1:
+            walk = tuple(path)
+            if is_canonical_primitive(walk):
+                out.append(walk)
+        if len(path) < max_len:
+            for f in succ[e]:
+                if f >= path[0]:  # canonical rotation starts at the least edge
+                    path.append(f)
+                    extend(path)
+                    path.pop()
+
+    for e0 in range(k):
+        extend([e0])
+    out.sort(key=lambda w: (len(w), w))
+    return out
+
+
+def is_canonical_primitive(walk: tuple[int, ...]) -> bool:
+    """Whether walk is a Lyndon word (strictly below each proper rotation: its
+    own least rotation and no proper power), by Duval's O(n) scan (J.
+    Algorithms 4, 1983): its first Lyndon factor, j - k long, is all of it."""
+    n, k, j = len(walk), 0, 1
+    while j < n and walk[k] <= walk[j]:
+        k = k + 1 if walk[k] == walk[j] else 0
+        j += 1
+    return j == n and k == 0
+
+
+def cycle_voltage(vg: VoltageGraph, walk: tuple[int, ...]) -> int:
+    """The voltage sum of walk mod q_c, one oriented edge at a time."""
+    return sum(map(vg.oriented_voltages.__getitem__, walk)) % vg.q_c

@@ -121,6 +121,15 @@ class TestSieve:
         assert (hashlib.sha256(out.encode()).hexdigest() ==
                 "7604386d2384bf1fdee435b46f81aa43951adbb082b380c0e33fbc3617817605")
 
+    def test_graph_past_the_cycle_budget(self, k4_file, capsys):
+        # cycles of K4 to length 23 take more than CYCLE_ENUM_CAP prenecklace
+        # nodes; the CLI refuses with exit 5 and one error line
+        code = main(["sieve", "--backend", "graph", "--graph-file", k4_file,
+                     "--cutoff", "1e7"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err == "error: primitive-cycle enumeration budget exceeded\n"
+
     def test_graph_without_cycles_of_norm_above_one(self, capsys, tmp_path):
         # a cycle graph has q_g = 1: every cycle would have norm 1
         path = tmp_path / "c3.txt"

@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 from partialzeta.errors import InvalidConfigError
 from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
                                 GraphZetaSystem, MultiGraph, VoltageGraph,
-                                _det_one_minus_u, _is_canonical_primitive,
-                                build_cover, cover_zeta_inverse,
-                                g_series_fraction, graph_L,
-                                graph_singularities_in_s, ihara_det,
-                                ihara_edge, parse_graph_file,
+                                _det_one_minus_u, build_cover,
+                                cover_zeta_inverse, g_series_fraction,
+                                graph_L, graph_Ls, graph_singularities_in_s,
+                                ihara_det, ihara_edge, parse_graph_file,
                                 partial_zeta_series, primitive_cycles)
 from partialzeta.series import Cyclotomic, ExactSeries
 
-from graph_oracles import (count_cycles, dump_graph_file,
-                           is_canonical_primitive_by_rotations, named_graph)
+from graph_oracles import (count_cycles, cycle_voltage, dump_graph_file,
+                           is_canonical_primitive,
+                           is_canonical_primitive_by_rotations, named_graph,
+                           primitive_cycles_by_dfs)
 from series_helpers import conjugate_map, derivative
 
 
@@ -235,17 +236,42 @@ class TestCycleCounts:
     @example((1, 1, 1))
     @settings(max_examples=300, deadline=None)
     def test_lyndon_test_matches_rotations(self, walk):
-        assert _is_canonical_primitive(walk) == \
+        assert is_canonical_primitive(walk) == \
             is_canonical_primitive_by_rotations(walk)
 
     def test_rotation_invariance_of_voltage(self):
         vg = k4_voltage()
         for walk in primitive_cycles(vg.base, 5):
-            v0 = vg.cycle_voltage(walk)
+            v0 = cycle_voltage(vg, walk)
             for i in range(1, len(walk)):
-                assert vg.cycle_voltage(walk[i:] + walk[:i]) == v0
+                assert cycle_voltage(vg, walk[i:] + walk[:i]) == v0
             reverse = tuple(e ^ 1 for e in reversed(walk))
-            assert vg.cycle_voltage(reverse) == (-v0) % vg.q_c
+            assert cycle_voltage(vg, reverse) == (-v0) % vg.q_c
+
+
+class TestPrenecklaceEnumeration:
+    """`primitive_cycles` grows only prenecklaces; the oracle grows every NBT
+    path from its least edge and keeps the Lyndon words by Duval's test."""
+
+    @pytest.mark.parametrize("name", ["K4", "K33", "cube", "prism", "petersen"])
+    def test_matches_dfs_oracle_to_length_10(self, name):
+        g = named_graph(name)
+        assert primitive_cycles(g, 10) == primitive_cycles_by_dfs(g, 10)
+
+    def test_multigraph_with_loops_and_parallel_edges(self):
+        g = MultiGraph(2, [(0, 0), (0, 1), (0, 1), (1, 1), (0, 1)])
+        assert primitive_cycles(g, 9) == primitive_cycles_by_dfs(g, 9)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dfs_oracle_on_random_multigraphs(self, data):
+        g = draw_voltage_graph(data, min_degree=2)[0].base
+        max_len = data.draw(st.integers(1, 8))
+        assert primitive_cycles(g, max_len) == primitive_cycles_by_dfs(g, max_len)
+
+    @pytest.mark.parametrize("max_len", [-1, 0])
+    def test_no_cycles_below_length_one(self, max_len):
+        assert primitive_cycles(named_graph("K4"), max_len) == []
 
 
 class TestVoltageCover:
@@ -297,6 +323,35 @@ class TestGraphL:
             a = c1 if isinstance(c1, Cyclotomic) else Cyclotomic(3, [c1])
             b = c2 if isinstance(c2, Cyclotomic) else Cyclotomic(3, [c2])
             assert conjugate_map(a, 2) == b
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:voltage cover is disconnected")
+    def test_random_voltages_on_named_graphs(self, data):
+        # one Berkowitz run per Galois orbit: each conjugated L_j equals a
+        # direct run for that j, down to the int or Cyclotomic type of every
+        # coefficient; the cycle list does not see the voltages
+        g = named_graph(data.draw(st.sampled_from(
+            ["K4", "K33", "cube", "prism", "petersen"])))
+        q_c = data.draw(st.sampled_from(
+            [q for q in (2, 3, 5, 7) if 2 * g.m * q <= MAX_COVER_EDGES]))
+        vg = VoltageGraph(g, q_c, data.draw(st.lists(
+            st.integers(0, q_c - 1), min_size=g.m, max_size=g.m)))
+        max_len = data.draw(st.integers(1, 10))
+        assert primitive_cycles(g, max_len) == primitive_cycles_by_dfs(g, max_len)
+        ls = graph_Ls(vg)
+        assert len(ls) == q_c
+        for j, lj in enumerate(ls):
+            direct = graph_L(vg, j)
+            assert lj == direct
+            assert [type(c) for c in lj.coeffs] == [type(c) for c in direct.coeffs]
+        assert cover_zeta_inverse(vg) == cover_zeta_inverse(vg, ls) == ihara_det(build_cover(vg))
+
+    def test_rational_characters_have_int_coefficients(self):
+        vg = VoltageGraph(named_graph("cube"), 2, [1] + [0] * 11)
+        for lj in graph_Ls(vg):
+            assert all(type(c) is int for c in lj.coeffs)
+        assert all(type(c) is int for c in graph_L(k4_voltage(), 0).coeffs)
 
     def test_product_is_cover_zeta_cube(self):
         vg = VoltageGraph(named_graph("cube"), 3, [1] + [0] * 11)
@@ -360,7 +415,7 @@ class TestPartialZeta:
         direct, _ = partial_zeta_series(vg, 8, g_series_fraction(vg))
         manual = ExactSeries.one(8)
         for walk in primitive_cycles(vg.base, 8):
-            if vg.cycle_voltage(walk) != 0:
+            if cycle_voltage(vg, walk) != 0:
                 manual = manual * (ExactSeries.one(8)
                                    - ExactSeries.monomial(len(walk), 1, 8)
                                    ).inverse()

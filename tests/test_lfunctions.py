@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
+from partialzeta import lfunctions
 from partialzeta.errors import InvalidConfigError, PoleAtOneError
 from partialzeta.lfunctions import (DirichletCharacter, dirichlet_L,
                                     fundamental_discriminant, hardy_theta,
@@ -251,6 +253,31 @@ class TestSharedColumns:
                 dirichlet_L(s, chis)
             with pytest.raises(PoleAtOneError):
                 reference_dirichlet_L(s, chis[0])
+
+
+class TestHurwitzBlocks:
+    def test_block_memory_flat_in_height(self, monkeypatch):
+        # dirichlet_L cuts its Hurwitz calls by head terms, and a pair sums
+        # N = 199 of them near Im s = 99 against 50 near Im s = 5: with
+        # blocks of (point, column) pairs the peak there was about 4 times
+        monkeypatch.setattr(lfunctions, "_HURWITZ_BLOCK", 20_000)
+        chi = kronecker_character(101)  # 100 columns
+        peaks = []
+        for t in (5.0, 99.0):
+            s = 0.5 + 1j * (t + np.linspace(0.0, 0.5, 32))
+            tracemalloc.start()
+            dirichlet_L(s, chi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_values_do_not_depend_on_the_blocks(self, monkeypatch):
+        s = 0.5 + 1j * np.array([3.0, 99.0, 40.0, 0.5, 99.5, 7.0])
+        chi = kronecker_character(101)
+        whole = dirichlet_L(s, chi)
+        for block in (5_000, 20_000, 60_000):
+            monkeypatch.setattr(lfunctions, "_HURWITZ_BLOCK", block)
+            assert_identical(dirichlet_L(s, chi), whole)
 
 
 class TestLibmPrecondition:

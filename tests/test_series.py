@@ -191,6 +191,23 @@ class TestCyclotomic:
         a = Cyclotomic(5, [1, 2, 3, 4])
         assert conjugate_map(a, 1) == a
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_conjugate_matches_root_power_sum(self, data):
+        # sigma_j by index arithmetic against sum_i c_i zeta^{ij} by products
+        q = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+        a = Cyclotomic(q, data.draw(st.lists(st.integers(-9, 9), min_size=q - 1,
+                                             max_size=q - 1)))
+        j = data.draw(st.integers(1, q - 1))
+        assert a.conjugate(j) == conjugate_map(a, j)
+        assert all(type(c) is int for c in a.conjugate(j).vec)
+
+    def test_conjugate_is_a_ring_map(self):
+        a, b = Cyclotomic(7, [2, -1, 0, 3, 1, 5]), Cyclotomic(7, [0, 4, -2])
+        for j in range(1, 7):
+            assert (a * b).conjugate(j) == a.conjugate(j) * b.conjugate(j)
+            assert (a + b).conjugate(j) == a.conjugate(j) + b.conjugate(j)
+
     def test_galois_norm_is_rational(self):
         a = Cyclotomic(5, [1, 1, 0, 2])
         norm = Cyclotomic.one(5)
