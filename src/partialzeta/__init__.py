@@ -10,13 +10,11 @@ from .continuation import (GEvaluator, PartialZetaEvaluator,
                            SingularityCatalog, SingularPoint, boundary_report,
                            continue_f_power, counting_functions, feq_residual,
                            lambda_q_betas, mq_classes)
-from .core import (PrimeTable, TruncationPolicy, ZetaSystem, truncated_zeta_P,
-                   truncated_zeta_Pn)
+from .core import PrimeTable, TruncationPolicy, ZetaSystem
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
                      SingularLocalFactorError, UnresolvedBoxError)
-from .frobenius import (Character, CyclicGroup, truncated_Z,
-                        zp_factorization_residual)
+from .frobenius import Character, CyclicGroup, zp_factorization_residual
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
                      graph_L, graph_Ls, graph_singularities_in_s, ihara_det,
                      ihara_edge, parse_graph_file, partial_zeta_series,

@@ -21,9 +21,10 @@ from . import __version__
 from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
                            boundary_report, continue_f_power,
                            counting_functions, feq_residual)
-from .core import TruncationPolicy, ZetaSystem, exp_of_log
+from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_zeta_P,
+                   log_zeta_Pn)
 from .errors import BudgetExceededError, DomainError, InvalidConfigError
-from .frobenius import CyclicGroup, zp_factorization_residual
+from .frobenius import CyclicGroup, log_Z, zp_factorization_residual
 from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
                      cover_zeta_inverse, g_series_fraction,
                      graph_Ls, graph_singularities_in_s, ihara_det, ihara_edge,
@@ -211,24 +212,25 @@ def cmd_sieve(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    from .core import truncated_zeta_P, truncated_zeta_Pn
-    from .frobenius import truncated_Z
-
     sys_obj = _build_system(args)
     pol = TruncationPolicy(args.cutoff)
     pts = _parse_grid(args.grid) if args.grid else [_parse_s(args.s)]
-    g = CyclicGroup(sys_obj.group_order) if sys_obj.group_order > 1 else None
+    z, q = np.array(pts), sys_obj.group_order
+    # one call per product over every point
+    logs = {"zeta_P": log_zeta_P(sys_obj, z, pol)}
+    if q > 1:
+        for n in CyclicGroup(q).divisors():
+            logs[f"zeta_P{n}"] = log_zeta_Pn(sys_obj, n, z, pol)
+        logs["Z_P"] = log_Z(sys_obj, z, pol)
+    # a product over no slice is the scalar 0j
+    logs = {k: np.broadcast_to(v, z.shape).tolist() for k, v in logs.items()}
     results = []
-    for s in pts:
+    for k, s in enumerate(pts):
+        tail = pol.tail_bound(s.real, sys_obj.count_coeff())
         entry: dict = {"s": s}
-        v, tail = truncated_zeta_P(sys_obj, s, pol)
-        entry["zeta_P"] = {"value": v, "tail": tail}
-        if g is not None:
-            for n in g.divisors():
-                vn, tn = truncated_zeta_Pn(sys_obj, n, s, pol)
-                entry[f"zeta_P{n}"] = {"value": vn, "tail": tn}
-            vz, tz = truncated_Z(sys_obj, s, pol)
-            entry["Z_P"] = {"value": vz, "tail": tz}
+        for name, vals in logs.items():
+            entry[name] = {"value": exp_of_log(vals[k]),
+                           "tail": q * tail if name == "Z_P" else tail}
         results.append(entry)
     _emit_json(args, {"results": results})
 

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_product,
-                   log_zeta_P, log_zeta_Pn)
+from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_zeta_P,
+                   log_zeta_Pn)
 from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
                      PartialZetaError, PoleAtOneError)
 from .frobenius import log_Z
@@ -170,11 +170,11 @@ def continue_f_power(ev: PartialZetaEvaluator, s, log: bool = False):
     """Value of f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}.
 
     s is a scalar, which raises where the recursion cannot be evaluated, or
-    a 1-d array of points, which gives nan there.  The Euler products at
-    all points take one `log_product` call per class slice, and each level
-    i one g evaluation over all points; each point's logs are then summed
-    in the order of a lone evaluation, so a point's value does not depend
-    on the batch.  With log, it gives log f(s)^{q^r} instead, which stays
+    a 1-d array of points, which gives nan there.  The Euler product at
+    all points is one `log_zeta_Pn` over the batch, and each level i one g
+    evaluation over all points; each point's logs are then summed in the
+    order of a lone evaluation, so a point's value does not depend on the
+    batch.  With log, it gives log f(s)^{q^r} instead, which stays
     finite where the value leaves a double's range.
     """
     z = np.asarray(s, dtype=complex)
@@ -187,10 +187,9 @@ def continue_f_power(ev: PartialZetaEvaluator, s, log: bool = False):
     # Re(q^r s) > 1 in the domain, so |N(p)^{-q^r s}| <= 1/2 for norms >= 2
     # (every CLI backend) and no local factor is singular
     top = np.array([q**r * pts[k] for k in ok], dtype=complex)
-    terms = [log_product(part, 1.0, top).tolist()
-             for key, part in ev.sys.class_slices(ev.policy.cutoff).items()
-             if key[1] == q]
-    log_vals = [sum((t[j] for t in terms), 0j) for j in range(len(ok))]
+    # the scalar 0j where no slice has order q
+    log_vals = np.broadcast_to(log_zeta_Pn(ev.sys, q, top, ev.policy, False),
+                               top.shape).tolist()
     for i in range(r):
         g = evaluate_in_chunks(ev.g.fn, [q**i * pts[k] for k in ok])
         for j, gi in enumerate(g):

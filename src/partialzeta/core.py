@@ -1,15 +1,17 @@
 """Prime tables, truncated Euler products and the subset zeta functions.
 
-All truncated products are accumulated in log space (complex, principal
-branch per factor) and exponentiated at the end; every public operation
-returns the value together with a tail bound on |log(true/value)|.
+Truncated products are accumulated in log space (complex, principal branch
+per factor); `exp_of_log` exponentiates them, and
+`TruncationPolicy.tail_bound` bounds |log(true/value)|.
 
 A system's primes are one `PrimeTable` of columns: float64 norms, classes
 in [0, #G) and orders in the smallest integer dtype holding #G, and ids
 only where they are not the norms.  It is split once per cutoff into
-contiguous (frob_class, frob_order) slices of norms; at each point s each
-slice's norm^{-s} is twisted by every w a character of #G gives its class,
-and each sum -log(1 - w norm^{-s}) is shared by every product at s.
+contiguous (frob_class, frob_order) slices of norms.  `ClassSums` holds
+the sums at s, one point or a 1-d array of points, the same path for both:
+each slice's norm^{-s} is twisted by every w a character of #G gives its
+class, in one `log_product` call over every point, and each sum
+-log(1 - w norm^{-s}) is shared by every product at s.
 
 `log_product`, the kernel under all of them, works in place: `_fill`
 writes log(1 - w norm^{-s}) over a range of norms into one array per twist,
@@ -76,8 +78,9 @@ SINGULAR_FACTOR_EPS = 1e-15
 # glibc's cexp(x + iy) is (exp(x) cos y, exp(x) sin y) up to this x; above
 # it rescales
 CEXP_REAL_MAX = 709.0
-# points whose slice sums a system keeps: every point of one feq-check or
-# composite functional-equation residual (s, q1 s, q2 s, n s) fits
+# points, or batches of points, whose slice sums a system keeps: every point
+# of one feq-check or composite functional-equation residual
+# (s, q1 s, q2 s, n s) fits
 POINT_CACHE = 8
 # one point's slice is cut into ranges of at least RANGE_MIN norms, one per
 # CPU, each filled in chunks of RANGE_CHUNK: a range's work outweighs the
@@ -150,7 +153,7 @@ class ZetaSystem:
         self._cache_X = 0.0
         self._cache = PrimeTable(np.empty(0), *2 * [np.empty(0, np.int8)])
         self._slices: tuple[float | None, dict] = (None, {})  # (X, slices)
-        self._sums: dict[tuple[float, complex], ClassSums] = {}
+        self._sums: dict[tuple, ClassSums] = {}
 
     # -- subclass surface --------------------------------------------
     def _enumerate(self, X: float) -> PrimeTable:
@@ -194,10 +197,10 @@ class ZetaSystem:
                                 for k in np.flatnonzero(np.bincount(code))})
         return self._slices[1]
 
-    def class_sums(self, X: float, s: complex) -> ClassSums:
-        """The slice sums at s over the primes with norm <= X, kept for the
-        last POINT_CACHE points asked for."""
-        key = (X, complex(s))
+    def class_sums(self, X: float, s) -> ClassSums:
+        """The slice sums at s, a point or a 1-d array of points, over the
+        primes with norm <= X, kept for the last POINT_CACHE asked for."""
+        key = (X, np.shape(s), tuple(np.ravel(s).tolist()))
         sums = self._sums.pop(key, None)
         if sums is None:
             sums = ClassSums(self.class_slices(X), s, self.group_order)
@@ -449,30 +452,36 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 @dataclass
 class ClassSums:
-    """Euler-product sums at one point s over the class slices of a table.
+    """Euler-product sums at s, one point or a 1-d array of points, over the
+    class slices of a table.
 
     term(w, key) is the sum over slice key = (frob_class, frob_order) of
-    -log(1 - w norm^{-s}), shared by every product at s that twists that
-    slice by w; from the same norm^{-s} it computes, unless twists is
-    False, every other twist a character of #G gives the class.
+    -log(1 - w norm^{-s}), one per point of an array, shared by every
+    product at s that twists that slice by w; from the same norm^{-s} it
+    computes, unless twists is False, every other twist a character of #G
+    gives the class.  Where one of those is singular at some point, w is
+    taken alone at every point, with the same bits: the kernel's sum for w
+    does not depend on the other twists.
     """
 
     slices: dict[tuple[int, int], np.ndarray]
-    s: complex
+    s: complex | np.ndarray
     group_order: int
     _terms: dict = field(default_factory=dict)  # (w, key) -> term
 
-    def term(self, w: complex, key: tuple[int, int], twists: bool = True) -> complex:
+    def term(self, w: complex, key: tuple[int, int], twists: bool = True):
         t = self._terms.get((w, key))
         if t is None:
             q, roots = self.group_order, roots_of_unity(self.group_order)
             ws = [w] + [complex(roots[j * key[0] % q]) for j in range(q) if twists]
             ws = [v for v in dict.fromkeys(ws) if (v, key) not in self._terms]
             try:
-                sums = log_product(self.slices[key], ws, self.s).tolist()
-            except SingularLocalFactorError:
-                # a sibling twist may be singular where w is not: w alone
-                ws, sums = [w], [log_product(self.slices[key], w, self.s)]
+                sums = log_product(self.slices[key], ws, self.s)
+            except SingularLocalFactorError:  # w alone, as above
+                ws = [w]
+                sums = log_product(self.slices[key], ws, self.s)
+            # per twist, a Python complex at a point or an array over a batch
+            sums = list(sums.T) if np.ndim(self.s) else sums.tolist()
             self._terms.update(zip([(v, key) for v in ws], sums))
             t = sums[0]
         return t
@@ -500,31 +509,14 @@ def exp_of_log(log_value: complex) -> complex:
     return value
 
 
-def log_zeta_Pn(sys: ZetaSystem, n: int, s: complex, pol: TruncationPolicy,
-                twists: bool = True) -> complex:
+def log_zeta_Pn(sys: ZetaSystem, n: int, s, pol: TruncationPolicy,
+                twists: bool = True):
     """log zeta_{P_n}(s); twists=False where no L is read at s, as at q s."""
     sums = sys.class_sums(pol.cutoff, s)
     return sum((sums.term(1.0, key, twists) for key in sums.slices
                 if key[1] == n), 0j)
 
 
-def truncated_zeta_Pn(sys: ZetaSystem, n: int, s: complex,
-                      pol: TruncationPolicy) -> tuple[complex, float]:
-    """Truncated zeta_{P_n}(s) and a bound on |log(true/value)|."""
-    if n < 1:
-        raise InvalidConfigError("n must be a positive integer")
-    value = exp_of_log(log_zeta_Pn(sys, n, s, pol))
-    tail = pol.tail_bound(s.real if isinstance(s, complex) else float(s),
-                          sys.count_coeff())
-    return value, tail
-
-
-def log_zeta_P(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
+def log_zeta_P(sys: ZetaSystem, s, pol: TruncationPolicy):
     sums = sys.class_sums(pol.cutoff, s)
     return sum((sums.term(1.0, key) for key in sums.slices), 0j)
-
-
-def truncated_zeta_P(sys: ZetaSystem, s: complex,
-                     pol: TruncationPolicy) -> tuple[complex, float]:
-    value = exp_of_log(log_zeta_P(sys, s, pol))
-    return value, pol.tail_bound(complex(s).real, sys.count_coeff())

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_zeta_Pn,
-                   roots_of_unity)
+from .core import TruncationPolicy, ZetaSystem, log_zeta_Pn, roots_of_unity
 from .errors import InvalidConfigError
 
 
@@ -40,24 +39,17 @@ def _chi_on_classes(chi: Character, classes: np.ndarray) -> np.ndarray:
     return roots_of_unity(m)[(chi.index * classes) % m]
 
 
-def log_L(sys: ZetaSystem, chi: Character, s: complex, pol: TruncationPolicy) -> complex:
+def log_L(sys: ZetaSystem, chi: Character, s, pol: TruncationPolicy):
     sums = sys.class_sums(pol.cutoff, s)
     keys = list(sums.slices)
     w = _chi_on_classes(chi, np.array([c for c, _ in keys], dtype=np.int64))
     return sum((sums.term(complex(wk), key) for wk, key in zip(w, keys)), 0j)
 
 
-def log_Z(sys: ZetaSystem, s: complex, pol: TruncationPolicy) -> complex:
+def log_Z(sys: ZetaSystem, s, pol: TruncationPolicy):
     """log of prod_j L_P(s, chi_j) over every character of the group."""
     g = CyclicGroup(sys.group_order)
     return sum(log_L(sys, Character(g, j), s, pol) for j in range(g.order))
-
-
-def truncated_Z(sys: ZetaSystem, s: complex,
-                pol: TruncationPolicy) -> tuple[complex, float]:
-    value = exp_of_log(log_Z(sys, s, pol))
-    tail = sys.group_order * pol.tail_bound(complex(s).real, sys.count_coeff())
-    return value, tail
 
 
 def zp_factorization_residual(sys: ZetaSystem, s: complex, X: float) -> float:

@@ -189,12 +189,26 @@ class TestKernelPinned:
         (["feq-check", "--backend", "cyclic", "--char", "11,5", "--s", "1.5",
           "--cutoff", "1e7"],
          "46567e61095c05d02f656241d7816339ae2903b31c6644509427da028f1a737e"),
+        # recorded point by point: one batch per product must print the
+        # same bytes
+        (["eval", "--d", "5", "--grid", "1.1:2:9,0:30:7", "--cutoff", "1e5"],
+         "3f658ffb365dfdde1a45069640a8e081f6691bd0fbcec06688f08c5d698c3a5d"),
+        (["eval", "--backend", "cyclic", "--char", "7,3,3", "--grid",
+          "1.1:2:9,0:30:7", "--cutoff", "1e5"],
+         "012ce100ec3093a7eabaeb865ed0b3563125166ca5c1dda906f06e681971311e"),
+        # the config echoes the relative file name
+        (["eval", "--backend", "graph", "--graph-file", "k4.txt", "--grid",
+          "1.1:2:4,-3:10:7", "--cutoff", "1e3"],
+         "be633777d7ee89013f70d547001ce355d7990cc6dd8724b0cc332e06e278994c"),
     ], ids=["continue-grid-d5", "eval-d5-1e7", "feq-check-7,3,3-1e7",
-            "eval-11,5-1e7", "feq-check-11,5-1e7"])
-    def test_output_pinned(self, capsys, argv, digest):
+            "eval-11,5-1e7", "feq-check-11,5-1e7", "eval-grid-d5",
+            "eval-grid-7,3,3", "eval-grid-K4/Z3"])
+    def test_output_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
         # recorded from the one-array-per-operation Euler-product kernel: the
         # in-place kernel must give the same bits.  These digests depend on
         # numpy's ufunc loops and their SIMD dispatch on the CPU.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k4.txt").write_text(K4_TEXT)
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -292,6 +306,34 @@ class TestEval:
         code, _ = run(capsys, "eval", "--backend", "quadratic", "--d", "5",
                       "--s", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("command,d,digest", [
+        ("eval", "5",
+         "ce99fc06225717d0178d56ee5be9d5765d4e79abad5bbfe11b73203113398910"),
+        ("continue", "5",
+         "3b1722f2e9ee5069987d64baa06cc2d062dacfae5c1b1c3003c172458fa44073"),
+        ("continue", "-7",
+         "997d921a60cecfaba5aef39b3c177bacd6f5c0ae754ab063ac0f4dc97e00700e"),
+    ])
+    def test_grid_below_every_norm(self, capsys, command, d, digest):
+        # only 2 lies below the cutoff, inert for d = 5 and split for
+        # d = -7, so zeta_P1 or zeta_P2 is a product over no slice
+        code, out = run(capsys, command, "--d", d, "--grid",
+                        "0.55:0.95:3,0:30:3", "--cutoff", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("grid,cutoff", [
+        ("0:2:3,0:1:2", "100"),
+        # 0.0625i overflows and 0 is singular: the batch meets the
+        # singular factor first, where one point at a time met the overflow
+        ("0:0:1,0.0625:0:2", "1e4"),
+    ])
+    def test_failure_inside_a_grid(self, capsys, grid, cutoff):
+        code = main(["eval", "--d", "5", "--grid", grid, "--cutoff", cutoff])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: singular local factor at s=0j\n"
 
 
 class TestContinue:

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from partialzeta import continuation
+from partialzeta import core
 from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
                                       boundary_report, continue_f_power,
                                       counting_functions, feq_residual,
                                       lambda_q_betas, mq_classes)
-from partialzeta.core import TruncationPolicy, truncated_zeta_Pn
+from partialzeta.core import TruncationPolicy
 from partialzeta.errors import (DomainError, InsufficientDataError,
                                 InvalidConfigError, PoleAtOneError)
 from partialzeta.lfunctions import prime_order_character
@@ -24,6 +24,7 @@ from partialzeta.numberfield import (cyclic_system, g_closed_form,
 
 from composite_feq import composite_feq_residual
 from prime_data import PrimeDatum, explicit_system, order6_system
+from zeta_oracles import truncated_zeta_Pn
 
 
 class TestFeqResidual:
@@ -169,13 +170,13 @@ class TestBatchedContinuation:
 
         g.fn = counted
         calls = []
-        kernel = continuation.log_product
+        kernel = core.log_product
 
         def counted_kernel(norms, chi, s):
             calls.append(len(s))
             return kernel(norms, chi, s)
 
-        monkeypatch.setattr(continuation, "log_product", counted_kernel)
+        monkeypatch.setattr(core, "log_product", counted_kernel)
         ev = PartialZetaEvaluator(sys_obj, g, 2, TruncationPolicy(10**3))
         pts = np.array([complex(0.2 + 0.001 * k, 0.01 * k) for k in range(300)])
         ev(pts)

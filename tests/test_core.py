@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from partialzeta import core, primes
 from partialzeta.core import (PrimeTable, TruncationPolicy, ZetaSystem,
-                              exp_of_log, log_zeta_P, log_zeta_Pn,
-                              truncated_zeta_P, truncated_zeta_Pn)
+                              exp_of_log, log_zeta_P, log_zeta_Pn)
 from partialzeta.errors import (BudgetExceededError, DomainError,
                                 InvalidConfigError, SingularLocalFactorError)
 from partialzeta.frobenius import Character, CyclicGroup
@@ -25,7 +24,8 @@ from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
 from prime_data import (ExplicitSystem, PrimeDatum, explicit_system,
                         table_rows)
 from system_json import system_from_json, system_to_json
-from zeta_oracles import local_factor, truncated_L
+from zeta_oracles import (local_factor, truncated_L, truncated_zeta_P,
+                          truncated_zeta_Pn)
 
 
 def simple_system():

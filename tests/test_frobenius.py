@@ -9,14 +9,13 @@ import pytest
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError
 from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
-                                   log_Z, truncated_Z,
-                                   zp_factorization_residual)
+                                   log_Z, zp_factorization_residual)
 from partialzeta.numberfield import kronecker_system
 from partialzeta.series import ExactSeries
 
 from composite_feq import subgroup_character_indices
 from prime_data import ExplicitSystem, PrimeDatum, explicit_system
-from zeta_oracles import truncated_L
+from zeta_oracles import truncated_L, truncated_Z, truncated_zeta_P
 
 
 class TestCharacterValues:
@@ -65,8 +64,6 @@ class TestPerPrimeIdentity:
 
 class TestTruncatedL:
     def test_trivial_character_is_zeta_P(self):
-        from partialzeta.core import truncated_zeta_P
-
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**3)
         chi0 = Character(CyclicGroup(2), 0)

@@ -7,9 +7,10 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from partialzeta.core import SINGULAR_FACTOR_EPS, exp_of_log, log_product
+from partialzeta.core import (SINGULAR_FACTOR_EPS, exp_of_log, log_product,
+                             log_zeta_P, log_zeta_Pn)
 from partialzeta.errors import PoleAtOneError, SingularLocalFactorError
-from partialzeta.frobenius import log_L
+from partialzeta.frobenius import log_L, log_Z
 from partialzeta.lfunctions import (_EM_COEFF, DirichletCharacter,
                                     _hurwitz_finite_at_one, hurwitz_zeta,
                                     trivial_character)
@@ -148,11 +149,28 @@ def pass_log_L(sys, j, s, X):
     return reference_log_product(norms, twist, s)
 
 
+# the truncated products from the package's logs, each with the zeta-core
+# tail bound on |log(true/value)|; Z_P's is #G times it
+
 def truncated_L(sys, chi, s: complex, pol) -> tuple[complex, float]:
-    """Truncated L_P(s, chi) from the package's `log_L`, with the zeta-core
-    tail bound."""
     value = exp_of_log(log_L(sys, chi, s, pol))
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
+
+
+def truncated_zeta_P(sys, s: complex, pol) -> tuple[complex, float]:
+    value = exp_of_log(log_zeta_P(sys, s, pol))
+    return value, pol.tail_bound(complex(s).real, sys.count_coeff())
+
+
+def truncated_zeta_Pn(sys, n: int, s: complex, pol) -> tuple[complex, float]:
+    value = exp_of_log(log_zeta_Pn(sys, n, s, pol))
+    return value, pol.tail_bound(complex(s).real, sys.count_coeff())
+
+
+def truncated_Z(sys, s: complex, pol) -> tuple[complex, float]:
+    value = exp_of_log(log_Z(sys, s, pol))
+    tail = sys.group_order * pol.tail_bound(complex(s).real, sys.count_coeff())
+    return value, tail
 
 
 def riemann_zeta(s):
