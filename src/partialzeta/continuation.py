@@ -28,8 +28,6 @@ WEIGHT_ZERO_TOL = 1e-12
 GAP_DELTA = 0.1
 # log-spaced probe heights of the per-window gap listing
 PROBE_COUNT = 32
-# points per g call; bounds a call's memory
-_SAMPLES_PER_CALL = 256
 
 
 @dataclass(frozen=True)
@@ -90,15 +88,6 @@ class SingularityCatalog:
         return cls(points=pts, complete_up_to=complete_up_to)
 
 
-def evaluate_in_chunks(fn: Callable, zs: list[complex]) -> list[complex]:
-    """fn at each point of zs, in calls of at most _SAMPLES_PER_CALL points."""
-    vals = []
-    for i in range(0, len(zs), _SAMPLES_PER_CALL):
-        chunk = np.array(zs[i:i + _SAMPLES_PER_CALL], dtype=complex)
-        vals += fn(chunk).tolist()
-    return vals
-
-
 @dataclass
 class GEvaluator:
     """Meromorphic evaluator for g(s) = zeta_P(s)^q / Z_P(s).
@@ -135,8 +124,8 @@ class GEvaluator:
             err = self.refusal(p)
             if err is not None:
                 raise err
-        vals = evaluate_in_chunks(self.fn, pts)
-        return vals[0] if z.ndim == 0 else np.array(vals).reshape(z.shape)
+        vals = self.fn(z.reshape(-1))
+        return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
 @dataclass
@@ -191,8 +180,8 @@ def continue_f_power(ev: PartialZetaEvaluator, s, log: bool = False):
     log_vals = np.broadcast_to(log_zeta_Pn(ev.sys, q, top, ev.policy, False),
                                top.shape).tolist()
     for i in range(r):
-        g = evaluate_in_chunks(ev.g.fn, [q**i * pts[k] for k in ok])
-        for j, gi in enumerate(g):
+        g = ev.g.fn(np.array([q**i * pts[k] for k in ok], dtype=complex))
+        for j, gi in enumerate(g.tolist()):
             log_vals[j] += q ** (r - i - 1) * cmath.log(gi)
     out = np.full(len(pts), complex(math.nan, math.nan))
     for k, v in zip(ok, log_vals):

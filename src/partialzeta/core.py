@@ -30,8 +30,7 @@ norm^{-s} between the twists, and, among points of one height, the phase:
   `TestLibmPrecondition` in the tests), so this is the bits of one complex
   exp per point, at the cost of a real one;
 - a height that only one point of the batch has, or a point the identity
-  does not cover, takes one complex exp, and needs no phase table;
-- a real-dtype batch stays in float arithmetic with a real twist.
+  does not cover, takes one complex exp, and needs no phase table.
 
 Every step before the sum is elementwise, with the same floating-point
 operations in the same order as the one-array-per-operation form, and each
@@ -52,8 +51,8 @@ the error of the first part that met one.  numpy's ufuncs release the GIL.
   contiguous runs of points.  Each run allocates its work arrays once,
   fills each point over the whole slice as one chunk, taking the
   shared-height path wherever the whole height is shared, so a point's
-  bits do not depend on where the batch was cut, and finishes it.  Where
-  s is complex, the last twist's logs overwrite the point's norm^{-s}.
+  bits do not depend on where the batch was cut, and finishes it.  The
+  last twist's logs overwrite the point's norm^{-s}.
 
 The error is the serial loop's: a fill stops at the first singular twist,
 and `_finish` checks each earlier twist's sum for +inf before it reports
@@ -225,29 +224,27 @@ class ZetaSystem:
 def log_product(norms: np.ndarray, w, s):
     """sum over primes of -log(1 - w * norm^{-s}), principal branch per factor.
 
-    s is a 1-d array, giving one sum per point, or a scalar, a batch of one;
-    a list of twists w adds an axis of one sum per twist, all from one
-    norm^{-s} per point.  Scalar s and w give a Python complex.
+    s is a 1-d array, giving one sum per point, or a scalar, a batch of one,
+    taken as complex; a list of twists w adds an axis of one sum per twist,
+    all from one norm^{-s} per point.  Scalar s and w give a Python complex.
     log(1 - x) = log1p(z) with z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2)
     + i atan2(b, 1 + a), stable for small |z|; computed in place in a few
     work arrays by `_fill`, one point's norms cut into ranges and the points
     of a batch into runs, one per thread, see the module docstring.
     """
-    z = np.asarray(s)
+    z = np.asarray(s, dtype=complex)
     pts = z.reshape(-1).tolist()
     ws = list(w) if np.ndim(w) else [w]
     sums = np.zeros((len(pts), len(ws)), complex)
     n = len(norms)
-    complex_s = np.iscomplexobj(z)
     if n and len(pts) == 1:
         outs = [np.empty(n, complex) for _ in ws]
         firsts = []
 
         def fill_range(lo, hi):
             m = min(RANGE_CHUNK, hi - lo)
-            x = np.empty(m, complex if complex_s else float)
-            firsts.append(_fill(norms, ws, pts[0], lo, hi, outs, x,
-                                np.empty(m, complex)))
+            firsts.append(_fill(norms, ws, pts[0], lo, hi, outs,
+                                np.empty(m, complex), np.empty(m, complex)))
 
         in_threads(fill_range, n, RANGE_MIN)
         _finish(outs, min(firsts), pts[0], sums[0])
@@ -256,15 +253,13 @@ def log_product(norms: np.ndarray, w, s):
         # (point, group, shared) in phase-group order, cut into one
         # contiguous run per thread
         order = [(k, i, len(members) > 1) for i, members in
-                 enumerate(_phase_groups(pts, logs, complex_s))
+                 enumerate(_phase_groups(pts, logs))
                  for k in members]
 
         def fill_run(lo, hi):
-            # norm^{-s} stays float while s is real: a complex exp would
-            # move last bits; a complex x is free for the last twist's logs
-            x = np.empty(n, complex if complex_s else float)
-            outs = [x if complex_s and i + 1 == len(ws) else np.empty(n, complex)
-                    for i in range(len(ws))]
+            # the last twist's logs overwrite norm^{-s}
+            x = np.empty(n, complex)
+            outs = [np.empty(n, complex) for _ in ws[1:]] + [x]
             work = np.empty(n, complex)
             cis, cis_group = None, None  # the phase table and its group
             for k, group, shared in order[lo:hi]:
@@ -380,19 +375,15 @@ def _finish(outs: list, first: int, s, sums: np.ndarray) -> None:
         raise SingularLocalFactorError(f"singular local factor at s={s}")
 
 
-def _phase_groups(pts: list, logs: np.ndarray,
-                  complex_s: bool) -> list[list[int]]:
+def _phase_groups(pts: list, logs: np.ndarray) -> list[list[int]]:
     """The indices of pts grouped by height, each group sharing one phase
-    table; a point of a real batch, or one the identity does not cover,
-    is a group of its own.
+    table; a point the identity does not cover is a group of its own.
 
     y = Im(-s log p) is (-Re s) * 0 + (-Im s) * log p in numpy's complex
     product, so its bits depend only on Im s and on the sign of Re s, which
     a zero product can carry.  cexp(x + iy) is (exp(x) cos y, exp(x) sin y)
     only for x <= 709 and finite y, so the group asks that of every member.
     """
-    if not complex_s:
-        return [[k] for k in range(len(pts))]
     lo, hi = float(np.min(logs)), float(np.max(logs))
     groups: dict = {}
     for k, p in enumerate(pts):
@@ -407,13 +398,12 @@ def _phase_groups(pts: list, logs: np.ndarray,
 
 def _log_one_minus(x: np.ndarray, w, out: np.ndarray, work: np.ndarray) -> bool:
     """Write log(1 - w x) over x = norm^{-s} into out, with w x in work;
-    False, out partly written, where a factor is singular.  out and work
-    are complex arrays of x's length, and out may be x."""
+    False, out partly written, where a factor is singular.  x, out and work
+    are complex arrays of one length, and out may be x."""
     # out of place: numpy multiplies a one-element complex array in place
     # with its reduction loop, which rounds differently
-    x = np.multiply(x, w, out=work if np.iscomplexobj(x) or np.iscomplexobj(w)
-                    else work.view(float)[:len(x)])
-    one_minus_x = np.subtract(1.0, x, out=out if np.iscomplexobj(x) else out.real)
+    x = np.multiply(x, w, out=work)
+    one_minus_x = np.subtract(1.0, x, out=out)
     # |z| >= |Re z|: the modulus, the costlier test, runs only on a chunk
     # with a real part below the bound
     if (np.any(np.abs(one_minus_x.real) < SINGULAR_FACTOR_EPS)
@@ -421,16 +411,12 @@ def _log_one_minus(x: np.ndarray, w, out: np.ndarray, work: np.ndarray) -> bool:
         return False
     # z = -x in place, negated as floats: numpy's complex loop is slower
     np.negative(x.view(float), out=x.view(float))
-    a, re, im = x.real, out.real, out.imag
+    a, b, re, im = x.real, x.imag, out.real, out.imag
     np.multiply(2, a, out=re)
     np.multiply(a, a, out=im)
     re += im
-    if np.iscomplexobj(x):
-        b = x.imag
-        np.multiply(b, b, out=im)
-        re += im
-    else:
-        b = 0.0  # adding b^2 = +0 changes nothing: 2a + a^2 is never -0
+    np.multiply(b, b, out=im)
+    re += im
     with np.errstate(divide="ignore"):
         np.log1p(re, out=re)
     re *= 0.5

@@ -55,6 +55,9 @@ from .primes import factorize
 HEIGHT_MAX = 100.0
 # hurwitz_zeta and the principal L raise PoleAtOneError this close to s = 1
 POLE_RADIUS = 1e-14
+# points per piece of dirichlet_L: bounds both a hurwitz_zeta call at small
+# moduli and, at any modulus, the piece's Hurwitz values (points x columns)
+_HURWITZ_POINTS = 256
 # head terms per hurwitz_zeta call of dirichlet_L, N for each (point, column)
 # pair: large moduli and heights go in blocks of points (2^16 pairs at N = 50)
 _HURWITZ_BLOCK = 50 * 2 ** 16
@@ -313,9 +316,11 @@ def dirichlet_L(s, chi):
     array of s; a scalar s and one character give a Python complex, and a
     sequence gives an array with one leading row per character.  All the
     L-values come from Hurwitz calls over the union of the characters'
-    columns a = r/m, one call per block of points whose head terms, N for
-    each (point, column) pair, pass _HURWITZ_BLOCK by at most one point's;
-    each L sums its residues in order, as alone.
+    columns a = r/m.  The batch is cut into pieces of _HURWITZ_POINTS
+    points, and each piece into blocks whose head terms, N for each
+    (point, column) pair, pass _HURWITZ_BLOCK by at most one point's: one
+    call per block.  Each L sums its residues in order, as alone, over one
+    piece at a time, so a batch holds one piece's Hurwitz values at once.
     """
     chis = [chi] if isinstance(chi, DirichletCharacter) else list(chi)
     z = np.asarray(s, dtype=complex)
@@ -339,19 +344,24 @@ def dirichlet_L(s, chi):
         if far.any():
             row[far] = np.exp(-np.outer(s[far], np.log(np.arange(1, 65)))) @ [
                 chi_j.value(k) for k in range(1, 65)]
-    keep = ~(at_pole | far)
-    s = s[keep]
+    kept = np.flatnonzero(~(at_pole | far))
     col = {x: j for j, x in enumerate(a)}
-    # the running count of head terms, N = max(50, int(2|Im s|) + 1) per pair
-    terms = np.cumsum(np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)) * len(a)
-    cuts = np.flatnonzero(np.diff(terms // _HURWITZ_BLOCK)) + 1
-    hz = np.concatenate([hurwitz_zeta(block[:, None], np.array(a))
-                         for block in np.split(s, cuts)])
-    for row, chi_j, cols_j in zip(out, chis, cols):
-        total = np.zeros_like(s)
-        for x, v in zip(cols_j, chi_j.values):
-            total += v * hz[:, col[x]]
-        row[keep] = np.exp(-s * math.log(chi_j.modulus)) * total
+    for lo in range(0, len(kept), _HURWITZ_POINTS):
+        piece = kept[lo:lo + _HURWITZ_POINTS]
+        sp = s[piece]
+        # the running count of head terms, N = max(50, int(2|Im s|) + 1)
+        # per pair
+        N = np.maximum(50, (2 * np.abs(sp.imag)).astype(np.int64) + 1)
+        terms = np.cumsum(N) * len(a)
+        cuts = np.flatnonzero(np.diff(terms // _HURWITZ_BLOCK)) + 1
+        hz = np.concatenate([hurwitz_zeta(block[:, None], np.array(a))
+                             for block in np.split(sp, cuts)])
+        for row, chi_j, cols_j in zip(out, chis, cols):
+            total = np.zeros_like(sp)
+            for x, v in zip(cols_j, chi_j.values):
+                total += v * hz[:, col[x]]
+            row[piece] = np.exp(-sp * math.log(chi_j.modulus)) * total
+        del hz  # free before the next piece's Hurwitz calls
     if isinstance(chi, DirichletCharacter):
         return complex(out[0, 0]) if z.ndim == 0 else out[0].reshape(z.shape)
     return out.reshape((len(chis),) + z.shape)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import primes as prime_sieve
 from .continuation import (GEvaluator, SingularityCatalog, SingularPoint,
-                           _matches, evaluate_in_chunks)
+                           _matches)
 from .core import PrimeTable, ZetaSystem, class_dtype
 from .errors import (BudgetExceededError, InvalidConfigError,
                      UnresolvedBoxError)
@@ -127,15 +127,15 @@ _MAX_ORDER = 3
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
 _LINE_SAMPLES = 9  # heights of Hardy's Z up each slab in the line pass
+_IM_FLOOR = 0.05  # the first slab's bottom edge, off the real axis
 
 
 def _evaluate(f: Callable, zs: np.ndarray) -> np.ndarray:
     """f at the points zs, each distinct one evaluated once, in order of
-    first appearance and in calls of at most _SAMPLES_PER_CALL points."""
+    first appearance, in one call."""
     distinct, first, row = np.unique(zs, return_index=True, return_inverse=True)
     rank = np.argsort(first)
-    vals = np.array(evaluate_in_chunks(f, distinct[rank]), dtype=complex)
-    return vals[np.argsort(rank)][row]
+    return f(distinct[rank])[np.argsort(rank)][row]
 
 
 def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
@@ -205,8 +205,8 @@ def _split(boxes: list[tuple]) -> list[tuple]:
 def _newton_refine(f: Callable, starts: list[tuple[complex, int]]) -> list[complex]:
     """One root per (start, mult), by Newton steps s -> s - |mult| * f/f'
     with Richardson-extrapolated f' from all starts in lockstep, one call
-    per _SAMPLES_PER_CALL points; each iterate stops on its own, on a step
-    below _NEWTON_TOL or f' = 0, or unevaluated where it has left the strip
+    of f per iteration; each iterate stops on its own, on a step below
+    _NEWTON_TOL or f' = 0, or unevaluated where it has left the strip
     0 < Re s < 1, |Im s| <= HEIGHT_MAX: a caller's bounds reject it as
     escaped.  A negative mult refines a pole of that order as a zero of
     1/f."""
@@ -218,9 +218,9 @@ def _newton_refine(f: Callable, starts: list[tuple[complex, int]]) -> list[compl
         if not live:
             break
         hs = [1e-6 * (1.0 + abs(roots[i])) for i in live]
-        vals = evaluate_in_chunks(f, [
+        vals = f(np.array([
             z for i, h in zip(live, hs) for s in [roots[i]]
-            for z in (s + h, s - h, s + h / 2, s - h / 2, s)])
+            for z in (s + h, s - h, s + h / 2, s - h / 2, s)])).tolist()
         still = []
         for n, (i, h) in enumerate(zip(live, hs)):
             mult = starts[i][1]
@@ -335,7 +335,7 @@ def _scan(f: Callable, level: list[tuple], budget: int,
 
 
 def find_zeros(evaluator: Callable | GEvaluator,
-               T: float, *, im_floor: float = 0.05) -> SingularityCatalog:
+               T: float) -> SingularityCatalog:
     """Catalog zeros and poles of `evaluator` in {0 < Re s < 1, 0 < Im s < T}.
 
     The evaluator maps a 1-d array of s to the array of its values.  A
@@ -361,7 +361,7 @@ def find_zeros(evaluator: Callable | GEvaluator,
     # initial horizontal slabs of height 1/2; the offsets keep box edges away
     # from zeta/L zeros, which lie at irrational-looking heights
     slabs = []
-    im = im_floor
+    im = _IM_FLOOR
     while im < T:
         top = min(im + 0.5, T)
         slabs.append((_RE_MARGIN, 1.0 - _RE_MARGIN, im, top))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from partialzeta import core
+from partialzeta import core, lfunctions
 from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
                                       boundary_report, continue_f_power,
@@ -177,12 +177,22 @@ class TestBatchedContinuation:
             return kernel(norms, chi, s)
 
         monkeypatch.setattr(core, "log_product", counted_kernel)
+        hurwitz_sizes = []
+        hurwitz = lfunctions.hurwitz_zeta
+
+        def counted_hurwitz(s, a):
+            hurwitz_sizes.append(len(s))
+            return hurwitz(s, a)
+
+        monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted_hurwitz)
         ev = PartialZetaEvaluator(sys_obj, g, 2, TruncationPolicy(10**3))
         pts = np.array([complex(0.2 + 0.001 * k, 0.01 * k) for k in range(300)])
         ev(pts)
-        # slices (1, 3) and (2, 3) of order q; 256 + 44 points per level
+        # slices (1, 3) and (2, 3) of order q; one g call of 300 points per
+        # level, whose dirichlet_L cuts 256 + 44 points for Hurwitz
         assert calls == [300, 300]
-        assert sizes == [256, 44, 256, 44]
+        assert sizes == [300, 300]
+        assert hurwitz_sizes == [256, 44, 256, 44]
 
     def test_refused_points_are_nan_in_a_batch(self):
         # Re s at or below 1/q^r, and 2s above the L range |Im| <= 100
@@ -193,6 +203,8 @@ class TestBatchedContinuation:
         vals = ev(np.array(pts)).tolist()
         assert [cmath.isnan(v) for v in vals] == [False, True, True, True]
         assert vals[0] == ev(pts[0])
+        # every point refused: each level's g takes an empty batch
+        assert np.isnan(ev(np.array(pts[1:]))).all()
         for z in pts[1:]:
             with pytest.raises(DomainError):
                 ev(z)

@@ -207,7 +207,9 @@ def _bits(z):
 
 
 def _reference(norms, chi, s):
-    """reference_log_product with one twist, or with each of a list."""
+    """reference_log_product at complex s, the kernel's arithmetic, with one
+    twist or with each of a list."""
+    s = complex(s)
     if isinstance(chi, list):
         return [reference_log_product(norms, w, s) for w in chi]
     return reference_log_product(norms, chi, s)
@@ -273,7 +275,20 @@ class TestKernelBitIdentity:
         for s in (2.0, 0.5 + 14.1j, complex(0.75, 0.0), -0.5):
             norms = RATIONAL_PRIMES[:n]
             assert (_outcome(norms, chi, s, log_product)
-                    == _outcome(norms, chi, s, reference_log_product))
+                    == _outcome(norms, chi, s, _reference))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("chi", [1.0, -1.0, [1.0, -1.0],
+                                     [1.0, complex(roots_of_unity(3)[1])]])
+    def test_real_s_is_complex_s(self, monkeypatch, workers, chi):
+        # a real-dtype s takes the complex arithmetic: the bytes of the same
+        # call at s.astype(complex), for one point and for a batch
+        monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+        for n in (3, 3 * core.RANGE_MIN):
+            norms = RATIONAL_PRIMES[:n]
+            for s in (np.float64(1.5), np.array([1.5, 0.75, -0.5, 1.5, 3.0])):
+                assert (_bits(log_product(norms, chi, s))
+                        == _bits(log_product(norms, chi, s.astype(complex))))
 
 
 def _batch(rng, kind, n_points):
@@ -492,13 +507,13 @@ class TestRangedKernel:
                              ([1.0, 2.0], "singular local factor")):
             with pytest.raises(SingularLocalFactorError) as exc:
                 log_product(norms, chi, 1.0)
-            assert str(exc.value) == f"{message} at s=1.0", chi
+            assert str(exc.value) == f"{message} at s=(1+0j)", chi
 
 
 def _error(norms, w):
     """The message reference_log_product raises at s = 1."""
     try:
-        reference_log_product(norms, w, 1.0)
+        _reference(norms, w, 1.0)
     except SingularLocalFactorError as exc:
         return str(exc)
     return ""

@@ -271,13 +271,60 @@ class TestHurwitzBlocks:
             tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
 
+    def test_memory_flat_in_batch_size(self):
+        # each piece of _HURWITZ_POINTS points sums its residues before the
+        # next: ten pieces hold no more Hurwitz values than one, where a
+        # batch-wide points x columns array grew by 2,304 x 100 values
+        chi = kronecker_character(101)  # 100 columns
+        rng = np.random.default_rng(2560)
+        peaks = []
+        for n in (256, 2560):
+            s = rng.uniform(0.05, 0.95, n) + 1j * rng.uniform(-20.0, 20.0, n)
+            tracemalloc.start()
+            dirichlet_L(s, chi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        piece = lfunctions._HURWITZ_POINTS * 100 * 16  # one piece's values
+        assert peaks[1] - peaks[0] < piece, peaks
+
     def test_values_do_not_depend_on_the_blocks(self, monkeypatch):
         s = 0.5 + 1j * np.array([3.0, 99.0, 40.0, 0.5, 99.5, 7.0])
         chi = kronecker_character(101)
         whole = dirichlet_L(s, chi)
-        for block in (5_000, 20_000, 60_000):
+        for block, points in ((5_000, 256), (20_000, 256), (60_000, 256),
+                              (60_000, 4), (20_000, 2), (5_000, 1)):
             monkeypatch.setattr(lfunctions, "_HURWITZ_BLOCK", block)
+            monkeypatch.setattr(lfunctions, "_HURWITZ_POINTS", points)
             assert_identical(dirichlet_L(s, chi), whole)
+
+    def test_calls_of_at_most_256_points(self, monkeypatch):
+        # below Im s = 24.5 every pair sums N = 50 head terms, far below
+        # _HURWITZ_BLOCK at 4 columns: only the point cap cuts the batch
+        rng = np.random.default_rng(600)
+        s = rng.uniform(0.05, 0.95, 600) + 1j * rng.uniform(-24.0, 24.0, 600)
+        chi = kronecker_character(5)
+        sizes = []
+        hurwitz = lfunctions.hurwitz_zeta
+
+        def counted(s, a):
+            sizes.append(len(s))
+            return hurwitz(s, a)
+
+        monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted)
+        whole = dirichlet_L(s, chi)
+        assert sizes == [256, 256, 88]
+        pieces = [dirichlet_L(s[lo:hi], chi)
+                  for lo, hi in ((0, 256), (256, 512), (512, 600))]
+        assert sizes == [256, 256, 88] * 2
+        assert_identical(whole, np.concatenate(pieces))
+
+    def test_empty_batch(self, monkeypatch):
+        # no Hurwitz call at all, as for a factor with no zero to refine
+        monkeypatch.setattr(lfunctions, "hurwitz_zeta", None)
+        chi = kronecker_character(5)
+        empty = np.array([], dtype=complex)
+        assert dirichlet_L(empty, chi).shape == (0,)
+        assert dirichlet_L(empty, [chi, trivial_character()]).shape == (2, 0)
 
 
 class TestLibmPrecondition:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partialzeta import lfunctions, numberfield
-from partialzeta.continuation import _SAMPLES_PER_CALL, GEvaluator
+from partialzeta.continuation import GEvaluator
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError, UnresolvedBoxError
 from partialzeta.frobenius import log_Z
@@ -242,17 +242,26 @@ class TestFindZeros:
             assert p.order == order
             assert abs(p.location - complex(re, im)) < 1e-12
 
-    def test_d5_scan_work(self):
+    def test_d5_scan_work(self, monkeypatch):
         # the level-batched factor scans: 1,585 g calls of at most 32 points
         # when each box and each bisection or Newton point was its own
         # call; then 104 factor calls for 9,938 points and 48 g calls of 5
         # points, one per Newton step; then 43 factor calls for 5,553 points
         # and 4 g calls, with inherited contours and lockstep Newton runs;
-        # now 22 factor calls for 3,267 points and one g call, as the line
+        # then 22 factor calls for 3,267 points and one g call, as the line
         # pass takes every zero from Hardy's Z and g's Newton runs start at
-        # the factor roots
+        # the factor roots; now 12 factor calls for those points, each
+        # whole, and dirichlet_L cuts them into Hurwitz calls of at most
+        # 256 points
         ev = g_closed_form(kronecker_system(5))
         sizes = {}
+        hurwitz = lfunctions.hurwitz_zeta
+
+        def counted_hurwitz(s, a):
+            sizes.setdefault("hurwitz", []).append(len(s))
+            return hurwitz(s, a)
+
+        monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted_hurwitz)
 
         def counted(fn, key):
             def f(s):
@@ -264,9 +273,10 @@ class TestFindZeros:
         ev.factors = [(counted(f, k), e, chi)
                       for k, (f, e, chi) in enumerate(ev.factors)]
         cat = find_zeros(ev, 28.0)
+        hurwitz_calls = sizes.pop("hurwitz")
         calls = [n for v in sizes.values() for n in v]
-        assert len(calls) <= 350
-        assert max(calls) <= _SAMPLES_PER_CALL
+        assert len(calls) <= 20
+        assert max(hurwitz_calls) <= 256
         assert sum(sizes[0]) + sum(sizes[1]) <= 3500
         assert len(sizes["g"]) <= 2
         assert len(cat.points) == len(_D5_CATALOG_T28)
@@ -295,7 +305,7 @@ class TestFindZeros:
         with pytest.raises(UnresolvedBoxError, match="passes through a zero"):
             find_zeros(lambda s: np.asarray(s) - c, 2.0)
 
-    def test_d5_close_zero_pole_pair_found(self):
+    def test_d5_close_zero_pole_pair_found(self, monkeypatch):
         # pairs of a zeta zero and an L(s, chi_5) zero that cancel in g's
         # winding (0.065 and 0.042 apart): the scan of g itself missed both.
         # Exact locations from mpmath.zetazero(5) and mpmath.zetazero(26),
@@ -304,7 +314,8 @@ class TestFindZeros:
                  (0.5 + 92.491899270558484j, 0.5 + 92.450243253774403j, 92.3)]
         g = g_closed_form(kronecker_system(5))
         for zeta_zero, l_zero, floor in pairs:
-            cat = find_zeros(g, floor + 0.5, im_floor=floor)
+            monkeypatch.setattr(numberfield, "_IM_FLOOR", floor)
+            cat = find_zeros(g, floor + 0.5)
             found = {(round(p.location.imag, 6), p.order) for p in cat.points}
             assert (round(zeta_zero.imag, 6), 1) in found
             assert (round(l_zero.imag, 6), -1) in found
