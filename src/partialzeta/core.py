@@ -79,7 +79,7 @@ SINGULAR_FACTOR_EPS = 1e-15
 CEXP_REAL_MAX = 709.0
 # points, or batches of points, whose slice sums a system keeps: every point
 # of one feq-check or composite functional-equation residual
-# (s, q1 s, q2 s, n s) fits
+# (s, q1 s, q2 s, n s) fits; eval's products at its points all share one
 POINT_CACHE = 8
 # one point's slice is cut into ranges of at least RANGE_MIN norms, one per
 # CPU, each filled in chunks of RANGE_CHUNK: a range's work outweighs the
@@ -140,7 +140,7 @@ class ZetaSystem:
     """A countable family of primes with a finite cyclic group descriptor.
 
     Subclasses implement `_enumerate(X)`: the PrimeTable, classes in
-    [0, #G), of all primes with norm <= X, cached for the largest X asked.
+    [0, #G), of all primes with norm <= X, enumerated afresh each call.
     """
 
     backend = "abstract"
@@ -149,9 +149,8 @@ class ZetaSystem:
         if group_order < 1:
             raise InvalidConfigError("group order must be >= 1")
         self.group_order = group_order
-        self._cache_X = 0.0
-        self._cache = PrimeTable(np.empty(0), *2 * [np.empty(0, np.int8)])
-        self._slices: tuple[float | None, dict] = (None, {})  # (X, slices)
+        # (X, slices) of the last cutoff: feq-check asks again at q s
+        self._slices: tuple[float | None, dict] = (None, {})
         self._sums: dict[tuple, ClassSums] = {}
 
     # -- subclass surface --------------------------------------------
@@ -164,22 +163,16 @@ class ZetaSystem:
 
     # -- public ------------------------------------------------------
     def primes_up_to(self, X: float) -> PrimeTable:
-        """The prime table rows with norm <= X, as read-only column views."""
+        """The prime table of the rows with norm <= X, enumerated afresh."""
         if math.isnan(X):
             raise InvalidConfigError("prime cutoff is NaN")
-        if X > self._cache_X:
-            table = self._enumerate(X)
-            if not np.all(table.norm[1:] > table.norm[:-1]):
-                table = table[np.lexsort((table.id, table.norm))]
-            for col in vars(table).values():
-                if col is not None:
-                    col.flags.writeable = False
-            self._cache = table
-            self._cache_X = X
-        return self._cache[:np.searchsorted(self._cache.norm, X, side="right")]
+        table = self._enumerate(X)
+        if not np.all(table.norm[1:] > table.norm[:-1]):
+            table = table[np.lexsort((table.id, table.norm))]
+        return table
 
     def arrays_up_to(self, X: float):
-        """(norms, frob_class, frob_order) column views of primes_up_to(X)."""
+        """(norms, frob_class, frob_order) columns of primes_up_to(X)."""
         table = self.primes_up_to(X)
         return table.norm, table.frob_class, table.frob_order
 

@@ -208,7 +208,10 @@ def primitive_cycles(x: MultiGraph, max_len: int) -> list[tuple[int, ...]]:
             for e in frontier:
                 reach[e] = d
         path.append(e0)
-        extend(1, 1, reach)
+        try:
+            extend(1, 1, reach)
+        except RecursionError:  # a prefix deeper than Python's stack
+            raise BudgetExceededError("primitive-cycle enumeration budget exceeded") from None
         path.pop()
     return [walk for walks in by_len for walk in walks]
 
@@ -282,9 +285,10 @@ class GraphZetaSystem(ZetaSystem):
     def _enumerate(self, X):
         if X == math.inf:
             raise BudgetExceededError("cycles of every length exceed the budget")
+        # exactly: a float log admits cycles of norm q_g^length just above X
         max_len = 0
-        if X >= self.q_g:
-            max_len = int(math.floor(math.log(X) / math.log(self.q_g) + 1e-12))
+        while self.q_g ** (max_len + 1) <= X:
+            max_len += 1
         lens, vol = _cycle_voltages(self.vg, max_len)
         dt = class_dtype(self.group_order)
         norms = np.array([float(self.q_g ** n) for n in range(max_len + 1)])

@@ -1,8 +1,8 @@
-"""Cached prime sieve and integer factorization.
+"""Prime sieve and integer factorization.
 
-A single module-level Eratosthenes sieve over the odd numbers grows on
-demand (powers of two); callers get copies, never the cached array.
-Requests beyond the hard cap are refused rather than degraded.
+Each call sieves the odd numbers to its own cutoff by Eratosthenes and
+returns the array it built; nothing is kept between calls.  Requests
+beyond the hard cap are refused rather than degraded.
 
 The base primes up to sqrt(target) are sieved alone; then each thread
 (`core.in_threads`) takes a segment of the odd numbers and strikes out,
@@ -24,33 +24,20 @@ SIEVE_CAP = 10**7
 # products)
 SEGMENT_MIN = 2**20
 
-_primes: np.ndarray = np.array([], dtype=np.int64)
-_sieved_to = 0
-
 
 def primes_up_to(x: float) -> np.ndarray:
     """All rational primes <= x, ascending.  x may be any real but NaN."""
-    global _primes, _sieved_to
     if math.isnan(x):
         raise InvalidConfigError("prime cutoff is NaN")
     if x > SIEVE_CAP:
         raise BudgetExceededError(f"prime sieve capped at {SIEVE_CAP}, asked for {x}")
-    n = int(x)
-    if n < 2:
+    if x < 2:  # before int(x), which -inf overflows
         return np.array([], dtype=np.int64)
-    if n > _sieved_to:
-        target = max(64, n)
-        # grow geometrically so repeated slightly-larger requests are cheap
-        while target < min(SIEVE_CAP, 2 * _sieved_to):
-            target *= 2
-        target = min(target, SIEVE_CAP)
-        _primes = np.flatnonzero(_odd_sieve(target)).astype(np.int64, copy=False)
-        _primes *= 2
-        _primes += 1
-        _primes[0] = 2  # index 0 stands for 1: the even prime takes its place
-        _sieved_to = target
-    idx = np.searchsorted(_primes, n, side="right")
-    return _primes[:idx].copy()
+    primes = np.flatnonzero(_odd_sieve(int(x))).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2  # index 0 stands for 1: the even prime takes its place
+    return primes
 
 
 def _odd_sieve(target: int) -> np.ndarray:

@@ -61,6 +61,26 @@ class TestSieve:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 8  # the 8 primitive triangle classes, norm 2^3
 
+    @pytest.mark.parametrize("cutoff,digest", [
+        ("7.999999999999999",
+         "905c0d466bf626ba0c1bb803fc117bb566c221a2bdfd6dd45da84899f7dcdd42"),
+        ("8", "0516e625e07099a74e0c8a1c2861310786384890a2e90486305535a0fa52ec07"),
+    ])
+    def test_graph_cutoff_just_below_a_norm(self, capsys, tmp_path,
+                                            monkeypatch, cutoff, digest):
+        # 8 = 2^3 is the least cycle norm of K4; one ulp below it no cycle
+        # of length 3 may enter, though log X / log q_g rounds to 3
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k4.txt").write_text(K4_TEXT)
+        code, out = run(capsys, "sieve", "--backend", "graph", "--graph-file",
+                        "k4.txt", f"--cutoff={cutoff}")
+        assert code == 0
+        assert len(out.splitlines()) == (1 if cutoff != "8" else 9)
+        code, out = run(capsys, "eval", "--backend", "graph", "--graph-file",
+                        "k4.txt", "--s", "2,1", f"--cutoff={cutoff}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cutoff_below_two(self, capsys):
         code, out = run(capsys, "sieve", "--backend", "quadratic", "--d", "5",
                         "--cutoff", "1.5")
@@ -1067,8 +1087,8 @@ class TestArgvFuzz:
         assert code in {0, 2, 3, 5}, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
-    @pytest.mark.parametrize("cutoff", ["0", "-5", "1.5", "nan", "inf", "1e7",
-                                        "2e7"])
+    @pytest.mark.parametrize("cutoff", ["0", "-5", "-inf", "1.5", "nan", "inf",
+                                        "1e7", "2e7"])
     @pytest.mark.parametrize("backend", [
         ["--d", "5"], ["--backend", "cyclic", "--char", "11,5"],
         ["--backend", "graph", "--graph-file", None],

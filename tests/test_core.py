@@ -1,7 +1,6 @@
 """Prime tables, truncated products and tail bounds."""
 import bisect
 import cmath
-import contextlib
 import math
 import sys
 
@@ -218,7 +217,6 @@ class TestEnumeration:
 
         got = Fixed(1).primes_up_to(10)
         assert list(zip(got.norm.tolist(), got.id.tolist())) == sorted(rows)
-        assert not any(col.flags.writeable for col in vars(got).values())
 
     def test_sieve_cap_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -254,17 +252,6 @@ NAIVE_2000 = naive_primes(2000)
 FULL_WIDTH_1E6 = full_width_primes(10**6)
 
 
-@contextlib.contextmanager
-def empty_sieve_cache():
-    """Run with the module-level sieve emptied, then put the old one back."""
-    saved = primes._primes, primes._sieved_to
-    primes._primes, primes._sieved_to = np.array([], dtype=np.int64), 0
-    try:
-        yield
-    finally:
-        primes._primes, primes._sieved_to = saved
-
-
 def assert_primes(x):
     got = primes_up_to(x)
     assert got.dtype == np.int64
@@ -277,30 +264,31 @@ def assert_primes(x):
 
 class TestSieve:
     def test_every_x_up_to_2000_from_empty_cache(self):
-        # x >= 64 sieves exactly to x: every prime square and odd target
+        # each x sieves exactly to int(x): every prime square and odd target
         for x in range(0, 2001):
-            with empty_sieve_cache():
-                assert_primes(x)
+            assert_primes(x)
 
     @pytest.mark.parametrize("x", [2, 3, 4, 2.5, 1.99, 9, 25, 49, 121, 961, 1849])
     def test_small_and_prime_square_cutoffs(self, x):
-        with empty_sieve_cache():
-            assert_primes(x)
         assert_primes(x)
+
+    def test_minus_infinity_cutoff(self):
+        # tested before int(x), which would overflow
+        got = primes_up_to(float("-inf"))
+        assert got.dtype == np.int64 and len(got) == 0
 
     @given(st.floats(min_value=-5.0, max_value=1e6))
     @settings(max_examples=60, deadline=None)
     def test_against_reference_up_to_1e6(self, x):
-        with empty_sieve_cache():
-            assert_primes(x)
+        assert_primes(x)
 
     @pytest.mark.parametrize("order", [
         (100, 5000, 5001), (5000, 100, 4999), (3000, 1e5, 2048, 1e5 + 1),
         (64, 65, 127, 128, 129), (1e6, 997, 1e6, 7)])
     def test_growth_order(self, order):
-        with empty_sieve_cache():
-            for x in order:
-                assert_primes(x)
+        # a call's primes do not depend on the calls before it
+        for x in order:
+            assert_primes(x)
 
     @pytest.mark.parametrize("segments", [1, 2, 3, 7])
     def test_segments_strike_what_one_loop_strikes(self, monkeypatch,
@@ -315,36 +303,26 @@ class TestSieve:
         sys.setswitchinterval(1e-6)  # switch threads as often as it can
         try:
             for x in range(edge - 3, edge + 2):
-                with empty_sieve_cache():
-                    assert np.array_equal(primes_up_to(x), full_width_primes(x))
-            # a request just past a cache sieved to edge / 2 - 1 regrows it
-            # to edge
-            with empty_sieve_cache():
-                primes_up_to(edge // 2 - 1)
-                got = primes_up_to(edge // 2)
-                assert primes._sieved_to == edge
-                assert np.array_equal(primes._primes, full_width_primes(edge))
-                assert np.array_equal(got, full_width_primes(edge // 2))
+                assert np.array_equal(primes_up_to(x), full_width_primes(x))
             # segments of a few odd numbers put an edge next to every small
             # prime square
             for short in (1, 3, 5):
                 monkeypatch.setattr(primes, "SEGMENT_MIN", short)
                 for x in range(64, 300):
-                    with empty_sieve_cache():
-                        assert primes_up_to(x).tolist() == NAIVE_2000[
-                            :bisect.bisect(NAIVE_2000, x)], (short, x)
+                    assert primes_up_to(x).tolist() == NAIVE_2000[
+                        :bisect.bisect(NAIVE_2000, x)], (short, x)
         finally:
             sys.setswitchinterval(interval)
 
     def test_mutating_a_result_leaves_the_cache_intact(self):
-        with empty_sieve_cache():
-            got = primes_up_to(1000)
-            got[:] = 4
-            assert_primes(1000)
-            assert_primes(500)
-            big = primes_up_to(3000)
-            big[::2] = 0
-            assert_primes(3000)
+        # a caller may write to its array: later calls build their own
+        got = primes_up_to(1000)
+        got[:] = 4
+        assert_primes(1000)
+        assert_primes(500)
+        big = primes_up_to(3000)
+        big[::2] = 0
+        assert_primes(3000)
 
 
 class TestFactorize:

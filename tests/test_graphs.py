@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partialzeta.errors import InvalidConfigError
+from partialzeta.errors import BudgetExceededError, InvalidConfigError
 from partialzeta.graphs import (MAX_COVER_EDGES, MAX_COVER_ORDER,
                                 GraphZetaSystem, MultiGraph, VoltageGraph,
                                 _det_one_minus_u, build_cover,
@@ -272,6 +272,14 @@ class TestPrenecklaceEnumeration:
     @pytest.mark.parametrize("max_len", [-1, 0])
     def test_no_cycles_below_length_one(self, max_len):
         assert primitive_cycles(named_graph("K4"), max_len) == []
+
+    def test_prefix_deeper_than_the_stack_hits_the_budget(self):
+        # the triangle's prefixes grow to max_len edges, one Python frame
+        # each: past the recursion limit the enumeration is refused as over
+        # budget, not with a RecursionError
+        triangle = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(BudgetExceededError):
+            primitive_cycles(triangle, 3000)
 
 
 class TestVoltageCover:

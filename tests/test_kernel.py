@@ -22,7 +22,8 @@ from partialzeta.errors import SingularLocalFactorError
 from partialzeta.frobenius import Character, CyclicGroup, log_L
 from partialzeta.graphs import GraphZetaSystem, MultiGraph, VoltageGraph
 from partialzeta.lfunctions import prime_order_character
-from partialzeta.numberfield import cyclic_system, kronecker_system
+from partialzeta.numberfield import (AbelianSystem, cyclic_system,
+                                     kronecker_system)
 from partialzeta.primes import primes_up_to
 
 from prime_data import ExplicitSystem, PrimeDatum, explicit_system
@@ -521,9 +522,9 @@ def _error(norms, w):
 
 class TestClassSlices:
     def test_memory_per_prime(self):
-        # the row table kept 40 bytes per prime (a 32-byte row, 8 in the
-        # slices) and peaked at 61; the columns keep 10 and the slices 8
-        primes.primes_up_to(1e6)  # the module's sieve cache is not the table's
+        # only the slices stay, 8 bytes per prime (a kept table would add
+        # 10, a kept sieve 8); the sieve and the table, built once, peak at
+        # about 24
         sys_obj = kronecker_system(5)
         tracemalloc.start()
         try:
@@ -532,7 +533,39 @@ class TestClassSlices:
         finally:
             tracemalloc.stop()
         n = len(sys_obj.primes_up_to(1e6))
-        assert retained <= 24 * n and peak <= 48 * n, (retained / n, peak / n)
+        assert retained <= 9 * n and peak <= 32 * n, (retained / n, peak / n)
+
+    @pytest.mark.parametrize("argv", [
+        "sieve --d 5 --cutoff 1e4",
+        "eval --d 5 --s 2,1 --cutoff 1e4",
+        "eval --d 5 --grid 1.5:2.5:3,0:10:4 --cutoff 1e4",
+        "continue --d 5 --grid 0.6:0.9:2,0:10:2 --depth 1 --cutoff 1e4",
+        "feq-check --d 5 --s 2,1 --cutoff 1e4",
+        "feq-check --backend graph --graph-file k4.txt --s 2,1 --cutoff 1e3"])
+    def test_one_sieve_and_one_enumeration_per_command(self, monkeypatch,
+                                                        tmp_path, capsys, argv):
+        # a command asks for its primes at one cutoff: one sieve (none for a
+        # graph) and one enumeration, with nothing kept to share
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k4.txt").write_text("4 2 3\n0 1 1\n0 2 0\n0 3 0\n"
+                                         "1 2 0\n1 3 0\n2 3 1\n")
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(primes, "primes_up_to",
+                            counted("sieve", primes.primes_up_to))
+        for cls in (AbelianSystem, GraphZetaSystem):
+            monkeypatch.setattr(cls, "_enumerate",
+                                counted("enumerate", cls._enumerate))
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        sieves = [] if "graph" in argv else ["sieve"]
+        assert calls == ["enumerate", *sieves]
 
     @pytest.mark.parametrize("make, X", [
         (lambda: cyclic_system(prime_order_character(23, 11)), 1e4),
