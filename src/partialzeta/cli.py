@@ -392,16 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="truncated zeta_P, zeta_Pn and Z_P values")
     _add_backend_flags(p)
-    p.add_argument("--s", help="evaluation point 're,im'")
-    p.add_argument("--grid", help="grid re0:re1:n,im0:im1:n")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--s", help="evaluation point 're,im'")
+    point.add_argument("--grid", help="grid re0:re1:n,im0:im1:n")
     p.add_argument("--cutoff", type=float, default=1e4)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("continue",
                        help="f(s)^{q^r} by the continuation recursion")
     _add_backend_flags(p)
-    p.add_argument("--s")
-    p.add_argument("--grid")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--s")
+    point.add_argument("--grid")
     p.add_argument("--depth", type=int, default=1, help="recursion depth r")
     p.add_argument("--cutoff", type=float, default=1e4)
     p.set_defaults(func=cmd_continue)

@@ -5,19 +5,20 @@ L = m^{-s} sum_a chi(a) zeta(s, a/m) with Euler-Maclaurin summation,
 which continues everything we need to the strip (target accuracy 1e-10
 for |Im s| <= 100).
 
-`hurwitz_zeta`, `dirichlet_L` and the closed-form g built on them
+`hurwitz_zeta` evaluates the table of points s x columns a = r/m that
+`dirichlet_L` sums; `dirichlet_L` and the closed-form g built on it
 (`numberfield.g_closed_form`) broadcast over numpy arrays of s.  A scalar is
 evaluated as a batch of one through the same code and returned as a Python
 complex, so batched and pointwise values agree bit for bit.  `dirichlet_L`
 takes a sequence of characters too, and evaluates all of them from the
-same Hurwitz calls over the union of their columns a = r/m.  `hardy_theta`
+same Hurwitz calls over the union of their columns.  `hardy_theta`
 rotates L(1/2 + it, chi) of a primitive chi onto the real axis, Hardy's
 Z(t, chi), for the zero scan's line pass.
 
 Factored exponentials.  Each Euler-Maclaurin head term exp(-s log(k+a)) is
 formed as E * cis, with E = exp(-Re s log(k+a)) computed once per distinct
-(Re s, a) and cis = exp(-i Im s log(k+a)) once per distinct (Im s, a) of a
-batch; the tail's three exponentials share one cis, exp(-i Im s log M).
+Re s and column and cis = exp(-i Im s log(k+a)) once per distinct Im s and
+column of a batch; the tail's three exponentials share one cis.
 The points of an argument-principle scan lie on a few box edges, so most of
 them share a real part or a height with others.  This gives the bits of one
 complex exp per term because:
@@ -71,15 +72,6 @@ _EM_COEFF = [float(b) / math.factorial(2 * (j + 1))
 _GAMMA_SHIFT = 10
 
 
-def _distinct(x: np.ndarray, a: np.ndarray):
-    """The distinct pairs (x, a), as the real and imaginary parts of a
-    complex array, and each pair's row among them.  np.unique with
-    return_inverse does not import numpy.ma."""
-    key = np.empty(len(x), dtype=complex)
-    key.real, key.imag = x, a
-    return np.unique(key, return_inverse=True)
-
-
 def _scale(cis: np.ndarray, E: np.ndarray) -> np.ndarray:
     """cis = cos y + i sin y times real E = exp(x), in place, as the pair
     (E cos y, E sin y): exp(x + iy) as cexp forms it."""
@@ -91,47 +83,44 @@ def _scale(cis: np.ndarray, E: np.ndarray) -> np.ndarray:
 def hurwitz_zeta(s, a):
     """Euler-Maclaurin evaluation of zeta(s, a), a > 0, s != 1.
 
-    Broadcasts over arrays of s and a and returns an array of their
-    broadcast shape; a scalar s and a give a Python complex.  Each point
-    sums N = max(50, int(2|Im s|) + 1) head terms, so the points are
-    grouped by N rather than padded to a common length.
+    The outer product of the points s and the columns a: zeta(s, a) at
+    every pair, as an array of shape np.shape(s) + np.shape(a), or a Python
+    complex for a scalar s and a.  Each point sums N = max(50,
+    int(2|Im s|) + 1) head terms, so the points are grouped by N rather
+    than padded to a common length.
 
     Every exp(-s log k) is formed as exp(-Re s log k) * exp(-i Im s log k),
-    each factor once per distinct (Re s, a) or (Im s, a) of an N group;
+    each factor once per distinct Re s or Im s of an N group and column;
     the module docstring says why the bits do not move.
     """
     s, a = np.asarray(s, dtype=complex), np.asarray(a, dtype=float)
-    scalar = s.ndim == a.ndim == 0
-    # 1-d at least: 0-d operands would take numpy's scalar arithmetic
-    s, a = np.atleast_1d(s, a)
+    shape = s.shape + a.shape
+    s, a = s.reshape(-1), a.reshape(-1)
     if np.any(np.abs(s - 1.0) < POLE_RADIUS):
         raise PoleAtOneError("hurwitz zeta has a pole at s = 1")
     N = np.maximum(50, (2 * np.abs(s.imag)).astype(np.int64) + 1)
-    M = N + a  # the broadcast shape; what depends on s alone keeps s's
-    # the head sums over the flattened broadcast, one N group at a time
-    S, A, NN = (np.empty(M.shape, dtype=x.dtype) for x in (s, a, N))
-    S[...], A[...], NN[...] = s, a, N
-    S, A, NN = S.ravel(), A.ravel(), NN.ravel()
-    head = np.empty(M.size, dtype=complex)
-    cis_M = np.empty(M.size, dtype=complex)  # exp(-i Im s log M)
+    head = np.empty((len(s), len(a)), dtype=complex)
+    cis_M = np.empty((len(s), len(a)), dtype=complex)  # exp(-i Im s log M)
     # not np.unique, which imports numpy.ma without return_inverse (16 ms)
-    for n in sorted(set(NN.tolist())):
-        idx = np.flatnonzero(NN == n)
-        sg, ag = S[idx], A[idx]
-        k = np.arange(n + 1, dtype=float)  # k = n is M - a
-        pairs, row = _distinct(sg.real, ag)
-        E = np.zeros((len(pairs), n), dtype=complex)
-        E.real = np.log(k[:n] + pairs.imag[:, None])
-        E.real *= -pairs.real[:, None]
+    for n in sorted(set(N.tolist())):
+        idx = np.flatnonzero(N == n)
+        sg = s[idx]
+        # log(k + a) for k = 0 .. n, one row per column; k = n is M - a
+        lk = np.log(np.arange(n + 1, dtype=float) + a[:, None])
+        re, row = np.unique(sg.real, return_inverse=True)
+        E = np.zeros((len(re), len(a), n), dtype=complex)
+        E.real = lk[:, :n]
+        E.real *= -re[:, None, None]
         E = np.exp(E, out=E).real
-        pairs, row_im = _distinct(sg.imag, ag)
-        cis = np.zeros((len(pairs), n + 1), dtype=complex)
-        cis.imag = np.log(k + pairs.imag[:, None])
-        cis.imag *= -pairs.real[:, None]
+        im, row_im = np.unique(sg.imag, return_inverse=True)
+        cis = np.zeros((len(im), len(a), n + 1), dtype=complex)
+        cis.imag = lk
+        cis.imag *= -im[:, None, None]
         np.exp(cis, out=cis)
-        head[idx] = _scale(cis[:, :n][row_im], E[row]).sum(axis=1)
-        cis_M[idx] = cis[row_im, n]
-    head, cis_M = head.reshape(M.shape), cis_M.reshape(M.shape)
+        head[idx] = _scale(cis[row_im, :, :n], E[row]).sum(axis=2)
+        cis_M[idx] = cis[row_im, :, n]
+    s = s[:, None]
+    M = N[:, None] + a
     lM = np.log(M)
 
     def exp(x):
@@ -149,8 +138,8 @@ def hurwitz_zeta(s, a):
         if j + 1 < len(_EM_COEFF):
             rising = rising * ((s + 2 * j + 1) * (s + 2 * j + 2))
             power = power / M2
-    out = head + tail + corr
-    return complex(out[0]) if scalar else out
+    out = (head + tail + corr).reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _hurwitz_finite_at_one(a: np.ndarray) -> np.ndarray:
@@ -327,7 +316,7 @@ def dirichlet_L(s, chi):
     s = z.reshape(-1)
     out = np.empty((len(chis), len(s)), dtype=complex)
     cols = [(chi_j.residues / chi_j.modulus).tolist() for chi_j in chis]
-    a = sorted(set().union(*cols))
+    a = np.array(sorted(set().union(*cols)))
     at_pole = np.abs(s - 1.0) < POLE_RADIUS
     # m^{-s} zeta(s, a) is 0 * inf where a^{-s} overflows for the least a;
     # there Re s > 709 / log m, and chi(n) n^{-s} to n = 64 is L to a double
@@ -345,7 +334,7 @@ def dirichlet_L(s, chi):
             row[far] = np.exp(-np.outer(s[far], np.log(np.arange(1, 65)))) @ [
                 chi_j.value(k) for k in range(1, 65)]
     kept = np.flatnonzero(~(at_pole | far))
-    col = {x: j for j, x in enumerate(a)}
+    col = {x: j for j, x in enumerate(a.tolist())}
     for lo in range(0, len(kept), _HURWITZ_POINTS):
         piece = kept[lo:lo + _HURWITZ_POINTS]
         sp = s[piece]
@@ -354,7 +343,7 @@ def dirichlet_L(s, chi):
         N = np.maximum(50, (2 * np.abs(sp.imag)).astype(np.int64) + 1)
         terms = np.cumsum(N) * len(a)
         cuts = np.flatnonzero(np.diff(terms // _HURWITZ_BLOCK)) + 1
-        hz = np.concatenate([hurwitz_zeta(block[:, None], np.array(a))
+        hz = np.concatenate([hurwitz_zeta(block, a)
                              for block in np.split(sp, cuts)])
         for row, chi_j, cols_j in zip(out, chis, cols):
             total = np.zeros_like(sp)

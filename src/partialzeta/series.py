@@ -44,10 +44,6 @@ class ExactSeries:
         return cls([0] * power + [coeff], order)
 
     # -- bookkeeping --------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
@@ -239,14 +235,6 @@ class Cyclotomic:
             raise InvalidConfigError("cyclotomic vector longer than the power basis")
         v += [0] * (q - 1 - len(v))
         self.vec = v
-
-    @classmethod
-    def zero(cls, q: int) -> "Cyclotomic":
-        return cls(q, [])
-
-    @classmethod
-    def one(cls, q: int) -> "Cyclotomic":
-        return cls(q, [1])
 
     @classmethod
     def root_power(cls, q: int, j: int) -> "Cyclotomic":

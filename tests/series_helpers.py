@@ -12,7 +12,7 @@ def derivative(f: ExactSeries) -> ExactSeries:
 
 def conjugate_map(a: Cyclotomic, t: int) -> Cyclotomic:
     """Galois action zeta -> zeta^t."""
-    acc = Cyclotomic.zero(a.q)
+    acc = Cyclotomic(a.q, [])
     for j, c in enumerate(a.vec):
         acc = acc + Cyclotomic.root_power(a.q, j * t) * c
     return acc

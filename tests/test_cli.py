@@ -973,6 +973,22 @@ class TestBadInput:
         assert info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "continue"])
+    def test_s_and_grid_together(self, capsys, command):
+        # one point or one grid, not both: the grid used to win silently
+        # while the config echoed the dropped --s
+        s, grid = ["--s", "2,1"], ["--grid", "1.5:2:2,0:1:1"]
+        for flags in (s + grid, grid + s):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--d", "5", *flags])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not allowed with argument" in captured.err
+        for flags in (s, grid):
+            code, out = run(capsys, command, "--d", "5", *flags)
+            assert code == 0 and out
+
 
 # valid, malformed and out-of-range values of the point flags
 FUZZ_S = ["2", "0.75", "0.7,10", "0.6,-3", "1.5,0", "1", "0.5", "0,0.0625",

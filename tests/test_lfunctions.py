@@ -69,7 +69,7 @@ class TestBatch:
     def test_hurwitz_broadcasts_s_against_a(self):
         pts = _strip_points(2, n=6)
         a = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
-        grid = hurwitz_zeta(pts[:, None], a)
+        grid = hurwitz_zeta(pts, a)
         assert grid.shape == (len(pts), len(a))
         for i, s in enumerate(pts):
             for j, x in enumerate(a):
@@ -154,39 +154,59 @@ class TestFactoredExponentials:
     @settings(max_examples=150, deadline=None)
     def test_grid_batch_matches_reference(self, batch):
         pts, cols = batch
-        assert_identical(hurwitz_zeta(pts[:, None], cols),
+        assert_identical(hurwitz_zeta(pts, cols),
                          reference_hurwitz_zeta(pts[:, None], cols))
         assert_identical(hurwitz_zeta(pts, cols[0]),
                          reference_hurwitz_zeta(pts, cols[0]))
         s, a = complex(pts[-1]), float(cols[-1])
         assert_identical(hurwitz_zeta(s, a), reference_hurwitz_zeta(s, a))
 
-    @given(st.lists(st.tuples(_REAL_PARTS, _HEIGHTS, _COLUMNS),
-                    min_size=1, max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_elementwise_pairs_match_reference(self, triples):
-        # s and a of one shape, paired elementwise rather than as a grid
-        s = np.array([complex(x, y) for x, y, _ in triples])
-        a = np.array([c for _, _, c in triples])
-        assume(not np.any(np.abs(s - 1.0) < 1e-14))
-        assert_identical(hurwitz_zeta(s, a), reference_hurwitz_zeta(s, a))
-
     @pytest.mark.parametrize("s", [-129.5 + 100j, -129.5 - 100j, -129.5,
                                    0.5 + 100j, 3.0 - 100j, 0.5 + 24.5j])
     def test_edges_of_the_exact_domain(self, s):
         cols = np.array([1 / 11, 0.5, 1.0, 2.5])
-        new = hurwitz_zeta(np.array([s])[:, None], cols)
+        new = hurwitz_zeta(np.array([s]), cols)
         assert np.all(np.isfinite(new))
         assert_identical(new, reference_hurwitz_zeta(np.array([s])[:, None],
                                                      cols))
 
     def test_shapes(self):
+        # np.shape(s) + np.shape(a), each entry zeta at one point and column
         pts = _strip_points(5, n=8)
         cols = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
         grid = pts.reshape(3, 4)
-        for s, a in ((grid, 0.4), (grid[:, :, None], cols), (pts[:, None], cols),
+        for s, a in ((grid, 0.4), (grid, cols), (pts, cols),
                      (complex(pts[0]), cols), (complex(pts[0]), 0.4)):
-            assert_identical(hurwitz_zeta(s, a), reference_hurwitz_zeta(s, a))
+            new = hurwitz_zeta(s, a)
+            assert np.shape(new) == np.shape(s) + np.shape(a)
+            assert_identical(new, reference_hurwitz_zeta(
+                np.asarray(s)[..., None] if np.ndim(a) else s, a))
+
+    def test_outer_product(self):
+        pts = np.array([0.5 + 14j, 0.3 - 2j, 0.5 + 30j, 2.0, -1.5 + 0.5j,
+                        0.5 + 14j, 0.9 + 99j])
+        cols = np.array([1 / 7, 0.5, 1.0])
+        table = hurwitz_zeta(pts, cols)
+        assert table.shape == (7, 3)
+        assert_identical(table, reference_hurwitz_zeta(pts[:, None], cols))
+        grid = _strip_points(6, n=8).reshape(3, 4)
+        cols = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+        table = hurwitz_zeta(grid, cols)
+        assert table.shape == (3, 4, 5)
+        assert_identical(table, reference_hurwitz_zeta(grid[..., None], cols))
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, -2.0]),
+                              st.sampled_from([0.0, -0.0, 3.0, -3.0])),
+                    min_size=2, max_size=8),
+           st.lists(_COLUMNS, min_size=1, max_size=4, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_signed_zeros_in_one_batch(self, parts, cols):
+        # the distinct Re s and Im s are float keys, on which 0.0 == -0.0:
+        # one batch mixing the two must still give the reference's bits
+        pts = np.array([complex(x, y) for x, y in parts])
+        cols = np.array(cols)
+        assert_identical(hurwitz_zeta(pts, cols),
+                         reference_hurwitz_zeta(pts[:, None], cols))
 
 
 _CHARACTERS = {
