@@ -4,8 +4,9 @@ The quadratic and cyclic backends realize the prime-splitting data of an
 abelian extension through a Dirichlet character; `g_closed_form` packages
 the closed-form ratio zeta^{q-1} * (ramified corrections) / prod L(s, chi^j)
 and `find_zeros` builds height-complete singularity catalogs by the
-argument principle, taking the zeros it certifies on Re s = 1/2 from sign
-changes of Hardy's Z.
+argument principle: it takes each factor's zeros from sign changes of
+Hardy's Z on Re s = 1/2 where they match Backlund's count of that factor's
+zeros, and scans boxes only for a factor whose count they miss.
 """
 from __future__ import annotations
 
@@ -120,7 +121,7 @@ def g_closed_form(sys: AbelianSystem) -> GEvaluator:
 # ---------------------------------------------------------------------------
 
 _MAX_PHASE_DEPTH = 40
-_SAMPLES_PER_EDGE = 8  # boundary samples per box edge
+_SAMPLES_PER_EDGE = 8  # steps per edge of a box or of the count's path
 _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
 # larger windings, a multiple zero of one factor, are subdivided further
 _MAX_ORDER = 3
@@ -128,6 +129,9 @@ _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
 _LINE_SAMPLES = 9  # heights of Hardy's Z up each slab in the line pass
 _IM_FLOOR = 0.05  # the first slab's bottom edge, off the real axis
+_THETA_STEP = math.pi / 4  # theta(t, chi) moves by this between Z samples
+_THETA_GRID = 16  # theta values per unit height that place those samples
+_BRACKET_TOL = 1e-13  # a Hardy-Z bracket stops on a smaller Illinois step
 
 
 def _evaluate(f: Callable, zs: np.ndarray) -> np.ndarray:
@@ -138,28 +142,26 @@ def _evaluate(f: Callable, zs: np.ndarray) -> np.ndarray:
     return f(distinct[rank])[np.argsort(rank)][row]
 
 
-def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
-    """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
-
-    Each box is outlined afresh, counterclockwise, by segments z0 -> z1 of
-    _SAMPLES_PER_EDGE even steps per edge, all boxes' samples in one
-    `_evaluate`.  A step |arg(f1/f0)| < 1.9 is added to its box's total, any
-    other segment is split, one bisection depth and `_evaluate` at a time.
-    """
-    re0, re1, im0, im1 = np.array(boxes).T
-    # the edges (x0, y0) -> (x1, y1); each step ends exactly on its corner
-    x0, y0, x1, y1 = (np.stack(c, axis=1) for c in (
-        (re0, re1, re1, re0), (im0, im0, im1, im1),
-        (re1, re1, re0, re0), (im0, im1, im1, im0)))
-    t = np.arange(_SAMPLES_PER_EDGE + 1)
-    x, y = (np.where(t < _SAMPLES_PER_EDGE,
-                     a[..., None] + (b - a)[..., None] * t / _SAMPLES_PER_EDGE,
+def _segments(x0, y0, x1, y1, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The segments z0 -> z1 of n even steps along each edge (x0, y0) ->
+    (x1, y1), over arrays of edges; each edge's last step ends exactly on
+    its corner."""
+    t = np.arange(n + 1)
+    x, y = (np.where(t < n, a[..., None] + (b - a)[..., None] * t / n,
                      b[..., None]) for a, b in ((x0, x1), (y0, y1)))
     z = x + 1j * y
-    z0, z1 = z[..., :-1].ravel(), z[..., 1:].ravel()
-    k = np.repeat(np.arange(len(boxes)), 4 * _SAMPLES_PER_EDGE)
-    f0, f1 = _evaluate(f, np.concatenate([z0, z1])).reshape(2, -1)
-    totals = np.zeros(len(boxes))
+    return z[..., :-1].ravel(), z[..., 1:].ravel()
+
+
+def _phase(f: Callable, z0: np.ndarray, z1: np.ndarray, f0: np.ndarray,
+           f1: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """The phase change of f along each segment z0 -> z1, whose ends have
+    the values f0 and f1, summed into n totals: segment i into total k[i].
+
+    A step |arg(f1/f0)| < 1.9 is added to its total, any other segment is
+    split, one bisection depth and `_evaluate` at a time.
+    """
+    totals = np.zeros(n)
     for depth in range(_MAX_PHASE_DEPTH + 1):
         zero = (f0 == 0) | (f1 == 0)
         if zero.any():
@@ -170,7 +172,7 @@ def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
         ok = np.abs(d) < 1.9  # safely below pi: no aliasing possible
         np.add.at(totals, k[ok], d[ok])
         if ok.all():
-            break
+            return totals
         if depth == _MAX_PHASE_DEPTH:
             i = ok.argmin()
             raise UnresolvedBoxError(f"phase tracking failed near "
@@ -180,7 +182,22 @@ def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
         fm = _evaluate(f, zm)
         k, z0, z1, f0, f1 = (np.concatenate(x) for x in (
             (k, k), (z0, zm), (zm, z1), (f0, fm), (fm, f1)))
-    w = totals / (2 * math.pi)
+
+
+def _windings(f: Callable, boxes: list[tuple]) -> list[int]:
+    """Zeros-minus-poles count inside each box (re0, re1, im0, im1).
+
+    Each box is outlined afresh, counterclockwise, by segments of
+    _SAMPLES_PER_EDGE even steps per edge, all boxes' samples in one
+    `_evaluate`, and its phase is tracked by `_phase`.
+    """
+    re0, re1, im0, im1 = np.array(boxes).T
+    z0, z1 = _segments(*(np.stack(c, axis=1) for c in (
+        (re0, re1, re1, re0), (im0, im0, im1, im1),
+        (re1, re1, re0, re0), (im0, im1, im1, im0))), _SAMPLES_PER_EDGE)
+    k = np.repeat(np.arange(len(boxes)), 4 * _SAMPLES_PER_EDGE)
+    f0, f1 = _evaluate(f, np.concatenate([z0, z1])).reshape(2, -1)
+    w = _phase(f, z0, z1, f0, f1, k, len(boxes)) / (2 * math.pi)
     off = np.abs(w - np.round(w)) > 1e-6
     if off.any():
         re0, re1, im0, im1 = boxes[off.argmax()]
@@ -280,6 +297,96 @@ def _line_zeros(f: Callable, chi: DirichletCharacter, level: list[tuple],
     return out
 
 
+def _line_count(f: Callable, chi: DirichletCharacter, T: float) -> tuple:
+    """Backlund's count n of the zeros of f = L(s, chi) with _IM_FLOOR <
+    Im s < T, the heights t where Hardy's Z(t, chi) is sampled, Z there,
+    and theta(t, chi) as a function of t.
+
+    Lambda(s) = (m/pi)^{(s+a)/2} Gamma((s+a)/2) f(s) = eps conj(Lambda(1 -
+    conj s)), so the phase of Lambda around [-1, 2] x [_IM_FLOOR, T] is
+    twice its phase along 1/2 + i t0 -> 2 + i t0 -> 2 + iT -> 1/2 + iT,
+    t0 = _IM_FLOOR, and n = [theta(T) - theta(t0) + A(T) - A(t0)] / pi with
+    A the phase of f along that path, _SAMPLES_PER_EDGE steps per edge
+    (`_phase`).  Z is sampled where theta moves by _THETA_STEP, from t0 to
+    T.  The path's samples and Z's go to f in one `_evaluate`.  Off t0 and
+    T, theta is interpolated linearly from _THETA_GRID values per unit
+    height; its error d, below 2e-3, scales Z by cos d, which keeps Z's
+    signs and zeros.
+    """
+    t0 = _IM_FLOOR
+    grid = np.linspace(t0, T, int(_THETA_GRID * (T - t0)) + 2)
+    theta = hardy_theta(grid, chi)
+
+    def theta_at(x):
+        return np.interp(x, grid, theta)
+
+    moved = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(theta)))])
+    steps = max(1, math.ceil(moved[-1] / _THETA_STEP))
+    t = np.interp(np.linspace(0.0, moved[-1], steps + 1), moved, grid)
+    z0, z1 = _segments(np.array([0.5, 2.0, 2.0]), np.array([t0, t0, T]),
+                       np.array([2.0, 2.0, 0.5]), np.array([t0, T, T]),
+                       _SAMPLES_PER_EDGE)
+    values = _evaluate(f, np.concatenate([z0, z1, 0.5 + 1j * t]))
+    f0, f1, line = np.split(values, [len(z0), 2 * len(z0)])
+    a = _phase(f, z0, z1, f0, f1, np.zeros(len(z0), dtype=int), 1)[0]
+    n = (theta[-1] - theta[0] + a) / math.pi
+    return n, t, (np.exp(1j * theta_at(t)) * line).real, theta_at
+
+
+def _illinois(f: Callable, theta: Callable, a: np.ndarray, b: np.ndarray,
+              za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """The zero of Hardy's Z(t) = Re(e^{i theta(t)} f(1/2 + it)) in each
+    bracket [a, b], where Z has the values za and zb of opposite signs.
+
+    Illinois steps (regula falsi, halving the value at an end kept twice in
+    a row) on all brackets in lockstep, one call of f per iteration.  Each
+    iterate lies in its bracket, and each bracket stops on its own, at an
+    iterate that moved less than _BRACKET_TOL or where Z is 0.
+    """
+    a, b, za, zb = (np.array(x, dtype=float) for x in (a, b, za, zb))
+    root = 0.5 * (a + b)
+    kept = np.zeros(len(a))  # +1: a was kept last, -1: b was
+    live = np.arange(len(a))
+    for _ in range(_NEWTON_MAX_ITER):
+        if not live.size:
+            break
+        i = live
+        c = np.clip((a[i] * zb[i] - b[i] * za[i]) / (zb[i] - za[i]),
+                    a[i], b[i])
+        zc = (np.exp(1j * theta(c)) * f(0.5 + 1j * c)).real
+        right, left = zc * zb[i] > 0, zc * za[i] > 0  # c replaces b, or a
+        za[i] *= np.where(right & (kept[i] > 0), 0.5, 1.0)
+        zb[i] *= np.where(left & (kept[i] < 0), 0.5, 1.0)
+        b[i], zb[i] = np.where(right, c, b[i]), np.where(right, zc, zb[i])
+        a[i], za[i] = np.where(left, c, a[i]), np.where(left, zc, za[i])
+        kept[i] = np.where(right, 1.0, np.where(left, -1.0, kept[i]))
+        moved = np.abs(c - root[i])
+        root[i] = c
+        live = i[(zc != 0) & (moved >= _BRACKET_TOL)]
+    return root
+
+
+def _line_roots(f: Callable, chi: DirichletCharacter,
+                T: float) -> list[complex] | None:
+    """Every zero of f = L(s, chi) with _IM_FLOOR < Im s < T, if
+    `_line_count` certifies them all simple and on Re s = 1/2, else None.
+
+    Z's c sign changes bracket at least c zeros of odd order on the line;
+    a count n within 1e-6 of c leaves one simple zero in each bracket and
+    none elsewhere.  Any other n, a sample Z = 0 or a path through a zero
+    gives None.
+    """
+    try:
+        n, t, Z, theta = _line_count(f, chi, T)
+    except UnresolvedBoxError:
+        return None
+    flips = np.flatnonzero(Z[:-1] * Z[1:] < 0)
+    if not (abs(n - len(flips)) <= 1e-6 and (Z != 0).all()):
+        return None
+    return [complex(0.5, x) for x in _illinois(
+        f, theta, t[flips], t[flips + 1], Z[flips], Z[flips + 1]).tolist()]
+
+
 def _scan(f: Callable, level: list[tuple], budget: int,
           chi: DirichletCharacter | None = None) -> tuple[list, int]:
     """(root, winding w) per zero or pole of f in the boxes of `level`, and
@@ -341,15 +448,19 @@ def find_zeros(evaluator: Callable | GEvaluator,
     The evaluator maps a 1-d array of s to the array of its values.  A
     GEvaluator with `factors`, as `g_closed_form` gives, is cataloged
     through them: each factor is holomorphic on the strip and scanned on its
-    own (`_scan`, with the factor's character for the line pass), so zeros
-    of two factors cannot cancel in a winding.  A factor's point of winding
-    k has order k * (its exponent); points of different factors within
-    CLASS_MATCH_RTOL merge with the summed order, and order 0 is dropped.
-    A point of order +-1 is refined again by Newton on g from the factor's
-    root, kept if it agrees with that root; a higher order keeps the
-    factor's root, where the zero is simple (Newton on a zero of order k
-    reaches only about eps^(1/k)).  The box budget, 4000 + 400 T, is shared
-    by the factor scans.
+    own, so zeros of two factors cannot cancel in a winding.  A factor that
+    carries its character takes `_line_roots`: one zero count, Z sampled
+    where theta moves by pi/4, and Illinois steps on Z's brackets.  A factor
+    whose count those brackets miss, or that has no character, takes
+    `_scan`: level-0 windings, the per-slab line pass, then boxes.  A
+    factor's point of winding k has order k * (its exponent); points of
+    different factors within CLASS_MATCH_RTOL merge with the summed order,
+    and order 0 is dropped.  A point of order +-1 is refined again by
+    Newton on g from the factor's root, kept if it agrees with that root; a
+    higher order keeps the factor's root, where the zero is simple (Newton
+    on a zero of order k reaches only about eps^(1/k)); a root of
+    `_line_roots` has Re s = 1/2 exactly.  The box budget, 4000 + 400 T, is
+    shared by the factor scans.
     """
     if T > HEIGHT_MAX:
         raise InvalidConfigError(
@@ -368,8 +479,12 @@ def find_zeros(evaluator: Callable | GEvaluator,
         im = top
     merged: list[list] = []  # [root, order in g, factor] per point
     for f, exponent, chi in factors:
-        found, used = _scan(f, slabs, budget, chi)
-        budget -= used
+        roots = _line_roots(f, chi, T) if chi is not None and slabs else None
+        if roots is None:
+            found, used = _scan(f, slabs, budget, chi)
+            budget -= used
+        else:
+            found = [(root, 1) for root in roots]
         others = list(merged)  # a factor's own points are distinct
         for root, w in found:
             match = next((m for m in others if _matches(root, m[0])), None)

@@ -162,26 +162,31 @@ class TestSieve:
 class TestScanPinned:
     @pytest.mark.parametrize("argv,digest", [
         (["zeros", "--d", "5", "--height", "30"],
-         "5c38b84ebe3803f794b29003a807820530a2465d0bc738782b35762b256fb3f1"),
+         "15158c34aad967c0e28481b9824b0c073b39c9b611917f866c80bc451877edd2"),
         (["zeros", "--backend", "cyclic", "--char", "7,3,3", "--height", "12"],
-         "5a5a6552fe6b24120e11b71dfe4996bba853c4bfa2bde28c1e89661c646a4bff"),
+         "26b0234d613e4ca06ed615ea7ae130465834412eb7472fbd0f77c807473b1a62"),
         (["boundary", "--d", "5", "--height", "28"],
-         "c31c28b570bbafe85ae72297739fee6a8c7950c9e726a4138ce81c624a5990df"),
+         "cfcf86349bc027aca95e851e57a850cff872c8cb0002c40c5637c1dc12c81b4c"),
         (["zeros", "--backend", "cyclic", "--char", "11,5", "--height", "12"],
-         "490df547c5a7b3280abf28e45462caf55bcd002393f516434811d8a26d6f2774"),
+         "c029c2724024f06d4b799fc3e78c27196e226d6d140d87503b7f6b204538cac6"),
         (["continue", "--backend", "cyclic", "--char", "7,3,3", "--s",
           "0.7,10", "--depth", "2", "--cutoff", "1e5"],
          "452c6c8c824c2feb3705933f5426b2d7c7eb0cee1e4fca263028442b7ea956ba"),
         # the highest d = 5 scan the CLI accepts, levels of up to 216 boxes
         (["zeros", "--d", "5", "--height", "100"],
-         "d39cf5ef2607c996ef3183bae0b3f9b572f0bc90f4f091103dd82c80a87a9886"),
+         "3612d60a07e3def00cd2a272e3de424b2cacbff5f1e0c37051ee1184ff995e5c"),
+        (["zeros", "--backend", "cyclic", "--char", "7,3,3", "--height",
+          "100"],
+         "4202666abb12759d54aa00a9049a3b90ebc7e8c1ba1b2d9f6fe1e13cbecd6844"),
     ], ids=["zeros-d5-30", "zeros-char7,3,3-12", "boundary-d5-28",
-            "zeros-char11,5-12", "continue-char7,3,3", "zeros-d5-100"])
+            "zeros-char11,5-12", "continue-char7,3,3", "zeros-d5-100",
+            "zeros-char7,3,3-100"])
     def test_output_pinned(self, capsys, argv, digest):
         # the zeros and boundary pins were recorded from the line-first
-        # scan, whose factor roots come from Hardy-Z brackets and whose
-        # Newton runs on g start at those roots; the box scan alone gives
-        # the same catalogs to 1e-12 (TestLineScan), and mpmath checks them
+        # scan certified by one zero count per factor: its factor roots are
+        # Illinois roots of Hardy's Z, on Re s = 1/2 exactly, and its Newton
+        # runs on g start at those roots; the box scan alone gives the same
+        # catalogs to 1e-12 (TestLineScan), and mpmath checks them
         # (test_catalog_oracle).  Batching the scan, sharing Hurwitz columns
         # and factoring the exponentials must not move a single printed
         # digit.  They also rest on glibc's cexp forming exp(x + iy) as

@@ -1,5 +1,6 @@
 """Abelian systems, closed-form g, argument-principle zero search."""
 import cmath
+import hashlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from partialzeta import lfunctions, numberfield
+from partialzeta.cli import main
 from partialzeta.continuation import GEvaluator
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError, UnresolvedBoxError
@@ -234,6 +236,31 @@ _D5_CATALOG_T28 = [
 ]
 
 
+def _scan_work(monkeypatch, sys_obj, T):
+    """find_zeros on g_closed_form(sys_obj) to T, and the sizes of its calls:
+    of g ("g"), of each factor (by index) and of hurwitz_zeta ("hurwitz")."""
+    ev = g_closed_form(sys_obj)
+    sizes = {}
+    hurwitz = lfunctions.hurwitz_zeta
+
+    def counted_hurwitz(s, a):
+        sizes.setdefault("hurwitz", []).append(len(s))
+        return hurwitz(s, a)
+
+    monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted_hurwitz)
+
+    def counted(fn, key):
+        def f(s):
+            sizes.setdefault(key, []).append(np.size(s))
+            return fn(s)
+        return f
+
+    ev.fn = counted(ev.fn, "g")
+    ev.factors = [(counted(f, k), e, chi)
+                  for k, (f, e, chi) in enumerate(ev.factors)]
+    return find_zeros(ev, T), sizes
+
+
 class TestFindZeros:
     def test_d5_catalog_pinned(self):
         cat = find_zeros(g_closed_form(kronecker_system(5)), 28.0)
@@ -250,39 +277,32 @@ class TestFindZeros:
         # and 4 g calls, with inherited contours and lockstep Newton runs;
         # then 22 factor calls for 3,267 points and one g call, as the line
         # pass takes every zero from Hardy's Z and g's Newton runs start at
-        # the factor roots; now 12 factor calls for those points, each
+        # the factor roots; then 12 factor calls for those points, each
         # whole, and dirichlet_L cuts them into Hurwitz calls of at most
-        # 256 points
-        ev = g_closed_form(kronecker_system(5))
-        sizes = {}
-        hurwitz = lfunctions.hurwitz_zeta
-
-        def counted_hurwitz(s, a):
-            sizes.setdefault("hurwitz", []).append(len(s))
-            return hurwitz(s, a)
-
-        monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted_hurwitz)
-
-        def counted(fn, key):
-            def f(s):
-                sizes.setdefault(key, []).append(np.size(s))
-                return fn(s)
-            return f
-
-        ev.fn = counted(ev.fn, "g")
-        ev.factors = [(counted(f, k), e, chi)
-                      for k, (f, e, chi) in enumerate(ev.factors)]
-        cat = find_zeros(ev, 28.0)
+        # 256 points; now 19 factor calls for 187 points, as one zero count
+        # per factor replaces the level-0 windings and Illinois steps on Z
+        # replace Newton's five points per iterate
+        cat, sizes = _scan_work(monkeypatch, kronecker_system(5), 28.0)
         hurwitz_calls = sizes.pop("hurwitz")
         calls = [n for v in sizes.values() for n in v]
         assert len(calls) <= 20
         assert max(hurwitz_calls) <= 256
-        assert sum(sizes[0]) + sum(sizes[1]) <= 3500
+        assert sum(sizes[0]) + sum(sizes[1]) <= 224
         assert len(sizes["g"]) <= 2
         assert len(cat.points) == len(_D5_CATALOG_T28)
         for p, (re, im, order) in zip(cat.points, _D5_CATALOG_T28):
             assert p.order == order
             assert abs(p.location - complex(re, im)) < 1e-12
+
+    def test_11_5_scan_work(self, monkeypatch):
+        # factor and g points to T = 100: 36,243 with the level-0 windings,
+        # 26,030 of them on the windings (ROADMAP Baseline); 4,803 with one
+        # zero count per factor
+        sys_obj = cyclic_system(prime_order_character(11, 5))
+        cat, sizes = _scan_work(monkeypatch, sys_obj, 100.0)
+        sizes.pop("hurwitz")
+        assert sum(n for v in sizes.values() for n in v) <= 5000
+        assert len(cat.points) == 294
 
     def test_400_box_level(self):
         # sin(pi w), w = -i(s - 1/2) - 1/4, vanishes at 1/2 + i(n + 1/4):
@@ -423,10 +443,24 @@ def _system(spec):
     return cyclic_system(prime_order_character(*spec))
 
 
+def _recorded_counts(monkeypatch):
+    """The (count, heights, Z, theta) of every `_line_count` call."""
+    counts, line_count = [], numberfield._line_count
+
+    def recorded(f, chi, T):
+        counts.append(line_count(f, chi, T))
+        return counts[-1]
+
+    monkeypatch.setattr(numberfield, "_line_count", recorded)
+    return counts
+
+
 class TestLineScan:
     """Zeros of a factor L(s, chi) come from sign changes of Hardy's Z on
-    Re s = 1/2 in each level-0 slab whose winding they match; every other
-    slab takes the box scan."""
+    Re s = 1/2 where they match Backlund's count of the factor's zeros; a
+    factor whose count they do not match takes the level-0 windings, which
+    resolve each slab on the line where they can, and the box scan for the
+    rest."""
 
     def test_off_line_pair_takes_the_box_scan(self, monkeypatch):
         # L(s, chi_5) (s - rho)(s - 1 + conj rho), rho = 0.7 + 20i: on the
@@ -452,8 +486,12 @@ class TestLineScan:
             passes.append((level, list(windings), out))
             return out
 
+        counts = _recorded_counts(monkeypatch)
         monkeypatch.setattr(numberfield, "_line_zeros", recorded)
         cat = find_zeros(GEvaluator(f, factors=[(f, 1, chi)]), 30.0)
+        # the count sees both zeros, the line neither: the factor falls back
+        (n, t, Z, _), = counts
+        assert abs(n - (np.sum(Z[:-1] * Z[1:] < 0) + 2)) < 1e-6
         (level, windings, out), = passes
         fallback = [level[i] for i, w in enumerate(windings)
                     if w and i not in out]
@@ -488,6 +526,51 @@ class TestLineScan:
         # the line pass resolves every level-0 slab here: were one to fall
         # back, the box scan alone would find its zeros, at its own cost
         assert parents == [], "a slab fell back to the box scan"
+
+    @pytest.mark.parametrize("spec,T", [
+        (5, 30.0), (-3, 30.0), (13, 30.0), ((7, 3, 3), 30.0), ((11, 5), 30.0),
+        (5, 100.0), ((7, 3, 3), 100.0), ((11, 5), 100.0)], ids=str)
+    def test_count_is_an_integer(self, spec, T):
+        ev = g_closed_form(_system(spec))
+        points = np.array([p.location for p in find_zeros(ev, T).points])
+        for f, _, chi in ev.factors:
+            n = numberfield._line_count(f, chi, T)[0]
+            assert abs(n - round(n)) < 1e-6
+            assert round(n) == np.sum(np.abs(f(points)) < 1e-9)
+
+    def test_close_line_pair_falls_back(self, monkeypatch):
+        # L(s, chi_5) (s - rho)(s - rho - 1e-3 i), rho = 1/2 + 15.3i: two line
+        # zeros between one pair of Z samples, which Z's sign cannot tell
+        # from none
+        chi, rho = kronecker_character(5), 0.5 + 15.3j
+
+        def f(s):
+            s = np.asarray(s)
+            return dirichlet_L(s, chi) * (s - rho) * (s - rho - 1e-3j)
+
+        ev = GEvaluator(f, factors=[(f, 1, chi)])
+        counts = _recorded_counts(monkeypatch)
+        cat = find_zeros(ev, 30.0).points
+        (n, t, Z, _), = counts
+        assert abs(n - (np.sum(Z[:-1] * Z[1:] < 0) + 2)) < 1e-6
+        monkeypatch.setattr(numberfield, "_line_roots", lambda f, chi, T: None)
+        today = find_zeros(ev, 30.0).points
+        assert [(p.location, p.order) for p in cat] == [
+            (p.location, p.order) for p in today]
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--d", "5", "--height", "0.05"],
+        ["zeros", "--d", "5", "--height", "0.06"],
+        ["zeros", "--backend", "cyclic", "--char", "7,3,3", "--height", "0.05"],
+        ["zeros", "--backend", "cyclic", "--char", "7,3,3", "--height",
+         "0.0500001"]], ids=["d5-0.05", "d5-0.06", "char7,3,3-0.05",
+                             "char7,3,3-0.0500001"])
+    def test_heights_at_the_floor(self, capsys, argv):
+        # no slab below _IM_FLOOR, and a count of 0 just above it: the
+        # header alone, as the level-0 windings printed it
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == "af967adc90e66242c0951a2cd94af537a82b75ade65152c7c9a4c4cd2caa5f49"
 
 
 def _rational(zeros, poles):
