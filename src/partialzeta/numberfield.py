@@ -4,9 +4,10 @@ The quadratic and cyclic backends realize the prime-splitting data of an
 abelian extension through a Dirichlet character; `g_closed_form` packages
 the closed-form ratio zeta^{q-1} * (ramified corrections) / prod L(s, chi^j)
 and `find_zeros` builds height-complete singularity catalogs by the
-argument principle: it takes each factor's zeros from sign changes of
+argument principle.  It takes each factor's zeros from sign changes of
 Hardy's Z on Re s = 1/2 where they match Backlund's count of that factor's
-zeros, and scans boxes only for a factor whose count they miss.
+zeros, sampling Z finer where two zeros hide between samples, and scans
+boxes for a factor whose count the signs still miss.
 """
 from __future__ import annotations
 
@@ -127,9 +128,9 @@ _RE_MARGIN = 1e-3  # the scan covers _RE_MARGIN < Re s < 1 - _RE_MARGIN
 _MAX_ORDER = 3
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
-_LINE_SAMPLES = 9  # heights of Hardy's Z up each slab in the line pass
 _IM_FLOOR = 0.05  # the first slab's bottom edge, off the real axis
 _THETA_STEP = math.pi / 4  # theta(t, chi) moves by this between Z samples
+_THETA_HALVINGS = 3  # _line_roots resamples Z at most this often, finer
 _THETA_GRID = 16  # theta values per unit height that place those samples
 _BRACKET_TOL = 1e-13  # a Hardy-Z bracket stops on a smaller Illinois step
 
@@ -262,42 +263,8 @@ def _center(box: tuple) -> complex:
     return complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
 
 
-def _line_zeros(f: Callable, chi: DirichletCharacter, level: list[tuple],
-                windings: list[int]) -> dict[int, list[complex]]:
-    """The roots of f = L(s, chi) in each box of `level` that holds all its
-    zeros on Re s = 1/2, simple: box index -> roots.
-
-    Hardy's Z(t) = e^{i theta(t, chi)} f(1/2 + it) is real, and is sampled
-    at _LINE_SAMPLES even heights up each box of winding w > 0.  Its c sign
-    changes bracket at least c zeros of odd order on the line, and w counts
-    every zero in the box, so c = w leaves exactly one zero, simple, in
-    each bracket.  Newton on f from a bracket's midpoint must stay on the
-    line inside that bracket.  A box with c != w, a sample Z = 0 or a root
-    that leaves its bracket is left out.
-    """
-    idx = [i for i, w in enumerate(windings) if w > 0]
-    t = np.linspace([level[i][2] for i in idx], [level[i][3] for i in idx],
-                    _LINE_SAMPLES, axis=1)
-    Z = (np.exp(1j * hardy_theta(t, chi))
-         * _evaluate(f, 0.5 + 1j * t.ravel()).reshape(t.shape)).real
-    flips = Z[:, :-1] * Z[:, 1:] < 0
-    ok = ((flips.sum(axis=1) == [windings[i] for i in idx])
-          & (Z != 0).all(axis=1))
-    rows, cols = np.nonzero(flips & ok[:, None])
-    lo, hi = t[rows, cols].tolist(), t[rows, cols + 1].tolist()
-    roots = _newton_refine(f, [(complex(0.5, 0.5 * (a + b)), 1)
-                               for a, b in zip(lo, hi)])
-    out = {idx[r]: [] for r in np.flatnonzero(ok).tolist()}
-    for r, a, b, root in zip(rows.tolist(), lo, hi, roots):
-        if (idx[r] in out and abs(root.real - 0.5) < 1e-6
-                and a <= root.imag <= b):
-            out[idx[r]].append(root)
-        else:
-            out.pop(idx[r], None)
-    return out
-
-
-def _line_count(f: Callable, chi: DirichletCharacter, T: float) -> tuple:
+def _line_count(f: Callable, chi: DirichletCharacter, T: float,
+                step: float = _THETA_STEP) -> tuple:
     """Backlund's count n of the zeros of f = L(s, chi) with _IM_FLOOR <
     Im s < T, the heights t where Hardy's Z(t, chi) is sampled, Z there,
     and theta(t, chi) as a function of t.
@@ -307,8 +274,8 @@ def _line_count(f: Callable, chi: DirichletCharacter, T: float) -> tuple:
     twice its phase along 1/2 + i t0 -> 2 + i t0 -> 2 + iT -> 1/2 + iT,
     t0 = _IM_FLOOR, and n = [theta(T) - theta(t0) + A(T) - A(t0)] / pi with
     A the phase of f along that path, _SAMPLES_PER_EDGE steps per edge
-    (`_phase`).  Z is sampled where theta moves by _THETA_STEP, from t0 to
-    T.  The path's samples and Z's go to f in one `_evaluate`.  Off t0 and
+    (`_phase`).  Z is sampled where theta moves by `step`, from t0 to T.
+    The path's samples and Z's go to f in one `_evaluate`.  Off t0 and
     T, theta is interpolated linearly from _THETA_GRID values per unit
     height; its error d, below 2e-3, scales Z by cos d, which keeps Z's
     signs and zeros.
@@ -321,7 +288,7 @@ def _line_count(f: Callable, chi: DirichletCharacter, T: float) -> tuple:
         return np.interp(x, grid, theta)
 
     moved = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(theta)))])
-    steps = max(1, math.ceil(moved[-1] / _THETA_STEP))
+    steps = max(1, math.ceil(moved[-1] / step))
     t = np.interp(np.linspace(0.0, moved[-1], steps + 1), moved, grid)
     z0, z1 = _segments(np.array([0.5, 2.0, 2.0]), np.array([t0, t0, T]),
                        np.array([2.0, 2.0, 0.5]), np.array([t0, T, T]),
@@ -373,37 +340,38 @@ def _line_roots(f: Callable, chi: DirichletCharacter,
 
     Z's c sign changes bracket at least c zeros of odd order on the line;
     a count n within 1e-6 of c leaves one simple zero in each bracket and
-    none elsewhere.  Any other n, a sample Z = 0 or a path through a zero
-    gives None.
+    none elsewhere.  Two line zeros between two samples (a failure of
+    Gram's law) hide from the signs but not from n, so a count that its
+    sign changes miss, or a sample Z = 0, resamples Z with theta's step
+    halved, up to _THETA_HALVINGS times, each try one `_line_count`.  An
+    off-line or multiple zero, or two closer than the finest step, leaves
+    n above c at every step and gives None, as does a path through a zero.
     """
-    try:
-        n, t, Z, theta = _line_count(f, chi, T)
-    except UnresolvedBoxError:
-        return None
-    flips = np.flatnonzero(Z[:-1] * Z[1:] < 0)
-    if not (abs(n - len(flips)) <= 1e-6 and (Z != 0).all()):
-        return None
-    return [complex(0.5, x) for x in _illinois(
-        f, theta, t[flips], t[flips + 1], Z[flips], Z[flips + 1]).tolist()]
+    for k in range(_THETA_HALVINGS + 1):
+        try:
+            n, t, Z, theta = _line_count(f, chi, T, _THETA_STEP / 2 ** k)
+        except UnresolvedBoxError:
+            return None
+        flips = np.flatnonzero(Z[:-1] * Z[1:] < 0)
+        if abs(n - len(flips)) <= 1e-6 and (Z != 0).all():
+            return [complex(0.5, x) for x in _illinois(
+                f, theta, t[flips], t[flips + 1], Z[flips],
+                Z[flips + 1]).tolist()]
+    return None
 
 
-def _scan(f: Callable, level: list[tuple], budget: int,
-          chi: DirichletCharacter | None = None) -> tuple[list, int]:
+def _scan(f: Callable, level: list[tuple], budget: int) -> tuple[list, int]:
     """(root, winding w) per zero or pole of f in the boxes of `level`, and
     the number of boxes scanned.
 
-    With chi, f is L(s, chi) and its roots in each box that `_line_zeros`
-    resolves on Re s = 1/2 are taken from there, of winding 1 each; the
-    level-0 windings are their certificate.  Any other box of nonzero
-    winding is split (`_split`) until it is at most 2e-2 wide and
-    |w| <= _MAX_ORDER, then refined by Newton on f from its center; an
-    iterate that escapes the box splits it again.  So the box scan alone
-    finds a zero off the line or a multiple one.  The scan walks one
-    subdivision level at a time: one `_windings` over fresh outlines of all
-    its boxes, and one lockstep `_newton_refine` over its small boxes.  For
-    an f that gives a point the same value in any batch, as
-    `g_closed_form`'s functions do, the result does not depend on this
-    batching.
+    A box of nonzero winding is split (`_split`) until it is at most 2e-2
+    wide and |w| <= _MAX_ORDER, then refined by Newton on f from its
+    center; an iterate that escapes the box splits it again.  So the scan
+    finds a zero off the line or a multiple one.  It walks one subdivision
+    level at a time: one `_windings` over fresh outlines of all its boxes,
+    and one lockstep `_newton_refine` over its small boxes.  For an f that
+    gives a point the same value in any batch, as `g_closed_form`'s
+    functions do, the result does not depend on this batching.
     """
     found = []
     used = 0
@@ -412,11 +380,6 @@ def _scan(f: Callable, level: list[tuple], budget: int,
         if used > budget:
             raise BudgetExceededError("box subdivision budget exceeded")
         windings = _windings(f, level)
-        if chi is not None:
-            for i, roots in _line_zeros(f, chi, level, windings).items():
-                found += [(root, 1) for root in roots]
-                windings[i] = 0
-            chi = None
         width = [max(re1 - re0, im1 - im0) for re0, re1, im0, im1 in level]
         small = [i for i, w in enumerate(windings)
                  if w and width[i] <= 2e-2 and abs(w) <= _MAX_ORDER]
@@ -450,17 +413,17 @@ def find_zeros(evaluator: Callable | GEvaluator,
     through them: each factor is holomorphic on the strip and scanned on its
     own, so zeros of two factors cannot cancel in a winding.  A factor that
     carries its character takes `_line_roots`: one zero count, Z sampled
-    where theta moves by pi/4, and Illinois steps on Z's brackets.  A factor
-    whose count those brackets miss, or that has no character, takes
-    `_scan`: level-0 windings, the per-slab line pass, then boxes.  A
-    factor's point of winding k has order k * (its exponent); points of
-    different factors within CLASS_MATCH_RTOL merge with the summed order,
-    and order 0 is dropped.  A point of order +-1 is refined again by
-    Newton on g from the factor's root, kept if it agrees with that root; a
-    higher order keeps the factor's root, where the zero is simple (Newton
-    on a zero of order k reaches only about eps^(1/k)); a root of
-    `_line_roots` has Re s = 1/2 exactly.  The box budget, 4000 + 400 T, is
-    shared by the factor scans.
+    where theta moves by pi/4, or finer while the signs miss a zero of the
+    count, and Illinois steps on Z's brackets.  A factor whose count its
+    finest samples still miss, or that has no character, takes the box
+    scan, `_scan`, from slabs of height 1/2.  A factor's point of winding k
+    has order k * (its exponent); points of different factors within
+    CLASS_MATCH_RTOL merge with the summed order, and order 0 is dropped.
+    A point of order +-1 is refined again by Newton on g from the factor's
+    root, kept if it agrees with that root; a higher order keeps the
+    factor's root, where the zero is simple (Newton on a zero of order k
+    reaches only about eps^(1/k)); a root of `_line_roots` has Re s = 1/2
+    exactly.  The box budget, 4000 + 400 T, is shared by the factor scans.
     """
     if T > HEIGHT_MAX:
         raise InvalidConfigError(
@@ -481,7 +444,7 @@ def find_zeros(evaluator: Callable | GEvaluator,
     for f, exponent, chi in factors:
         roots = _line_roots(f, chi, T) if chi is not None and slabs else None
         if roots is None:
-            found, used = _scan(f, slabs, budget, chi)
+            found, used = _scan(f, slabs, budget)
             budget -= used
         else:
             found = [(root, 1) for root in roots]

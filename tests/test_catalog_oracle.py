@@ -19,6 +19,9 @@ LOCATION_TOL = 1e-9  # distance from a zeta zero to its catalog point
 
 _SYSTEMS = {
     "d5": lambda: kronecker_system(5),
+    # L(s, chi_-568) hides two line zeros between samples of Hardy's Z at
+    # theta steps of pi/4; resampling at pi/8 finds them
+    "d-142": lambda: kronecker_system(-142),
     "char7,3,3": lambda: cyclic_system(prime_order_character(7, 3, 3)),
     "char11,5": lambda: cyclic_system(prime_order_character(11, 5)),
 }

@@ -17,7 +17,7 @@ from partialzeta.lfunctions import (dirichlet_L, kronecker_character,
                                     prime_order_character)
 from partialzeta.numberfield import (AbelianSystem, cyclic_system,
                                      find_zeros, g_closed_form, kronecker_system)
-from partialzeta.primes import primes_up_to
+from partialzeta.primes import factorize, primes_up_to
 
 from prime_data import table_rows
 from zeta_oracles import (critical_line_zero_scan, reference_dirichlet_L,
@@ -238,16 +238,22 @@ _D5_CATALOG_T28 = [
 
 def _scan_work(monkeypatch, sys_obj, T):
     """find_zeros on g_closed_form(sys_obj) to T, and the sizes of its calls:
-    of g ("g"), of each factor (by index) and of hurwitz_zeta ("hurwitz")."""
+    of g ("g"), of each factor (by index) and of hurwitz_zeta ("hurwitz"),
+    and the boxes of each `_windings` call ("windings", absent if none)."""
     ev = g_closed_form(sys_obj)
     sizes = {}
-    hurwitz = lfunctions.hurwitz_zeta
+    hurwitz, windings = lfunctions.hurwitz_zeta, numberfield._windings
 
     def counted_hurwitz(s, a):
         sizes.setdefault("hurwitz", []).append(len(s))
         return hurwitz(s, a)
 
+    def counted_windings(f, boxes):
+        sizes.setdefault("windings", []).append(len(boxes))
+        return windings(f, boxes)
+
     monkeypatch.setattr(lfunctions, "hurwitz_zeta", counted_hurwitz)
+    monkeypatch.setattr(numberfield, "_windings", counted_windings)
 
     def counted(fn, key):
         def f(s):
@@ -283,6 +289,7 @@ class TestFindZeros:
         # per factor replaces the level-0 windings and Illinois steps on Z
         # replace Newton's five points per iterate
         cat, sizes = _scan_work(monkeypatch, kronecker_system(5), 28.0)
+        assert "windings" not in sizes
         hurwitz_calls = sizes.pop("hurwitz")
         calls = [n for v in sizes.values() for n in v]
         assert len(calls) <= 20
@@ -300,9 +307,21 @@ class TestFindZeros:
         # zero count per factor
         sys_obj = cyclic_system(prime_order_character(11, 5))
         cat, sizes = _scan_work(monkeypatch, sys_obj, 100.0)
+        assert "windings" not in sizes
         sizes.pop("hurwitz")
         assert sum(n for v in sizes.values() for n in v) <= 5000
         assert len(cat.points) == 294
+
+    def test_d_minus_59_scan_work(self, monkeypatch):
+        # factor and g points to T = 100: 9,444 when L(s, chi_-59)'s count
+        # exceeded its sign changes at theta steps of pi/4 and the factor
+        # took level-0 windings (200 slabs), the per-slab line pass and
+        # boxes; 2,771 as Z is resampled at pi/8 instead
+        cat, sizes = _scan_work(monkeypatch, kronecker_system(-59), 100.0)
+        assert "windings" not in sizes
+        sizes.pop("hurwitz")
+        assert sum(n for v in sizes.values() for n in v) <= 3325
+        assert len(cat.points) == 122
 
     def test_400_box_level(self):
         # sin(pi w), w = -i(s - 1/2) - 1/4, vanishes at 1/2 + i(n + 1/4):
@@ -444,12 +463,13 @@ def _system(spec):
 
 
 def _recorded_counts(monkeypatch):
-    """The (count, heights, Z, theta) of every `_line_count` call."""
+    """The (step, count, heights, Z) of every `_line_count` call."""
     counts, line_count = [], numberfield._line_count
 
-    def recorded(f, chi, T):
-        counts.append(line_count(f, chi, T))
-        return counts[-1]
+    def recorded(f, chi, T, step=numberfield._THETA_STEP):
+        out = line_count(f, chi, T, step)
+        counts.append((step, *out[:3]))
+        return out
 
     monkeypatch.setattr(numberfield, "_line_count", recorded)
     return counts
@@ -458,9 +478,12 @@ def _recorded_counts(monkeypatch):
 class TestLineScan:
     """Zeros of a factor L(s, chi) come from sign changes of Hardy's Z on
     Re s = 1/2 where they match Backlund's count of the factor's zeros; a
-    factor whose count they do not match takes the level-0 windings, which
-    resolve each slab on the line where they can, and the box scan for the
-    rest."""
+    count the signs miss resamples Z with theta's step halved, up to
+    _THETA_HALVINGS times, and a factor whose count the finest samples
+    still miss takes the box scan alone."""
+
+    _STEPS = [numberfield._THETA_STEP / 2 ** k
+              for k in range(numberfield._THETA_HALVINGS + 1)]
 
     def test_off_line_pair_takes_the_box_scan(self, monkeypatch):
         # L(s, chi_5) (s - rho)(s - 1 + conj rho), rho = 0.7 + 20i: on the
@@ -479,25 +502,28 @@ class TestLineScan:
         assert np.all(np.abs(Z.imag) <= 1e-12 * np.maximum(1, np.abs(Z)))
         assert np.array_equal(np.sign(Z.real), -np.sign(Z_L.real))
 
-        passes, line_zeros = [], numberfield._line_zeros
+        levels, windings = [], numberfield._windings
 
-        def recorded(f, chi, level, windings):
-            out = line_zeros(f, chi, level, windings)
-            passes.append((level, list(windings), out))
-            return out
+        def recorded(f, boxes):
+            levels.append((boxes, windings(f, boxes)))
+            return levels[-1][1]
 
         counts = _recorded_counts(monkeypatch)
-        monkeypatch.setattr(numberfield, "_line_zeros", recorded)
+        monkeypatch.setattr(numberfield, "_windings", recorded)
         cat = find_zeros(GEvaluator(f, factors=[(f, 1, chi)]), 30.0)
-        # the count sees both zeros, the line neither: the factor falls back
-        (n, t, Z, _), = counts
-        assert abs(n - (np.sum(Z[:-1] * Z[1:] < 0) + 2)) < 1e-6
-        (level, windings, out), = passes
-        fallback = [level[i] for i, w in enumerate(windings)
-                    if w and i not in out]
-        assert len(fallback) == 1 and fallback[0][2] < 20 < fallback[0][3]
-        assert all(len(roots) == windings[i] for i, roots in out.items())
+        # the count sees both zeros, the line neither at any step: the
+        # factor falls back to the box scan, whose level-0 windings add up
+        # to the count, 2 more than the line zeros in the slab at Im s = 20
+        assert [step for step, *_ in counts] == self._STEPS
+        for _, n, t, Z in counts:
+            assert abs(n - (np.sum(Z[:-1] * Z[1:] < 0) + 2)) < 1e-6
+        (slabs, slab_windings), *_ = levels
+        assert slabs[0][2] == numberfield._IM_FLOOR and slabs[-1][3] == 30.0
+        assert sum(slab_windings) == round(counts[0][1])
         on_line = find_zeros(lambda s: dirichlet_L(s, chi), 30.0).points
+        (w20, lo, hi), = [(w, im0, im1) for (_, _, im0, im1), w in
+                          zip(slabs, slab_windings) if im0 < 20 < im1]
+        assert w20 == 2 + sum(lo < p.location.imag < hi for p in on_line)
         off_line = [p for p in cat.points if abs(p.location.real - 0.5) > 0.1]
         assert [p.order for p in cat.points] == [1] * (len(on_line) + 2)
         for p, z in zip(off_line, (0.3 + 20j, 0.7 + 20j)):
@@ -506,30 +532,33 @@ class TestLineScan:
         for p, q in zip(rest, on_line):
             assert abs(p.location - q.location) < 1e-12
 
-    @pytest.mark.parametrize("spec,T", [
+    # 137 to T = 15 and -142 to T = 30: a factor whose signs miss two line
+    # zeros at theta steps of pi/4, which resampling at pi/8 finds
+    _CATALOGS = [
         (5, 30.0), (-3, 30.0), (13, 30.0), ((7, 3, 3), 30.0), ((11, 5), 30.0),
-        (5, 100.0), ((7, 3, 3), 100.0), ((11, 5), 100.0)], ids=str)
+        (5, 100.0), ((7, 3, 3), 100.0), ((11, 5), 100.0), (137, 15.0),
+        (-142, 30.0)]
+
+    @pytest.mark.parametrize("spec,T", _CATALOGS, ids=str)
     def test_line_first_equals_box_only(self, monkeypatch, spec, T):
-        split, parents = numberfield._split, []
+        windings, boxes = numberfield._windings, []
 
-        def recorded(boxes):
-            parents.extend(boxes)
-            return split(boxes)
+        def recorded(f, level):
+            boxes.extend(level)
+            return windings(f, level)
 
-        monkeypatch.setattr(numberfield, "_split", recorded)
+        monkeypatch.setattr(numberfield, "_windings", recorded)
         line = find_zeros(g_closed_form(_system(spec)), T).points
         monkeypatch.undo()
         box = find_zeros(_box_only(g_closed_form(_system(spec))), T).points
         assert [p.order for p in line] == [p.order for p in box]
         for p, q in zip(line, box):
             assert abs(p.location - q.location) < 1e-12
-        # the line pass resolves every level-0 slab here: were one to fall
-        # back, the box scan alone would find its zeros, at its own cost
-        assert parents == [], "a slab fell back to the box scan"
+        # the line pass resolves every factor here: were one to fall back,
+        # the box scan alone would find its zeros, at its own cost
+        assert boxes == [], "a factor fell back to the box scan"
 
-    @pytest.mark.parametrize("spec,T", [
-        (5, 30.0), (-3, 30.0), (13, 30.0), ((7, 3, 3), 30.0), ((11, 5), 30.0),
-        (5, 100.0), ((7, 3, 3), 100.0), ((11, 5), 100.0)], ids=str)
+    @pytest.mark.parametrize("spec,T", _CATALOGS, ids=str)
     def test_count_is_an_integer(self, spec, T):
         ev = g_closed_form(_system(spec))
         points = np.array([p.location for p in find_zeros(ev, T).points])
@@ -551,12 +580,36 @@ class TestLineScan:
         ev = GEvaluator(f, factors=[(f, 1, chi)])
         counts = _recorded_counts(monkeypatch)
         cat = find_zeros(ev, 30.0).points
-        (n, t, Z, _), = counts
-        assert abs(n - (np.sum(Z[:-1] * Z[1:] < 0) + 2)) < 1e-6
+        # one count per step, none of whose samples split the pair
+        assert [step for step, *_ in counts] == self._STEPS
+        for _, n, t, Z in counts:
+            assert abs(n - (np.sum(Z[:-1] * Z[1:] < 0) + 2)) < 1e-6
         monkeypatch.setattr(numberfield, "_line_roots", lambda f, chi, T: None)
-        today = find_zeros(ev, 30.0).points
+        box = find_zeros(ev, 30.0).points
         assert [(p.location, p.order) for p in cat] == [
-            (p.location, p.order) for p in today]
+            (p.location, p.order) for p in box]
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from(primes_up_to(59).tolist()[1:]),
+           data=st.data(), T=st.floats(0.5, 15.0))
+    def test_single_factor_equals_box_only(self, p, data, T):
+        # one factor L(s, chi^j), chi of prime order mod a prime below 60:
+        # the line-first catalog, resampled where needed, equals the box
+        # scan's, and the count is an integer equal to its length
+        q = data.draw(st.sampled_from(sorted(factorize(p - 1))), label="q")
+        j = data.draw(st.integers(1, q - 1), label="j")
+        chi = prime_order_character(p, q).power(j)
+
+        def f(s):
+            return dirichlet_L(s, chi)
+
+        line = find_zeros(GEvaluator(f, factors=[(f, 1, chi)]), T).points
+        box = find_zeros(f, T).points
+        assert [x.order for x in line] == [x.order for x in box]
+        for x, y in zip(line, box):
+            assert abs(x.location - y.location) < 1e-12
+        n = numberfield._line_count(f, chi, T)[0]
+        assert abs(n - round(n)) < 1e-6 and round(n) == len(box)
 
     @pytest.mark.parametrize("argv", [
         ["zeros", "--d", "5", "--height", "0.05"],
