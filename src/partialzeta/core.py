@@ -32,6 +32,11 @@ norm^{-s} between the twists, and, among points of one height, the phase:
 - a height that only one point of the batch has, or a point the identity
   does not cover, takes one complex exp, and needs no phase table.
 
+`_log_one_minus` forms each twist's logs on contiguous float planes in
+the buffers it is handed, z = -w norm^{-s} in the output's and the logs'
+parts in the work array's, and its singular check reads the planes, so a
+twist allocates no array of the chunk's length.
+
 Every step before the sum is elementwise, with the same floating-point
 operations in the same order as the one-array-per-operation form, and each
 sum is numpy's pairwise complex sum over the whole slice, so every sum is
@@ -48,8 +53,8 @@ the error of the first part that met one.  numpy's ufuncs release the GIL.
   range fills its part of the twists' arrays in chunks of RANGE_CHUNK;
   `_finish` runs once after the join.
 - A batch of two or more points is cut, in phase-group order, into
-  contiguous runs of points.  Each run allocates its work arrays once,
-  fills each point over the whole slice as one chunk, taking the
+  contiguous runs of points.  Each run allocates its arrays once, in one
+  block, fills each point over the whole slice as one chunk, taking the
   shared-height path wherever the whole height is shared, so a point's
   bits do not depend on where the batch was cut, and finishes it.  The
   last twist's logs overwrite the point's norm^{-s}.
@@ -250,16 +255,20 @@ def log_product(norms: np.ndarray, w, s):
                  for k in members]
 
         def fill_run(lo, hi):
-            # the last twist's logs overwrite norm^{-s}
-            x = np.empty(n, complex)
-            outs = [np.empty(n, complex) for _ in ws[1:]] + [x]
-            work = np.empty(n, complex)
-            cis, cis_group = None, None  # the phase table and its group
+            # norm^{-s}, work, the phase table and one array per twist past
+            # the last, whose logs overwrite norm^{-s}: one block, where
+            # separate arrays fragmented the heap (5-10 MB of RSS at 1e7)
+            x, work, cis, *outs = np.empty((len(ws) + 2, n), complex)
+            outs.append(x)
+            cis_group = None  # the group whose phase table cis holds
             for k, group, shared in order[lo:hi]:
                 if shared and group != cis_group:
                     # exp(0 + iy) with y = Im(-s log p), the same bits for
-                    # every member (see _phase_groups)
-                    cis = np.multiply(-pts[k], logs, out=cis)
+                    # every member (see _phase_groups); log p goes in as
+                    # complex in work, the cast numpy would otherwise make
+                    # in a 128 kB buffer of its own
+                    work.real, work.imag = logs, 0.0
+                    np.multiply(-pts[k], work, out=cis)
                     cis.real = 0.0
                     np.exp(cis, out=cis)
                     cis_group = group
@@ -392,19 +401,34 @@ def _phase_groups(pts: list, logs: np.ndarray) -> list[list[int]]:
 def _log_one_minus(x: np.ndarray, w, out: np.ndarray, work: np.ndarray) -> bool:
     """Write log(1 - w x) over x = norm^{-s} into out, with w x in work;
     False, out partly written, where a factor is singular.  x, out and work
-    are complex arrays of one length, and out may be x."""
+    are contiguous complex arrays of one length, and out may be x.
+
+    Once w x is in work, z = -w x = a + ib goes as two float planes into
+    out's buffer and the logs' real and imaginary parts as two into
+    work's, interleaved into out at the end: the operations of
+    `reference_log_product`, in its order, on contiguous planes.  1 + a is
+    Re(1 - w x) bit for bit (IEEE's x - y is x + (-y)) and bounds
+    |1 - w x| from below, so numpy's complex modulus, the reference's
+    check, runs only on the factors with |1 + a| below the bound, taken of
+    1 + z, the reference's 1 - w x bit for bit (0 + b is 0 - Im w x).
+    """
+    m = len(out)
     # out of place: numpy multiplies a one-element complex array in place
     # with its reduction loop, which rounds differently
-    x = np.multiply(x, w, out=work)
-    one_minus_x = np.subtract(1.0, x, out=out)
-    # |z| >= |Re z|: the modulus, the costlier test, runs only on a chunk
-    # with a real part below the bound
-    if (np.any(np.abs(one_minus_x.real) < SINGULAR_FACTOR_EPS)
-            and np.any(np.abs(one_minus_x) < SINGULAR_FACTOR_EPS)):
-        return False
-    # z = -x in place, negated as floats: numpy's complex loop is slower
-    np.negative(x.view(float), out=x.view(float))
-    a, b, re, im = x.real, x.imag, out.real, out.imag
+    np.multiply(x, w, out=work)
+    a, b = out.view(float)[:m], out.view(float)[m:]
+    np.negative(work.real, out=a)
+    np.negative(work.imag, out=b)
+    re, im = work.view(float)[:m], work.view(float)[m:]
+    np.add(1.0, a, out=re)
+    np.abs(re, out=re)
+    # fmin skips NaN, so a NaN factor cannot hide a singular one
+    if np.fmin.reduce(re) < SINGULAR_FACTOR_EPS:
+        flagged = re < SINGULAR_FACTOR_EPS
+        z = np.empty(np.count_nonzero(flagged), complex)
+        z.real, z.imag = a[flagged], b[flagged]
+        if np.any(np.abs(np.add(1.0, z, out=z)) < SINGULAR_FACTOR_EPS):
+            return False
     np.multiply(2, a, out=re)
     np.multiply(a, a, out=im)
     re += im
@@ -415,6 +439,7 @@ def _log_one_minus(x: np.ndarray, w, out: np.ndarray, work: np.ndarray) -> bool:
     re *= 0.5
     np.add(1.0, a, out=im)
     np.arctan2(b, im, out=im)
+    out.real, out.imag = re, im
     return True
 
 

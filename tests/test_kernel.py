@@ -292,6 +292,93 @@ class TestKernelBitIdentity:
                         == _bits(log_product(norms, chi, s.astype(complex))))
 
 
+def _both_paths(norms, chi, s):
+    """The outcome at s of the one-point path, of the batch path (s and a
+    second, regular point) and of the reference: the bits of s's sums, or
+    the message of the error raised."""
+    def outcome(kernel, points):
+        try:
+            return _bits(np.asarray(kernel(norms, chi, points))[0])
+        except SingularLocalFactorError as exc:
+            return str(exc).replace(f"{complex(s)}", "s")
+
+    return (outcome(log_product, np.array([s])),
+            outcome(log_product, np.array([s, 3.0 + 1.0j])),
+            outcome(lambda *a: [_reference(norms, chi, s)], s))
+
+
+SINGULAR = "singular local factor at s=s"
+NOT_FINITE = "local factor log not finite at s=s"
+
+
+class TestSingularCheckOnPlanes:
+    """The singular check reads z = -w x from float planes: Re(1 - w x) is
+    1 + a, and only a factor with |1 + a| below the bound takes numpy's
+    complex modulus, the reference's."""
+
+    @pytest.mark.parametrize("n", [1, 3, core.RANGE_CHUNK + 5])
+    def test_zero_real_part_with_modulus_one_half(self, n):
+        # 1 - (2 + i) 2^{-1} = -0.5i
+        one, batch, ref = _both_paths(np.full(n, 2.0), 2 + 1j, 1.0)
+        assert one == batch == ref and isinstance(ref, bytes)
+
+    @pytest.mark.parametrize("w", [2.0, 2 + 1e-16j, 2 - 1.5e-15j,
+                                   complex(2 - 1e-15, 1e-16)],
+                             ids=["zero", "Re-zero", "Re-zero-eps",
+                                  "both-small"])
+    def test_modulus_below_the_bound_is_singular(self, w):
+        # |1 - w / 2| is 0, 5e-17, 7.5e-16 and about 4.5e-16
+        norms = np.array([3.0, 2.0, 5.0])
+        assert _both_paths(norms, w, 1.0) == (SINGULAR,) * 3
+
+    @pytest.mark.parametrize("w", [2 + 2.5e-15j, complex(2 - 4e-15, 0.0)],
+                             ids=["Re-zero", "Re-above"])
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_modulus_just_above_the_bound_is_not(self, w):
+        # |1 - w / 2| is 1.25e-15 and 2e-15: the check passes, and the log
+        # of the factor overflows the sum instead
+        norms = np.array([3.0, 2.0, 5.0])
+        assert _both_paths(norms, w, 1.0) == (NOT_FINITE,) * 3
+
+    @pytest.mark.parametrize("norms", [[np.nan, 2.0], [2.0, np.nan],
+                                       [np.nan, 3.0, 2.0, np.nan]])
+    def test_nan_factor_does_not_hide_a_singular_one(self, norms):
+        norms = np.array(norms)
+        assert _both_paths(norms, 2.0, 1.0) == (SINGULAR,) * 3
+        assert _both_paths(norms, [1.0, 2.0], 1.0) == (SINGULAR,) * 3
+
+    def test_nan_factors_alone_are_not_singular(self):
+        one, batch, ref = _both_paths(np.array([np.nan, 3.0]), 2.0, 1.0)
+        assert one == batch == ref and isinstance(ref, bytes)
+
+    @pytest.mark.parametrize("chi", [-1.0, [1.0, -1.0],
+                                     [1.0, complex(roots_of_unity(3)[1])]])
+    @pytest.mark.parametrize("s", [0.5 + 14.1j, 2.0, -0.25 + 0j])
+    def test_one_element_and_the_last_twist_in_x(self, chi, s):
+        # one norm, and in a batch the last twist's logs overwrite x
+        norms = RATIONAL_PRIMES[4:5]
+        one, batch, ref = _both_paths(norms, chi, s)
+        assert one == batch == ref and isinstance(ref, bytes)
+        pts = np.array([s, s, 1.5 + 2.0j])
+        assert ([_bits(v) for v in log_product(norms, chi, pts).tolist()]
+                == [_outcome(norms, chi, z, _reference) for z in pts])
+
+    @pytest.mark.parametrize("out_is_x", [False, True])
+    def test_allocates_nothing_of_the_chunks_length(self, out_is_x):
+        m = 50_000
+        x = np.exp(-(0.75 + 3.0j) * np.log(RATIONAL_PRIMES[:m]))
+        out = x if out_is_x else np.empty(m, complex)
+        work = np.empty(m, complex)
+        tracemalloc.start()
+        try:
+            assert core._log_one_minus(x, -1.0, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few array headers, far below one byte per factor
+        assert peak < m // 8, peak
+
+
 def _batch(rng, kind, n_points):
     """Points of one batch: a few heights shared by several real parts,
     heights of one point, Im s = +-0 and repeated points."""
@@ -410,9 +497,8 @@ class TestBatchedKernel:
     def test_memory_per_prime_of_one_point(self, monkeypatch):
         # a twisted call on 332k norms, the size of the inert slice of
         # `eval --d 5` at the 1e7 sieve cap: one 16-byte log array per
-        # twist, and on each of 2 ranges a chunk's work arrays, peak at 36
-        # bytes per prime; out, x and spare over the whole slice and the
-        # singular check's temporaries peaked at 57
+        # twist, and on each of 2 ranges a chunk's work arrays, in whose
+        # buffers the singular check runs; peak at 36 bytes per prime
         monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         norms = RATIONAL_PRIMES[1::2].copy()
         tracemalloc.start()
@@ -423,14 +509,16 @@ class TestBatchedKernel:
             tracemalloc.stop()
         assert peak <= 38 * len(norms), peak / len(norms)
 
-    @pytest.mark.parametrize("chi, bound", [(1.0, 124.5),
-                                            ([1.0, -1 + 0j], 156.5)],
+    @pytest.mark.parametrize("chi, bound", [(1.0, 106.5),
+                                            ([1.0, -1 + 0j], 138.5)],
                              ids=["one-twist", "two-twists"])
     def test_memory_per_prime_of_a_grid_batch(self, monkeypatch, chi, bound):
         # the 63 points q s of the bench `continue --grid` on the d=5 inert
         # slice at 1e6, on 2 runs: the shared logs, and on each run x, work,
         # the phase table and one array per twist past the last, whose logs
-        # overwrite x; peak at 122.5 and 154.3 bytes per prime
+        # overwrite x, and nothing else: the singular check and the phase
+        # table's complex log p run in those buffers.  Peak at 104.5 and
+        # 136.4 bytes per prime, whatever the order the runs allocate in
         monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         norms = kronecker_system(5).class_slices(1e6)[(1, 2)]
         s = 2 * np.array([complex(a, b) for b in np.linspace(0, 30, 7)
