@@ -8,13 +8,13 @@ __version__ = "0.1.0"
 
 from .continuation import (GEvaluator, PartialZetaEvaluator,
                            SingularityCatalog, SingularPoint, boundary_report,
-                           continue_f_power, counting_functions, feq_residual,
+                           continue_f_power, counting_functions,
                            lambda_q_betas, mq_classes)
 from .core import PrimeTable, TruncationPolicy, ZetaSystem
 from .errors import (BudgetExceededError, DomainError, InsufficientDataError,
                      InvalidConfigError, PartialZetaError, PoleAtOneError,
                      SingularLocalFactorError, UnresolvedBoxError)
-from .frobenius import Character, CyclicGroup, zp_factorization_residual
+from .frobenius import feq_residual, zp_factorization_residual
 from .graphs import (GraphZetaSystem, MultiGraph, VoltageGraph, build_cover,
                      graph_L, graph_Ls, graph_singularities_in_s, ihara_det,
                      ihara_edge, parse_graph_file, partial_zeta_series,

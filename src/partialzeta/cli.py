@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .continuation import (GEvaluator, PartialZetaEvaluator, SingularityCatalog,
                            boundary_report, continue_f_power,
-                           counting_functions, feq_residual)
-from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_zeta_P,
-                   log_zeta_Pn)
+                           counting_functions)
+from .core import TruncationPolicy, ZetaSystem, exp_of_log
 from .errors import BudgetExceededError, DomainError, InvalidConfigError
-from .frobenius import CyclicGroup, log_Z, zp_factorization_residual
+from .frobenius import (feq_residual, log_L, log_Z, log_zeta_Pn,
+                        zp_factorization_residual)
 from .graphs import (GraphZetaSystem, VoltageGraph, build_cover,
                      cover_zeta_inverse, g_series_fraction,
                      graph_Ls, graph_singularities_in_s, ihara_det, ihara_edge,
@@ -217,10 +217,10 @@ def cmd_eval(args) -> None:
     pts = _parse_grid(args.grid) if args.grid else [_parse_s(args.s)]
     z, q = np.array(pts), sys_obj.group_order
     # one call per product over every point
-    logs = {"zeta_P": log_zeta_P(sys_obj, z, pol)}
+    logs = {"zeta_P": log_L(sys_obj, 0, z, pol)}
     if q > 1:
-        for n in CyclicGroup(q).divisors():
-            logs[f"zeta_P{n}"] = log_zeta_Pn(sys_obj, n, z, pol)
+        logs.update({f"zeta_P{n}": log_zeta_Pn(sys_obj, n, z, pol)
+                     for n in range(1, q + 1) if q % n == 0})
         logs["Z_P"] = log_Z(sys_obj, z, pol)
     # a product over no slice is the scalar 0j
     logs = {k: np.broadcast_to(v, z.shape).tolist() for k, v in logs.items()}

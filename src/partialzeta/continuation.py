@@ -1,10 +1,11 @@
-"""Functional equations, recursive continuation and boundary diagnostics.
+"""Recursive continuation, singularity catalogs and boundary diagnostics.
 
 The recursion f(s)^{q^r} = f(q^r s) * prod_{i<r} g(q^i s)^{q^{r-i-1}}
-continues the partial zeta power into Re s > 1/q^r; the singularity
-bookkeeping (omega set, q-power classes, weighted orders) feeds the
-natural-boundary no-gap diagnostics.  All verdicts are finite-sample
-statements, never proofs.
+continues the partial zeta power into Re s > 1/q^r, with f(q^r s) the
+truncated `frobenius.log_zeta_Pn`; the functional-equation residuals live
+beside it in `frobenius`.  The singularity bookkeeping (omega set, q-power
+classes, weighted orders) feeds the natural-boundary no-gap diagnostics.
+All verdicts are finite-sample statements, never proofs.
 """
 from __future__ import annotations
 
@@ -15,11 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (TruncationPolicy, ZetaSystem, exp_of_log, log_zeta_P,
-                   log_zeta_Pn)
+from .core import TruncationPolicy, ZetaSystem, exp_of_log
 from .errors import (DomainError, InsufficientDataError, InvalidConfigError,
                      PartialZetaError, PoleAtOneError)
-from .frobenius import log_Z
+from .frobenius import log_zeta_Pn
 from .lfunctions import POLE_RADIUS, DirichletCharacter
 
 CLASS_MATCH_RTOL = 1e-9
@@ -203,20 +203,6 @@ def _refusal(ev: PartialZetaEvaluator, s: complex) -> PartialZetaError | None:
         if err is not None:
             return err
     return None
-
-
-# ---------------------------------------------------------------------------
-# functional-equation residuals (all over one identical truncated prime set)
-# ---------------------------------------------------------------------------
-
-def feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
-    """Residual of zeta_{P_q}(s)^q / zeta_{P_q}(qs) = zeta_P(s)^q / Z_P(s)."""
-    q = sys.group_order
-    pol = TruncationPolicy(X)
-    lhs = (q * log_zeta_Pn(sys, q, s, pol)
-           - log_zeta_Pn(sys, q, q * s, pol, twists=False))
-    rhs = q * log_zeta_P(sys, s, pol) - log_Z(sys, s, pol)
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

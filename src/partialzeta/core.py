@@ -1,7 +1,7 @@
-"""Prime tables, truncated Euler products and the subset zeta functions.
+"""Prime tables, the Euler-product kernel and the class-slice sums.
 
-Truncated products are accumulated in log space (complex, principal branch
-per factor); `exp_of_log` exponentiates them, and
+`frobenius` sums these into truncated products in log space (complex,
+principal branch per factor); `exp_of_log` exponentiates them, and
 `TruncationPolicy.tail_bound` bounds |log(true/value)|.
 
 A system's primes are one `PrimeTable` of columns: float64 norms, classes
@@ -9,9 +9,9 @@ in [0, #G) and orders in the smallest integer dtype holding #G, and ids
 only where they are not the norms.  It is split once per cutoff into
 contiguous (frob_class, frob_order) slices of norms.  `ClassSums` holds
 the sums at s, one point or a 1-d array of points, the same path for both:
-each slice's norm^{-s} is twisted by every w a character of #G gives its
-class, in one `log_product` call over every point, and each sum
--log(1 - w norm^{-s}) is shared by every product at s.
+`term(j, key)` twists slice key = (c, n) by character j, w = e^{2 pi i j
+c/#G}, with every twist of c from one norm^{-s} in one `log_product` call
+over every point, and each sum is shared by every product at s.
 
 `log_product`, the kernel under all of them, works in place: `_fill`
 writes log(1 - w norm^{-s}) over a range of norms into one array per twist,
@@ -22,9 +22,9 @@ twists, and shares between them the log of the norms, each point's
 norm^{-s} between the twists, and, among points of one height, the phase:
 
 - each point of a shared height forms norm^{-s} as
-  exp(-Re s log p) * (cos y, sin y), with y = -Im s log p; the real factor
-  is numpy's complex exp of a real argument and the phase table
-  exp(0 + iy) is computed once per height;
+  exp(-Re s log p) * (cos y, sin y), with y = -Im s log p, by
+  `factored_exp`; the real factor is numpy's complex exp of a real
+  argument and the phase table exp(0 + iy) is computed once per height;
 - glibc's cexp forms exp(x + iy) as exactly that pair of products for
   x <= 709 (see the `lfunctions` module docstring, and
   `TestLibmPrecondition` in the tests), so this is the bits of one complex
@@ -92,6 +92,15 @@ POINT_CACHE = 8
 # and a chunk's work arrays (about 0.8 MB) stay in cache
 RANGE_MIN = 2**16
 RANGE_CHUNK = 2**14
+
+
+def factored_exp(E: np.ndarray, cis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(x + iy) as cexp forms it for x <= CEXP_REAL_MAX, the pair
+    (E cos y, E sin y) from real E = exp(x) and cis = exp(iy), written into
+    out, imaginary part first: out may be cis, or hold E in its real part."""
+    np.multiply(E, cis.imag, out=out.imag)
+    np.multiply(E, cis.real, out=out.real)
+    return out
 
 
 def class_dtype(group_order: int) -> np.dtype:
@@ -352,8 +361,7 @@ def _fill(norms: np.ndarray, ws: list, s, lo: int, hi: int, outs: list,
             np.multiply(-s.real, lg, out=xm.real)
             xm.imag = 0.0
             np.exp(xm, out=xm)
-            np.multiply(xm.real, cis.imag[a:a + m], out=xm.imag)
-            xm.real *= cis.real[a:a + m]
+            factored_exp(xm.real, cis[a:a + m], xm)
         for i in range(first):
             if not _log_one_minus(xm, ws[i], outs[i][a:a + m], wm):
                 first = i
@@ -459,11 +467,12 @@ class ClassSums:
     """Euler-product sums at s, one point or a 1-d array of points, over the
     class slices of a table.
 
-    term(w, key) is the sum over slice key = (frob_class, frob_order) of
-    -log(1 - w norm^{-s}), one per point of an array, shared by every
-    product at s that twists that slice by w; from the same norm^{-s} it
-    computes, unless twists is False, every other twist a character of #G
-    gives the class.  Where one of those is singular at some point, w is
+    A character of Z/#G is its index j: term(j, key) is the sum over slice
+    key = (c, n) of -log(1 - w norm^{-s}), w = roots_of_unity(#G)[j c mod
+    #G], one per point of an array, kept by that root index and so shared
+    by every product at s that twists the slice by w; from the same
+    norm^{-s} it computes, unless twists is False, every other twist a
+    character gives c.  Where one of those is singular at some point, w is
     taken alone at every point, with the same bits: the kernel's sum for w
     does not depend on the other twists.
     """
@@ -471,22 +480,24 @@ class ClassSums:
     slices: dict[tuple[int, int], np.ndarray]
     s: complex | np.ndarray
     group_order: int
-    _terms: dict = field(default_factory=dict)  # (w, key) -> term
+    _terms: dict = field(default_factory=dict)  # (root index, key) -> term
 
-    def term(self, w: complex, key: tuple[int, int], twists: bool = True):
-        t = self._terms.get((w, key))
+    def term(self, j: int, key: tuple[int, int], twists: bool = True):
+        q = self.group_order
+        r = j * key[0] % q
+        t = self._terms.get((r, key))
         if t is None:
-            q, roots = self.group_order, roots_of_unity(self.group_order)
-            ws = [w] + [complex(roots[j * key[0] % q]) for j in range(q) if twists]
-            ws = [v for v in dict.fromkeys(ws) if (v, key) not in self._terms]
+            rs = [r] + [i * key[0] % q for i in range(q) if twists]
+            rs = [v for v in dict.fromkeys(rs) if (v, key) not in self._terms]
+            ws = [complex(w) for w in roots_of_unity(q)[rs]]
             try:
                 sums = log_product(self.slices[key], ws, self.s)
             except SingularLocalFactorError:  # w alone, as above
-                ws = [w]
-                sums = log_product(self.slices[key], ws, self.s)
+                rs = [r]
+                sums = log_product(self.slices[key], ws[:1], self.s)
             # per twist, a Python complex at a point or an array over a batch
             sums = list(sums.T) if np.ndim(self.s) else sums.tolist()
-            self._terms.update(zip([(v, key) for v in ws], sums))
+            self._terms.update(zip([(v, key) for v in rs], sums))
             t = sums[0]
         return t
 
@@ -511,16 +522,3 @@ def exp_of_log(log_value: complex) -> complex:
         raise DomainError(f"a product with log {log_value} overflows a "
                           f"double") from None
     return value
-
-
-def log_zeta_Pn(sys: ZetaSystem, n: int, s, pol: TruncationPolicy,
-                twists: bool = True):
-    """log zeta_{P_n}(s); twists=False where no L is read at s, as at q s."""
-    sums = sys.class_sums(pol.cutoff, s)
-    return sum((sums.term(1.0, key, twists) for key in sums.slices
-                if key[1] == n), 0j)
-
-
-def log_zeta_P(sys: ZetaSystem, s, pol: TruncationPolicy):
-    sums = sys.class_sums(pol.cutoff, s)
-    return sum((sums.term(1.0, key) for key in sums.slices), 0j)

@@ -1,63 +1,52 @@
-"""Characters of finite cyclic groups and the truncated L- and Z-products.
+"""The truncated products over Frobenius-class slices and their identities.
 
-Only abelian (one-dimensional) characters are supported; every worked
-instantiation (quadratic/cyclic fields, cyclic graph covers, composite
-q1*q2 groups) factors through them.
+zeta_{P_n}(s) sums the untwisted slice sums of the primes of order n, and
+L_P(s, chi_j) twists every slice by the character chi_j of G = Z/#G, which
+is its index j (`core.ClassSums`): j = 0 gives zeta_P, and
+Z_P(s) = prod_j L_P(s, chi_j).  Only abelian (one-dimensional) characters
+are supported; every worked instantiation (quadratic/cyclic fields, cyclic
+graph covers, composite q1*q2 groups) factors through them.  The two
+residuals check the paper's identities over one truncated prime set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .core import TruncationPolicy, ZetaSystem, log_zeta_Pn, roots_of_unity
-from .errors import InvalidConfigError
+from .core import TruncationPolicy, ZetaSystem
 
 
-@dataclass(frozen=True)
-class CyclicGroup:
-    order: int
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise InvalidConfigError("cyclic group order must be >= 2")
-
-    def divisors(self) -> list[int]:
-        return [n for n in range(1, self.order + 1) if self.order % n == 0]
-
-
-@dataclass(frozen=True)
-class Character:
-    """Character k -> exp(2*pi*i*j*k/order) of Z/order."""
-
-    group: CyclicGroup
-    index: int
-
-
-def _chi_on_classes(chi: Character, classes: np.ndarray) -> np.ndarray:
-    m = chi.group.order
-    return roots_of_unity(m)[(chi.index * classes) % m]
-
-
-def log_L(sys: ZetaSystem, chi: Character, s, pol: TruncationPolicy):
+def log_zeta_Pn(sys: ZetaSystem, n: int, s, pol: TruncationPolicy,
+                twists: bool = True):
+    """log zeta_{P_n}(s); twists=False where no L is read at s, as at q s."""
     sums = sys.class_sums(pol.cutoff, s)
-    keys = list(sums.slices)
-    w = _chi_on_classes(chi, np.array([c for c, _ in keys], dtype=np.int64))
-    return sum((sums.term(complex(wk), key) for wk, key in zip(w, keys)), 0j)
+    return sum((sums.term(0, key, twists) for key in sums.slices
+                if key[1] == n), 0j)
+
+
+def log_L(sys: ZetaSystem, j: int, s, pol: TruncationPolicy):
+    """log L_P(s, chi_j), j taken mod #G; log zeta_P(s) at j = 0."""
+    sums = sys.class_sums(pol.cutoff, s)
+    return sum((sums.term(j, key) for key in sums.slices), 0j)
 
 
 def log_Z(sys: ZetaSystem, s, pol: TruncationPolicy):
     """log of prod_j L_P(s, chi_j) over every character of the group."""
-    g = CyclicGroup(sys.group_order)
-    return sum(log_L(sys, Character(g, j), s, pol) for j in range(g.order))
+    return sum(log_L(sys, j, s, pol) for j in range(sys.group_order))
 
 
 def zp_factorization_residual(sys: ZetaSystem, s: complex, X: float) -> float:
     """| log Z_P(s) - sum_{n | #G} (#G/n) log zeta_{P_n}(n s) | over one prime set."""
     pol = TruncationPolicy(X)
+    q = sys.group_order
     lhs = log_Z(sys, s, pol)
-    g = CyclicGroup(sys.group_order)
-    rhs = sum((sys.group_order // n) * log_zeta_Pn(sys, n, n * s, pol, False)
-              for n in g.divisors())
+    rhs = sum((q // n) * log_zeta_Pn(sys, n, n * s, pol, False)
+              for n in range(1, q + 1) if q % n == 0)
     return abs(lhs - rhs)
 
+
+def feq_residual(sys: ZetaSystem, s: complex, X: float) -> float:
+    """Residual of zeta_{P_q}(s)^q / zeta_{P_q}(qs) = zeta_P(s)^q / Z_P(s)."""
+    q = sys.group_order
+    pol = TruncationPolicy(X)
+    lhs = (q * log_zeta_Pn(sys, q, s, pol)
+           - log_zeta_Pn(sys, q, q * s, pol, twists=False))
+    rhs = q * log_L(sys, 0, s, pol) - log_Z(sys, s, pol)
+    return abs(lhs - rhs)

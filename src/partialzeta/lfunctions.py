@@ -16,9 +16,10 @@ rotates L(1/2 + it, chi) of a primitive chi onto the real axis, Hardy's
 Z(t, chi), for the zero scan's line pass.
 
 Factored exponentials.  Each Euler-Maclaurin head term exp(-s log(k+a)) is
-formed as E * cis, with E = exp(-Re s log(k+a)) computed once per distinct
-Re s and column and cis = exp(-i Im s log(k+a)) once per distinct Im s and
-column of a batch; the tail's three exponentials share one cis.
+formed as E * cis (`core.factored_exp`), with E = exp(-Re s log(k+a))
+computed once per distinct Re s and column and cis = exp(-i Im s log(k+a))
+once per distinct Im s and column of a batch; the tail's three
+exponentials share one cis.
 The points of an argument-principle scan lie on a few box edges, so most of
 them share a real part or a height with others.  This gives the bits of one
 complex exp per term because:
@@ -47,13 +48,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CEXP_REAL_MAX, roots_of_unity
-from .errors import InvalidConfigError, PoleAtOneError
+from .core import CEXP_REAL_MAX, factored_exp, roots_of_unity
+from .errors import BudgetExceededError, InvalidConfigError, PoleAtOneError
 from .primes import factorize
 
 # |Im s| up to which the L-values reach the target accuracy; beyond it the
 # head's 2|Im s| + 1 terms also grow without bound
 HEIGHT_MAX = 100.0
+# largest character modulus m, refused before it is factored: m - 1 Hurwitz
+# columns at the largest prime, 262,139, peak near 1.1 GB (`zeros --height 1`)
+MAX_MODULUS = 2**18
 # hurwitz_zeta and the principal L raise PoleAtOneError this close to s = 1
 POLE_RADIUS = 1e-14
 # points per piece of dirichlet_L: bounds both a hurwitz_zeta call at small
@@ -70,14 +74,6 @@ _EM_COEFF = [float(b) / math.factorial(2 * (j + 1))
 # log_gamma takes Stirling's series at z + _GAMMA_SHIFT, where the first
 # omitted term, B_12 / (132 w^11), is below 2e-14
 _GAMMA_SHIFT = 10
-
-
-def _scale(cis: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """cis = cos y + i sin y times real E = exp(x), in place, as the pair
-    (E cos y, E sin y): exp(x + iy) as cexp forms it."""
-    cis.real *= E
-    cis.imag *= E
-    return cis
 
 
 def hurwitz_zeta(s, a):
@@ -117,7 +113,8 @@ def hurwitz_zeta(s, a):
         cis.imag = lk
         cis.imag *= -im[:, None, None]
         np.exp(cis, out=cis)
-        head[idx] = _scale(cis[row_im, :, :n], E[row]).sum(axis=2)
+        cis_n = cis[row_im, :, :n]
+        head[idx] = factored_exp(E[row], cis_n, cis_n).sum(axis=2)
         cis_M[idx] = cis[row_im, :, n]
     s = s[:, None]
     M = N[:, None] + a
@@ -125,7 +122,8 @@ def hurwitz_zeta(s, a):
 
     def exp(x):
         """exp(x - i Im s log M) for real x."""
-        return _scale(cis_M.copy(), np.exp(x.astype(complex)).real)
+        out = np.exp(x.astype(complex))
+        return factored_exp(out.real, cis_M, out)
 
     tail = exp((1.0 - s.real) * lM) / (s - 1.0) + 0.5 * exp(-s.real * lM)
     # correction terms B_{2j}/(2j)! * (s)_{2j-1} * M^{-s-2j+1}
@@ -203,9 +201,12 @@ def fundamental_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d)) for square-free d != 0, 1."""
     if d in (0, 1):
         raise InvalidConfigError("d must be a square-free integer other than 0, 1")
+    D = d if d % 4 == 1 else 4 * d
+    if abs(D) > MAX_MODULUS:
+        raise BudgetExceededError(f"modulus |D| = {abs(D)} exceeds {MAX_MODULUS}")
     if any(e > 1 for e in factorize(abs(d)).values()):
         raise InvalidConfigError(f"d={d} is not square-free")
-    return d if d % 4 == 1 else 4 * d
+    return D
 
 
 def is_primitive_root(g: int, m: int) -> bool:
@@ -273,6 +274,8 @@ def kronecker_character(d: int) -> DirichletCharacter:
 def prime_order_character(modulus: int, order: int,
                           generator: int | None = None) -> DirichletCharacter:
     """Order-`order` character mod an odd prime, chi(generator) = e^{2 pi i/order}."""
+    if modulus > MAX_MODULUS:
+        raise BudgetExceededError(f"modulus {modulus} exceeds {MAX_MODULUS}")
     if modulus < 3 or factorize(modulus) != {modulus: 1}:
         raise InvalidConfigError("modulus must be an odd prime")
     if (modulus - 1) % order != 0:

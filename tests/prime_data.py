@@ -1,11 +1,14 @@
 """Hand-specified systems and row-wise prime data for building small test
 systems, and row views of the column tables the systems keep."""
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from partialzeta.core import PrimeTable, ZetaSystem, class_dtype
 from partialzeta.errors import InvalidConfigError
+from partialzeta.primes import primes_up_to
 
 
 @dataclass(frozen=True, order=True)
@@ -65,6 +68,18 @@ def order6_system() -> ExplicitSystem:
     and each class of Z/6."""
     return ExplicitSystem([2, 3, 5, 7, 11, 13], [0, 3, 2, 1, 4, 5],
                           [1, 2, 3, 6, 3, 6], group_order=6)
+
+
+def random_order6_system():
+    """#G = 6 over the rational primes below 3000, seeded random classes;
+    frob_order is the order of the class in Z/6."""
+    rng = random.Random(6)
+    data = []
+    for i, p in enumerate(primes_up_to(3000).tolist()):
+        c = rng.randrange(6)
+        data.append(PrimeDatum(norm=p, id=i, frob_class=c,
+                               frob_order=6 // math.gcd(c, 6)))
+    return explicit_system(data, group_order=6)
 
 
 def table_rows(table: PrimeTable) -> list[tuple]:

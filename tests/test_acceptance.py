@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from partialzeta.continuation import (PartialZetaEvaluator, boundary_report,
-                                      counting_functions, feq_residual,
-                                      lambda_q_betas)
-from partialzeta.core import TruncationPolicy, log_zeta_P
-from partialzeta.frobenius import log_Z, zp_factorization_residual
+                                      counting_functions, lambda_q_betas)
+from partialzeta.core import TruncationPolicy
+from partialzeta.frobenius import (feq_residual, log_L, log_Z,
+                                   zp_factorization_residual)
 from partialzeta.graphs import (VoltageGraph, build_cover,
                                 cover_zeta_inverse, g_series_fraction,
                                 graph_singularities_in_s, ihara_det,
@@ -108,7 +108,7 @@ def test_criterion_3_continuation_coherence(acceptance_log):
     pol5 = TruncationPolicy(10**5)
     overlap_worst = 0.0
     for s in (2.0, 1.5 + 4.0j, 2.5 - 8.0j):
-        truncated = cmath.exp(2 * log_zeta_P(sys5, s, pol5)
+        truncated = cmath.exp(2 * log_L(sys5, 0, s, pol5)
                               - log_Z(sys5, s, pol5))
         overlap_worst = max(overlap_worst, abs(g(s) - truncated))
     elapsed = time.monotonic() - t0

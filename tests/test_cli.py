@@ -45,6 +45,21 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def run_in_512_mib(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI on argv in a fresh interpreter with 512 MiB of address space."""
+    limit = 512 * 2 ** 20
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from partialzeta.cli import main; sys.exit(main(sys.argv[1:]))")
+    path = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path,
+                        "OPENBLAS_NUM_THREADS": "1"})
+
+
 class TestSieve:
     def test_quadratic_d5(self, capsys):
         code, out = run(capsys, "sieve", "--backend", "quadratic", "--d", "5",
@@ -554,17 +569,7 @@ class TestZeros:
         # 512 MiB of address space; in blocks of 2^16 (point, column) pairs
         # the run peaks near 215 MB resident and 290 MB of address space
         argv = ["zeros", "--d", "2003", "--height", "2"]
-        limit = 512 * 2 ** 20
-        code = ("import resource, sys; "
-                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                "from partialzeta.cli import main; sys.exit(main(sys.argv[1:]))")
-        path = os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parents[1] / "src"),
-            os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": path,
-                            "OPENBLAS_NUM_THREADS": "1"})
+        proc = run_in_512_mib(argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run(capsys, *argv)[1]
 
@@ -1175,6 +1180,28 @@ class TestArgvFuzz:
             code = main(argv)
         assert code in {0, 2, 3, 5}, (text, argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--d", "1000003"],
+        ["eval", "--backend", "cyclic", "--char", "1000003,3"],
+        ["eval", "--d", "1000000000000000003"],
+    ], ids=["quadratic", "cyclic", "prime-d-1e18"])
+    def test_large_modulus_refused_before_factoring(self, capsys, argv):
+        # |D| = 4,000,012 took 7.9 s and 481 MB before the refusal, and
+        # factoring the prime d = 10^18 + 3 took minutes
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (5, 1) and err.startswith("error: ")
+        assert elapsed < 1.0
+
+    def test_large_modulus_zeros_refused_in_bounded_memory(self):
+        # one Hurwitz table of 1.49 GiB died of numpy's MemoryError with a
+        # traceback
+        proc = run_in_512_mib(["zeros", "--d", "1000003", "--height", "1"])
+        assert (proc.returncode, proc.stdout) == (5, "")
+        assert (proc.stderr.count("\n"), proc.stderr[:7]) == (1, "error: ")
 
 
 def _error_classes(cls=PartialZetaError):

@@ -13,9 +13,10 @@ from partialzeta import core, lfunctions
 from partialzeta.continuation import (GEvaluator, PartialZetaEvaluator,
                                       SingularityCatalog, SingularPoint,
                                       boundary_report, continue_f_power,
-                                      counting_functions, feq_residual,
-                                      lambda_q_betas, mq_classes)
+                                      counting_functions, lambda_q_betas,
+                                      mq_classes)
 from partialzeta.core import TruncationPolicy
+from partialzeta.frobenius import feq_residual
 from partialzeta.errors import (DomainError, InsufficientDataError,
                                 InvalidConfigError, PoleAtOneError)
 from partialzeta.lfunctions import prime_order_character

@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 
 from partialzeta import core, primes
 from partialzeta.core import (PrimeTable, TruncationPolicy, ZetaSystem,
-                              exp_of_log, log_zeta_P, log_zeta_Pn)
+                              exp_of_log)
 from partialzeta.errors import (BudgetExceededError, DomainError,
                                 InvalidConfigError, SingularLocalFactorError)
-from partialzeta.frobenius import Character, CyclicGroup
+from partialzeta.frobenius import log_L, log_zeta_Pn
 from partialzeta.lfunctions import prime_order_character
 from partialzeta.numberfield import cyclic_system, kronecker_system
 from partialzeta.primes import SIEVE_CAP, factorize, primes_up_to
 
 from prime_data import (ExplicitSystem, PrimeDatum, explicit_system,
-                        table_rows)
+                        random_order6_system, table_rows)
 from system_json import system_from_json, system_to_json
-from zeta_oracles import (local_factor, truncated_L, truncated_zeta_P,
-                          truncated_zeta_Pn)
+from zeta_oracles import (local_factor, reference_log_product, truncated_L,
+                          truncated_zeta_P, truncated_zeta_Pn)
 
 
 def simple_system():
@@ -174,7 +174,7 @@ class TestTruncatedProducts:
         p, _ = truncated_zeta_P(sys5, s, pol)
         p2, _ = truncated_zeta_Pn(sys5, 2, s, pol)
         with pytest.raises(SingularLocalFactorError):
-            truncated_L(sys5, Character(CyclicGroup(2), 1), s, pol)
+            truncated_L(sys5, 1, s, pol)
         # the values of a system that never computes the twist
         alone = kronecker_system(5)
         assert p2 == exp_of_log(log_zeta_Pn(alone, 2, s, pol, twists=False))
@@ -388,4 +388,25 @@ class TestLogProductStability:
         direct = 1.0
         for row in table_rows(sys.primes_up_to(10)):
             direct *= local_factor(PrimeDatum(*row), s)
-        assert abs(cmath.exp(log_zeta_P(sys, s, pol)) - direct) < 1e-14
+        assert abs(cmath.exp(log_L(sys, 0, s, pol)) - direct) < 1e-14
+
+
+class TestClassSumsTerm:
+    """term(j, key) twists slice key = (c, n) by roots_of_unity(q)[j c mod q]:
+    the reference kernel's sum with that twist, bit for bit, for every
+    character and slice, at one point and over a batch."""
+
+    @pytest.mark.parametrize("s", [1.5 + 2.0j, np.array([1.2, 1.5 + 2.0j,
+                                                         2.0 - 3.0j])],
+                             ids=["point", "batch"])
+    def test_every_index_and_slice(self, s):
+        sys_obj = random_order6_system()
+        q = sys_obj.group_order
+        sums = sys_obj.class_sums(1e3, s)
+        roots = core.roots_of_unity(q)
+        for j in range(q):
+            for (c, n), norms in sums.slices.items():
+                got = np.atleast_1d(sums.term(j, (c, n)))
+                ref = [reference_log_product(norms, roots[j * c % q], z)
+                       for z in np.atleast_1d(s).tolist()]
+                assert np.array_equal(got, ref), (j, c, n)

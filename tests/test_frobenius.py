@@ -1,4 +1,4 @@
-"""Cyclic-group characters, truncated L and Z, factorization identities."""
+"""Characters of #G as indices, truncated L and Z, factorization identities."""
 import cmath
 import math
 from fractions import Fraction
@@ -8,8 +8,8 @@ import pytest
 
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError
-from partialzeta.frobenius import (Character, CyclicGroup, _chi_on_classes,
-                                   log_Z, zp_factorization_residual)
+from partialzeta.frobenius import (feq_residual, log_L, log_Z, log_zeta_Pn,
+                                   zp_factorization_residual)
 from partialzeta.numberfield import kronecker_system
 from partialzeta.series import ExactSeries
 
@@ -18,26 +18,31 @@ from prime_data import ExplicitSystem, PrimeDatum, explicit_system
 from zeta_oracles import truncated_L, truncated_Z, truncated_zeta_P
 
 
+def _one_prime_L(q: int, j: int, c: int) -> complex:
+    """L_P(1, chi_j) over one prime of norm 2 and class c in Z/q."""
+    sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=c,
+                                     frob_order=q // math.gcd(c, q))],
+                          group_order=q)
+    return truncated_L(sys, j, 1.0, TruncationPolicy(4))[0]
+
+
 class TestCharacterValues:
+    """chi_j twists class c by e^{2 pi i j c/q}: L_P(1, chi_j) over one
+    prime of norm 2 is 1 / (1 - e^{2 pi i j c/q} / 2)."""
+
     def test_trivial(self):
-        chi = Character(CyclicGroup(5), 0)
-        assert np.all(_chi_on_classes(chi, np.arange(5)) == 1)
+        assert _one_prime_L(5, 0, 3) == pytest.approx(2.0)
 
     def test_sign_character(self):
-        chi = Character(CyclicGroup(2), 1)
-        assert _chi_on_classes(chi, np.array([1]))[0] == pytest.approx(-1)
+        assert _one_prime_L(2, 1, 1) == pytest.approx(2 / 3)
 
     def test_order3(self):
-        chi = Character(CyclicGroup(3), 1)
-        assert (_chi_on_classes(chi, np.array([2]))[0]
-                == pytest.approx(cmath.exp(4j * cmath.pi / 3)))
+        w = cmath.exp(4j * cmath.pi / 3)
+        assert _one_prime_L(3, 1, 2) == pytest.approx(1 / (1 - w / 2))
 
-    def test_group_order_validated(self):
-        with pytest.raises(InvalidConfigError):
-            CyclicGroup(1)
-
-    def test_divisors(self):
-        assert CyclicGroup(6).divisors() == [1, 2, 3, 6]
+    @pytest.mark.parametrize("c", range(6))
+    def test_index_taken_mod_group_order(self, c):
+        assert _one_prime_L(6, 7, c) == _one_prime_L(6, 1, c)
 
 
 class TestPerPrimeIdentity:
@@ -66,23 +71,20 @@ class TestTruncatedL:
     def test_trivial_character_is_zeta_P(self):
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**3)
-        chi0 = Character(CyclicGroup(2), 0)
-        lv, _ = truncated_L(sys5, chi0, 2.0, pol)
+        lv, _ = truncated_L(sys5, 0, 2.0, pol)
         zv, _ = truncated_zeta_P(sys5, 2.0, pol)
         assert lv == zv
 
     def test_single_prime_sign_character(self):
         sys = explicit_system([PrimeDatum(norm=2, id=0, frob_class=1,
                                          frob_order=2)], group_order=2)
-        chi = Character(CyclicGroup(2), 1)
-        v, _ = truncated_L(sys, chi, 1.0, TruncationPolicy(4))
+        v, _ = truncated_L(sys, 1, 1.0, TruncationPolicy(4))
         assert v == pytest.approx(2 / 3)
 
     def test_L_against_dirichlet_series_oracle(self):
         # L(2, chi_5) by direct character-sum Dirichlet series
         sys5 = kronecker_system(5)
-        chi = Character(CyclicGroup(2), 1)
-        v, _ = truncated_L(sys5, chi, 2.0, TruncationPolicy(10**4))
+        v, _ = truncated_L(sys5, 1, 2.0, TruncationPolicy(10**4))
         table = {1: 1, 2: -1, 3: -1, 4: 1, 0: 0}
         oracle = sum(table[n % 5] / n**2 for n in range(1, 200001))
         assert abs(v - oracle) < 1e-6
@@ -90,9 +92,8 @@ class TestTruncatedL:
     def test_conjugation_invariance(self):
         sys7 = _cubic_system()
         pol = TruncationPolicy(10**3)
-        g = CyclicGroup(3)
-        v1, _ = truncated_L(sys7, Character(g, 1), 1.7, pol)
-        v2, _ = truncated_L(sys7, Character(g, 2), 1.7, pol)
+        v1, _ = truncated_L(sys7, 1, 1.7, pol)
+        v2, _ = truncated_L(sys7, 2, 1.7, pol)
         assert abs(v1 - v2.conjugate()) < 1e-13
 
 
@@ -143,8 +144,6 @@ class TestFactorization:
     def test_order2_explicit_decomposition(self):
         sys5 = kronecker_system(5)
         pol = TruncationPolicy(10**3)
-        from partialzeta.core import log_zeta_Pn
-
         s = 1.9
         lhs = log_Z(sys5, s, pol)
         rhs = 2 * log_zeta_Pn(sys5, 1, s, pol) + log_zeta_Pn(sys5, 2, 2 * s, pol)
@@ -153,6 +152,17 @@ class TestFactorization:
     def test_empty_system_residual_zero(self):
         sys = ExplicitSystem([], [], [], group_order=2)
         assert zp_factorization_residual(sys, 2.0, 10) == 0.0
+
+    def test_trivial_group(self):
+        # #G = 1: the one character is trivial, so Z_P = zeta_P, P_1 = P
+        # and both identities hold term for term
+        sys = ExplicitSystem([2, 3, 5, 7], [0, 0, 0, 0], [1, 1, 1, 1],
+                             group_order=1)
+        pol, s = TruncationPolicy(10), 1.5 + 2.0j
+        assert log_Z(sys, s, pol) == log_L(sys, 0, s, pol)
+        assert log_Z(sys, s, pol) == log_zeta_Pn(sys, 1, s, pol)
+        assert feq_residual(sys, s, 10) == 0.0
+        assert zp_factorization_residual(sys, s, 10) == 0.0
 
 
 class TestSubgroupIndices:

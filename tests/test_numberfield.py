@@ -12,7 +12,7 @@ from partialzeta.cli import main
 from partialzeta.continuation import GEvaluator
 from partialzeta.core import TruncationPolicy
 from partialzeta.errors import InvalidConfigError, UnresolvedBoxError
-from partialzeta.frobenius import log_Z
+from partialzeta.frobenius import log_L, log_Z
 from partialzeta.lfunctions import (dirichlet_L, kronecker_character,
                                     prime_order_character)
 from partialzeta.numberfield import (AbelianSystem, cyclic_system,
@@ -85,13 +85,11 @@ class TestSystems:
 class TestGClosedForm:
     def test_overlap_with_truncated_ratio(self):
         # g = zeta_P^q / Z_P on Re s > 1, within combined tails
-        from partialzeta.core import log_zeta_P
-
         sys5 = kronecker_system(5)
         g = g_closed_form(sys5)
         pol = TruncationPolicy(10**5)
         for s in (2.0, 1.6 + 3.0j, 2.5 - 7.0j):
-            truncated = cmath.exp(2 * log_zeta_P(sys5, s, pol)
+            truncated = cmath.exp(2 * log_L(sys5, 0, s, pol)
                                   - log_Z(sys5, s, pol))
             assert abs(g(s) - truncated) < 1e-4
 

@@ -7,10 +7,9 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from partialzeta.core import (SINGULAR_FACTOR_EPS, exp_of_log, log_product,
-                             log_zeta_P, log_zeta_Pn)
+from partialzeta.core import SINGULAR_FACTOR_EPS, exp_of_log, log_product
 from partialzeta.errors import PoleAtOneError, SingularLocalFactorError
-from partialzeta.frobenius import log_L, log_Z
+from partialzeta.frobenius import log_L, log_Z, log_zeta_Pn
 from partialzeta.lfunctions import (_EM_COEFF, DirichletCharacter,
                                     _hurwitz_finite_at_one, hurwitz_zeta,
                                     trivial_character)
@@ -152,13 +151,13 @@ def pass_log_L(sys, j, s, X):
 # the truncated products from the package's logs, each with the zeta-core
 # tail bound on |log(true/value)|; Z_P's is #G times it
 
-def truncated_L(sys, chi, s: complex, pol) -> tuple[complex, float]:
-    value = exp_of_log(log_L(sys, chi, s, pol))
+def truncated_L(sys, j, s: complex, pol) -> tuple[complex, float]:
+    value = exp_of_log(log_L(sys, j, s, pol))
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
 
 
 def truncated_zeta_P(sys, s: complex, pol) -> tuple[complex, float]:
-    value = exp_of_log(log_zeta_P(sys, s, pol))
+    value = exp_of_log(log_L(sys, 0, s, pol))
     return value, pol.tail_bound(complex(s).real, sys.count_coeff())
 
 
