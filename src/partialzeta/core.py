@@ -13,55 +13,64 @@ the sums at s, one point or a 1-d array of points, the same path for both:
 c/#G}, with every twist of c from one norm^{-s} in one `log_product` call
 over every point, and each sum is shared by every product at s.
 
-`log_product`, the kernel under all of them, works in place: `_fill`
-writes log(1 - w norm^{-s}) over a range of norms into one array per twist,
-chunk by chunk in work arrays its caller sizes, instead of a fresh array per
-operation, and `_finish` takes each twist's sum.  It takes a batch of points
-s, a 1-d array (a scalar is a batch of one), and a twist or a list of
-twists, and shares between them the log of the norms, each point's
-norm^{-s} between the twists, and, among points of one height, the phase:
+`log_product`, the kernel under all of them, works leaf by leaf.  numpy's
+np.sum of n complex numbers adds 0 to a tree that depends on n alone: a
+node of more than 64 numbers sums its first (m - m % 8) / 2 apart from the
+rest and adds the two.  `_leaves` cuts a slice into the subtrees of at
+most LEAF norms, `_leaf_sums` takes np.sum of each twist's logs over a
+leaf, and `_tree_sum` adds those sums up the tree, so every sum is np.sum
+over the whole slice bit for bit (`TestPairwiseSumPrecondition` in the
+tests) while the kernel holds no array of the slice's length.
+
+It takes a batch of points s, a 1-d array (a scalar is a batch of one),
+and a twist or a list of twists, and shares between them each leaf's log
+p, each point's norm^{-s} between the twists, and, in a batch, the
+factors of norm^{-s} that depend on one coordinate of s:
 
 - each point of a shared height forms norm^{-s} as
   exp(-Re s log p) * (cos y, sin y), with y = -Im s log p, by
-  `factored_exp`; the real factor is numpy's complex exp of a real
-  argument and the phase table exp(0 + iy) is computed once per height;
+  `factored_exp`; the phase table exp(0 + iy) is computed once per height
+  and leaf, and the real factor E, numpy's complex exp of a real argument,
+  once per leaf for each real part that two or more such points have (at
+  most REAL_TABLES of them), or by the point itself;
 - glibc's cexp forms exp(x + iy) as exactly that pair of products for
   x <= 709 (see the `lfunctions` module docstring, and
   `TestLibmPrecondition` in the tests), so this is the bits of one complex
-  exp per point, at the cost of a real one;
+  exp per point, at the cost of two real products;
 - a height that only one point of the batch has, or a point the identity
   does not cover, takes one complex exp, and needs no phase table.
 
 `_log_one_minus` forms each twist's logs on contiguous float planes in
 the buffers it is handed, z = -w norm^{-s} in the output's and the logs'
 parts in the work array's, and its singular check reads the planes, so a
-twist allocates no array of the chunk's length.
+twist allocates no array of the leaf's length.  Every step before the sum
+is elementwise, with the same floating-point operations in the same order
+as the one-array-per-operation form, so every sum is bit-for-bit that of
+`reference_log_product` in the tests with its one twist, however the
+leaves were cut among threads.
 
-Every step before the sum is elementwise, with the same floating-point
-operations in the same order as the one-array-per-operation form, and each
-sum is numpy's pairwise complex sum over the whole slice, so every sum is
-bit-for-bit that of `reference_log_product` in the tests with its one
-twist, however the norms were cut into chunks and ranges.
-
-Both cuts run through `in_threads`, which starts one thread per CPU the
+The cuts run through `in_threads`, which starts one thread per CPU the
 process may use, in copies of the caller's context so its np.errstate
-holds on them, joins every thread before it returns or raises, and raises
-the error of the first part that met one.  numpy's ufuncs release the GIL.
+holds on them, and joins every thread before it returns or raises.
+numpy's ufuncs release the GIL.
 
-- One point's norms are cut into ranges of at least RANGE_MIN norms, one
-  per CPU, or one range on the caller's thread for a shorter slice.  Each
-  range fills its part of the twists' arrays in chunks of RANGE_CHUNK;
-  `_finish` runs once after the join.
-- A batch of two or more points is cut, in phase-group order, into
-  contiguous runs of points.  Each run allocates its arrays once, in one
-  block, fills each point over the whole slice as one chunk, taking the
-  shared-height path wherever the whole height is shared, so a point's
-  bits do not depend on where the batch was cut, and finishes it.  The
-  last twist's logs overwrite the point's norm^{-s}.
+- One point's leaves are cut into contiguous ranges, one per CPU; a slice
+  of one leaf runs on the caller's thread.  Each range holds x = norm^{-s},
+  a work array and, with two or more twists, one array for the logs, all
+  one leaf long.
+- A batch of two or more points takes its leaves in turn.  Per leaf, the
+  E tables are filled over the CPUs, and then the points, in phase-group
+  order, are cut into contiguous runs, one per CPU.  A run takes the
+  leaf's shared-height path wherever the whole height is shared, so a
+  point's bits do not depend on where the batch was cut, and computes a
+  height's phase table where its group starts within the run.  Each
+  thread holds x, work, the phase table and the logs' array, one leaf
+  long, in one block that the next leaf reuses.
 
-The error is the serial loop's: a fill stops at the first singular twist,
-and `_finish` checks each earlier twist's sum for +inf before it reports
-that twist's singular factor.
+The error is the serial loop's: a leaf stops a point at its first singular
+twist, and after the last leaf the points are checked in phase-group
+order, each earlier twist's sum for +inf before the first singular twist
+of any leaf is reported.
 """
 from __future__ import annotations
 
@@ -72,6 +81,7 @@ import math
 import os
 import sys as _sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,12 +96,14 @@ CEXP_REAL_MAX = 709.0
 # of one feq-check or composite functional-equation residual
 # (s, q1 s, q2 s, n s) fits; eval's products at its points all share one
 POINT_CACHE = 8
-# one point's slice is cut into ranges of at least RANGE_MIN norms, one per
-# CPU, each filled in chunks of RANGE_CHUNK: a range's work outweighs the
-# start and join of its thread many times over (README, Continuation grid),
-# and a chunk's work arrays (about 0.8 MB) stay in cache
-RANGE_MIN = 2**16
-RANGE_CHUNK = 2**14
+# a slice is summed leaf by leaf of numpy's pairwise sum, each leaf at most
+# LEAF norms: a leaf's work arrays (0.5 MB each) stay in cache, and one
+# point's leaf outweighs the start and join of a thread (README,
+# Continuation grid)
+LEAF = 2**15
+# a batch tabulates exp(-Re s log p) over a leaf for at most this many
+# shared real parts, 8 bytes per norm each; a point of another takes its own
+REAL_TABLES = 16
 
 
 def factored_exp(E: np.ndarray, cis: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,58 +248,137 @@ def log_product(norms: np.ndarray, w, s):
     all from one norm^{-s} per point.  Scalar s and w give a Python complex.
     log(1 - x) = log1p(z) with z = -x = a + ib is 0.5 log1p(2a + a^2 + b^2)
     + i atan2(b, 1 + a), stable for small |z|; computed in place in a few
-    work arrays by `_fill`, one point's norms cut into ranges and the points
-    of a batch into runs, one per thread, see the module docstring.
+    leaf-long work arrays, leaf by leaf of numpy's pairwise sum, one point's
+    leaves cut into ranges and, per leaf, a batch's points into runs, one
+    per thread, see the module docstring.
     """
     z = np.asarray(s, dtype=complex)
     pts = z.reshape(-1).tolist()
     ws = list(w) if np.ndim(w) else [w]
-    sums = np.zeros((len(pts), len(ws)), complex)
     n = len(norms)
-    if n and len(pts) == 1:
-        outs = [np.empty(n, complex) for _ in ws]
-        firsts = []
-
+    leaves = _leaves(n)
+    # each leaf's sums per point and twist, and per point its first
+    # singular twist, len(ws) where none is
+    parts = np.zeros((len(leaves), len(pts), len(ws)), complex)
+    firsts = np.full((len(leaves), len(pts)), len(ws))
+    order = list(range(len(pts)))  # the order the serial loop meets errors in
+    size = max((b - a for a, b in leaves), default=0)
+    # x and work, then the phase table in a batch, then the logs of every
+    # twist but the last, which overwrite x
+    rows = 2 + (len(pts) > 1) + (len(ws) > 1)
+    if leaves and len(pts) == 1:
         def fill_range(lo, hi):
-            m = min(RANGE_CHUNK, hi - lo)
-            firsts.append(_fill(norms, ws, pts[0], lo, hi, outs,
-                                np.empty(m, complex), np.empty(m, complex)))
+            bufs = np.empty((rows, size), complex)
+            for leaf in range(lo, hi):
+                a, b = leaves[leaf]
+                x, work, out = (bufs[r, :b - a] for r in (0, 1, -1))
+                lg = np.log(norms[a:b], out=work.view(float)[:b - a])
+                np.exp(np.multiply(-pts[0], lg, out=x), out=x)
+                firsts[leaf, 0] = _leaf_sums(x, ws, out, work, parts[leaf, 0])
 
-        in_threads(fill_range, n, RANGE_MIN)
-        _finish(outs, min(firsts), pts[0], sums[0])
-    elif n and len(pts) > 1:
-        logs = np.log(norms)
-        # (point, group, shared) in phase-group order, cut into one
-        # contiguous run per thread
-        order = [(k, i, len(members) > 1) for i, members in
-                 enumerate(_phase_groups(pts, logs))
-                 for k in members]
+        in_threads(fill_range, len(leaves))
+    elif leaves and len(pts) > 1:
+        groups = _phase_groups(pts, norms, leaves)
+        # (point, group, shared) in phase-group order, cut per leaf into
+        # contiguous runs, one per thread
+        runs = [(k, i, len(members) > 1) for i, members in enumerate(groups)
+                for k in members]
+        order = [k for k, _, _ in runs]
+        # the real parts of two or more shared-height points, each with an
+        # E table over the leaf, the most shared first
+        counts = Counter(pts[k].real for k, _, shared in runs if shared)
+        reals = [r for r, c in counts.most_common(REAL_TABLES) if c > 1]
+        tables = np.empty((len(reals), size))
+        table_of = {r: tables[t] for t, r in enumerate(reals)}
+        pool = []  # one block of work arrays per thread, kept across leaves
+        lg = np.empty(size)
+
+        def fill_tables(lo, hi):
+            bufs = pool.pop() if pool else np.empty((rows, size), complex)
+            x = bufs[0, :len(logs)]
+            for r in reals[lo:hi]:
+                # Re exp(-Re s log p + 0i), the real factor of cexp
+                np.multiply(-r, logs, out=x.real)
+                x.imag = 0.0
+                np.exp(x, out=x)
+                table_of[r][:len(logs)] = x.real
+            pool.append(bufs)
 
         def fill_run(lo, hi):
-            # norm^{-s}, work, the phase table and one array per twist past
-            # the last, whose logs overwrite norm^{-s}: one block, where
-            # separate arrays fragmented the heap (5-10 MB of RSS at 1e7)
-            x, work, cis, *outs = np.empty((len(ws) + 2, n), complex)
-            outs.append(x)
+            bufs = pool.pop() if pool else np.empty((rows, size), complex)
+            x, work, cis, out = (bufs[r, :len(logs)] for r in (0, 1, 2, -1))
             cis_group = None  # the group whose phase table cis holds
-            for k, group, shared in order[lo:hi]:
-                if shared and group != cis_group:
-                    # exp(0 + iy) with y = Im(-s log p), the same bits for
-                    # every member (see _phase_groups); log p goes in as
-                    # complex in work, the cast numpy would otherwise make
-                    # in a 128 kB buffer of its own
-                    work.real, work.imag = logs, 0.0
-                    np.multiply(-pts[k], work, out=cis)
-                    cis.real = 0.0
-                    np.exp(cis, out=cis)
-                    cis_group = group
-                first = _fill(norms, ws, pts[k], 0, n, outs, x, work, logs,
-                              cis if shared else None)
-                _finish(outs, first, pts[k], sums[k])
+            for k, group, shared in runs[lo:hi]:
+                p = pts[k]
+                if not shared:
+                    np.exp(np.multiply(-p, logs, out=x), out=x)
+                else:
+                    if group != cis_group:
+                        # exp(0 + iy) with y = Im(-s log p), the same bits
+                        # for every member (see _phase_groups); log p goes
+                        # in as complex in work, the cast numpy would
+                        # otherwise make in a buffer of its own
+                        work.real, work.imag = logs, 0.0
+                        np.multiply(-p, work, out=cis)
+                        cis.real = 0.0
+                        np.exp(cis, out=cis)
+                        cis_group = group
+                    E = table_of.get(p.real)
+                    if E is None:
+                        np.multiply(-p.real, logs, out=x.real)
+                        x.imag = 0.0
+                        E = np.exp(x, out=x).real
+                    # exp(-Re s log p) * (cos y, sin y): cexp's own bits
+                    factored_exp(E[:len(logs)], cis, x)
+                firsts[leaf, k] = _leaf_sums(x, ws, out, work, parts[leaf, k])
+            pool.append(bufs)
 
-        in_threads(fill_run, len(order))
+        for leaf, (a, b) in enumerate(leaves):
+            logs = np.log(norms[a:b], out=lg[:b - a])
+            if reals:
+                in_threads(fill_tables, len(reals))
+            in_threads(fill_run, len(runs))
+    sums = (-_tree_sum(parts, n) if n
+            else np.zeros((len(pts), len(ws)), complex))
+    # the serial loop's error: the first point's in run order, where a
+    # twist's sum is checked for +inf before a later twist's factors are
+    for k in order:
+        first = min(firsts[:, k], default=len(ws))
+        # x within about 1e-8 of 1 rounds 2a + a^2 to -1 and its log1p to -inf
+        if any(v.real == math.inf for v in sums[k, :first].tolist()):
+            raise SingularLocalFactorError(
+                f"local factor log not finite at s={pts[k]}")
+        if first < len(ws):
+            raise SingularLocalFactorError(f"singular local factor at s={pts[k]}")
     shape = z.shape + np.shape(w)
     return complex(sums[0, 0]) if shape == () else sums.reshape(shape)
+
+
+def _leaves(n: int, lo: int = 0) -> list[tuple[int, int]]:
+    """The (start, end) of each leaf of numpy's pairwise sum of n numbers
+    from lo on, in order: the subtrees of at most LEAF numbers, where a
+    node of m > 64 sums its first (m - m % 8) / 2 numbers apart from the
+    rest."""
+    if n <= LEAF:
+        return [(lo, lo + n)] if n else []
+    half = (n - n % 8) // 2
+    return _leaves(half, lo) + _leaves(n - half, lo + half)
+
+
+def _tree_sum(parts: np.ndarray, n: int) -> np.ndarray:
+    """np.sum of n numbers from parts[l], the np.sum of leaf l of
+    `_leaves(n)`, bit for bit: each node adds its halves' sums, and np.sum
+    adds its total to 0.  Each parts[l] may be an array, summed entrywise.
+    """
+    leaf = iter(parts)
+
+    def node(m):
+        if m <= LEAF:
+            return next(leaf)
+        half = (m - m % 8) // 2
+        return node(half) + node(m - half)
+
+    return 0.0 + node(n)
 
 
 def _cpu_count() -> int:
@@ -335,66 +426,35 @@ def in_threads(work, n: int, min_len: int = 1) -> None:
         raise first
 
 
-def _fill(norms: np.ndarray, ws: list, s, lo: int, hi: int, outs: list,
-          x: np.ndarray, work: np.ndarray, logs: np.ndarray | None = None,
-          cis: np.ndarray | None = None) -> int:
-    """Write log(1 - w norm^{-s}) over norms[lo:hi] into outs[i][lo:hi] for
-    each twist w = ws[i], in chunks of len(x) worked in x and work, and
-    return the first singular twist, len(ws) if none is; the twists past
-    it are not written.
-
-    logs, if given, are the logs of all of norms, and cis the phase table
-    exp(i Im(-s log p)) of s's height over them; without logs each chunk
-    takes its logs in work.  outs[-1] may be x where x is one chunk over
-    all of norms.
-    """
-    first = len(ws)
-    for a in range(lo, hi, len(x)):
-        m = min(len(x), hi - a)
-        xm, wm = x[:m], work[:m]
-        lg = (np.log(norms[a:a + m], out=wm.view(float)[:m]) if logs is None
-              else logs[a:a + m])
-        if cis is None:
-            np.exp(np.multiply(-s, lg, out=xm), out=xm)
-        else:
-            # exp(-Re s log p) * (cos y, sin y): cexp's own bits
-            np.multiply(-s.real, lg, out=xm.real)
-            xm.imag = 0.0
-            np.exp(xm, out=xm)
-            factored_exp(xm.real, cis[a:a + m], xm)
-        for i in range(first):
-            if not _log_one_minus(xm, ws[i], outs[i][a:a + m], wm):
-                first = i
-                break
-    return first
+def _leaf_sums(x: np.ndarray, ws: list, out: np.ndarray, work: np.ndarray,
+               sums: np.ndarray) -> int:
+    """Write into sums[i] np.sum of log(1 - w x) over a leaf, x = norm^{-s}
+    over its norms, for each twist w = ws[i] before the first singular one,
+    and return the index of that one, len(ws) if none is.  The last twist's
+    logs overwrite x and every other's go into out, so out is written only
+    where ws holds two or more twists."""
+    for i, w in enumerate(ws):
+        logs = x if i == len(ws) - 1 else out
+        if not _log_one_minus(x, w, logs, work):
+            return i
+        sums[i] = np.sum(logs)
+    return len(ws)
 
 
-def _finish(outs: list, first: int, s, sums: np.ndarray) -> None:
-    """Fill sums[i] with -sum of outs[i] for each twist before first, then
-    raise first's singular error: the serial loop's order, where a twist's
-    sum is checked for +inf before a later twist's factors are."""
-    for i in range(first):
-        # numpy's pairwise sum of one array: the same bits however the
-        # array was filled
-        total = -np.sum(outs[i])
-        # x within about 1e-8 of 1 rounds 2a + a^2 to -1 and its log1p to -inf
-        if total.real == math.inf:
-            raise SingularLocalFactorError(f"local factor log not finite at s={s}")
-        sums[i] = total
-    if first < len(outs):
-        raise SingularLocalFactorError(f"singular local factor at s={s}")
-
-
-def _phase_groups(pts: list, logs: np.ndarray) -> list[list[int]]:
+def _phase_groups(pts: list, norms: np.ndarray,
+                  leaves: list) -> list[list[int]]:
     """The indices of pts grouped by height, each group sharing one phase
     table; a point the identity does not cover is a group of its own.
 
     y = Im(-s log p) is (-Re s) * 0 + (-Im s) * log p in numpy's complex
     product, so its bits depend only on Im s and on the sign of Re s, which
     a zero product can carry.  cexp(x + iy) is (exp(x) cos y, exp(x) sin y)
-    only for x <= 709 and finite y, so the group asks that of every member.
+    only for x <= 709 and finite y, so the group asks that of every member,
+    over the least and greatest log p of the norms, taken leaf by leaf.
     """
-    lo, hi = float(np.min(logs)), float(np.max(logs))
+    ends = np.array([(np.min(lg), np.max(lg))
+                     for lg in (np.log(norms[a:b]) for a, b in leaves)])
+    lo, hi = float(np.min(ends[:, 0])), float(np.max(ends[:, 1]))
     groups: dict = {}
     for k, p in enumerate(pts):
         key = (p.imag, math.copysign(1.0, p.imag), math.copysign(1.0, p.real))

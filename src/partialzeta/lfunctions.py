@@ -56,7 +56,10 @@ from .primes import factorize
 # head's 2|Im s| + 1 terms also grow without bound
 HEIGHT_MAX = 100.0
 # largest character modulus m, refused before it is factored: m - 1 Hurwitz
-# columns at the largest prime, 262,139, peak near 1.1 GB (`zeros --height 1`)
+# columns at the largest prime, 262,139, peak near 1.1 GB (`zeros --height 1`).
+# A character of order q is refused where its q - 1 powers, the tables
+# `zeros` builds, hold more than MAX_MODULUS residues in all, (q - 1) m;
+# eval's Z_P takes time quadratic in q, and (q - 1) m bounds q^2
 MAX_MODULUS = 2**18
 # hurwitz_zeta and the principal L raise PoleAtOneError this close to s = 1
 POLE_RADIUS = 1e-14
@@ -276,9 +279,13 @@ def prime_order_character(modulus: int, order: int,
     """Order-`order` character mod an odd prime, chi(generator) = e^{2 pi i/order}."""
     if modulus > MAX_MODULUS:
         raise BudgetExceededError(f"modulus {modulus} exceeds {MAX_MODULUS}")
+    if (order - 1) * modulus > MAX_MODULUS:
+        raise BudgetExceededError(
+            f"order {order} mod {modulus}: {order - 1} characters of "
+            f"{modulus} residues exceed {MAX_MODULUS}")
     if modulus < 3 or factorize(modulus) != {modulus: 1}:
         raise InvalidConfigError("modulus must be an odd prime")
-    if (modulus - 1) % order != 0:
+    if order < 1 or (modulus - 1) % order != 0:
         raise InvalidConfigError(f"order {order} does not divide {modulus - 1}")
     g = generator if generator is not None else next(
         a for a in range(2, modulus) if is_primitive_root(a, modulus))

@@ -1203,6 +1203,38 @@ class TestArgvFuzz:
         assert (proc.returncode, proc.stdout) == (5, "")
         assert (proc.stderr.count("\n"), proc.stderr[:7]) == (1, "error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--backend", "cyclic", "--char", "2039,1019", "--s", "2",
+         "--cutoff", "1e4"],
+        ["eval", "--backend", "cyclic", "--char", "8039,4019", "--s", "2"],
+        ["continue", "--backend", "cyclic", "--char", "1019,509", "--s", "2"],
+    ], ids=["2039,1019", "8039,4019", "continue-1019,509"])
+    def test_large_character_order_refused_before_its_tables(self, capsys,
+                                                             argv):
+        # q - 1 = 1018 powers of 2039 residues took 21 s and 258 MB before
+        # the first value, and 4018 powers of 8039 ran past 120 s
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (5, 1) and err.startswith("error: ")
+        assert elapsed < 1.0
+
+    def test_large_character_order_zeros_refused_in_bounded_memory(self):
+        # the 4018 character tables died of a MemoryError with a traceback
+        proc = run_in_512_mib(["zeros", "--backend", "cyclic", "--char",
+                               "8039,4019", "--height", "1"])
+        assert (proc.returncode, proc.stdout) == (5, "")
+        assert (proc.stderr.count("\n"), proc.stderr[:7]) == (1, "error: ")
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_character_order_below_one(self, capsys, order):
+        # order 0 raised ZeroDivisionError with a traceback
+        code = main(["eval", "--backend", "cyclic", "--char", f"7,{order}",
+                     "--s", "2"])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (2, 1) and err.startswith("error: ")
+
 
 def _error_classes(cls=PartialZetaError):
     for sub in cls.__subclasses__():

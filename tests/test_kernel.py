@@ -247,9 +247,10 @@ class TestKernelBitIdentity:
             log_product(np.array([2.0]), -1.0, SINGULAR_S[2])
 
     @pytest.mark.parametrize("s", [0.0, 0j])
-    @pytest.mark.parametrize("n", [1, core.RANGE_CHUNK + 5])
+    @pytest.mark.parametrize("n", [1, 2**14 + 5, core.LEAF + 5])
     def test_factor_with_zero_real_part_is_not_singular(self, n, s):
-        # 1 - w 2^{-0} = 0.5i: Re 0 flags the chunk, the modulus 0.5 clears it
+        # 1 - w 2^{-0} = 0.5i: Re 0 flags the leaf, the modulus 0.5 clears
+        # it; on one leaf and on two
         norms, w = np.full(n, 2.0), 1 - 0.5j
         assert (_outcome(norms, w, s, log_product)
                 == _outcome(norms, w, s, reference_log_product) != "singular")
@@ -270,7 +271,7 @@ class TestKernelBitIdentity:
         # a real-dtype s takes the complex arithmetic: the bytes of the same
         # call at s.astype(complex), for one point and for a batch
         monkeypatch.setattr(core, "_cpu_count", lambda: workers)
-        for n in (3, 3 * core.RANGE_MIN):
+        for n in (3, 6 * core.LEAF):
             norms = RATIONAL_PRIMES[:n]
             for s in (np.float64(1.5), np.array([1.5, 0.75, -0.5, 1.5, 3.0])):
                 assert (_bits(log_product(norms, chi, s))
@@ -301,7 +302,7 @@ class TestSingularCheckOnPlanes:
     1 + a, and only a factor with |1 + a| below the bound takes numpy's
     complex modulus, the reference's."""
 
-    @pytest.mark.parametrize("n", [1, 3, core.RANGE_CHUNK + 5])
+    @pytest.mark.parametrize("n", [1, 3, 2**14 + 5, core.LEAF + 5])
     def test_zero_real_part_with_modulus_one_half(self, n):
         # 1 - (2 + i) 2^{-1} = -0.5i
         one, batch, ref = _both_paths(np.full(n, 2.0), 2 + 1j, 1.0)
@@ -376,6 +377,11 @@ def _batch(rng, kind, n_points):
     if kind == "real":
         return np.array([p.real for p in pts])
     return np.array(pts)
+
+
+# the points q s, q = 2, of the bench `continue --grid`: 9 real parts, 7 heights
+BENCH_GRID_POINTS = 2 * np.array([complex(a, b) for b in np.linspace(0, 30, 7)
+                                  for a in np.linspace(0.55, 0.95, 9)])
 
 
 class TestBatchedKernel:
@@ -481,9 +487,9 @@ class TestBatchedKernel:
 
     def test_memory_per_prime_of_one_point(self, monkeypatch):
         # a twisted call on 332k norms, the size of the inert slice of
-        # `eval --d 5` at the 1e7 sieve cap: one 16-byte log array per
-        # twist, and on each of 2 ranges a chunk's work arrays, in whose
-        # buffers the singular check runs; peak at 36 bytes per prime
+        # `eval --d 5` at the 1e7 sieve cap: on each of 2 ranges x, work and
+        # the first twist's logs, a leaf long, in whose buffers the singular
+        # check runs; peak at 6.4-6.8 bytes per prime
         monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         norms = RATIONAL_PRIMES[1::2].copy()
         tracemalloc.start()
@@ -492,29 +498,44 @@ class TestBatchedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 38 * len(norms), peak / len(norms)
+        assert peak <= 8.8 * len(norms), peak / len(norms)
 
-    @pytest.mark.parametrize("chi, bound", [(1.0, 106.5),
-                                            ([1.0, -1 + 0j], 138.5)],
+    @pytest.mark.parametrize("chi, bound", [(1.0, 91.6),
+                                            ([1.0, -1 + 0j], 106.6)],
                              ids=["one-twist", "two-twists"])
     def test_memory_per_prime_of_a_grid_batch(self, monkeypatch, chi, bound):
         # the 63 points q s of the bench `continue --grid` on the d=5 inert
-        # slice at 1e6, on 2 runs: the shared logs, and on each run x, work,
-        # the phase table and one array per twist past the last, whose logs
-        # overwrite x, and nothing else: the singular check and the phase
-        # table's complex log p run in those buffers.  Peak at 104.5 and
-        # 136.4 bytes per prime, whatever the order the runs allocate in
+        # slice at 1e6, two leaves, on 2 runs: a leaf's logs and its 9 E
+        # tables, and on each run x, work, the phase table and with two
+        # twists the first one's logs, a leaf long, and nothing else: the
+        # singular check and the phase table's complex log p run in those
+        # buffers.  Peak at 89.6 and 104.6 bytes per prime
         monkeypatch.setattr(core, "_cpu_count", lambda: 2)
         norms = kronecker_system(5).class_slices(1e6)[(1, 2)]
-        s = 2 * np.array([complex(a, b) for b in np.linspace(0, 30, 7)
-                          for a in np.linspace(0.55, 0.95, 9)])
         tracemalloc.start()
         try:
-            log_product(norms, chi, s)
+            log_product(norms, chi, BENCH_GRID_POINTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound * len(norms), peak / len(norms)
+
+    def test_memory_does_not_grow_with_the_slice(self, monkeypatch):
+        # the same 63 points on the 332k-norm inert slice of d=5 at the 1e7
+        # sieve cap and on its first quarter: every array the kernel holds
+        # is at most a leaf long, so the peak (4.5 MB) stays
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+        norms = kronecker_system(5).class_slices(1e7)[(1, 2)]
+        assert len(norms) > 330_000
+        peaks = []
+        for part in (norms[:len(norms) // 4], norms):
+            tracemalloc.start()
+            try:
+                log_product(part, [1.0, -1 + 0j], BENCH_GRID_POINTS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_points_outside_the_cexp_identity_stand_alone(self):
         # x = -Re s log p above 709 and an overflowing phase take a lone cexp
@@ -530,9 +551,9 @@ class TestBatchedKernel:
 
 class TestRangedKernel:
     """One point on a long slice has the bits of the serial pass, however
-    its norms are cut into ranges."""
+    its leaves are cut into ranges."""
 
-    N = 3 * core.RANGE_MIN + 1001  # no range cut falls on a chunk edge
+    N = 6 * core.LEAF + 1001  # 8 leaves, none of them LEAF long
 
     @pytest.mark.parametrize("workers", [2, 3, 40])
     @pytest.mark.parametrize("chi_kind", ["float", "root", "twist-list"])
@@ -558,10 +579,15 @@ class TestRangedKernel:
         finally:
             sys.setswitchinterval(interval)
         assert _bits(got) == _outcome(norms, chi, s, _reference)
-        # 3 minimum ranges fit, each on a thread of its own
-        assert len(ranges) == min(workers, 3) == len({t for t, _, _ in ranges})
-        cuts = sorted((lo, hi) for _, lo, hi in ranges)
-        assert [lo for lo, _ in cuts] == [0] + [hi for _, hi in cuts[:-1]]
+        # each range a run of whole leaves, on a thread of its own, one per
+        # CPU while leaves last; the ranges' cuts in norms cover [0, N)
+        leaves = core._leaves(self.N)
+        assert len(leaves) == 8
+        assert len(ranges) == min(workers, 8) == len({t for t, _, _ in ranges})
+        cuts = sorted((leaves[lo][0], leaves[hi - 1][1]) for _, lo, hi in ranges)
+        bounds = {a for a, _ in leaves} | {self.N}
+        assert all(a in bounds and b in bounds for a, b in cuts)
+        assert [a for a, _ in cuts] == [0] + [b for _, b in cuts[:-1]]
         assert cuts[-1][1] == self.N
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 40])

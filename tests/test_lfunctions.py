@@ -3,6 +3,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
-from partialzeta import lfunctions
+from partialzeta import core, lfunctions
 from partialzeta.errors import InvalidConfigError, PoleAtOneError
 from partialzeta.lfunctions import (DirichletCharacter, dirichlet_L,
                                     fundamental_discriminant, hardy_theta,
@@ -374,6 +375,60 @@ class TestLibmPrecondition:
         # bytes, so that signed zeros count
         assert z.real.tobytes() == (E * cis.real).tobytes()
         assert z.imag.tobytes() == (E * cis.imag).tobytes()
+
+
+class TestPairwiseSumPrecondition:
+    """The Euler-product kernel sums a class slice leaf by leaf and adds the
+    leaves' sums up numpy's pairwise tree (`core._leaves`,
+    `core._tree_sum`): np.sum over the whole slice bit for bit only while
+    numpy's complex sum adds 0 to that tree.  A failure here points at
+    numpy's summation on this platform, not at the kernel, and the kernel
+    pins would move with it."""
+
+    @given(n=st.one_of(st.integers(1, 300), st.integers(1, 400_000)),
+           leaf=st.one_of(st.sampled_from([64, 65, 2**15]),
+                          st.integers(64, 40_000)),
+           kind=st.sampled_from(["finite", "finite", "special", "zeros"]),
+           rows=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_leaf_sums_add_up_to_np_sum(self, n, leaf, kind, rows, seed):
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, rows, n)) * 10.0 ** rng.integers(
+            -12, 12, (2, rows, n))
+        if kind == "zeros":  # +-0 only, every entry -0 in a third of cases
+            plus = rng.random((2, rows, n)) < (0.0 if seed % 3 == 0 else 0.1)
+            parts = np.where(plus, 0.0, -0.0)
+        elif kind == "special":  # a few +-0, +-inf and NaN entries
+            at = rng.integers(0, n, (2, rows, 4))
+            for p, r in np.ndindex(2, rows):
+                parts[p, r, at[p, r]] = rng.choice(
+                    [0.0, -0.0, np.inf, -np.inf, np.nan], 4)
+        a = np.empty((rows, n), complex)
+        a.real, a.imag = parts
+        with mock.patch.object(core, "LEAF", leaf), \
+                np.errstate(invalid="ignore", over="ignore"):
+            leaves = core._leaves(n)
+            assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+            assert leaves[-1][1] == n
+            assert all(0 < hi - lo <= leaf for lo, hi in leaves)
+            for row in a:
+                got = core._tree_sum([np.sum(row[lo:hi]) for lo, hi in leaves], n)
+                assert got.tobytes() == np.sum(row).tobytes(), (
+                    "numpy's np.sum no longer follows the pairwise tree of "
+                    "core._leaves")
+            # the row sums' NaNs may differ in sign (seen at n = 164, leaf
+            # 64); the kernel takes 1-d sums only, so NaNs are compared as NaN
+            got = core._tree_sum([a[:, lo:hi].sum(axis=1) for lo, hi in leaves], n)
+            assert _nan_bytes(got) == _nan_bytes(a.sum(axis=1)), (
+                "numpy's row sums no longer follow the pairwise tree of "
+                "core._leaves")
+
+
+def _nan_bytes(z):
+    """The bytes of complex z with every NaN part made the same NaN."""
+    v = np.asarray(z, complex).view(float)
+    return np.where(np.isnan(v), np.nan, v).tobytes()
 
 
 class TestZetaValues:
